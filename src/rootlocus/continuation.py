@@ -24,7 +24,7 @@ from .errors import (
     NoConvergenceError,
     PoleZeroProximityError,
 )
-from .plant import LocusKind, LocusProblem, log_derivative
+from .plant import LocusKind, LocusProblem
 
 _LAMBDA_NOISE_REL = 1e-12
 
@@ -131,26 +131,18 @@ class BranchRegistry:
             rec.consumed[best[0]] = True
             return rec.rays_up[best[0]]
 
-    def consume_matching(self, rec: _BranchRecord, direction: complex) -> None:
-        """Mark the ray nearest to ``direction`` consumed (ownership transfer)."""
-        self.consume_ray(rec, direction)
-
-
-def _mp_residual(problem: LocusProblem, y: np.ndarray) -> tuple[float, float]:
-    return problem.mp(y[0], y[1], y[2])
-
-
-def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> np.ndarray:
-    sigma, omega, lam = y
-    u0 = log_derivative(problem.plant, complex(sigma, omega))
-    heff = problem.effective_h(lam)
-    a = u0.real - heff
-    b = u0.imag
+def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> tuple[tuple[float, float], list]:
+    """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows,
+    from one ``evaluate`` pass."""
+    sigma, omega, lam = y.tolist()
+    m, p, u = problem.evaluate(sigma, omega, lam)
+    a = u.real - problem.effective_h(lam)
+    b = u.imag
     if problem.kind is LocusKind.GAIN:
         dm_dl, dp_dl = 1.0 / lam, 0.0
     else:
         dm_dl, dp_dl = -sigma, -omega
-    return np.array([[a, -b, dm_dl], [b, a, dp_dl]])
+    return (m, p), [[a, -b, dm_dl], [b, a, dp_dl]]
 
 
 def initial_tangent(problem: LocusProblem, point: CriticalPoint) -> np.ndarray:
@@ -184,39 +176,41 @@ def correct(
     Newton updates.
     """
     y = np.array(predicted, dtype=float)
-    yp = np.array(predicted, dtype=float)
-    step_norms: list[float] = []
+    yp = y.copy()
+    gain = problem.kind is LocusKind.GAIN
+    first = second = 0.0  # norms of the first two Newton updates
     for it in range(config.max_newton_iters):
-        if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
+        if gain and y[2] <= 0.0:
             raise NoConvergenceError("corrector iterate left lam > 0")
-        if problem.kind is LocusKind.DELAY and y[2] < 0.0:
+        if not gain and y[2] < 0.0:
             y[2] = 0.0
         try:
-            m, p = _mp_residual(problem, y)
-            jac2 = _mp_jacobian(problem, y)
+            (m, p), rows = _mp_jacobian(problem, y)
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
-        f = np.array([m, p, float(np.dot(y - yp, direction))])
-        jac = np.vstack([jac2, direction])
+        rows.append(direction)
         try:
-            delta = np.linalg.solve(jac, -f)
+            delta = np.linalg.solve(rows, [-m, -p, -float(np.dot(y - yp, direction))])
         except np.linalg.LinAlgError as exc:
             raise JacobianSingularError("singular corrector Jacobian") from exc
-        cond_scale = np.max(np.abs(delta))
-        if not np.isfinite(cond_scale):
+        if not all(map(math.isfinite, delta.tolist())):
             raise JacobianSingularError("corrector update overflowed")
         y = y + delta
-        step_norms.append(float(np.linalg.norm(delta)))
-        if step_norms[-1] < config.corrector_tol:
-            if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
+        norm = float(np.linalg.norm(delta))
+        if it == 0:
+            first = norm
+        elif it == 1:
+            second = norm
+        if norm < config.corrector_tol:
+            if gain and y[2] <= 0.0:
                 raise NoConvergenceError("corrector converged outside lam > 0")
-            if problem.kind is LocusKind.DELAY and y[2] < 0.0:
+            if not gain and y[2] < 0.0:
                 y[2] = 0.0
-            kappa = step_norms[1] / step_norms[0] if len(step_norms) >= 2 else 0.0
+            kappa = second / first if it >= 1 else 0.0
             delta_dist = problem.cartesian_residual(y[0], y[1], y[2])
             pt = TrajectoryPoint(y[0], y[1], y[2], delta_dist, 0.0)
             return pt, kappa
-        if len(step_norms) >= 3 and step_norms[-1] > 10.0 * step_norms[0]:
+        if it >= 2 and norm > 10.0 * first:
             raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {config.max_newton_iters} iterations")
 
@@ -256,30 +250,18 @@ def solve_branch_point(
     and attaches the up-ray directions.
     """
     y = np.array(y_init, dtype=float)
+    if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
+        raise NoConvergenceError("branch solve needs lam > 0 on a gain locus")
     for _ in range(max_iters):
-        sigma, omega, lam = y
-        s = complex(sigma, omega)
         try:
-            m, p = _mp_residual(problem, y)
-            u0 = log_derivative(problem.plant, s) - problem.effective_h(lam)
-            jac2 = _mp_jacobian(problem, y)
+            (m, p), rows = _mp_jacobian(problem, y)
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"branch solve hit a pole/zero: {exc}") from exc
-        # u'(s) for the derivative rows
-        du = 0.0 + 0.0j
-        for z in problem.plant.zeros:
-            du -= 1.0 / (s - z) ** 2
-        for pp in problem.plant.poles:
-            du += 1.0 / (s - pp) ** 2
+        # rows[k][0] are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
+        du = localmodel._u_derivatives(problem, complex(y[0], y[1]), y[2], 1)[1]
         dl = 0.0 if problem.kind is LocusKind.GAIN else -1.0
-        f = np.array([m, p, u0.real, u0.imag])
-        jac = np.vstack(
-            [
-                jac2,
-                [du.real, -du.imag, dl],
-                [du.imag, du.real, 0.0],
-            ]
-        )
+        f = np.array([m, p, rows[0][0], rows[1][0]])
+        jac = np.array(rows + [[du.real, -du.imag, dl], [du.imag, du.real, 0.0]])
         delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         y = y + delta
         if problem.kind is LocusKind.GAIN:
@@ -311,10 +293,10 @@ def _clip_solve(
     free = [i for i in range(3) if i != idx]
     y[idx] = pin_value
     for _ in range(50):
-        m, p = _mp_residual(problem, y)
-        jac = _mp_jacobian(problem, y)[:, free]
+        (m, p), rows = _mp_jacobian(problem, y)
+        jac = [[row[i] for i in free] for row in rows]
         try:
-            delta = np.linalg.solve(jac, -np.array([m, p]))
+            delta = np.linalg.solve(jac, [-m, -p])
         except np.linalg.LinAlgError as exc:
             raise JacobianSingularError("singular clip Jacobian") from exc
         y[free] += delta
@@ -430,8 +412,13 @@ def trace_trajectory(
                     merge_rec = rec
                     break
                 except NoConvergenceError:
+                    last = points[-1]
                     termination = Termination.STALLED
-                    note = f"corrector stalled: {exc}"
+                    note = (
+                        f"corrector stalled after point (sigma, omega, lam) = "
+                        f"({last.sigma:.17g}, {last.omega:.17g}, {last.lam:.17g}) "
+                        f"at step h = {h:.6g} after {halvings} halvings: {exc}"
+                    )
                     accepted = "stop"
                     break
             pending_first = None

@@ -17,9 +17,6 @@ from .plant import (
     Plant,
     big_lambda,
     big_lambda_prime,
-    log_derivative,
-    log_magnitude,
-    phase,
     phi,
     phi_prime,
 )
@@ -104,11 +101,11 @@ def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
         if s.real < problem.sigma0:
             continue
         try:
-            p_res = phase(plant, s.real, s.imag, h)
-            lam = math.exp(log_magnitude(plant, s.real, s.imag, 1.0, h) * -1.0)
+            m, p_res, _ = problem.evaluate(s.real, s.imag, 1.0)
         except Exception:
             continue
         # lam = e^{h sigma}/|G(s)|: the magnitude condition inverted at s
+        lam = math.exp(-m)
         if abs(p_res) > _PHASE_RESIDUAL_TOL * (1.0 + abs(s)):
             continue
         if not (0.0 <= lam <= problem.lambda_max):
@@ -380,7 +377,7 @@ def boundary_crossings_delay(problem: LocusProblem) -> list[CriticalPoint]:
                     return
                 lam_cr = min(max(lam_cr, 0.0), problem.lambda_max)
                 s = complex(s0, w_cr)
-                u = log_derivative(plant, s) - lam_cr
+                u = problem.evaluate(s0, w_cr, lam_cr)[2] - lam_cr
                 val = (s / u).real if u != 0 else 0.0
                 if abs(val) < _GRAZE_TOL:
                     raise IllPosedCrossingError(

@@ -143,7 +143,7 @@ def compute_root_locus(
             rec = records_by_bp[id(bp)]
             for ray in list(rec.rays_up):
                 if abs(ray.imag) < 1e-9:
-                    registry.consume_matching(rec, ray)
+                    registry.consume_ray(rec, ray)
         for cp in starts:
             if abs(cp.root.imag) >= _AXIS_TOL:
                 seeds.extend(_start_seeds(problem, cp))

@@ -108,7 +108,10 @@ class Plant:
 
     def transfer(self, s: complex) -> complex:
         """Evaluate G(s).  Raises near poles."""
-        _check_clear(self, s, poles_only=True)
+        tol = 1e-9 * (1.0 + abs(s))
+        for p in self.poles:
+            if abs(s - p) < tol:
+                raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {p}")
         num = self.gain
         for z in self.zeros:
             num *= s - z
@@ -122,53 +125,13 @@ class Plant:
         return 0.0 if self.gain > 0 else math.pi
 
 
-def _check_clear(plant: Plant, s: complex, poles_only: bool = False) -> None:
-    tol = 1e-9 * (1.0 + abs(s))
-    for p in plant.poles:
-        if abs(s - p) < tol:
-            raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {p}")
-    if not poles_only:
-        for z in plant.zeros:
-            if abs(s - z) < tol:
-                raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
-
-
 def eval_char_fn(plant: Plant, kind: LocusKind, s: complex, lam: float) -> complex:
     """Characteristic function in Cartesian form; residual checks only."""
     s = complex(s)
-    _check_clear(plant, s, poles_only=True)
     g = plant.transfer(s)
     if kind is LocusKind.GAIN:
         return 1.0 + lam * g * cmath.exp(-plant.delay * s)
     return 1.0 + g * cmath.exp(-lam * s)
-
-
-def log_magnitude(plant: Plant, sigma: float, omega: float, k: float, h: float) -> float:
-    """ln |k * G(sigma + j omega) * exp(-h (sigma + j omega))| for k > 0."""
-    s = complex(sigma, omega)
-    _check_clear(plant, s)
-    acc = math.log(abs(plant.gain)) + math.log(k) - h * sigma
-    for z in plant.zeros:
-        acc += 0.5 * math.log((sigma - z.real) ** 2 + (omega - z.imag) ** 2)
-    for p in plant.poles:
-        acc -= 0.5 * math.log((sigma - p.real) ** 2 + (omega - p.imag) ** 2)
-    return acc
-
-
-def phase(plant: Plant, sigma: float, omega: float, h: float) -> float:
-    """Phase residual of G e^{-hs} relative to pi, wrapped to (-pi, pi].
-
-    Zero (mod 2 pi) exactly when the phase condition of the root-locus
-    equation holds at sigma + j omega.
-    """
-    s = complex(sigma, omega)
-    _check_clear(plant, s)
-    acc = plant.gain_angle() - h * omega - math.pi
-    for z in plant.zeros:
-        acc += math.atan2(omega - z.imag, sigma - z.real)
-    for p in plant.poles:
-        acc -= math.atan2(omega - p.imag, sigma - p.real)
-    return wrap_angle(acc)
 
 
 def big_lambda(plant: Plant, sigma0: float, omega):
@@ -242,18 +205,6 @@ def phi_prime(plant: Plant, sigma0: float, omega, h: float | None = None):
     return acc if acc.shape else float(acc)
 
 
-def log_derivative(plant: Plant, s: complex) -> complex:
-    """G'(s)/G(s) as the partial-fraction sum over zeros and poles."""
-    s = complex(s)
-    _check_clear(plant, s)
-    acc = 0.0 + 0.0j
-    for z in plant.zeros:
-        acc += 1.0 / (s - z)
-    for p in plant.poles:
-        acc -= 1.0 / (s - p)
-    return acc
-
-
 @dataclass(frozen=True)
 class LocusProblem:
     """A root-locus computation request: plant, locus kind, region and bound."""
@@ -306,17 +257,46 @@ class LocusProblem:
         """Exponent coefficient of the dead-time term at locus parameter lam."""
         return self.plant.delay if self.kind is LocusKind.GAIN else lam
 
+    def evaluate(self, sigma: float, omega: float, lam: float) -> tuple[float, float, complex]:
+        """(M, P, G'/G) at sigma + j omega in one pass over the zeros, then the poles.
+
+        M = ln|k G(s) e^{-h s}| and P, the phase of G e^{-h s} relative to pi
+        wrapped to (-pi, pi], are the corrector residuals of ``mp``; k and h
+        are lam > 0 and the dead time (gain locus) or 1 and lam (delay locus).
+        Raises PoleZeroProximityError within 1e-9 (1 + |s|) of a pole or zero.
+        """
+        plant = self.plant
+        k, h = (lam, plant.delay) if self.kind is LocusKind.GAIN else (1.0, lam)
+        s = complex(sigma, omega)
+        tol = 1e-9 * (1.0 + abs(s))
+        log, atan2 = math.log, math.atan2
+        m = log(abs(plant.gain)) + log(k) - h * sigma
+        p = plant.gain_angle() - h * omega - math.pi
+        u = 0.0 + 0.0j
+        # x ** 2 (libm pow), not x * x: the two round apart now and then, and
+        # the traced locus is kept bit-stable
+        for z in plant.zeros:
+            d = s - z
+            if abs(d) < tol:
+                raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
+            x, y = d.real, d.imag
+            m += 0.5 * log(x ** 2 + y ** 2)
+            p += atan2(y, x)
+            u += 1.0 / d
+        for q in plant.poles:
+            d = s - q
+            if abs(d) < tol:
+                raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {q}")
+            x, y = d.real, d.imag
+            m -= 0.5 * log(x ** 2 + y ** 2)
+            p -= atan2(y, x)
+            u -= 1.0 / d
+        return m, wrap_angle(p), u
+
     def mp(self, sigma: float, omega: float, lam: float) -> tuple[float, float]:
         """Corrector residual pair (M, P) at a point of the locus equation."""
-        if self.kind is LocusKind.GAIN:
-            return (
-                log_magnitude(self.plant, sigma, omega, lam, self.plant.delay),
-                phase(self.plant, sigma, omega, self.plant.delay),
-            )
-        return (
-            log_magnitude(self.plant, sigma, omega, 1.0, lam),
-            phase(self.plant, sigma, omega, lam),
-        )
+        m, p, _ = self.evaluate(sigma, omega, lam)
+        return m, p
 
     def cartesian_residual(self, sigma: float, omega: float, lam: float) -> float:
         """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|)."""

@@ -247,6 +247,25 @@ def _cap_radius(problem, lam):
     return r_cap
 
 
+def _safe_abs_f(problem, lam, z):
+    """|f(z, lam)| over an array; 1.0 at non-finite points and within
+    1e-9 (1 + |z|) of a pole, where the plant is not evaluated."""
+    plant = problem.plant
+    h = problem.effective_h(lam)
+    k = lam if problem.kind is LocusKind.GAIN else 1.0
+    with np.errstate(all="ignore"):
+        num = np.full(z.shape, plant.gain, dtype=complex)
+        den = np.ones_like(z)
+        near_pole = np.zeros(z.shape, dtype=bool)
+        for zz in plant.zeros:
+            num *= z - zz
+        for pp in plant.poles:
+            den *= z - pp
+            near_pole |= np.abs(z - pp) < 1e-9 * (1.0 + np.abs(z))
+        res = np.abs(1.0 + k * (num / den) * np.exp(-h * z))
+    return np.where(np.isfinite(z) & ~near_pole & np.isfinite(res), res, 1.0)
+
+
 def _oracle_roots(problem, lam, r_cap, n_grid):
     """All characteristic roots in the region at fixed lam: dense grid seeding
     inside the capped domain plus vectorized Newton polish."""
@@ -266,15 +285,7 @@ def _oracle_roots(problem, lam, r_cap, n_grid):
     if rings:
         seeds = np.concatenate([seeds] + rings)
     z = _vector_newton(problem, lam, seeds)
-    def safe_abs_f(v):
-        if not np.isfinite(v):
-            return 1.0
-        try:
-            return abs(eval_char_fn(plant, problem.kind, complex(v), lam))
-        except Exception:
-            return 1.0
-
-    res = np.array([safe_abs_f(v) for v in z])
+    res = _safe_abs_f(problem, lam, z)
     keep = z[(res < 1e-9) & (z.real >= s0 - 1e-9) & (np.abs(z) <= r_cap)
              & (z.imag >= -1e-9)]
     roots = []
@@ -395,12 +406,12 @@ def test_criterion_6_finite_difference_crossing_directions(
 
 def _scan_zeros(fn, lo, hi, n):
     w = np.linspace(lo, hi, n)
-    v = np.array([fn(x) for x in w])
+    v = np.asarray(fn(w))
     out = []
-    for i in range(n - 1):
+    for i in np.flatnonzero((v[:-1] == 0.0) | (v[:-1] * v[1:] < 0)):
         if v[i] == 0.0:
             out.append(w[i])
-        elif v[i] * v[i + 1] < 0:
+        else:
             out.append(brentq(fn, w[i], w[i + 1], xtol=1e-13))
     return out
 

@@ -11,6 +11,7 @@ from rootlocus.continuation import (
     Termination,
     TrajectoryPoint,
     _clip_solve,
+    _mp_jacobian,
     branch_spawn_prediction,
     correct,
     detect_branch_delay,
@@ -24,9 +25,9 @@ from rootlocus.continuation import (
 )
 from rootlocus.critical import CriticalKind, CriticalPoint, branch_points_gain
 from rootlocus.errors import DegenerateError, NoConvergenceError
-from rootlocus.plant import LocusKind, LocusProblem, Plant
+from rootlocus.plant import LocusKind, LocusProblem, Plant, wrap_angle
 
-from conftest import first_order_plant
+from conftest import example1_problem, example3_problem, first_order_plant
 
 
 def _pt(sigma, omega, lam):
@@ -98,6 +99,42 @@ def test_correct_at_pole_fails(config):
     problem = _first_order_problem()
     with pytest.raises(NoConvergenceError):
         correct(problem, np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]), config)
+
+
+@pytest.mark.parametrize("problem", [example3_problem(), example1_problem()],
+                         ids=["gain", "delay"])
+def test_mp_jacobian_matches_central_differences(problem):
+    step = 1e-6
+    for y in ([-0.7, 1.3, 0.8], [0.4, -2.2, 2.5], [-2.9, 5.1, 0.3]):
+        y = np.array(y)
+        (m, p), rows = _mp_jacobian(problem, y)
+        assert (m, p) == problem.mp(*y)
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = step
+            m_hi, p_hi = problem.mp(*(y + e))
+            m_lo, p_lo = problem.mp(*(y - e))
+            assert rows[0][j] == pytest.approx((m_hi - m_lo) / (2 * step), abs=1e-6)
+            assert rows[1][j] == pytest.approx(wrap_angle(p_hi - p_lo) / (2 * step), abs=1e-6)
+
+
+def test_stall_note_names_point_step_and_cause():
+    # one Newton iteration never meets a 1e-300 tolerance, so every corrector
+    # call fails, and no branch solve can start from the lam = 0 start point
+    config = ContinuationConfig(max_newton_iters=1, corrector_tol=1e-300)
+    problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
+    cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
+    traj, merge = trace_trajectory(
+        problem, cp, initial_tangent(problem, cp), BranchRegistry(), config
+    )
+    assert merge is None
+    assert traj.termination is Termination.STALLED
+    h = config.resolved_h0(problem) / 2**7
+    assert traj.note == (
+        "corrector stalled after point (sigma, omega, lam) = (-1, 0, 0) "
+        f"at step h = {h:.6g} after 7 halvings: "
+        "corrector did not converge in 1 iterations"
+    )
 
 
 def test_step_update_rules(config):

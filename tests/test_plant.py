@@ -14,15 +14,86 @@ from rootlocus.plant import (
     big_lambda,
     big_lambda_prime,
     eval_char_fn,
-    log_magnitude,
-    phase,
     phi,
     phi_prime,
-    log_derivative,
     wrap_angle,
 )
 
-from conftest import example3_problem, first_order_plant
+from conftest import (
+    example1_problem,
+    example2_problem,
+    example3_problem,
+    first_order_plant,
+    turning_point_problem,
+)
+
+
+# --- reference implementation: one loop per quantity, as evaluate must match -
+
+
+def _ref_check_clear(plant, s):
+    tol = 1e-9 * (1.0 + abs(s))
+    for p in plant.poles:
+        if abs(s - p) < tol:
+            raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {p}")
+    for z in plant.zeros:
+        if abs(s - z) < tol:
+            raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
+
+
+def _ref_log_magnitude(plant, sigma, omega, k, h):
+    _ref_check_clear(plant, complex(sigma, omega))
+    acc = math.log(abs(plant.gain)) + math.log(k) - h * sigma
+    for z in plant.zeros:
+        acc += 0.5 * math.log((sigma - z.real) ** 2 + (omega - z.imag) ** 2)
+    for p in plant.poles:
+        acc -= 0.5 * math.log((sigma - p.real) ** 2 + (omega - p.imag) ** 2)
+    return acc
+
+
+def _ref_phase(plant, sigma, omega, h):
+    _ref_check_clear(plant, complex(sigma, omega))
+    acc = plant.gain_angle() - h * omega - math.pi
+    for z in plant.zeros:
+        acc += math.atan2(omega - z.imag, sigma - z.real)
+    for p in plant.poles:
+        acc -= math.atan2(omega - p.imag, sigma - p.real)
+    return wrap_angle(acc)
+
+
+def _ref_log_derivative(plant, s):
+    _ref_check_clear(plant, s)
+    acc = 0.0 + 0.0j
+    for z in plant.zeros:
+        acc += 1.0 / (s - z)
+    for p in plant.poles:
+        acc -= 1.0 / (s - p)
+    return acc
+
+
+def _ref_evaluate(problem, sigma, omega, lam):
+    plant = problem.plant
+    k, h = (lam, plant.delay) if problem.kind is LocusKind.GAIN else (1.0, lam)
+    return (
+        _ref_log_magnitude(plant, sigma, omega, k, h),
+        _ref_phase(plant, sigma, omega, h),
+        _ref_log_derivative(plant, complex(sigma, omega)),
+    )
+
+
+def _both_kinds(problem):
+    return [
+        LocusProblem(kind, problem.sigma0, problem.lambda_max, problem.plant)
+        for kind in LocusKind
+    ]
+
+
+_REFERENCE_PROBLEMS = [
+    example1_problem(),
+    example2_problem(),
+    example3_problem(),
+    turning_point_problem(),
+]
 
 
 def test_wrap_angle_range():
@@ -44,18 +115,48 @@ def test_transfer_raises_near_pole():
         plant.transfer(complex(-1.0, 1e-12))
 
 
-def test_log_magnitude_first_order():
+def test_evaluate_equals_reference_loops_exactly():
+    rng = np.random.default_rng(20261017)
+    for base in _REFERENCE_PROBLEMS:
+        for problem in _both_kinds(base):
+            for _ in range(200):
+                sigma = rng.uniform(-4.0, 6.0)
+                omega = rng.uniform(-10.0, 10.0)
+                lam = rng.uniform(0.01, 6.0)
+                assert problem.evaluate(sigma, omega, lam) == _ref_evaluate(
+                    problem, sigma, omega, lam
+                )
+                # the corrector also passes numpy scalars
+                y = np.array([sigma, omega, lam])
+                assert problem.evaluate(y[0], y[1], y[2]) == _ref_evaluate(
+                    problem, y[0], y[1], y[2]
+                )
+                assert problem.mp(sigma, omega, lam) == _ref_evaluate(
+                    problem, sigma, omega, lam
+                )[:2]
+
+
+def test_evaluate_raises_near_zero_and_pole():
+    problem = example3_problem()
+    with pytest.raises(PoleZeroProximityError, match="zero"):
+        problem.evaluate(5.0, 5.0 + 1e-12, 1.0)
+    with pytest.raises(PoleZeroProximityError, match="pole"):
+        problem.evaluate(-1.0 + 1e-12, 0.0, 1.0)
+
+
+def test_evaluate_log_magnitude_first_order():
     # G = 1/(s+1): at s = j with k = 1, h = 1 the log magnitude is -ln(sqrt(2))
-    plant = first_order_plant()
-    assert log_magnitude(plant, 0.0, 1.0, 1.0, 1.0) == pytest.approx(-0.5 * math.log(2.0))
+    problem = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant())
+    m, _, _ = problem.evaluate(0.0, 1.0, 1.0)
+    assert m == pytest.approx(-0.5 * math.log(2.0))
 
 
-def test_phase_first_order():
-    plant = first_order_plant()
+def test_evaluate_phase_first_order():
+    problem = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant())
     # at s = j: pi + angle(G e^{-s}) = pi - atan(1) - 1
-    assert phase(plant, 0.0, 1.0, 1.0) == pytest.approx(math.pi - math.atan(1.0) - 1.0)
+    assert problem.evaluate(0.0, 1.0, 1.0)[1] == pytest.approx(math.pi - math.atan(1.0) - 1.0)
     # at s = -2: G(-2) = -1 and e^{2} > 0, so the root condition holds exactly
-    assert phase(plant, -2.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert problem.evaluate(-2.0, 0.0, 1.0)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_char_fn_analytic_root():
@@ -110,14 +211,15 @@ def test_boundary_derivatives_match_finite_differences():
         assert phi_prime(plant, s0, w) == pytest.approx(fd_p, abs=1e-5)
 
 
-def test_log_derivative_matches_finite_differences():
-    plant = example3_problem().plant
+def test_evaluate_log_derivative_matches_finite_differences():
+    problem = example3_problem()
+    plant = problem.plant
     s = complex(-0.8, 1.3)
     step = 1e-6
     fd = (
         cmath.log(plant.transfer(s + step)) - cmath.log(plant.transfer(s - step))
     ) / (2 * step)
-    assert abs(log_derivative(plant, s) - fd) < 1e-5
+    assert abs(problem.evaluate(s.real, s.imag, 1.0)[2] - fd) < 1e-5
 
 
 def test_cartesian_and_log_forms_agree():
