@@ -8,12 +8,7 @@ continuation, along with imaginary-axis crossings and stability intervals.
 
 from .continuation import ContinuationConfig, Termination, Trajectory, TrajectoryPoint
 from .critical import CriticalKind, CriticalPoint
-from .engine import (
-    ImagAxisEvent,
-    RootLocusResult,
-    compute_root_locus,
-    imaginary_axis_events,
-)
+from .engine import ImagAxisEvent, RootLocusResult, compute_root_locus
 from .errors import (
     BracketError,
     DegenerateError,
@@ -54,7 +49,6 @@ __all__ = [
     "ValidationError",
     "compute_root_locus",
     "emit_results",
-    "imaginary_axis_events",
     "load_result",
     "parse_problem",
     "render_svg",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     rootlocus compute <problem.json> --out <dir> [--svg]
-                      [--window SLO SHI WLO WHI] [--workers N]
+                      [--window SLO SHI WLO WHI]
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 numerical
 failure (stalled trajectories or solver breakdown).
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("SLO", "SHI", "WLO", "WHI"),
         help="plot window: sigma and omega bounds for the SVG",
     )
-    comp.add_argument("--workers", type=int, default=1, help="trajectory tracing threads")
     return parser
 
 
@@ -70,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     log.info("problem parsed: %s locus, sigma0=%g, lambda_max=%g",
              problem.kind.value, problem.sigma0, problem.lambda_max)
     try:
-        result = compute_root_locus(problem, config, workers=args.workers)
+        result = compute_root_locus(problem, config)
     except RootLocusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

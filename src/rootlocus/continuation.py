@@ -8,13 +8,12 @@ Newton contraction rate and the distance to the locus.
 
 from __future__ import annotations
 
-import cmath
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import localmodel
 from .critical import CriticalKind, CriticalPoint
@@ -27,6 +26,7 @@ from .errors import (
 from .plant import LocusKind, LocusProblem
 
 _LAMBDA_NOISE_REL = 1e-12
+_REAL_AXIS_SAMPLES = 400
 
 
 @dataclass(frozen=True)
@@ -96,40 +96,33 @@ class _BranchRecord:
 
 
 class BranchRegistry:
-    """Shared, thread-safe registry of branch points and consumed directions."""
+    """Registry of branch points and consumed directions."""
 
     def __init__(self, merge_tol: float = 1e-6):
-        self._lock = threading.Lock()
-        self._records: list[_BranchRecord] = []
+        self.records: list[_BranchRecord] = []
         self.merge_tol = merge_tol
 
     def register(self, cp: CriticalPoint, rays_up: list[complex]) -> _BranchRecord:
-        with self._lock:
-            for rec in self._records:
-                if abs(rec.point.root - cp.root) < self.merge_tol:
-                    return rec
-            rec = _BranchRecord(cp, list(rays_up), [False] * len(rays_up))
-            self._records.append(rec)
-            return rec
-
-    def records(self) -> list[_BranchRecord]:
-        with self._lock:
-            return list(self._records)
+        for rec in self.records:
+            if abs(rec.point.root - cp.root) < self.merge_tol:
+                return rec
+        rec = _BranchRecord(cp, list(rays_up), [False] * len(rays_up))
+        self.records.append(rec)
+        return rec
 
     def consume_ray(self, rec: _BranchRecord, preferred: complex) -> complex | None:
-        """Atomically take the unconsumed up-ray closest in angle to ``preferred``."""
-        with self._lock:
-            best = None
-            for i, (ray, used) in enumerate(zip(rec.rays_up, rec.consumed)):
-                if used:
-                    continue
-                score = abs(ray / abs(ray) - preferred / abs(preferred))
-                if best is None or score < best[1]:
-                    best = (i, score)
-            if best is None:
-                return None
-            rec.consumed[best[0]] = True
-            return rec.rays_up[best[0]]
+        """Take the unconsumed up-ray closest in angle to ``preferred``."""
+        best = None
+        for i, (ray, used) in enumerate(zip(rec.rays_up, rec.consumed)):
+            if used:
+                continue
+            score = abs(ray / abs(ray) - preferred / abs(preferred))
+            if best is None or score < best[1]:
+                best = (i, score)
+        if best is None:
+            return None
+        rec.consumed[best[0]] = True
+        return rec.rays_up[best[0]]
 
 def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> tuple[tuple[float, float], list]:
     """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows,
@@ -227,20 +220,6 @@ def step_update(
     return h_next, raw >= 2.0
 
 
-def detect_branch_delay(traj: "Trajectory | list[float]") -> tuple[int, int] | None:
-    """Index pair bracketing the first significant lam decrease, if any.
-
-    A lam reversal along a traced trajectory indicates that a branch point
-    was passed; accepts a trajectory or a bare lam sequence.
-    """
-    lams = [p.lam for p in traj.points] if isinstance(traj, Trajectory) else traj
-    for i in range(1, len(lams)):
-        drop = lams[i - 1] - lams[i]
-        if drop > _LAMBDA_NOISE_REL * max(1.0, abs(lams[i - 1])):
-            return (i - 1, i)
-    return None
-
-
 def solve_branch_point(
     problem: LocusProblem, y_init: np.ndarray, max_iters: int = 60
 ) -> CriticalPoint:
@@ -305,17 +284,9 @@ def _clip_solve(
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
 
-@dataclass
-class MergeEvent:
-    """Reported when a trajectory terminates at a branch point."""
-
-    record: _BranchRecord
-    incoming: complex  # unit chord direction of arrival in the s-plane
-
-
 def _branch_proximity(registry, y: np.ndarray, radius: float, skip) -> _BranchRecord | None:
     """Nearest registered branch point within ``radius`` that lies ahead in lam."""
-    for rec in registry.records():
+    for rec in registry.records:
         if skip is not None and rec is skip:
             continue
         if rec.point.lam < y[2] - 1e-12 * (1.0 + abs(y[2])):
@@ -334,11 +305,11 @@ def trace_trajectory(
     origin_record: _BranchRecord | None = None,
     first_prediction: np.ndarray | None = None,
     spawn_ray: complex | None = None,
-) -> tuple[Trajectory, MergeEvent | None]:
+) -> tuple[Trajectory, _BranchRecord | None]:
     """Trace one trajectory from a critical point until a termination condition.
 
-    Returns the trajectory and, when it merged at a branch point, the merge
-    event the caller uses to spawn outgoing branches.
+    Returns the trajectory and, when it merged at a branch point, the branch
+    record the caller uses to spawn outgoing branches.
     """
     y0 = np.array([origin.root.real, origin.root.imag, origin.lam])
     try:
@@ -350,7 +321,7 @@ def trace_trajectory(
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     pending_first = first_prediction
-    merge: MergeEvent | None = None
+    merge: _BranchRecord | None = None
     termination = None
     note = ""
 
@@ -403,13 +374,12 @@ def trace_trajectory(
                 )
                 if rec is not None:
                     accepted = "merge"
-                    merge_rec = rec
+                    merge = rec
                     break
                 try:
                     cp = solve_branch_point(problem, points[-1].as_array())
-                    rec = registry.register(cp, [d[0] + 1j * d[1] for d in cp.directions])
+                    merge = registry.register(cp, [d[0] + 1j * d[1] for d in cp.directions])
                     accepted = "merge"
-                    merge_rec = rec
                     break
                 except NoConvergenceError:
                     last = points[-1]
@@ -458,11 +428,8 @@ def trace_trajectory(
         if accepted == "stop":
             break
         if accepted == "merge":
-            cp = merge_rec.point
-            chord = cp.root - points[-1].root
-            incoming = chord / abs(chord) if abs(chord) > 0 else complex(d[0], d[1])
+            cp = merge.point
             points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
-            merge = MergeEvent(merge_rec, incoming)
             termination = Termination.MERGED_AT_BRANCH
             break
         pt = accepted
@@ -494,17 +461,10 @@ def trace_trajectory(
         if drop > _LAMBDA_NOISE_REL * max(1.0, points[-1].lam) and len(points) >= 2:
             try:
                 cp = solve_branch_point(problem, points[-1].as_array())
-                rec = registry.register(cp, [dd[0] + 1j * dd[1] for dd in cp.directions])
-                k = _truncate_at_branch(points, rec)
+                merge = registry.register(cp, [dd[0] + 1j * dd[1] for dd in cp.directions])
+                k = _truncate_at_branch(points, merge)
                 del points[k:]
-                chord = cp.root - points[-1].root if points else None
-                incoming = (
-                    chord / abs(chord)
-                    if chord is not None and abs(chord) > 0
-                    else complex(d[0], d[1])
-                )
                 points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
-                merge = MergeEvent(rec, incoming)
                 termination = Termination.MERGED_AT_BRANCH
                 break
             except NoConvergenceError:
@@ -518,10 +478,8 @@ def trace_trajectory(
         rec = _branch_proximity(registry, pt.as_array(), max(2.0 * h, 1e-9), origin_record)
         if rec is not None:
             cp = rec.point
-            chord = cp.root - pt.root
-            incoming = chord / abs(chord) if abs(chord) > 1e-15 else complex(d[0], d[1])
             points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
-            merge = MergeEvent(rec, incoming)
+            merge = rec
             termination = Termination.MERGED_AT_BRANCH
             break
         if len(points) >= 4:
@@ -539,13 +497,6 @@ def _truncate_at_branch(points: list[TrajectoryPoint], rec: _BranchRecord) -> in
         if dist < best_d:
             best_i, best_d = i, dist
     return max(best_i, 1)
-
-
-def outgoing_direction(incoming: complex, n: int) -> complex:
-    """Lemma-governed continuation direction through a multiplicity-n point."""
-    if n % 2 == 1:
-        return incoming
-    return incoming * cmath.exp(-1j * math.pi / n)
 
 
 def branch_spawn_prediction(
@@ -578,7 +529,6 @@ def real_axis_segments(
     problem: LocusProblem,
     branch_points: list[CriticalPoint],
     config: ContinuationConfig,
-    n_samples: int = 400,
 ) -> tuple[list[Trajectory], list[CriticalPoint]]:
     """Direct real-axis locus computation for the gain case.
 
@@ -640,15 +590,13 @@ def real_axis_segments(
         # clip the far end at lambda_max
         if lam_to > problem.lambda_max:
             f = lambda x: lam_of(x) - problem.lambda_max
-            import scipy.optimize as _opt
-
-            x_to = float(_opt.brentq(f, min(x_from, x_to), max(x_from, x_to), xtol=1e-13))
+            x_to = float(brentq(f, min(x_from, x_to), max(x_from, x_to), xtol=1e-13))
             lam_to = problem.lambda_max
             clipped = True
         else:
             clipped = False
 
-        xs = np.linspace(x_from, x_to, n_samples)
+        xs = np.linspace(x_from, x_to, _REAL_AXIS_SAMPLES)
         pts = []
         for x in xs:
             lam = lam_of(float(x))
@@ -705,9 +653,8 @@ def real_axis_segments(
                 term = Termination.MERGED_AT_BRANCH
                 pts.append(TrajectoryPoint(bp.root.real, 0.0, bp.lam, 0.0, 0.0))
                 colliders.append(bp)
-            elif near(end_knot, real_zeros):
-                term = Termination.LAMBDA_MAX_REACHED  # lam -> inf at a zero, clipped below
             else:
+                # lam -> inf at a zero, clipped below; any other end knot is the cap
                 term = Termination.LAMBDA_MAX_REACHED
         trajectories.append(Trajectory(origin, pts, term))
     return trajectories, colliders

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,6 +59,46 @@ class MonotoneInterval:
     hi: float
     phi_lo: float
     phi_hi: float
+
+
+def dedup_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
+    """Sorted by key, dropping a point that repeats the previous one's kind,
+    root and lam within tolerance."""
+    points = sorted(points, key=CriticalPoint.key)
+    out: list[CriticalPoint] = []
+    for cp in points:
+        if (
+            out
+            and out[-1].kind is cp.kind
+            and abs(cp.lam - out[-1].lam) < 1e-10
+            and abs(cp.root - out[-1].root) < 1e-8
+        ):
+            continue
+        out.append(cp)
+    return out
+
+
+def _with_mirrors(points: list[CriticalPoint], plant: Plant) -> list[CriticalPoint]:
+    """Add the conjugate of every upper-half point when the plant is
+    conjugate-symmetric; the crossing scans cover only omega >= 0."""
+    if plant.conjugate_symmetric:
+        points += [
+            CriticalPoint(cp.kind, cp.root.conjugate(), cp.lam)
+            for cp in points
+            if cp.root.imag > 1e-12
+        ]
+    return points
+
+
+def _merge_touching(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Join consecutive intervals whose ends meet within rounding."""
+    merged: list[tuple[float, float]] = []
+    for lo, hi in pieces:
+        if merged and lo - merged[-1][1] < 1e-12 * (1.0 + abs(lo)):
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _cluster_roots(roots: list[complex]) -> list[tuple[complex, int]]:
@@ -166,13 +205,7 @@ def magnitude_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
             w_star = bracketed_root(lam_fn, Bracket(lo, hi, f_lo, f_hi), 1e-13)
             pieces.append((w_star, hi))
         # both above ln_max: the condition never holds on this monotone piece
-    merged: list[tuple[float, float]] = []
-    for lo, hi in pieces:
-        if merged and lo - merged[-1][1] < 1e-12 * (1.0 + abs(lo)):
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+    return _merge_touching(pieces)
 
 
 def phase_monotone_partition(
@@ -214,16 +247,6 @@ def _emit_crossing(problem, omega_cr, lam_cr, direction) -> CriticalPoint:
     return CriticalPoint(kind, complex(problem.sigma0, omega_cr), lam_cr)
 
 
-def _dedup_sorted(points: list[CriticalPoint]) -> list[CriticalPoint]:
-    points.sort(key=CriticalPoint.key)
-    out: list[CriticalPoint] = []
-    for cp in points:
-        if out and abs(cp.lam - out[-1].lam) < 1e-10 and abs(cp.root - out[-1].root) < 1e-8:
-            continue
-        out.append(cp)
-    return out
-
-
 def _solve_levels(mi: MonotoneInterval, phi_fn, on_root) -> None:
     """Solve phi = (2l+1) pi for every reachable integer l on a monotone piece."""
     phi_min = min(mi.phi_lo, mi.phi_hi)
@@ -262,11 +285,7 @@ def boundary_crossings_gain(problem: LocusProblem) -> list[CriticalPoint]:
 
         _solve_levels(mi, phi_fn, on_root)
 
-    if plant.conjugate_symmetric:
-        for cp in list(found):
-            if cp.root.imag > 1e-12:
-                found.append(CriticalPoint(cp.kind, cp.root.conjugate(), cp.lam))
-    return _dedup_sorted(found)
+    return dedup_points(_with_mirrors(found, plant))
 
 
 def _delay_lam(plant: Plant, s0: float, w):
@@ -323,13 +342,7 @@ def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float
                 seg_lo = w_star
         if seg_lo is not None and seg_hi - seg_lo > 1e-12:
             pieces.append((seg_lo, seg_hi))
-    merged: list[tuple[float, float]] = []
-    for lo, hi in pieces:
-        if merged and lo - merged[-1][1] < 1e-12 * (1.0 + abs(lo)):
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+    return _merge_touching(pieces)
 
 
 def boundary_crossings_delay(problem: LocusProblem) -> list[CriticalPoint]:
@@ -387,11 +400,7 @@ def boundary_crossings_delay(problem: LocusProblem) -> list[CriticalPoint]:
 
             _solve_levels(mi, psi, on_root)
 
-    if plant.conjugate_symmetric:
-        for cp in list(found):
-            if cp.root.imag > 1e-12:
-                found.append(CriticalPoint(cp.kind, cp.root.conjugate(), cp.lam))
-    return _dedup_sorted(found)
+    return dedup_points(_with_mirrors(found, plant))
 
 
 def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import continuation as cont
 from . import critical, localmodel
-from .critical import CriticalKind, CriticalPoint
+from .critical import CriticalKind, CriticalPoint, dedup_points
 from .errors import NoConvergenceError, JacobianSingularError
 from .plant import LocusKind, LocusProblem
 
@@ -83,25 +82,17 @@ def _branch_seeds(
     return seeds
 
 
-def _trace_seed(problem, seed, registry, config):
-    return cont.trace_trajectory(
-        problem,
-        seed.origin,
-        seed.direction,
-        registry,
-        config,
-        origin_record=seed.record,
-        first_prediction=seed.first_prediction,
-        spawn_ray=seed.spawn_ray,
-    )
-
-
 def compute_root_locus(
     problem: LocusProblem,
     config: cont.ContinuationConfig | None = None,
     workers: int = 1,
 ) -> RootLocusResult:
-    """Compute every locus trajectory in the region for lam in [0, lambda_max]."""
+    """Compute every locus trajectory in the region for lam in [0, lambda_max].
+
+    Trajectories are traced serially; ``workers`` accepts only 1.
+    """
+    if workers != 1:
+        raise ValueError(f"compute_root_locus runs serially: workers must be 1, got {workers}")
     config = config or cont.ContinuationConfig()
     registry = cont.BranchRegistry()
     warnings: list[str] = []
@@ -112,31 +103,27 @@ def compute_root_locus(
 
     trajectories: list[cont.Trajectory] = []
     seeds: list[_Seed] = []
-    records_by_bp = {}
+
+    bps = critical.branch_points_gain(problem) if problem.kind is LocusKind.GAIN else []
+    crit_points.extend(bps)
+    records_by_bp = {
+        id(bp): registry.register(bp, [complex(d[0], d[1]) for d in bp.directions])
+        for bp in bps
+    }
 
     use_real_axis = (
         problem.kind is LocusKind.GAIN and problem.plant.conjugate_symmetric
     )
 
-    if problem.kind is LocusKind.GAIN:
-        bps = critical.branch_points_gain(problem)
-        crit_points.extend(bps)
-        for bp in bps:
-            rec = registry.register(bp, [complex(d[0], d[1]) for d in bp.directions])
-            records_by_bp[id(bp)] = rec
-    else:
-        bps = []
+    def on_axis(cp: CriticalPoint) -> bool:
+        """Real points whose real rays the closed-form axis segments own."""
+        return use_real_axis and abs(cp.root.imag) < _AXIS_TOL
 
     if use_real_axis:
-        real_bps = [bp for bp in bps if abs(bp.root.imag) < _AXIS_TOL]
+        real_bps = [bp for bp in bps if on_axis(bp)]
         real_trajs, colliders = cont.real_axis_segments(problem, real_bps, config)
         trajectories.extend(real_trajs)
-        seen = set()
-        for bp in colliders:
-            if id(bp) in seen:
-                continue
-            seen.add(id(bp))
-            rec = records_by_bp[id(bp)]
+        for rec in {id(bp): records_by_bp[id(bp)] for bp in colliders}.values():
             seeds.extend(_branch_seeds(problem, registry, rec, config, only_nonreal=True))
         # real rays of real branch points are owned by the axis segments
         for bp in real_bps:
@@ -144,49 +131,40 @@ def compute_root_locus(
             for ray in list(rec.rays_up):
                 if abs(ray.imag) < 1e-9:
                     registry.consume_ray(rec, ray)
-        for cp in starts:
-            if abs(cp.root.imag) >= _AXIS_TOL:
-                seeds.extend(_start_seeds(problem, cp))
-        for cp in crossings:
-            if cp.kind is CriticalKind.CROSSING_IN and abs(cp.root.imag) >= _AXIS_TOL:
-                seeds.append(_Seed(cp, cont.initial_tangent(problem, cp)))
-    else:
-        for cp in starts:
+    for cp in starts:
+        if not on_axis(cp):
             seeds.extend(_start_seeds(problem, cp))
-        for cp in crossings:
-            if cp.kind is CriticalKind.CROSSING_IN:
-                seeds.append(_Seed(cp, cont.initial_tangent(problem, cp)))
+    for cp in crossings:
+        if cp.kind is CriticalKind.CROSSING_IN and not on_axis(cp):
+            seeds.append(_Seed(cp, cont.initial_tangent(problem, cp)))
 
-    seeds.sort(key=_Seed.key)
-    pending = list(seeds)
+    # generation by generation, each sorted by _Seed.key: traces register the
+    # branch points that later traces merge into, so this order is part of
+    # the result
     spawned_records = set()
-
-    def handle_result(traj, merge):
-        trajectories.append(traj)
-        if merge is None:
-            return []
-        rec = merge.record
-        if rec.point not in [cp for cp in crit_points]:
-            crit_points.append(rec.point)
-        if id(rec) in spawned_records:
-            return []
-        spawned_records.add(id(rec))
-        return _branch_seeds(problem, registry, rec, config)
-
-    while pending:
-        batch, pending = pending, []
-        if workers > 1 and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(
-                    ex.map(lambda s: _trace_seed(problem, s, registry, config), batch)
-                )
-        else:
-            results = [_trace_seed(problem, s, registry, config) for s in batch]
-        new = []
-        for traj, merge in results:
-            new.extend(handle_result(traj, merge))
-        new.sort(key=_Seed.key)
-        pending = new
+    while seeds:
+        seeds.sort(key=_Seed.key)
+        new: list[_Seed] = []
+        for seed in seeds:
+            traj, rec = cont.trace_trajectory(
+                problem,
+                seed.origin,
+                seed.direction,
+                registry,
+                config,
+                origin_record=seed.record,
+                first_prediction=seed.first_prediction,
+                spawn_ray=seed.spawn_ray,
+            )
+            trajectories.append(traj)
+            if rec is None:
+                continue
+            if not any(cp is rec.point for cp in crit_points):
+                crit_points.append(rec.point)
+            if id(rec) not in spawned_records:
+                spawned_records.add(id(rec))
+                new.extend(_branch_seeds(problem, registry, rec, config))
+        seeds = new
 
     for traj in trajectories:
         if traj.termination is cont.Termination.STALLED:
@@ -195,7 +173,7 @@ def compute_root_locus(
             )
 
     trajectories.sort(key=lambda t: (*t.origin.key(), _first_angle(t)))
-    crit_points = _dedup_points(crit_points)
+    crit_points = dedup_points(crit_points)
     events, n0 = _imag_axis_events(problem, trajectories, config)
     stability = _stability_intervals(problem, events, n0)
     return RootLocusResult(
@@ -203,34 +181,11 @@ def compute_root_locus(
     )
 
 
-def imaginary_axis_events(result: RootLocusResult) -> list[ImagAxisEvent]:
-    """Recompute the refined imaginary-axis crossings of a result."""
-    events, _ = _imag_axis_events(
-        result.problem, result.trajectories, cont.ContinuationConfig()
-    )
-    return events
-
-
 def _first_angle(t: cont.Trajectory) -> float:
     if len(t.points) >= 2:
         d = t.points[1].as_array() - t.points[0].as_array()
         return round(math.atan2(d[1], d[0]), 12)
     return 0.0
-
-
-def _dedup_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
-    points = sorted(points, key=CriticalPoint.key)
-    out: list[CriticalPoint] = []
-    for cp in points:
-        if (
-            out
-            and out[-1].kind is cp.kind
-            and abs(cp.lam - out[-1].lam) < 1e-10
-            and abs(cp.root - out[-1].root) < 1e-8
-        ):
-            continue
-        out.append(cp)
-    return out
 
 
 def _imag_axis_events(

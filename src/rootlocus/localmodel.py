@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .plant import LocusKind, LocusProblem
+from .rootfind import poly_from_roots
 
 _MULT_MAX = 6
 _MULT_REL = 1e-6
@@ -99,13 +100,6 @@ def branch_rays(problem: LocusProblem, s: complex, lam: float, N: int) -> list[c
     return rays_up(C, N)
 
 
-def _poly_from_roots_desc(roots) -> np.ndarray:
-    acc = np.array([1.0 + 0.0j])
-    for r in roots:
-        acc = np.convolve(acc, np.array([1.0, -r]))
-    return acc
-
-
 def start_rays(problem: LocusProblem, s0: complex, N: int) -> list[complex]:
     """Up-ray directions at a starting root of multiplicity N (lam = 0).
 
@@ -113,8 +107,8 @@ def start_rays(problem: LocusProblem, s0: complex, N: int) -> list[complex]:
     is a regular order-N root even though G itself is singular there.
     """
     plant = problem.plant
-    num = plant.gain * _poly_from_roots_desc(plant.zeros)
-    den = _poly_from_roots_desc(plant.poles)
+    num = plant.gain * poly_from_roots(plant.zeros)
+    den = poly_from_roots(plant.poles)
     if problem.kind is LocusKind.GAIN:
         # F = D + lam * alpha * Num * e^{-hs}
         f_lam = np.polyval(num, s0) * cmath.exp(-plant.delay * s0)
@@ -138,17 +132,13 @@ def initial_tangent_simple(problem: LocusProblem, s: complex, lam: float) -> np.
     """
     plant = problem.plant
     if lam == 0.0 and problem.kind is LocusKind.GAIN:
-        num = plant.gain * _poly_from_roots_desc(plant.zeros)
-        den = _poly_from_roots_desc(plant.poles)
+        num = plant.gain * poly_from_roots(plant.zeros)
+        den = poly_from_roots(plant.poles)
         dden = np.polyder(den)
         ds_dlam = -np.polyval(num, s) * cmath.exp(-plant.delay * s) / np.polyval(dden, s)
     else:
-        if lam == 0.0:
-            # delay start: f_s = (G'/G - lam) * G e^{-lam s} with G e^{..} = -1
-            u = _u_derivatives(problem, s, lam, 0)[0]
-            ds_dlam = complex(s) / u
-        else:
-            u = _u_derivatives(problem, s, lam, 0)[0]
-            ds_dlam = -f_lambda(problem, s, lam) / (-u)
+        # on the locus f_s = -u, so ds/dlam = -f_lam / f_s = f_lam / u
+        u = _u_derivatives(problem, s, lam, 0)[0]
+        ds_dlam = f_lambda(problem, s, lam) / u
     d = np.array([ds_dlam.real, ds_dlam.imag, 1.0])
     return d / np.linalg.norm(d)

@@ -165,6 +165,15 @@ def _product_and_leave_one_out(factors: list[np.ndarray]) -> tuple[np.ndarray, l
     return total, loo
 
 
+def _boundary_products(plant: Plant, sigma0: float):
+    """Common scale, then the gamma products and their leave-one-out products
+    over the zeros and over the poles: (scale, big_z, loo_z, big_p, loo_p)."""
+    scale = _common_scale(plant.zeros + plant.poles, sigma0)
+    big_z, loo_z = _product_and_leave_one_out(_gamma_quadratics(plant.zeros, sigma0, scale))
+    big_p, loo_p = _product_and_leave_one_out(_gamma_quadratics(plant.poles, sigma0, scale))
+    return scale, big_z, loo_z, big_p, loo_p
+
+
 def _poly_add(*terms: np.ndarray) -> np.ndarray:
     size = max(t.size for t in terms)
     acc = np.zeros(size)
@@ -179,11 +188,7 @@ def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
     Assembles the numerator polynomial of big_lambda_prime in omega and
     returns its non-negative real roots.
     """
-    scale = _common_scale(plant.zeros + plant.poles, sigma0)
-    gz = _gamma_quadratics(plant.zeros, sigma0, scale)
-    gp = _gamma_quadratics(plant.poles, sigma0, scale)
-    big_z, loo_z = _product_and_leave_one_out(gz)
-    big_p, loo_p = _product_and_leave_one_out(gp)
+    _, big_z, loo_z, big_p, loo_p = _boundary_products(plant, sigma0)
 
     pole_sum = np.array([0.0])
     for p, loo in zip(plant.poles, loo_p):
@@ -203,11 +208,7 @@ def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
 
 def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
     """Non-negative zeros of the boundary phase derivative phi'."""
-    scale = _common_scale(plant.zeros + plant.poles, sigma0)
-    gz = _gamma_quadratics(plant.zeros, sigma0, scale)
-    gp = _gamma_quadratics(plant.poles, sigma0, scale)
-    big_z, loo_z = _product_and_leave_one_out(gz)
-    big_p, loo_p = _product_and_leave_one_out(gp)
+    scale, big_z, loo_z, big_p, loo_p = _boundary_products(plant, sigma0)
 
     zero_sum = np.array([0.0])
     for z, loo in zip(plant.zeros, loo_z):
@@ -229,11 +230,12 @@ def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
     return real_nonneg_roots(rp)
 
 
-def _poly_from_roots(roots) -> np.ndarray:
+def poly_from_roots(roots) -> np.ndarray:
+    """Monic complex polynomial with the given roots, descending coefficients."""
     acc = np.array([1.0 + 0.0j])
     for r in roots:
         acc = np.convolve(acc, np.array([1.0, -r]))
-    return acc  # descending coefficients
+    return acc
 
 
 def _polish_complex(coeffs_desc: np.ndarray, roots: np.ndarray, steps: int = 5) -> np.ndarray:
@@ -261,17 +263,17 @@ def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
     target "gprime_minus_hg": zeros of G'(s)/G(s) - h (branch-point candidates).
     target "one_plus_g": zeros of 1 + G(s) (delay-locus starting points).
     """
-    num_z = _poly_from_roots(plant.zeros)  # monic numerator/gain excluded
-    den_p = _poly_from_roots(plant.poles)
+    num_z = poly_from_roots(plant.zeros)  # monic numerator/gain excluded
+    den_p = poly_from_roots(plant.poles)
     if target == "one_plus_g":
         num = np.polyadd(den_p, plant.gain * num_z)
     elif target == "gprime_minus_hg":
         acc = np.array([0.0 + 0.0j])
         for r in range(len(plant.zeros)):
-            loo = _poly_from_roots([z for i, z in enumerate(plant.zeros) if i != r])
+            loo = poly_from_roots([z for i, z in enumerate(plant.zeros) if i != r])
             acc = np.polyadd(acc, np.convolve(loo, den_p))
         for i in range(len(plant.poles)):
-            loo = _poly_from_roots([p for j, p in enumerate(plant.poles) if j != i])
+            loo = poly_from_roots([p for j, p in enumerate(plant.poles) if j != i])
             acc = np.polysub(acc, np.convolve(loo, num_z))
         num = np.polysub(acc, h * np.convolve(num_z, den_p))
     else:

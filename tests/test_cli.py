@@ -43,9 +43,12 @@ def test_compute_window_and_workers(tmp_path):
     out = tmp_path / "out"
     code = main(
         ["compute", problem, "--out", str(out), "--svg",
-         "--window", "-3.5", "0.5", "-2", "2", "--workers", "2"]
+         "--window", "-3.5", "0.5", "-2", "2"]
     )
     assert code == EXIT_OK
+    # the engine is serial; the thread-count flag no longer exists
+    with pytest.raises(SystemExit):
+        main(["compute", problem, "--out", str(out), "--workers", "2"])
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -14,9 +14,7 @@ from rootlocus.continuation import (
     _mp_jacobian,
     branch_spawn_prediction,
     correct,
-    detect_branch_delay,
     initial_tangent,
-    outgoing_direction,
     predict,
     real_axis_segments,
     solve_branch_point,
@@ -152,13 +150,6 @@ def test_step_update_rules(config):
     assert h == config.h_max
 
 
-def test_detect_branch_delay():
-    assert detect_branch_delay([0.1, 0.2, 0.3]) is None
-    assert detect_branch_delay([0.1, 0.2, 0.15]) == (1, 2)
-    # decrease below the noise floor is ignored
-    assert detect_branch_delay([0.1, 0.2, 0.2 - 1e-14]) is None
-
-
 def test_solve_branch_point_two_pole_plant():
     plant = Plant(zeros=(), poles=(-1.0, -2.0), gain=1.0, delay=1.0)
     problem = LocusProblem(LocusKind.GAIN, -5.0, 10.0, plant)
@@ -169,11 +160,6 @@ def test_solve_branch_point_two_pole_plant():
     assert cp.lam == pytest.approx(lam_b, rel=1e-6)
     assert cp.multiplicity == 2
     assert len(cp.directions) == 2
-
-
-def test_outgoing_direction_rotates_quarter_turn():
-    out = outgoing_direction(1.0 + 0.0j, 2)
-    assert abs(out - complex(math.cos(-math.pi / 2), math.sin(-math.pi / 2))) < 1e-12
 
 
 def test_branch_spawn_prediction_parameter_scaling(config):
@@ -224,7 +210,7 @@ def test_trace_merges_at_registered_branch_point(config):
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is not None
-    assert merge.record.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-8)
+    assert merge.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-8)
 
 
 def test_lambda_nondecreasing_along_gain_trace(config):

@@ -9,11 +9,13 @@ from scipy.optimize import brentq
 
 from rootlocus.critical import (
     CriticalKind,
+    CriticalPoint,
     boundary_crossings,
     boundary_crossings_delay,
     boundary_crossings_gain,
     branch_points_gain,
     crossing_direction,
+    dedup_points,
     magnitude_intervals,
     phase_monotone_partition,
     starting_points,
@@ -134,6 +136,32 @@ def test_boundary_crossings_gain_first_order():
     assert top.root.real == problem.sigma0
     bottom = [c for c in crossings if c.root.imag < 0][0]
     assert bottom.root.imag == pytest.approx(-w)
+
+
+def test_boundary_crossings_gain_mirror_every_crossing():
+    # the scan covers omega >= 0 only; a conjugate-symmetric plant gets the
+    # mirror image of every crossing
+    found = boundary_crossings_gain(example3_problem())
+    assert any(abs(cp.root.imag) > 1e-6 for cp in found)
+    for cp in found:
+        assert any(
+            o.kind is cp.kind
+            and o.lam == cp.lam
+            and abs(o.root - cp.root.conjugate()) < 1e-12
+            for o in found
+        )
+
+
+def test_dedup_points_keeps_kinds_apart():
+    s = complex(-1.0, 2.0)
+    points = [
+        CriticalPoint(CriticalKind.CROSSING_OUT, s, 0.5),
+        CriticalPoint(CriticalKind.CROSSING_IN, s, 0.5),
+        CriticalPoint(CriticalKind.CROSSING_IN, s + 1e-10, 0.5 + 1e-12),
+    ]
+    out = dedup_points(points)
+    assert sorted(cp.kind.value for cp in out) == ["crossing_in", "crossing_out"]
+    assert all(cp.root == s for cp in out)
 
 
 def test_boundary_crossings_gain_excluded_by_lambda_max():

@@ -1,14 +1,18 @@
 """End-to-end engine behavior on small problems and the reference runs."""
 
+import copy
+import importlib
 import math
+import os
 
 import pytest
 
+from rootlocus import continuation, engine
 from rootlocus.continuation import Termination
 from rootlocus.critical import CriticalKind
-from rootlocus.engine import compute_root_locus, imaginary_axis_events
+from rootlocus.engine import compute_root_locus
 from rootlocus.io import results_equal
-from rootlocus.plant import LocusKind, LocusProblem
+from rootlocus.plant import LocusKind, LocusProblem, Plant
 
 from conftest import example3_problem, first_order_plant
 
@@ -68,16 +72,55 @@ def test_residual_and_lambda_bounds(example3_result):
 
 
 def test_workers_do_not_change_the_result(example3_result):
-    parallel = compute_root_locus(example3_problem(), workers=4)
-    assert results_equal(parallel, example3_result)
+    # the engine is serial: workers=1 is the default path, any other value fails
+    assert results_equal(compute_root_locus(example3_problem(), workers=1), example3_result)
+    with pytest.raises(ValueError):
+        compute_root_locus(example3_problem(), workers=4)
 
 
-def test_imaginary_axis_events_recompute(example3_result):
-    events = imaginary_axis_events(example3_result)
-    assert len(events) == len(example3_result.imag_axis_events)
-    for a, b in zip(events, example3_result.imag_axis_events):
-        assert a.lam == pytest.approx(b.lam, abs=1e-10)
-        assert a.direction == b.direction
+def test_merge_at_a_field_equal_copy_of_a_branch_point(monkeypatch):
+    # a traced merge can return a branch point that equals a listed one field
+    # by field without being the same object; the bookkeeping must not compare
+    # the numpy direction arrays (ambiguous truth value)
+    plant = Plant(
+        zeros=(0.5, -2.08, 0.935),
+        poles=(complex(-0.32, 4.8), complex(-0.32, -4.8),
+               complex(-4.38, 0.707), complex(-4.38, -0.707)),
+        gain=-472.8,
+        delay=0.465,
+    )
+    problem = LocusProblem(LocusKind.GAIN, -1.0, 1.1, plant)
+    plain = compute_root_locus(problem)
+    trace = continuation.trace_trajectory
+    merges = []
+
+    def trace_with_copied_point(*args, **kwargs):
+        traj, rec = trace(*args, **kwargs)
+        if rec is not None:
+            merges.append(rec)
+            rec.point = copy.deepcopy(rec.point)
+        return traj, rec
+
+    monkeypatch.setattr(continuation, "trace_trajectory", trace_with_copied_point)
+    assert results_equal(compute_root_locus(problem), plain)
+    assert merges
+
+
+def test_benchmark_tracer_patches_current_names(monkeypatch):
+    # perfbench/tracing.py wraps engine functions by module attribute; renaming
+    # or deleting one of them breaks the traced benchmark and must fail here
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    tracing = importlib.import_module("tracing")
+    problem = example3_problem(lambda_max=1.0)
+    untraced = engine.compute_root_locus
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = engine.compute_root_locus(problem)
+    assert engine.compute_root_locus is untraced
+    assert results_equal(traced, compute_root_locus(problem))
+    for name in ("continuation.newton_iters", "continuation.points", "plant.mp_calls"):
+        assert tracer.counts[tracer.op, name] > 0
 
 
 def test_stable_throughout_when_nothing_reaches_the_axis():
