@@ -9,7 +9,7 @@ Newton contraction rate and the distance to the locus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -14,9 +14,10 @@ from .plant import (
     LocusKind,
     LocusProblem,
     Plant,
+    _phi1,
     big_lambda,
     big_lambda_prime,
-    phi,
+    phi_offset,
     phi_prime,
 )
 from .rootfind import (
@@ -62,16 +63,16 @@ class MonotoneInterval:
 
 
 def dedup_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
-    """Sorted by key, dropping a point that repeats the previous one's kind,
-    root and lam within tolerance."""
+    """Sorted by key, dropping a point that repeats the kind, root and lam of
+    any point already kept, within tolerance."""
     points = sorted(points, key=CriticalPoint.key)
     out: list[CriticalPoint] = []
     for cp in points:
-        if (
-            out
-            and out[-1].kind is cp.kind
-            and abs(cp.lam - out[-1].lam) < 1e-10
-            and abs(cp.root - out[-1].root) < 1e-8
+        if any(
+            kept.kind is cp.kind
+            and abs(cp.lam - kept.lam) < 1e-10
+            and abs(cp.root - kept.root) < 1e-8
+            for kept in out
         ):
             continue
         out.append(cp)
@@ -208,6 +209,17 @@ def magnitude_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
     return _merge_touching(pieces)
 
 
+def _phase_fn(plant: Plant, sigma0: float, h: float):
+    """Scalar ``phi(plant, sigma0, w, h)`` as a function of w, with the
+    constant phase offset computed once rather than on every call."""
+    offset = phi_offset(plant, sigma0)
+
+    def phase(w):
+        return float(_phi1(plant, sigma0, w, h) + offset)
+
+    return phase
+
+
 def phase_monotone_partition(
     problem: LocusProblem, intervals: list[tuple[float, float]]
 ) -> list[MonotoneInterval]:
@@ -215,20 +227,14 @@ def phase_monotone_partition(
     plant = problem.plant
     h = plant.delay if problem.kind is LocusKind.GAIN else 0.0
     splits = phase_extremum_freqs(plant, problem.sigma0, h)
+    phase = _phase_fn(plant, problem.sigma0, h)
     out: list[MonotoneInterval] = []
     for lo, hi in intervals:
         knots = [lo] + [w for w in splits if lo < w < hi] + [hi]
         for a, b in zip(knots[:-1], knots[1:]):
             if b - a <= 1e-14 * (1.0 + abs(b)):
                 continue
-            out.append(
-                MonotoneInterval(
-                    a,
-                    b,
-                    float(phi(plant, problem.sigma0, a, h)),
-                    float(phi(plant, problem.sigma0, b, h)),
-                )
-            )
+            out.append(MonotoneInterval(a, b, phase(a), phase(b)))
     return out
 
 
@@ -270,9 +276,7 @@ def boundary_crossings_gain(problem: LocusProblem) -> list[CriticalPoint]:
     s0 = problem.sigma0
     pieces = phase_monotone_partition(problem, magnitude_intervals(problem))
     found: list[CriticalPoint] = []
-
-    def phi_fn(w):
-        return float(phi(plant, s0, w))
+    phi_fn = _phase_fn(plant, s0, plant.delay)
 
     for mi in pieces:
 
@@ -345,14 +349,21 @@ def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float
     return _merge_touching(pieces)
 
 
+def _sign_flips(values: np.ndarray) -> np.ndarray:
+    """Indices i where values[i] and values[i + 1] are nonzero with opposite signs."""
+    sign = np.sign(values)
+    return np.flatnonzero((sign[:-1] != 0) & (sign[1:] != 0) & (sign[:-1] != sign[1:]))
+
+
 def boundary_crossings_delay(problem: LocusProblem) -> list[CriticalPoint]:
     """Delay-case boundary crossings via the phase of G alone minus lam(w)*w."""
     assert problem.kind is LocusKind.DELAY
     plant = problem.plant
     s0 = problem.sigma0
+    phase = _phase_fn(plant, s0, 0.0)
 
     def psi(w):
-        return float(phi(plant, s0, w, 0.0)) - float(_delay_lam(plant, s0, w)) * w
+        return phase(w) - float(_delay_lam(plant, s0, w)) * w
 
     def psi_prime_vec(w):
         return (
@@ -369,15 +380,13 @@ def boundary_crossings_delay(problem: LocusProblem) -> list[CriticalPoint]:
         grid = np.linspace(lo, hi, n)
         dp = np.asarray(psi_prime_vec(grid))
         knots = [lo]
-        sign = np.sign(dp)
-        for i in range(n - 1):
-            if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-                w_star = bracketed_root(
-                    lambda x: float(psi_prime_vec(x)),
-                    Bracket(grid[i], grid[i + 1], dp[i], dp[i + 1]),
-                    1e-13,
-                )
-                knots.append(w_star)
+        for i in _sign_flips(dp):
+            w_star = bracketed_root(
+                lambda x: float(psi_prime_vec(x)),
+                Bracket(grid[i], grid[i + 1], dp[i], dp[i + 1]),
+                1e-13,
+            )
+            knots.append(w_star)
         knots.append(hi)
         for a, b in zip(knots[:-1], knots[1:]):
             if b - a <= 1e-13:

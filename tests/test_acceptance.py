@@ -207,21 +207,27 @@ def _vector_newton(problem, lam, seeds, iters=60):
 
 
 def _vector_newton_loop(plant, k, h, z, iters):
+    z = z.copy()
+    active = np.arange(z.size)
     for _ in range(iters):
-        num = np.full(z.shape, plant.gain, dtype=complex)
-        den = np.ones_like(z)
-        u = np.full(z.shape, -h, dtype=complex)
+        w = z[active]
+        num = np.full(w.shape, plant.gain, dtype=complex)
+        den = np.ones_like(w)
+        u = np.full(w.shape, -h, dtype=complex)
         for zz in plant.zeros:
-            num *= z - zz
-            u += 1.0 / (z - zz)
+            num *= w - zz
+            u += 1.0 / (w - zz)
         for pp in plant.poles:
-            den *= z - pp
-            u -= 1.0 / (z - pp)
-        g = k * num / den * np.exp(-h * z)
+            den *= w - pp
+            u -= 1.0 / (w - pp)
+        g = k * num / den * np.exp(-h * w)
         f = 1.0 + g
         step = f / (g * u)
         step[~np.isfinite(step)] = 0.0
-        z = z - step
+        z[active] = w - step
+        # a zero step leaves the iterate unchanged, so every later step is
+        # zero too: stop iterating that seed
+        active = active[step != 0.0]
     return z
 
 

@@ -10,12 +10,16 @@ from scipy.optimize import brentq
 from rootlocus.critical import (
     CriticalKind,
     CriticalPoint,
+    _delay_lam,
+    _delay_lam_prime,
+    _sign_flips,
     boundary_crossings,
     boundary_crossings_delay,
     boundary_crossings_gain,
     branch_points_gain,
     crossing_direction,
     dedup_points,
+    delay_admissible_intervals,
     magnitude_intervals,
     phase_monotone_partition,
     starting_points,
@@ -27,6 +31,7 @@ from rootlocus.plant import (
     big_lambda,
     eval_char_fn,
     phi,
+    phi_prime,
     wrap_angle,
 )
 
@@ -118,8 +123,9 @@ def test_phase_monotone_partition_first_order():
     assert len(partition) == 1
     mi = partition[0]
     assert (mi.lo, mi.hi) == pytest.approx(mags[0])
-    assert mi.phi_lo == pytest.approx(phi(problem.plant, -0.5, mi.lo))
-    assert mi.phi_hi == pytest.approx(phi(problem.plant, -0.5, mi.hi))
+    # the partition computes the phase offset once; the values stay phi's bits
+    assert mi.phi_lo == phi(problem.plant, -0.5, mi.lo)
+    assert mi.phi_hi == phi(problem.plant, -0.5, mi.hi)
     assert mi.phi_hi < mi.phi_lo  # phi' < 0 everywhere here
 
 
@@ -158,6 +164,18 @@ def test_dedup_points_keeps_kinds_apart():
         CriticalPoint(CriticalKind.CROSSING_OUT, s, 0.5),
         CriticalPoint(CriticalKind.CROSSING_IN, s, 0.5),
         CriticalPoint(CriticalKind.CROSSING_IN, s + 1e-10, 0.5 + 1e-12),
+    ]
+    out = dedup_points(points)
+    assert sorted(cp.kind.value for cp in out) == ["crossing_in", "crossing_out"]
+    assert all(cp.root == s for cp in out)
+
+
+def test_dedup_points_drops_a_repeat_behind_another_kind():
+    s = complex(-1.0, 2.0)
+    points = [
+        CriticalPoint(CriticalKind.CROSSING_IN, s, 0.5),
+        CriticalPoint(CriticalKind.CROSSING_OUT, s, 0.5),
+        CriticalPoint(CriticalKind.CROSSING_IN, s + 1e-10, 0.5),
     ]
     out = dedup_points(points)
     assert sorted(cp.kind.value for cp in out) == ["crossing_in", "crossing_out"]
@@ -232,6 +250,55 @@ def test_boundary_crossings_delay_example1_against_grid_oracle():
     for (gw, gl), (ow, ol) in zip(got, sorted(oracle)):
         assert gw == pytest.approx(ow, abs=1e-6)
         assert gl == pytest.approx(ol, abs=1e-6)
+
+
+def _sign_flips_loop(values):
+    """The per-index scan that ``_sign_flips`` replaced, kept as its reference."""
+    sign = np.sign(values)
+    return [
+        i
+        for i in range(len(values) - 1)
+        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]
+    ]
+
+
+def _seeded_delay_problems(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        re = rng.uniform(-5.0, -0.2, size=2)
+        if any(abs(r + 1.0) < 0.05 for r in re):
+            continue
+        im = rng.uniform(0.3, 9.5)
+        poles = (complex(re[0], im), complex(re[0], -im), complex(re[1], 0.0))
+        gain = abs(poles[0]) ** 2 * abs(poles[2]) * rng.choice((-1.0, 1.0))
+        plant = Plant(zeros=(), poles=poles, gain=gain, delay=rng.uniform(0.2, 1.5))
+        out.append(LocusProblem(LocusKind.DELAY, -1.0, rng.uniform(0.2, 2.0), plant))
+    return out
+
+
+def test_sign_flips_match_the_per_index_loop():
+    # psi' on the grids that boundary_crossings_delay scans
+    flips = []
+    for problem in [example1_problem()] + _seeded_delay_problems(11, 1):
+        flips.append(0)
+        plant, s0 = problem.plant, problem.sigma0
+        for lo, hi in delay_admissible_intervals(problem):
+            n = int(1e4 * (1.0 + problem.lambda_max * (hi - lo) / (2 * math.pi)))
+            grid = np.linspace(lo, hi, min(max(n, 200), 400000))
+            dp = (
+                phi_prime(plant, s0, grid, 0.0)
+                - _delay_lam_prime(plant, s0, grid) * grid
+                - _delay_lam(plant, s0, grid)
+            )
+            got = _sign_flips(dp)
+            assert got.tolist() == _sign_flips_loop(dp)
+            flips[-1] += len(got)
+    assert flips[0] > 0 and sum(flips[1:]) > 0
+    # exact zeros are skipped, flips at the first and the last index are kept
+    dp = np.array([-1.0, 2.0, 0.0, -3.0, -0.0, 4.0, 5.0, 0.5, -0.5])
+    assert _sign_flips(dp).tolist() == _sign_flips_loop(dp) == [0, 7]
+    assert _sign_flips(np.array([0.0, 0.0])).tolist() == []
 
 
 def test_boundary_crossings_delay_empty():
