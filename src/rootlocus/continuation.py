@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _dgesv
 from scipy.optimize import brentq
 
 from . import localmodel
@@ -124,6 +125,28 @@ class BranchRegistry:
         rec.consumed[best[0]] = True
         return rec.rays_up[best[0]]
 
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real vector: what ``np.linalg.norm`` computes for
+    1-D real input, ``sqrt(x.dot(x))``, without its argument handling."""
+    return math.sqrt(x.dot(x))
+
+
+def _solve(a, b, what: str) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for one right-hand side, without its argument
+    checks and wrapping: the same LAPACK ``dgesv`` gufunc, so the same bits.
+
+    The gufunc flags a zero pivot as an invalid floating-point operation (and
+    fills the result with NaN); that flag, the one ``np.linalg.solve`` turns
+    into ``LinAlgError``, raises JacobianSingularError here.
+    """
+    try:
+        with np.errstate(invalid="raise"):
+            return _dgesv(a, b, signature="dd->d")
+    except FloatingPointError as exc:
+        raise JacobianSingularError(f"singular {what} Jacobian") from exc
+
+
 def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> tuple[tuple[float, float], list]:
     """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows,
     from one ``evaluate`` pass."""
@@ -138,6 +161,12 @@ def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> tuple[tuple[float, flo
     return (m, p), [[a, -b, dm_dl], [b, a, dp_dl]]
 
 
+def _located_point(problem: LocusProblem, y: np.ndarray, step: float) -> TrajectoryPoint:
+    """The point y = (sigma, omega, lam), as plain floats, with its Cartesian residual."""
+    sigma, omega, lam = y.tolist()
+    return TrajectoryPoint(sigma, omega, lam, problem.cartesian_residual(sigma, omega, lam), step)
+
+
 def initial_tangent(problem: LocusProblem, point: CriticalPoint) -> np.ndarray:
     """Unit tangent (Re ds, Im ds, dlam), dlam > 0, at a start or crossing point."""
     if point.multiplicity > 1:
@@ -149,11 +178,12 @@ def initial_tangent(problem: LocusProblem, point: CriticalPoint) -> np.ndarray:
 
 def predict(prev: TrajectoryPoint, curr: TrajectoryPoint, step: float) -> np.ndarray:
     """Secant extrapolation from the last two corrected points."""
-    d = curr.as_array() - prev.as_array()
-    norm = np.linalg.norm(d)
+    y = curr.as_array()
+    d = y - prev.as_array()
+    norm = _norm(d)
     if norm < 1e-14:
         raise DegenerateError("secant direction degenerated: consecutive points coincide")
-    return curr.as_array() + d / norm * step
+    return y + d / norm * step
 
 
 def correct(
@@ -182,14 +212,11 @@ def correct(
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
         rows.append(direction)
-        try:
-            delta = np.linalg.solve(rows, [-m, -p, -float(np.dot(y - yp, direction))])
-        except np.linalg.LinAlgError as exc:
-            raise JacobianSingularError("singular corrector Jacobian") from exc
+        delta = _solve(rows, [-m, -p, -float(np.dot(y - yp, direction))], "corrector")
         if not all(map(math.isfinite, delta.tolist())):
             raise JacobianSingularError("corrector update overflowed")
         y = y + delta
-        norm = float(np.linalg.norm(delta))
+        norm = _norm(delta)
         if it == 0:
             first = norm
         elif it == 1:
@@ -200,9 +227,7 @@ def correct(
             if not gain and y[2] < 0.0:
                 y[2] = 0.0
             kappa = second / first if it >= 1 else 0.0
-            delta_dist = problem.cartesian_residual(y[0], y[1], y[2])
-            pt = TrajectoryPoint(y[0], y[1], y[2], delta_dist, 0.0)
-            return pt, kappa
+            return _located_point(problem, y, 0.0), kappa
         if it >= 2 and norm > 10.0 * first:
             raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {config.max_newton_iters} iterations")
@@ -245,7 +270,7 @@ def solve_branch_point(
         y = y + delta
         if problem.kind is LocusKind.GAIN:
             y[2] = max(y[2], 1e-300)
-        if np.linalg.norm(delta) < 1e-12 * (1.0 + np.linalg.norm(y)):
+        if _norm(delta) < 1e-12 * (1.0 + _norm(y)):
             break
     else:
         raise NoConvergenceError("branch-point solve did not converge")
@@ -274,12 +299,9 @@ def _clip_solve(
     for _ in range(50):
         (m, p), rows = _mp_jacobian(problem, y)
         jac = [[row[i] for i in free] for row in rows]
-        try:
-            delta = np.linalg.solve(jac, [-m, -p])
-        except np.linalg.LinAlgError as exc:
-            raise JacobianSingularError("singular clip Jacobian") from exc
+        delta = _solve(jac, [-m, -p], "clip")
         y[free] += delta
-        if np.linalg.norm(delta) < 1e-13 * (1.0 + np.linalg.norm(y)):
+        if _norm(delta) < 1e-13 * (1.0 + _norm(y)):
             return y
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
@@ -291,7 +313,7 @@ def _branch_proximity(registry, y: np.ndarray, radius: float, skip) -> _BranchRe
             continue
         if rec.point.lam < y[2] - 1e-12 * (1.0 + abs(y[2])):
             continue
-        if np.linalg.norm(rec.y() - y) < radius:
+        if _norm(rec.y() - y) < radius:
             return rec
     return None
 
@@ -311,15 +333,15 @@ def trace_trajectory(
     Returns the trajectory and, when it merged at a branch point, the branch
     record the caller uses to spawn outgoing branches.
     """
-    y0 = np.array([origin.root.real, origin.root.imag, origin.lam])
+    y0 = (origin.root.real, origin.root.imag, float(origin.lam))
     try:
         res0 = problem.cartesian_residual(*y0) if origin.lam > 0 else 0.0
     except PoleZeroProximityError:
         res0 = 0.0
-    points = [TrajectoryPoint(y0[0], y0[1], y0[2], res0, 0.0)]
+    points = [TrajectoryPoint(*y0, res0, 0.0)]
     h = config.resolved_h0(problem)
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / _norm(direction)
     pending_first = first_prediction
     merge: _BranchRecord | None = None
     termination = None
@@ -328,7 +350,7 @@ def trace_trajectory(
     def current_dir():
         if len(points) >= 2:
             d = points[-1].as_array() - points[-2].as_array()
-            return d / np.linalg.norm(d)
+            return d / _norm(d)
         return direction
 
     def reseed_first(step: float):
@@ -395,7 +417,7 @@ def trace_trajectory(
             # curvature guard: sharp turns mean the predictor skipped locus
             # structure (tight loops, nearby branch points); refine the step
             chord = pt.as_array() - points[-1].as_array()
-            chord_norm = np.linalg.norm(chord)
+            chord_norm = _norm(chord)
             if chord_norm > 0 and h > config.h_min * 1.01:
                 turned = float(np.dot(chord, d)) / chord_norm < 0.9
                 # midpoint-on-locus check catches skipped loops; invalid near a
@@ -405,7 +427,7 @@ def trace_trajectory(
                     mid = points[-1].as_array() + 0.5 * chord
                     try:
                         skipped = (
-                            problem.cartesian_residual(*mid)
+                            problem.cartesian_residual(*mid.tolist())
                             > 100.0 * config.delta_nominal
                         )
                     except PoleZeroProximityError:
@@ -439,8 +461,7 @@ def trace_trajectory(
         if pt.lam > problem.lambda_max:
             try:
                 y_end = _clip_solve(problem, pt.as_array(), "lam", problem.lambda_max, config)
-                points.append(TrajectoryPoint(y_end[0], y_end[1], y_end[2],
-                                              problem.cartesian_residual(*y_end), h))
+                points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
             termination = Termination.LAMBDA_MAX_REACHED
@@ -449,8 +470,7 @@ def trace_trajectory(
             try:
                 y_end = _clip_solve(problem, pt.as_array(), "sigma", problem.sigma0, config)
                 if 0.0 <= y_end[2] <= problem.lambda_max:
-                    points.append(TrajectoryPoint(y_end[0], y_end[1], y_end[2],
-                                                  problem.cartesian_residual(*y_end), h))
+                    points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
             termination = Termination.LEFT_REGION
@@ -493,7 +513,7 @@ def _truncate_at_branch(points: list[TrajectoryPoint], rec: _BranchRecord) -> in
     y_bp = rec.y()
     best_i, best_d = len(points), math.inf
     for i, p in enumerate(points):
-        dist = float(np.linalg.norm(p.as_array() - y_bp))
+        dist = _norm(p.as_array() - y_bp)
         if dist < best_d:
             best_i, best_d = i, dist
     return max(best_i, 1)
@@ -522,7 +542,7 @@ def branch_spawn_prediction(
         ]
     )
     d = np.array([ray.real, ray.imag, n * t ** (n - 1)])
-    return y_pred, d / np.linalg.norm(d)
+    return y_pred, d / _norm(d)
 
 
 def real_axis_segments(

@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from . import localmodel
-from .errors import IllPosedCrossingError
+from .errors import IllPosedCrossingError, PoleZeroProximityError
 from .plant import (
     LocusKind,
     LocusProblem,
@@ -64,18 +64,25 @@ class MonotoneInterval:
 
 def dedup_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
     """Sorted by key, dropping a point that repeats the kind, root and lam of
-    any point already kept, within tolerance."""
+    any point already kept, within tolerance.
+
+    The kept points come in ascending lam, so only the last of them can lie
+    within the lam tolerance: the scan walks back from the newest kept point
+    and stops at the first one 1e-10 or more below.  ``cp.lam - kept.lam`` is
+    never negative and only grows along the walk (rounding is monotone), so
+    this keeps exactly what a comparison with every kept point keeps.
+    """
     points = sorted(points, key=CriticalPoint.key)
     out: list[CriticalPoint] = []
     for cp in points:
-        if any(
-            kept.kind is cp.kind
-            and abs(cp.lam - kept.lam) < 1e-10
-            and abs(cp.root - kept.root) < 1e-8
-            for kept in out
-        ):
-            continue
-        out.append(cp)
+        for kept in reversed(out):
+            if cp.lam - kept.lam >= 1e-10:
+                out.append(cp)
+                break
+            if kept.kind is cp.kind and abs(cp.root - kept.root) < 1e-8:
+                break
+        else:
+            out.append(cp)
     return out
 
 
@@ -142,7 +149,7 @@ def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
             continue
         try:
             m, p_res, _ = problem.evaluate(s.real, s.imag, 1.0)
-        except Exception:
+        except PoleZeroProximityError:
             continue
         # lam = e^{h sigma}/|G(s)|: the magnitude condition inverted at s
         lam = math.exp(-m)

@@ -221,7 +221,9 @@ class LocusProblem:
             raise ValidationError(f"region abscissa sigma0 must be negative, got {self.sigma0}")
         if not self.lambda_max > 0.0:
             raise ValidationError(f"lambda_max must be positive, got {self.lambda_max}")
-        tol = 1e-9 * max(1.0, abs(self.sigma0))
+        # the proximity tolerance of transfer at s = sigma0, where the crossing
+        # search evaluates G (phi_offset)
+        tol = 1e-9 * (1.0 + abs(self.sigma0))
         for p in self.plant.poles:
             if abs(p.real - self.sigma0) < tol:
                 raise ValidationError(

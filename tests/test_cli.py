@@ -67,6 +67,19 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["gain", "delay"])
+def test_pole_within_proximity_of_the_boundary_exit_code(tmp_path, capsys, kind):
+    doc = {
+        "plant": {"zeros": [], "poles": [[-1.0 + 1.5e-9, 0.0], [-3.0, 0.0]],
+                  "gain": 1.0, "delay": 1.0},
+        "locus": {"kind": kind, "sigma0": -1.0, "lambda_max": 1.0},
+    }
+    problem = _write_problem(tmp_path, doc)
+    code = main(["compute", problem, "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION == 3
+    assert "boundary" in capsys.readouterr().err
+
+
 def test_runs_are_byte_identical(tmp_path):
     problem = _write_problem(tmp_path, PROBLEM)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """Predictor-corrector stepping, branch handling, real-axis segments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from rootlocus.continuation import (
     TrajectoryPoint,
     _clip_solve,
     _mp_jacobian,
+    _norm,
+    _solve,
     branch_spawn_prediction,
     correct,
     initial_tangent,
@@ -22,7 +25,7 @@ from rootlocus.continuation import (
     trace_trajectory,
 )
 from rootlocus.critical import CriticalKind, CriticalPoint, branch_points_gain
-from rootlocus.errors import DegenerateError, NoConvergenceError
+from rootlocus.errors import DegenerateError, JacobianSingularError, NoConvergenceError
 from rootlocus.plant import LocusKind, LocusProblem, Plant, wrap_angle
 
 from conftest import example1_problem, example3_problem, first_order_plant
@@ -275,3 +278,66 @@ def test_real_axis_segments_collide_at_branch_point(config):
     merged = [t for t in trajs if t.termination is Termination.MERGED_AT_BRANCH]
     assert merged
     assert merged[0].points[-1].lam == pytest.approx(math.exp(-2.0), rel=1e-9)
+
+
+def _seeded_systems(n, seed=20261018):
+    """Seeded n x n systems: well conditioned, ill conditioned (singular values
+    down to 1e-14) and badly scaled rows, as lists like the corrector's."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(600):
+        a = rng.standard_normal((n, n))
+        if k % 3 == 1:
+            u, _, vt = np.linalg.svd(a)
+            sv = np.logspace(0.0, -rng.uniform(6.0, 14.0), n)
+            a = u @ np.diag(sv) @ vt
+        elif k % 3 == 2:
+            a = a * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 1))
+        out.append((a.tolist(), rng.standard_normal(n).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_equals_numpy_solve_bit_for_bit(n):
+    for a, b in _seeded_systems(n):
+        want = np.linalg.solve(a, b)
+        got = _solve(a, b, "corrector")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the corrector's third row is the direction array, not a list
+    a, b = _seeded_systems(3)[0]
+    mixed = a[:2] + [np.array(a[2])]
+    assert _solve(mixed, b, "corrector").tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+@pytest.mark.parametrize("what", ["corrector", "clip"])
+def test_solve_singular_raises_without_a_warning(what):
+    singular = {
+        2: [[1.0, 2.0], [2.0, 4.0]],
+        3: [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+    }
+    for n, a in singular.items():
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, [1.0] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(JacobianSingularError, match=f"^singular {what} Jacobian$"):
+                _solve(a, [1.0] * n, what)
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(20000):
+        x = rng.standard_normal(3) * 10.0 ** rng.uniform(-150.0, 150.0, size=3)
+        assert _norm(x).hex() == float(np.linalg.norm(x)).hex()
+    x = rng.standard_normal(2)
+    assert _norm(x).hex() == float(np.linalg.norm(x)).hex()
+    assert _norm(np.zeros(3)) == 0.0
+
+
+def test_correct_returns_plain_floats(config):
+    problem = _first_order_problem()
+    sigma = -1.6
+    lam = math.exp(sigma) * abs(sigma + 1.0)
+    pt, _ = correct(problem, np.array([sigma, 1e-3, lam]), np.array([-1.0, 0.0, 0.0]), config)
+    assert all(type(v) is float for v in (pt.sigma, pt.omega, pt.lam, pt.residual))

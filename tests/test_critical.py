@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rootlocus import rootfind
+
 from rootlocus.critical import (
     CriticalKind,
     CriticalPoint,
@@ -24,6 +26,7 @@ from rootlocus.critical import (
     phase_monotone_partition,
     starting_points,
 )
+from rootlocus.errors import PoleZeroProximityError
 from rootlocus.plant import (
     LocusKind,
     LocusProblem,
@@ -180,6 +183,61 @@ def test_dedup_points_drops_a_repeat_behind_another_kind():
     out = dedup_points(points)
     assert sorted(cp.kind.value for cp in out) == ["crossing_in", "crossing_out"]
     assert all(cp.root == s for cp in out)
+
+
+def _dedup_all_pairs(points):
+    """The reference: compare each point with every kept point."""
+    out = []
+    for cp in sorted(points, key=CriticalPoint.key):
+        if any(
+            kept.kind is cp.kind
+            and abs(cp.lam - kept.lam) < 1e-10
+            and abs(cp.root - kept.root) < 1e-8
+            for kept in out
+        ):
+            continue
+        out.append(cp)
+    return out
+
+
+def test_dedup_points_equals_the_all_pairs_comparison():
+    rng = np.random.default_rng(20261018)
+    kinds = list(CriticalKind)
+    # lam values with gaps of exactly 1e-10 (0, 1e-10, 2e-10), just under and
+    # just over it, and equal lams
+    base = [0.0, 1e-10, 2e-10, 3e-10, 0.5, 0.5 + 1e-10, 0.5 + 2e-10, 1.0]
+    lams = base + [np.nextafter(v, -np.inf) for v in base[1:]] + [np.nextafter(v, np.inf) for v in base]
+    roots = [complex(-1.0, 2.0), complex(-1.0, -2.0), complex(0.3, 0.0)]
+    assert 1e-10 - 0.0 == 1e-10 and 2e-10 - 1e-10 == 1e-10
+    kept_some = dropped_some = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        points = [
+            CriticalPoint(
+                kinds[int(rng.integers(0, 2 if rng.random() < 0.5 else 4))],
+                roots[int(rng.integers(0, len(roots)))]
+                + complex(*rng.choice([0.0, 3e-9, 1e-8, 2e-8], size=2)),
+                float(lams[int(rng.integers(0, len(lams)))]),
+            )
+            for _ in range(n)
+        ]
+        want = _dedup_all_pairs(points)
+        got = dedup_points(points)
+        assert [id(cp) for cp in got] == [id(cp) for cp in want]
+        kept_some += len(got)
+        dropped_some += n - len(got)
+    assert kept_some > 0 and dropped_some > 0
+
+
+def test_branch_points_gain_skips_a_candidate_at_a_pole():
+    plant = Plant(zeros=(), poles=(-0.5, -0.5, -3.0), gain=1.0, delay=1.0)
+    problem = _gain_problem(plant, -1.0, 5.0)
+    candidates = rootfind.rational_zeros(plant, "gprime_minus_hg", 1.0)
+    at_pole = [s for s in candidates if abs(s + 0.5) < 1e-9]
+    assert at_pole
+    with pytest.raises(PoleZeroProximityError):
+        problem.evaluate(at_pole[0].real, at_pole[0].imag, 1.0)
+    assert all(abs(bp.root + 0.5) > 1e-6 for bp in branch_points_gain(problem))
 
 
 def test_boundary_crossings_gain_excluded_by_lambda_max():

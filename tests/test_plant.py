@@ -264,6 +264,17 @@ def test_problem_validation_region():
         LocusProblem(LocusKind.GAIN, -1.0, 1.0, plant)  # pole on Re(s) = sigma0
 
 
+def test_problem_validation_matches_the_proximity_tolerance():
+    # Re(p) - sigma0 = 1.5e-9 is inside the 1e-9 (1 + |sigma0|) that
+    # transfer(sigma0) rejects, so the problem cannot be solved
+    plant = Plant(zeros=(), poles=(-1.0 + 1.5e-9, -3.0), gain=1.0, delay=1.0)
+    with pytest.raises(PoleZeroProximityError):
+        plant.transfer(-1.0)
+    for kind in LocusKind:
+        with pytest.raises(ValidationError, match="boundary"):
+            LocusProblem(kind, -1.0, 1.0, plant)
+
+
 def test_problem_validation_biproper_bounds():
     biproper = Plant(zeros=(-2.0,), poles=(-1.0,), gain=3.0, delay=1.0)
     # gain kind: lambda_max < e^{h*sigma0}/|G(inf)| = e^{-0.5}/3

@@ -1,0 +1,91 @@
+"""One sha256 over everything rootlocus computes for the benchmark's problems.
+
+Run from the root of a checkout (it imports ``src/rootlocus`` and the problem
+builders of ``perfbench/workloads.py`` from that checkout):
+
+    python3 tools/result_digest.py
+
+It solves the reference, random_gain and random_delay problems at benchmark
+seeds 1 and 2 (108 runs) and hashes, for each run, the bytes that
+``emit_results`` writes plus every trajectory point, critical point (with its
+directions), imaginary-axis event, stability interval, the initial unstable
+count, every trajectory's origin, termination and note, and every warning,
+with floats in hex.  Two checkouts that print the same digest computed the
+same bits; a change meant to be bit-identical is checked by running this on
+the parent and on the change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from rootlocus import compute_root_locus, emit_results  # noqa: E402
+
+import workloads  # noqa: E402
+
+WORKLOADS = ("reference", "random_gain", "random_delay")
+SEEDS = (1, 2)
+
+
+def _hex(v) -> str:
+    if isinstance(v, complex):
+        return f"{v.real.hex()}{v.imag.hex()}j"
+    return float(v).hex()
+
+
+def _critical(cp) -> str:
+    dirs = ",".join(":".join(_hex(x) for x in d) for d in cp.directions)
+    return f"{cp.kind.value} {_hex(cp.root)} {_hex(cp.lam)} {cp.multiplicity} [{dirs}]"
+
+
+def _result_lines(result):
+    for traj in result.trajectories:
+        yield f"trajectory {_critical(traj.origin)} {traj.termination.value} {traj.note!r}"
+        for p in traj.points:
+            yield " ".join(_hex(v) for v in (p.sigma, p.omega, p.lam, p.residual, p.step_used))
+    for cp in result.critical_points:
+        yield f"critical {_critical(cp)}"
+    for ev in result.imag_axis_events:
+        yield f"axis {_hex(ev.lam)} {_hex(ev.omega)} {ev.direction}"
+    for lo, hi in result.stability_intervals:
+        yield f"stable {_hex(lo)} {_hex(hi)}"
+    yield f"unstable {result.initial_unstable_count}"
+    for w in result.warnings:
+        yield f"warning {w!r}"
+
+
+def digest_run(problem, work_dir: str) -> bytes:
+    """sha256 of one run: its emitted files, then its in-memory result."""
+    result = compute_root_locus(problem)
+    h = hashlib.sha256()
+    for path in sorted(emit_results(result, work_dir)):
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode() + b"\0" + fh.read() + b"\0")
+    for line in _result_lines(result):
+        h.update(line.encode() + b"\n")
+    return h.digest()
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    runs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for workload in WORKLOADS:
+                for i, problem in enumerate(workloads.build(workload, seed)):
+                    work_dir = os.path.join(tmp, f"{workload}_{seed}_{i}")
+                    total.update(digest_run(problem, work_dir))
+                    runs += 1
+    print(f"{runs} runs")
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
