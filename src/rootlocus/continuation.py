@@ -17,7 +17,7 @@ from numpy.linalg._umath_linalg import solve1 as _dgesv
 from scipy.optimize import brentq
 
 from . import localmodel
-from .critical import CriticalKind, CriticalPoint
+from .critical import CriticalKind, CriticalPoint, branch_point
 from .errors import (
     DegenerateError,
     JacobianSingularError,
@@ -28,6 +28,8 @@ from .plant import LocusKind, LocusProblem
 
 _LAMBDA_NOISE_REL = 1e-12
 _REAL_AXIS_SAMPLES = 400
+_MERGE_TOL = 1e-6  # branch points closer than this in s are one point
+_BRANCH_SOLVE_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -89,41 +91,27 @@ class Trajectory:
 @dataclass
 class _BranchRecord:
     point: CriticalPoint  # BRANCH critical point, lam at the branch
-    rays_up: list[complex]
-    consumed: list[bool]
+    rays: list[complex]  # up rays no trajectory has been spawned along yet
 
     def y(self) -> np.ndarray:
         return np.array([self.point.root.real, self.point.root.imag, self.point.lam])
 
 
 class BranchRegistry:
-    """Registry of branch points and consumed directions."""
+    """Registry of branch points and the up rays not yet spawned from them."""
 
-    def __init__(self, merge_tol: float = 1e-6):
+    def __init__(self):
         self.records: list[_BranchRecord] = []
-        self.merge_tol = merge_tol
 
-    def register(self, cp: CriticalPoint, rays_up: list[complex]) -> _BranchRecord:
+    def register(self, cp: CriticalPoint) -> _BranchRecord:
+        """The record of the branch point ``cp``: an existing one within
+        ``_MERGE_TOL``, else a new one holding the up rays of ``cp.directions``."""
         for rec in self.records:
-            if abs(rec.point.root - cp.root) < self.merge_tol:
+            if abs(rec.point.root - cp.root) < _MERGE_TOL:
                 return rec
-        rec = _BranchRecord(cp, list(rays_up), [False] * len(rays_up))
+        rec = _BranchRecord(cp, [complex(d[0], d[1]) for d in cp.directions])
         self.records.append(rec)
         return rec
-
-    def consume_ray(self, rec: _BranchRecord, preferred: complex) -> complex | None:
-        """Take the unconsumed up-ray closest in angle to ``preferred``."""
-        best = None
-        for i, (ray, used) in enumerate(zip(rec.rays_up, rec.consumed)):
-            if used:
-                continue
-            score = abs(ray / abs(ray) - preferred / abs(preferred))
-            if best is None or score < best[1]:
-                best = (i, score)
-        if best is None:
-            return None
-        rec.consumed[best[0]] = True
-        return rec.rays_up[best[0]]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -245,9 +233,7 @@ def step_update(
     return h_next, raw >= 2.0
 
 
-def solve_branch_point(
-    problem: LocusProblem, y_init: np.ndarray, max_iters: int = 60
-) -> CriticalPoint:
+def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoint:
     """Solve the augmented branch-point system M = P = 0, G'/G - lam_eff = 0.
 
     Gauss-Newton on the overdetermined 4x3 system; classifies multiplicity
@@ -256,7 +242,7 @@ def solve_branch_point(
     y = np.array(y_init, dtype=float)
     if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
         raise NoConvergenceError("branch solve needs lam > 0 on a gain locus")
-    for _ in range(max_iters):
+    for _ in range(_BRANCH_SOLVE_ITERS):
         try:
             (m, p), rows = _mp_jacobian(problem, y)
         except PoleZeroProximityError as exc:
@@ -274,14 +260,7 @@ def solve_branch_point(
             break
     else:
         raise NoConvergenceError("branch-point solve did not converge")
-    s = complex(y[0], y[1])
-    lam = float(y[2])
-    n = localmodel.multiplicity(problem, s, lam)
-    n = max(n, 2)
-    rays = localmodel.branch_rays(problem, s, lam, n)
-    cp = CriticalPoint(CriticalKind.BRANCH, s, lam, multiplicity=n)
-    cp.directions = [np.array([w.real, w.imag, 0.0]) for w in rays]
-    return cp
+    return branch_point(problem, complex(y[0], y[1]), float(y[2]), 2)
 
 
 def _clip_solve(
@@ -340,39 +319,35 @@ def trace_trajectory(
         res0 = 0.0
     points = [TrajectoryPoint(*y0, res0, 0.0)]
     h = config.resolved_h0(problem)
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / _norm(direction)
+    d = np.asarray(direction, dtype=float)
+    d = d / _norm(d)
     pending_first = first_prediction
-    merge: _BranchRecord | None = None
-    termination = None
-    note = ""
 
-    def current_dir():
-        if len(points) >= 2:
-            d = points[-1].as_array() - points[-2].as_array()
-            return d / _norm(d)
-        return direction
-
-    def reseed_first(step: float):
+    def shrink(step: float):
+        nonlocal h, d, pending_first
+        h = step
+        pending_first = None
         # a shortened first step from a multiple point must be re-placed on
         # the ray model; tangent extrapolation has the wrong parameter scaling
-        nonlocal pending_first, direction
         if spawn_ray is not None and len(points) == 1:
-            pending_first, direction = branch_spawn_prediction(
-                problem, origin, spawn_ray, config, t=step
-            )
-            return direction
-        return None
+            pending_first, d = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)
 
-    while termination is None:
+    def end(termination: Termination, note: str = ""):
+        return Trajectory(origin, points, termination, note), None
+
+    def merged(rec: _BranchRecord):
+        cp = rec.point
+        points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
+        return Trajectory(origin, points, Termination.MERGED_AT_BRANCH), rec
+
+    while True:
         if len(points) >= config.max_points:
-            termination = Termination.STALLED
-            note = "max_points reached"
-            break
-        d = current_dir()
+            return end(Termination.STALLED, "max_points reached")
+        if len(points) >= 2:
+            d = points[-1].as_array() - points[-2].as_array()
+            d = d / _norm(d)
         halvings = 0
-        accepted = None
-        while accepted is None:
+        while True:
             if pending_first is not None:
                 y_pred = np.array(pending_first, dtype=float)
             elif len(points) >= 2:
@@ -383,11 +358,7 @@ def trace_trajectory(
                 pt, kappa = correct(problem, y_pred, d, config)
             except (NoConvergenceError, JacobianSingularError) as exc:
                 halvings += 1
-                h = max(h / 2.0, config.h_min)
-                pending_first = None
-                nd = reseed_first(h)
-                if nd is not None:
-                    d = nd
+                shrink(max(h / 2.0, config.h_min))
                 if halvings <= 6:
                     continue
                 # repeated failure: branch point nearby, or a genuine stall
@@ -395,24 +366,18 @@ def trace_trajectory(
                     registry, points[-1].as_array(), 50.0 * h + 1e-6, origin_record
                 )
                 if rec is not None:
-                    accepted = "merge"
-                    merge = rec
-                    break
+                    return merged(rec)
                 try:
                     cp = solve_branch_point(problem, points[-1].as_array())
-                    merge = registry.register(cp, [d[0] + 1j * d[1] for d in cp.directions])
-                    accepted = "merge"
-                    break
                 except NoConvergenceError:
                     last = points[-1]
-                    termination = Termination.STALLED
-                    note = (
+                    return end(
+                        Termination.STALLED,
                         f"corrector stalled after point (sigma, omega, lam) = "
                         f"({last.sigma:.17g}, {last.omega:.17g}, {last.lam:.17g}) "
-                        f"at step h = {h:.6g} after {halvings} halvings: {exc}"
+                        f"at step h = {h:.6g} after {halvings} halvings: {exc}",
                     )
-                    accepted = "stop"
-                    break
+                return merged(registry.register(cp))
             pending_first = None
             # curvature guard: sharp turns mean the predictor skipped locus
             # structure (tight loops, nearby branch points); refine the step
@@ -433,28 +398,14 @@ def trace_trajectory(
                     except PoleZeroProximityError:
                         skipped = True
                 if turned or skipped:
-                    h = max(h / 2.0, config.h_min)
-                    nd = reseed_first(h)
-                    if nd is not None:
-                        d = nd
+                    shrink(max(h / 2.0, config.h_min))
                     continue
             h_next, repeat = step_update(kappa, pt.residual, h, config)
             if repeat and h > config.h_min * 1.01:
-                h = h_next
-                nd = reseed_first(h)
-                if nd is not None:
-                    d = nd
+                shrink(h_next)
                 continue
-            accepted = pt
             h = h_next
-        if accepted == "stop":
             break
-        if accepted == "merge":
-            cp = merge.point
-            points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
-            termination = Termination.MERGED_AT_BRANCH
-            break
-        pt = accepted
         pt = TrajectoryPoint(pt.sigma, pt.omega, pt.lam, pt.residual, h)
 
         # clip against the lam upper bound and the region boundary
@@ -464,8 +415,7 @@ def trace_trajectory(
                 points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
-            termination = Termination.LAMBDA_MAX_REACHED
-            break
+            return end(Termination.LAMBDA_MAX_REACHED)
         if pt.sigma < problem.sigma0:
             try:
                 y_end = _clip_solve(problem, pt.as_array(), "sigma", problem.sigma0, config)
@@ -473,39 +423,29 @@ def trace_trajectory(
                     points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
-            termination = Termination.LEFT_REGION
-            break
+            return end(Termination.LEFT_REGION)
 
         # lam reversal: the continuation ran straight through an even branch point
         drop = points[-1].lam - pt.lam
         if drop > _LAMBDA_NOISE_REL * max(1.0, points[-1].lam) and len(points) >= 2:
             try:
                 cp = solve_branch_point(problem, points[-1].as_array())
-                merge = registry.register(cp, [dd[0] + 1j * dd[1] for dd in cp.directions])
-                k = _truncate_at_branch(points, merge)
-                del points[k:]
-                points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
-                termination = Termination.MERGED_AT_BRANCH
-                break
             except NoConvergenceError:
-                termination = Termination.STALLED
-                note = "lam reversal detected but branch-point solve failed"
-                break
+                return end(
+                    Termination.STALLED, "lam reversal detected but branch-point solve failed"
+                )
+            rec = registry.register(cp)
+            del points[_truncate_at_branch(points, rec):]
+            return merged(rec)
 
         points.append(pt)
 
         # proactive merge with registered branch points lying ahead
         rec = _branch_proximity(registry, pt.as_array(), max(2.0 * h, 1e-9), origin_record)
         if rec is not None:
-            cp = rec.point
-            points.append(TrajectoryPoint(cp.root.real, cp.root.imag, cp.lam, 0.0, h))
-            merge = rec
-            termination = Termination.MERGED_AT_BRANCH
-            break
+            return merged(rec)
         if len(points) >= 4:
             origin_record = None  # origin shielding only applies near the origin
-
-    return Trajectory(origin, points, termination, note), merge
 
 
 def _truncate_at_branch(points: list[TrajectoryPoint], rec: _BranchRecord) -> int:

@@ -138,6 +138,18 @@ def starting_points(problem: LocusProblem) -> list[CriticalPoint]:
     ]
 
 
+def branch_point(
+    problem: LocusProblem, s: complex, lam: float, min_multiplicity: int
+) -> CriticalPoint:
+    """The BRANCH point at (s, lam): its multiplicity, at least
+    ``min_multiplicity``, and its up rays as directions."""
+    n = max(localmodel.multiplicity(problem, s, lam), min_multiplicity)
+    rays = localmodel.branch_rays(problem, s, lam, n)
+    cp = CriticalPoint(CriticalKind.BRANCH, s, lam, multiplicity=n)
+    cp.directions = [np.array([w.real, w.imag, 0.0]) for w in rays]
+    return cp
+
+
 def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
     """Gain-case branch points: zeros of G'/G - h on the locus, inside the region."""
     assert problem.kind is LocusKind.GAIN
@@ -157,12 +169,7 @@ def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
             continue
         if not (0.0 <= lam <= problem.lambda_max):
             continue
-        n = localmodel.multiplicity(problem, s, lam)
-        n = max(n, mult_cluster + 1)
-        rays = localmodel.branch_rays(problem, s, lam, n)
-        cp = CriticalPoint(CriticalKind.BRANCH, s, lam, multiplicity=n)
-        cp.directions = [np.array([w.real, w.imag, 0.0]) for w in rays]
-        out.append(cp)
+        out.append(branch_point(problem, s, lam, mult_cluster + 1))
     out.sort(key=CriticalPoint.key)
     return out
 

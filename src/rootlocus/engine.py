@@ -49,36 +49,26 @@ class _Seed:
         return (*self.origin.key(), round(math.atan2(d[1], d[0]), 12))
 
 
-def _start_seeds(problem: LocusProblem, cp: CriticalPoint) -> list[_Seed]:
+def _start_seeds(
+    problem: LocusProblem, cp: CriticalPoint, config: cont.ContinuationConfig
+) -> list[_Seed]:
     if cp.multiplicity == 1:
         return [_Seed(cp, cont.initial_tangent(problem, cp))]
-    rays = localmodel.start_rays(problem, cp.root, cp.multiplicity)
     seeds = []
-    for ray in rays:
-        cfg = cont.ContinuationConfig()
-        y0, d0 = cont.branch_spawn_prediction(problem, cp, ray, cfg)
+    for ray in localmodel.start_rays(problem, cp.root, cp.multiplicity):
+        y0, d0 = cont.branch_spawn_prediction(problem, cp, ray, config)
         seeds.append(_Seed(cp, d0, first_prediction=y0, spawn_ray=ray))
     return seeds
 
 
-def _branch_seeds(
-    problem: LocusProblem,
-    registry: cont.BranchRegistry,
-    rec,
-    config: cont.ContinuationConfig,
-    only_nonreal: bool = False,
-) -> list[_Seed]:
-    """Spawn every unconsumed up ray of a branch record."""
+def _branch_seeds(problem: LocusProblem, rec, config: cont.ContinuationConfig) -> list[_Seed]:
+    """Spawn every up ray of a branch record not spawned yet, and empty its list."""
     cp = rec.point
     seeds = []
-    while True:
-        ray = registry.consume_ray(rec, 1.0 + 0.0j)
-        if ray is None:
-            break
-        if only_nonreal and abs(ray.imag) < 1e-9:
-            continue
+    for ray in rec.rays:
         y0, d0 = cont.branch_spawn_prediction(problem, cp, ray, config)
         seeds.append(_Seed(cp, d0, first_prediction=y0, record=rec, spawn_ray=ray))
+    rec.rays = []
     return seeds
 
 
@@ -106,10 +96,7 @@ def compute_root_locus(
 
     bps = critical.branch_points_gain(problem) if problem.kind is LocusKind.GAIN else []
     crit_points.extend(bps)
-    records_by_bp = {
-        id(bp): registry.register(bp, [complex(d[0], d[1]) for d in bp.directions])
-        for bp in bps
-    }
+    records_by_bp = {id(bp): registry.register(bp) for bp in bps}
 
     use_real_axis = (
         problem.kind is LocusKind.GAIN and problem.plant.conjugate_symmetric
@@ -123,17 +110,15 @@ def compute_root_locus(
         real_bps = [bp for bp in bps if on_axis(bp)]
         real_trajs, colliders = cont.real_axis_segments(problem, real_bps, config)
         trajectories.extend(real_trajs)
-        for rec in {id(bp): records_by_bp[id(bp)] for bp in colliders}.values():
-            seeds.extend(_branch_seeds(problem, registry, rec, config, only_nonreal=True))
         # real rays of real branch points are owned by the axis segments
         for bp in real_bps:
             rec = records_by_bp[id(bp)]
-            for ray in list(rec.rays_up):
-                if abs(ray.imag) < 1e-9:
-                    registry.consume_ray(rec, ray)
+            rec.rays = [ray for ray in rec.rays if abs(ray.imag) >= 1e-9]
+        for bp in colliders:
+            seeds.extend(_branch_seeds(problem, records_by_bp[id(bp)], config))
     for cp in starts:
         if not on_axis(cp):
-            seeds.extend(_start_seeds(problem, cp))
+            seeds.extend(_start_seeds(problem, cp, config))
     for cp in crossings:
         if cp.kind is CriticalKind.CROSSING_IN and not on_axis(cp):
             seeds.append(_Seed(cp, cont.initial_tangent(problem, cp)))
@@ -141,7 +126,6 @@ def compute_root_locus(
     # generation by generation, each sorted by _Seed.key: traces register the
     # branch points that later traces merge into, so this order is part of
     # the result
-    spawned_records = set()
     while seeds:
         seeds.sort(key=_Seed.key)
         new: list[_Seed] = []
@@ -161,9 +145,7 @@ def compute_root_locus(
                 continue
             if not any(cp is rec.point for cp in crit_points):
                 crit_points.append(rec.point)
-            if id(rec) not in spawned_records:
-                spawned_records.add(id(rec))
-                new.extend(_branch_seeds(problem, registry, rec, config))
+            new.extend(_branch_seeds(problem, rec, config))
         seeds = new
 
     for traj in trajectories:

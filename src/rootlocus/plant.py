@@ -95,14 +95,6 @@ class Plant:
         object.__setattr__(self, "conjugate_symmetric", sym)
 
     @property
-    def n_poles(self) -> int:
-        return len(self.poles)
-
-    @property
-    def n_zeros(self) -> int:
-        return len(self.zeros)
-
-    @property
     def biproper(self) -> bool:
         return len(self.poles) == len(self.zeros)
 

@@ -77,7 +77,6 @@ def render_svg(
     result: RootLocusResult,
     window: tuple[float, float, float, float] | None = None,
     upper_half_only: bool = False,
-    markers: bool = True,
 ) -> str:
     """Render the result as an SVG document string."""
     if window is None:
@@ -129,41 +128,40 @@ def render_svg(
                 f'stroke-width="1.5" points="{" ".join(chunk)}"/>'
             )
 
-    if markers:
-        for cp in result.critical_points:
-            sg, wg = cp.root.real, cp.root.imag
-            if upper_half_only and wg < -_UPPER_TOL:
-                continue
-            if not frame.contains(sg, wg):
-                continue
-            x, y = frame.x(sg), frame.y(wg)
-            if cp.kind is CriticalKind.START:
-                out.append(
-                    f'<path d="M {_c(x - 5)} {_c(y - 5)} L {_c(x + 5)} {_c(y + 5)} '
-                    f'M {_c(x - 5)} {_c(y + 5)} L {_c(x + 5)} {_c(y - 5)}" '
-                    f'stroke="#000" stroke-width="1.5" class="start"/>'
-                )
-            elif cp.kind is CriticalKind.BRANCH:
-                out.append(
-                    f'<path d="M {_c(x)} {_c(y - 6)} L {_c(x + 6)} {_c(y)} '
-                    f'L {_c(x)} {_c(y + 6)} L {_c(x - 6)} {_c(y)} Z" '
-                    f'fill="none" stroke="#080" stroke-width="1.5" class="branch"/>'
-                )
-            else:
-                entering = cp.kind is CriticalKind.CROSSING_IN
-                out.append(
-                    f'<circle cx="{_c(x)}" cy="{_c(y)}" r="4" fill="none" '
-                    f'stroke="#c33" stroke-width="1.5" '
-                    f'class="{"crossing-in" if entering else "crossing-out"}"/>'
-                )
-                dx = 10.0 if entering else -10.0
-                out.append(
-                    f'<path d="M {_c(x)} {_c(y)} L {_c(x + dx)} {_c(y)} '
-                    f'L {_c(x + dx - math.copysign(4, dx))} {_c(y - 3)} '
-                    f'M {_c(x + dx)} {_c(y)} '
-                    f'L {_c(x + dx - math.copysign(4, dx))} {_c(y + 3)}" '
-                    f'fill="none" stroke="#c33" stroke-width="1"/>'
-                )
+    for cp in result.critical_points:
+        sg, wg = cp.root.real, cp.root.imag
+        if upper_half_only and wg < -_UPPER_TOL:
+            continue
+        if not frame.contains(sg, wg):
+            continue
+        x, y = frame.x(sg), frame.y(wg)
+        if cp.kind is CriticalKind.START:
+            out.append(
+                f'<path d="M {_c(x - 5)} {_c(y - 5)} L {_c(x + 5)} {_c(y + 5)} '
+                f'M {_c(x - 5)} {_c(y + 5)} L {_c(x + 5)} {_c(y - 5)}" '
+                f'stroke="#000" stroke-width="1.5" class="start"/>'
+            )
+        elif cp.kind is CriticalKind.BRANCH:
+            out.append(
+                f'<path d="M {_c(x)} {_c(y - 6)} L {_c(x + 6)} {_c(y)} '
+                f'L {_c(x)} {_c(y + 6)} L {_c(x - 6)} {_c(y)} Z" '
+                f'fill="none" stroke="#080" stroke-width="1.5" class="branch"/>'
+            )
+        else:
+            entering = cp.kind is CriticalKind.CROSSING_IN
+            out.append(
+                f'<circle cx="{_c(x)}" cy="{_c(y)}" r="4" fill="none" '
+                f'stroke="#c33" stroke-width="1.5" '
+                f'class="{"crossing-in" if entering else "crossing-out"}"/>'
+            )
+            dx = 10.0 if entering else -10.0
+            out.append(
+                f'<path d="M {_c(x)} {_c(y)} L {_c(x + dx)} {_c(y)} '
+                f'L {_c(x + dx - math.copysign(4, dx))} {_c(y - 3)} '
+                f'M {_c(x + dx)} {_c(y)} '
+                f'L {_c(x + dx - math.copysign(4, dx))} {_c(y + 3)}" '
+                f'fill="none" stroke="#c33" stroke-width="1"/>'
+            )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

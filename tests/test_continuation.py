@@ -206,7 +206,7 @@ def test_trace_merges_at_registered_branch_point(config):
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     bp = branch_points_gain(problem)[0]
     registry = BranchRegistry()
-    registry.register(bp, [complex(d[0], d[1]) for d in bp.directions])
+    registry.register(bp)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
         problem, cp, initial_tangent(problem, cp), registry, config
@@ -214,6 +214,50 @@ def test_trace_merges_at_registered_branch_point(config):
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is not None
     assert merge.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-8)
+
+
+def _start_before_branch_point_with_one_newton_iteration():
+    # G = 1/(s+1), h = 1: the real locus runs from -1 to the branch point
+    # (-2, e^-2).  One Newton iteration from an h0 = 1 prediction never
+    # converges, so every corrector call fails and the trace takes the exit
+    # after 6 failed halvings
+    problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
+    sigma = -1.8
+    cp = CriticalPoint(
+        CriticalKind.CROSSING_IN, complex(sigma, 0.0), math.exp(sigma) * abs(sigma + 1.0)
+    )
+    config = ContinuationConfig(h0=1.0, max_newton_iters=1)
+    return problem, cp, config
+
+
+def test_failed_halvings_merge_into_the_registered_branch_point():
+    problem, cp, config = _start_before_branch_point_with_one_newton_iteration()
+    bp = branch_points_gain(problem)[0]
+    registry = BranchRegistry()
+    rec = registry.register(bp)
+    traj, merge = trace_trajectory(
+        problem, cp, initial_tangent(problem, cp), registry, config
+    )
+    assert traj.termination is Termination.MERGED_AT_BRANCH
+    assert merge is rec
+    assert registry.records == [rec]
+    assert len(traj.points) == 2
+    assert (traj.points[-1].root, traj.points[-1].lam) == (bp.root, bp.lam)
+
+
+def test_failed_halvings_solve_and_register_the_branch_point():
+    problem, cp, config = _start_before_branch_point_with_one_newton_iteration()
+    registry = BranchRegistry()
+    traj, merge = trace_trajectory(
+        problem, cp, initial_tangent(problem, cp), registry, config
+    )
+    assert traj.termination is Termination.MERGED_AT_BRANCH
+    assert registry.records == [merge]
+    assert merge.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-9)
+    assert merge.point.lam == pytest.approx(math.exp(-2.0), rel=1e-9)
+    assert merge.point.multiplicity == 2
+    assert len(traj.points) == 2
+    assert (traj.points[-1].root, traj.points[-1].lam) == (merge.point.root, merge.point.lam)
 
 
 def test_lambda_nondecreasing_along_gain_trace(config):

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from rootlocus import continuation, engine
-from rootlocus.continuation import Termination
+from rootlocus.continuation import ContinuationConfig, Termination
 from rootlocus.critical import CriticalKind
 from rootlocus.engine import compute_root_locus
 from rootlocus.io import results_equal
@@ -121,6 +121,23 @@ def test_benchmark_tracer_patches_current_names(monkeypatch):
     assert results_equal(traced, compute_root_locus(problem))
     for name in ("continuation.newton_iters", "continuation.points", "plant.mp_calls"):
         assert tracer.counts[tracer.op, name] > 0
+
+
+def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
+    # the first prediction off a double pole is placed on its ray at the
+    # distance h0 of the caller's config, not of the default one (0.04 here)
+    p = complex(-1.0, 1.0)
+    plant = Plant(zeros=(), poles=(p, p, p.conjugate(), p.conjugate()), gain=1.0, delay=1.0)
+    problem = LocusProblem(LocusKind.GAIN, -3.0, 2.0, plant)
+    result = compute_root_locus(problem, ContinuationConfig(h0=0.05))
+    firsts = [
+        abs(t.points[1].root - t.points[0].root)
+        for t in result.trajectories
+        if t.origin.kind is CriticalKind.START and t.origin.multiplicity == 2
+    ]
+    assert len(firsts) == 4
+    for dist in firsts:
+        assert dist == pytest.approx(0.05, rel=0.05)
 
 
 def test_stable_throughout_when_nothing_reaches_the_axis():

@@ -44,7 +44,7 @@ def test_parse_example3(tmp_path):
     problem, config = parse_problem(_write(tmp_path, EXAMPLE3_DOC))
     assert problem.kind is LocusKind.GAIN
     assert problem.sigma0 == -3.5
-    assert problem.plant.n_poles == 3
+    assert len(problem.plant.poles) == 3
     # the stated poles factor the cubic s^3 + 4s^2 + 4.25s + 1.25
     assert np.poly([-0.5, -1.0, -2.5]) == pytest.approx([1.0, 4.0, 4.25, 1.25])
     assert config.corrector_tol == 1e-5

@@ -63,8 +63,3 @@ def test_svg_window_override(example3_result):
     doc = render_svg(example3_result, window=(-3.5, 0.5, -2.0, 2.0))
     assert doc == render_svg(example3_result, window=(-3.5, 0.5, -2.0, 2.0))
     assert doc != render_svg(example3_result)
-
-
-def test_svg_markers_disabled(example3_result):
-    doc = render_svg(example3_result, markers=False)
-    assert 'class="start"' not in doc

@@ -10,7 +10,9 @@ seeds 1 and 2 (108 runs) and hashes, for each run, the bytes that
 ``emit_results`` writes plus every trajectory point, critical point (with its
 directions), imaginary-axis event, stability interval, the initial unstable
 count, every trajectory's origin, termination and note, and every warning,
-with floats in hex.  Two checkouts that print the same digest computed the
+with floats in hex.  It prints one sha256 per (workload, seed), over the
+run digests of that pair, so a mismatch names the workload, and then the
+total over all runs.  Two checkouts that print the same digest computed the
 same bits; a change meant to be bit-identical is checked by running this on
 the parent and on the change.
 """
@@ -78,10 +80,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in WORKLOADS:
-                for i, problem in enumerate(workloads.build(workload, seed)):
+                part = hashlib.sha256()
+                problems = workloads.build(workload, seed)
+                for i, problem in enumerate(problems):
                     work_dir = os.path.join(tmp, f"{workload}_{seed}_{i}")
-                    total.update(digest_run(problem, work_dir))
-                    runs += 1
+                    run = digest_run(problem, work_dir)
+                    part.update(run)
+                    total.update(run)
+                runs += len(problems)
+                print(f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}")
     print(f"{runs} runs")
     print(total.hexdigest())
     return 0
