@@ -52,16 +52,6 @@ class CriticalPoint:
         return (self.lam, self.root.imag, self.root.real)
 
 
-@dataclass(frozen=True)
-class MonotoneInterval:
-    """Interval of boundary frequencies on which phi is strictly monotone."""
-
-    lo: float
-    hi: float
-    phi_lo: float
-    phi_hi: float
-
-
 def dedup_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
     """Sorted by key, dropping a point that repeats the kind, root and lam of
     any point already kept, within tolerance.
@@ -174,176 +164,45 @@ def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
     return out
 
 
-def _magnitude_cap(problem: LocusProblem, extrema: list[float]) -> float:
-    """Frequency beyond which the gain magnitude condition provably fails."""
-    plant = problem.plant
-    mods = [abs(v) for v in plant.poles + plant.zeros]
-    base = 10.0 * max([1.0] + mods)
-    if extrema:
-        base = max(base, 1.1 * extrema[-1] + 1.0)
-    ln_max = math.log(problem.lambda_max)
-    if plant.biproper:
-        lam_inf = plant.delay * problem.sigma0 - math.log(abs(plant.gain))
-        target = ln_max + min(2.0, 0.5 * (lam_inf - ln_max))
-    else:
-        target = ln_max + 2.0
-    w = base
-    for _ in range(200):
-        if big_lambda(plant, problem.sigma0, w) > target:
-            return w
-        w *= 2.0
-    return w
-
-
-def magnitude_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
-    """Maximal boundary-frequency intervals where exp(big_lambda) <= lambda_max."""
-    assert problem.kind is LocusKind.GAIN
-    plant = problem.plant
-    s0 = problem.sigma0
-    ln_max = math.log(problem.lambda_max)
-    extrema = magnitude_extremum_freqs(plant, s0)
-    cap = _magnitude_cap(problem, extrema)
-    knots = [0.0] + [w for w in extrema if 1e-12 < w < cap] + [cap]
-
-    def lam_fn(w):
-        return big_lambda(plant, s0, w) - ln_max
-
-    pieces: list[tuple[float, float]] = []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        f_lo, f_hi = lam_fn(lo), lam_fn(hi)
-        if f_lo <= 0.0 and f_hi <= 0.0:
-            pieces.append((lo, hi))
-        elif f_lo <= 0.0 < f_hi:
-            w_star = bracketed_root(lam_fn, Bracket(lo, hi, f_lo, f_hi), 1e-13)
-            pieces.append((lo, w_star))
-        elif f_hi <= 0.0 < f_lo:
-            w_star = bracketed_root(lam_fn, Bracket(lo, hi, f_lo, f_hi), 1e-13)
-            pieces.append((w_star, hi))
-        # both above ln_max: the condition never holds on this monotone piece
-    return _merge_touching(pieces)
-
-
-def _phase_fn(plant: Plant, sigma0: float, h: float):
-    """Scalar ``phi(plant, sigma0, w, h)`` as a function of w, with the
-    constant phase offset computed once rather than on every call."""
-    offset = phi_offset(plant, sigma0)
-
-    def phase(w):
-        return float(_phi1(plant, sigma0, w, h) + offset)
-
-    return phase
-
-
-def phase_monotone_partition(
-    problem: LocusProblem, intervals: list[tuple[float, float]]
-) -> list[MonotoneInterval]:
-    """Split magnitude intervals at phase extrema; record unwrapped phi endpoints."""
-    plant = problem.plant
-    h = plant.delay if problem.kind is LocusKind.GAIN else 0.0
-    splits = phase_extremum_freqs(plant, problem.sigma0, h)
-    phase = _phase_fn(plant, problem.sigma0, h)
-    out: list[MonotoneInterval] = []
-    for lo, hi in intervals:
-        knots = [lo] + [w for w in splits if lo < w < hi] + [hi]
-        for a, b in zip(knots[:-1], knots[1:]):
-            if b - a <= 1e-14 * (1.0 + abs(b)):
-                continue
-            out.append(MonotoneInterval(a, b, phase(a), phase(b)))
-    return out
-
-
-def crossing_direction(problem: LocusProblem, omega_cr: float) -> int:
-    """Gain-case crossing direction -sgn(phi'(omega_cr)); +1 means entering."""
-    d = float(phi_prime(problem.plant, problem.sigma0, omega_cr))
-    if abs(d) < _GRAZE_TOL:
-        raise IllPosedCrossingError(
-            f"grazing boundary crossing at omega = {omega_cr}: phi' = {d:g}"
-        )
-    return -1 if d > 0 else 1
-
-
-def _emit_crossing(problem, omega_cr, lam_cr, direction) -> CriticalPoint:
-    kind = CriticalKind.CROSSING_IN if direction > 0 else CriticalKind.CROSSING_OUT
-    return CriticalPoint(kind, complex(problem.sigma0, omega_cr), lam_cr)
-
-
-def _solve_levels(mi: MonotoneInterval, phi_fn, on_root) -> None:
-    """Solve phi = (2l+1) pi for every reachable integer l on a monotone piece."""
-    phi_min = min(mi.phi_lo, mi.phi_hi)
-    phi_max = max(mi.phi_lo, mi.phi_hi)
-    l_min = math.ceil(phi_min / (2 * math.pi) - 0.5 - 1e-12)
-    l_max = math.floor(phi_max / (2 * math.pi) - 0.5 + 1e-12)
-    for level in range(l_min, l_max + 1):
-        target = (2 * level + 1) * math.pi
-        f_lo = mi.phi_lo - target
-        f_hi = mi.phi_hi - target
-        if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1, f_lo) == math.copysign(1, f_hi):
-            continue
-        w = bracketed_root(lambda x: phi_fn(x) - target, Bracket(mi.lo, mi.hi, f_lo, f_hi), 1e-13)
-        on_root(w)
-
-
-def boundary_crossings_gain(problem: LocusProblem) -> list[CriticalPoint]:
-    """All boundary crossing roots of the gain locus with their directions."""
-    assert problem.kind is LocusKind.GAIN
-    plant = problem.plant
-    s0 = problem.sigma0
-    pieces = phase_monotone_partition(problem, magnitude_intervals(problem))
-    found: list[CriticalPoint] = []
-    phi_fn = _phase_fn(plant, s0, plant.delay)
-
-    for mi in pieces:
-
-        def on_root(w_cr):
-            lam_cr = math.exp(float(big_lambda(plant, s0, w_cr)))
-            if not (0.0 <= lam_cr <= problem.lambda_max * (1.0 + 1e-12)):
-                return
-            direction = crossing_direction(problem, w_cr)
-            found.append(_emit_crossing(problem, w_cr, min(lam_cr, problem.lambda_max), direction))
-
-        _solve_levels(mi, phi_fn, on_root)
-
-    return dedup_points(_with_mirrors(found, plant))
-
-
-def _delay_lam(plant: Plant, s0: float, w):
-    """Delay value at which the boundary magnitude condition holds at s0 + jw."""
-    lam = plant.delay * s0 - big_lambda(plant, s0, w)  # = ln|G(s0+jw)|
-    return lam / s0
-
-
-def _delay_lam_prime(plant: Plant, s0: float, w):
-    return -big_lambda_prime(plant, s0, w) / s0
-
-
-def _delay_cap(problem: LocusProblem, extrema: list[float]) -> float:
+def _cap(problem: LocusProblem, extrema: list[float], beyond) -> float:
+    """First frequency of a doubling sequence past every plant modulus and
+    every magnitude extremum at which ``beyond(w)`` holds: from there on the
+    locus parameter stays out of range."""
     plant = problem.plant
     mods = [abs(v) for v in plant.poles + plant.zeros]
     w = 10.0 * max([1.0] + mods)
     if extrema:
         w = max(w, 1.1 * extrema[-1] + 1.0)
     for _ in range(200):
-        lam = float(_delay_lam(plant, problem.sigma0, w))
-        if lam > 1.05 * problem.lambda_max or lam < -0.05 * problem.lambda_max:
+        if beyond(w):
             return w
         w *= 2.0
     return w
 
 
-def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
-    """Boundary-frequency intervals where the delay value lies in [0, lambda_max]."""
+def _admissible_intervals(
+    problem: LocusProblem, value, bounds: list[tuple[float, bool]], beyond
+) -> list[tuple[float, float]]:
+    """Maximal boundary-frequency intervals where ``value(plant, sigma0, w)``
+    satisfies every ``(bound, keep_below)`` pair: at most ``bound`` when
+    ``keep_below``, at least ``bound`` otherwise.
+
+    ``value`` is monotone between the magnitude extrema, so each piece
+    between consecutive extrema is clipped against each bound by one
+    bracketed root; ``beyond`` places the cap of the scan (see ``_cap``).
+    """
     plant = problem.plant
     s0 = problem.sigma0
     extrema = magnitude_extremum_freqs(plant, s0)
-    cap = _delay_cap(problem, extrema)
+    cap = _cap(problem, extrema, beyond)
     knots = [0.0] + [w for w in extrema if 1e-12 < w < cap] + [cap]
     pieces: list[tuple[float, float]] = []
     for lo, hi in zip(knots[:-1], knots[1:]):
         seg_lo, seg_hi = lo, hi
-        for bound, keep_below in ((problem.lambda_max, True), (0.0, False)):
+        for bound, keep_below in bounds:
 
             def shifted(w):
-                return float(_delay_lam(plant, s0, w)) - bound
+                return float(value(plant, s0, w)) - bound
 
             f_lo, f_hi = shifted(seg_lo), shifted(seg_hi)
             ok_lo = f_lo <= 0.0 if keep_below else f_lo >= 0.0
@@ -363,70 +222,164 @@ def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float
     return _merge_touching(pieces)
 
 
+def magnitude_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
+    """Maximal boundary-frequency intervals where exp(big_lambda) <= lambda_max."""
+    assert problem.kind is LocusKind.GAIN
+    plant = problem.plant
+    ln_max = math.log(problem.lambda_max)
+    if plant.biproper:
+        lam_inf = plant.delay * problem.sigma0 - math.log(abs(plant.gain))
+        target = ln_max + min(2.0, 0.5 * (lam_inf - ln_max))
+    else:
+        target = ln_max + 2.0
+
+    def beyond(w):
+        return big_lambda(plant, problem.sigma0, w) > target
+
+    return _admissible_intervals(problem, big_lambda, [(ln_max, True)], beyond)
+
+
+def _delay_lam(plant: Plant, s0: float, w):
+    """Delay value at which the boundary magnitude condition holds at s0 + jw."""
+    lam = plant.delay * s0 - big_lambda(plant, s0, w)  # = ln|G(s0+jw)|
+    return lam / s0
+
+
+def _delay_lam_prime(plant: Plant, s0: float, w):
+    return -big_lambda_prime(plant, s0, w) / s0
+
+
+def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
+    """Boundary-frequency intervals where the delay value lies in [0, lambda_max]."""
+    lmax = problem.lambda_max
+
+    def beyond(w):
+        lam = float(_delay_lam(problem.plant, problem.sigma0, w))
+        return lam > 1.05 * lmax or lam < -0.05 * lmax
+
+    return _admissible_intervals(problem, _delay_lam, [(lmax, True), (0.0, False)], beyond)
+
+
+def _phase_fn(plant: Plant, sigma0: float, h: float):
+    """Scalar ``phi(plant, sigma0, w, h)`` as a function of w, with the
+    constant phase offset computed once rather than on every call."""
+    offset = phi_offset(plant, sigma0)
+
+    def phase(w):
+        return float(_phi1(plant, sigma0, w, h) + offset)
+
+    return phase
+
+
+def crossing_direction(problem: LocusProblem, omega_cr: float) -> int:
+    """Gain-case crossing direction -sgn(phi'(omega_cr)); +1 means entering."""
+    d = float(phi_prime(problem.plant, problem.sigma0, omega_cr))
+    if abs(d) < _GRAZE_TOL:
+        raise IllPosedCrossingError(
+            f"grazing boundary crossing at omega = {omega_cr}: phi' = {d:g}"
+        )
+    return -1 if d > 0 else 1
+
+
+def _solve_levels(lo: float, hi: float, phase, on_root) -> None:
+    """Solve phase = (2l+1) pi for every reachable integer l on a piece
+    [lo, hi] where the phase is monotone."""
+    phi_lo, phi_hi = phase(lo), phase(hi)
+    l_min = math.ceil(min(phi_lo, phi_hi) / (2 * math.pi) - 0.5 - 1e-12)
+    l_max = math.floor(max(phi_lo, phi_hi) / (2 * math.pi) - 0.5 + 1e-12)
+    for level in range(l_min, l_max + 1):
+        target = (2 * level + 1) * math.pi
+        f_lo = phi_lo - target
+        f_hi = phi_hi - target
+        if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1, f_lo) == math.copysign(1, f_hi):
+            continue
+        w = bracketed_root(lambda x: phase(x) - target, Bracket(lo, hi, f_lo, f_hi), 1e-13)
+        on_root(w)
+
+
 def _sign_flips(values: np.ndarray) -> np.ndarray:
     """Indices i where values[i] and values[i + 1] are nonzero with opposite signs."""
     sign = np.sign(values)
     return np.flatnonzero((sign[:-1] != 0) & (sign[1:] != 0) & (sign[:-1] != sign[1:]))
 
 
-def boundary_crossings_delay(problem: LocusProblem) -> list[CriticalPoint]:
-    """Delay-case boundary crossings via the phase of G alone minus lam(w)*w."""
-    assert problem.kind is LocusKind.DELAY
+def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
+    """All boundary crossing roots on Re(s) = sigma0, with their directions.
+
+    On each interval where the locus parameter lam(w) is in range, the
+    phase is split into monotone pieces where it turns, and phase =
+    (2l+1) pi is solved on every piece.  The two locus kinds differ only in
+    the phase, where it turns, lam(w) and the direction rule.
+    """
     plant = problem.plant
     s0 = problem.sigma0
-    phase = _phase_fn(plant, s0, 0.0)
+    lmax = problem.lambda_max
+    if problem.kind is LocusKind.GAIN:
+        intervals = magnitude_intervals(problem)
+        phase = _phase_fn(plant, s0, plant.delay)
+        splits = phase_extremum_freqs(plant, s0, plant.delay)
 
-    def psi(w):
-        return phase(w) - float(_delay_lam(plant, s0, w)) * w
+        def turns(lo, hi):
+            return [w for w in splits if lo < w < hi]
 
-    def psi_prime_vec(w):
-        return (
-            phi_prime(plant, s0, w, 0.0)
-            - _delay_lam_prime(plant, s0, w) * w
-            - _delay_lam(plant, s0, w)
-        )
+        def lam_at(w):
+            return math.exp(float(big_lambda(plant, s0, w)))
+
+        def direction(w, lam):
+            return crossing_direction(problem, w)
+
+    else:
+        intervals = delay_admissible_intervals(problem)
+        phase_g = _phase_fn(plant, s0, 0.0)
+
+        def lam_at(w):
+            return float(_delay_lam(plant, s0, w))
+
+        def phase(w):
+            # psi: the phase of G alone minus lam(w) * w
+            return phase_g(w) - lam_at(w) * w
+
+        def psi_prime(w):
+            return (
+                phi_prime(plant, s0, w, 0.0)
+                - _delay_lam_prime(plant, s0, w) * w
+                - _delay_lam(plant, s0, w)
+            )
+
+        def turns(lo, hi):
+            # the sign changes of psi' on a uniform grid, refined
+            n = int(1e4 * (1.0 + lmax * (hi - lo) / (2 * math.pi)))
+            grid = np.linspace(lo, hi, min(max(n, 200), 400000))
+            dp = np.asarray(psi_prime(grid))
+            return [
+                bracketed_root(
+                    lambda x: float(psi_prime(x)),
+                    Bracket(grid[i], grid[i + 1], dp[i], dp[i + 1]),
+                    1e-13,
+                )
+                for i in _sign_flips(dp)
+            ]
+
+        def direction(w, lam):
+            u = problem.evaluate(s0, w, lam)[2] - lam
+            val = (complex(s0, w) / u).real if u != 0 else 0.0
+            if abs(val) < _GRAZE_TOL:
+                raise IllPosedCrossingError(f"grazing delay-locus crossing at omega = {w}")
+            return 1 if val > 0 else -1
 
     found: list[CriticalPoint] = []
-    for lo, hi in delay_admissible_intervals(problem):
-        # monotone partition of psi by derivative sign scanning
-        n = int(1e4 * (1.0 + problem.lambda_max * (hi - lo) / (2 * math.pi)))
-        n = min(max(n, 200), 400000)
-        grid = np.linspace(lo, hi, n)
-        dp = np.asarray(psi_prime_vec(grid))
-        knots = [lo]
-        for i in _sign_flips(dp):
-            w_star = bracketed_root(
-                lambda x: float(psi_prime_vec(x)),
-                Bracket(grid[i], grid[i + 1], dp[i], dp[i + 1]),
-                1e-13,
-            )
-            knots.append(w_star)
-        knots.append(hi)
+
+    def on_root(w):
+        lam = lam_at(w)
+        if not (-1e-12 <= lam <= lmax * (1.0 + 1e-12)):
+            return
+        lam = min(max(lam, 0.0), lmax)
+        kind = CriticalKind.CROSSING_IN if direction(w, lam) > 0 else CriticalKind.CROSSING_OUT
+        found.append(CriticalPoint(kind, complex(s0, w), lam))
+
+    for lo, hi in intervals:
+        knots = [lo] + turns(lo, hi) + [hi]
         for a, b in zip(knots[:-1], knots[1:]):
-            if b - a <= 1e-13:
-                continue
-            mi = MonotoneInterval(a, b, psi(a), psi(b))
-
-            def on_root(w_cr):
-                lam_cr = float(_delay_lam(plant, s0, w_cr))
-                if not (-1e-12 <= lam_cr <= problem.lambda_max * (1.0 + 1e-12)):
-                    return
-                lam_cr = min(max(lam_cr, 0.0), problem.lambda_max)
-                s = complex(s0, w_cr)
-                u = problem.evaluate(s0, w_cr, lam_cr)[2] - lam_cr
-                val = (s / u).real if u != 0 else 0.0
-                if abs(val) < _GRAZE_TOL:
-                    raise IllPosedCrossingError(
-                        f"grazing delay-locus crossing at omega = {w_cr}"
-                    )
-                found.append(_emit_crossing(problem, w_cr, lam_cr, 1 if val > 0 else -1))
-
-            _solve_levels(mi, psi, on_root)
-
+            if b - a > 1e-14 * (1.0 + abs(b)):
+                _solve_levels(a, b, phase, on_root)
     return dedup_points(_with_mirrors(found, plant))
-
-
-def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
-    if problem.kind is LocusKind.GAIN:
-        return boundary_crossings_gain(problem)
-    return boundary_crossings_delay(problem)

@@ -29,7 +29,8 @@ from .engine import ImagAxisEvent, RootLocusResult
 from .errors import ParseError, ValidationError
 from .plant import LocusKind, LocusProblem, Plant
 
-_CONFIG_FIELDS = {f.name for f in fields(ContinuationConfig)}
+# field name -> annotation ("float", "int" or "float | None")
+_CONFIG_TYPES = {f.name: f.type for f in fields(ContinuationConfig)}
 
 
 def _fmt(x) -> str:
@@ -49,10 +50,8 @@ def _complex_list(raw, where):
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2):
             raise ParseError(f"{where}[{i}]: expected an [re, im] pair")
-        try:
-            out.append(complex(float(item[0]), float(item[1])))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}[{i}]: non-numeric entry: {exc}") from exc
+        re, im = (_real(v, f"{where}[{i}][{j}]") for j, v in enumerate(item))
+        out.append(complex(re, im))
     return tuple(out)
 
 
@@ -60,6 +59,18 @@ def _real(raw, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{where}: expected a real number, got {raw!r}")
     return float(raw)
+
+
+def _config_value(raw, name, where):
+    """A continuation override checked against the annotation of its field."""
+    kind = _CONFIG_TYPES[name]
+    if raw is None and kind == "float | None":
+        return None
+    if kind == "int":
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise ParseError(f"{where}: expected an integer, got {raw!r}")
+        return raw
+    return _real(raw, where)
 
 
 def parse_problem_dict(doc: dict, where: str = "problem") -> tuple[LocusProblem, ContinuationConfig]:
@@ -91,13 +102,20 @@ def parse_problem_dict(doc: dict, where: str = "problem") -> tuple[LocusProblem,
     overrides = doc.get("continuation", {})
     if not isinstance(overrides, dict):
         raise ParseError(f"{where}.continuation: expected an object")
-    unknown = set(overrides) - _CONFIG_FIELDS
+    unknown = set(overrides) - set(_CONFIG_TYPES)
     if unknown:
         raise ParseError(
             f"{where}.continuation: unknown fields {sorted(unknown)}; "
-            f"valid fields are {sorted(_CONFIG_FIELDS)}"
+            f"valid fields are {sorted(_CONFIG_TYPES)}"
         )
-    config = ContinuationConfig(**overrides)
+    values = {
+        name: _config_value(raw, name, f"{where}.continuation.{name}")
+        for name, raw in overrides.items()
+    }
+    try:
+        config = ContinuationConfig(**values)
+    except ValueError as exc:
+        raise ValidationError(f"{where}.continuation: {exc}") from None
     return problem, config
 
 

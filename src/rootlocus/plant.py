@@ -79,10 +79,12 @@ class Plant:
             raise ValidationError(
                 f"plant must be proper: {len(self.poles)} poles < {len(self.zeros)} zeros"
             )
-        if self.gain == 0.0:
-            raise ValidationError("plant gain must be nonzero")
-        if not self.delay > 0.0:
-            raise ValidationError("dead time must be positive")
+        if not all(map(cmath.isfinite, self.poles + self.zeros)):
+            raise ValidationError("plant poles and zeros must be finite")
+        if self.gain == 0.0 or not math.isfinite(self.gain):
+            raise ValidationError(f"plant gain must be finite and nonzero, got {self.gain}")
+        if not 0.0 < self.delay < math.inf:
+            raise ValidationError(f"dead time must be positive and finite, got {self.delay}")
         if len(self.poles) + len(self.zeros) > MAX_POLE_ZERO_COUNT:
             raise ValidationError(
                 f"pole+zero count {len(self.poles) + len(self.zeros)} exceeds "
@@ -209,10 +211,14 @@ class LocusProblem:
     def __post_init__(self):
         object.__setattr__(self, "sigma0", float(self.sigma0))
         object.__setattr__(self, "lambda_max", float(self.lambda_max))
-        if not self.sigma0 < 0.0:
-            raise ValidationError(f"region abscissa sigma0 must be negative, got {self.sigma0}")
-        if not self.lambda_max > 0.0:
-            raise ValidationError(f"lambda_max must be positive, got {self.lambda_max}")
+        if not -math.inf < self.sigma0 < 0.0:
+            raise ValidationError(
+                f"region abscissa sigma0 must be negative and finite, got {self.sigma0}"
+            )
+        if not 0.0 < self.lambda_max < math.inf:
+            raise ValidationError(
+                f"lambda_max must be positive and finite, got {self.lambda_max}"
+            )
         # the proximity tolerance of transfer at s = sigma0, where the crossing
         # search evaluates G (phi_offset)
         tol = 1e-9 * (1.0 + abs(self.sigma0))

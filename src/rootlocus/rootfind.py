@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,13 +50,6 @@ class RealPolynomial:
     def is_zero(self) -> bool:
         return self.coefficients == (0.0,)
 
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients))
-
-    def derivative(self) -> "RealPolynomial":
-        d = np.polynomial.polynomial.polyder(np.asarray(self.coefficients))
-        return RealPolynomial(tuple(d) if d.size else (0.0,))
-
 
 @dataclass(frozen=True)
 class Bracket:
@@ -86,14 +80,15 @@ def bracketed_root(f, bracket: Bracket, tol: float) -> float:
     return float(brentq(f, bracket.lo, bracket.hi, xtol=tol, maxiter=200))
 
 
-def _newton_polish_real(coeffs: np.ndarray, dcoeffs: np.ndarray, x: float, steps: int = 5) -> float:
+def _newton_polish(f, df, x, steps: int = 5):
+    """At most ``steps`` Newton steps on f from x, real or complex; stops at a
+    zero derivative, a non-finite step or a step below rounding."""
     for _ in range(steps):
-        fx = np.polynomial.polynomial.polyval(x, coeffs)
-        dfx = np.polynomial.polynomial.polyval(x, dcoeffs)
-        if dfx == 0.0:
+        dfx = df(x)
+        if dfx == 0:
             break
-        step = fx / dfx
-        if not np.isfinite(step):
+        step = f(x) / dfx
+        if not np.isfinite(abs(step)):
             break
         x -= step
         if abs(step) < 1e-15 * (1.0 + abs(x)):
@@ -114,11 +109,12 @@ def real_nonneg_roots(p: RealPolynomial) -> list[float]:
         return []
     raw = np.polynomial.polynomial.polyroots(c)
     dc = np.polynomial.polynomial.polyder(c)
+    polyval = np.polynomial.polynomial.polyval
     out: list[float] = []
     for r in raw:
         if abs(r.imag) >= _REAL_IM_TOL * (1.0 + abs(r.real)):
             continue
-        x = _newton_polish_real(c, dc, float(r.real))
+        x = _newton_polish(lambda x: polyval(x, c), lambda x: polyval(x, dc), float(r.real))
         if x < -_DEDUP_TOL:
             continue
         out.append(x if x > 0.0 else 0.0)
@@ -238,25 +234,6 @@ def poly_from_roots(roots) -> np.ndarray:
     return acc
 
 
-def _polish_complex(coeffs_desc: np.ndarray, roots: np.ndarray, steps: int = 5) -> np.ndarray:
-    d = np.polyder(coeffs_desc)
-    out = []
-    for r in roots:
-        x = complex(r)
-        for _ in range(steps):
-            dfx = np.polyval(d, x)
-            if dfx == 0:
-                break
-            step = np.polyval(coeffs_desc, x) / dfx
-            if not np.isfinite(abs(step)):
-                break
-            x -= step
-            if abs(step) < 1e-15 * (1.0 + abs(x)):
-                break
-        out.append(x)
-    return np.asarray(out)
-
-
 def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
     """Zeros of a structured rational function built from the plant.
 
@@ -286,6 +263,6 @@ def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
     num = np.trim_zeros(num, "f")
     if num.size <= 1:
         return []
-    roots = np.roots(num)
-    roots = _polish_complex(num, roots)
-    return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
+    f, df = partial(np.polyval, num), partial(np.polyval, np.polyder(num))
+    roots = [complex(_newton_polish(f, df, complex(r))) for r in np.roots(num)]
+    return sorted(roots, key=lambda c: (c.real, c.imag))

@@ -95,3 +95,30 @@ def test_log_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ROOTLOCUS_LOG", "INFO")
     problem = _write_problem(tmp_path, PROBLEM)
     assert main(["compute", problem, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "plant, locus, code",
+    [
+        ({"poles": [[float("nan"), 0.0]]}, {}, EXIT_VALIDATION),
+        ({"delay": float("inf")}, {}, EXIT_VALIDATION),
+        ({}, {"sigma0": float("-inf")}, EXIT_VALIDATION),
+        ({"poles": [[True, False]]}, {}, EXIT_PARSE),
+        ({"poles": [["-1", "0"]]}, {}, EXIT_PARSE),
+    ],
+)
+def test_non_finite_and_non_numeric_problems_exit_code(tmp_path, capsys, plant, locus, code):
+    doc = {
+        "plant": {"zeros": [], "poles": [[-1.0, 0.0]], "gain": 1.0, "delay": 1.0, **plant},
+        "locus": {"kind": "gain", "sigma0": -0.5, "lambda_max": 1.0, **locus},
+    }
+    problem = _write_problem(tmp_path, doc)
+    assert main(["compute", problem, "--out", str(tmp_path / "out")]) == code
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [{"h0": "x"}, {"max_newton_iters": 2.5}])
+def test_continuation_override_of_the_wrong_type_exit_code(tmp_path, capsys, overrides):
+    problem = _write_problem(tmp_path, dict(PROBLEM, continuation=overrides))
+    assert main(["compute", problem, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert f"continuation.{next(iter(overrides))}" in capsys.readouterr().err

@@ -15,15 +15,13 @@ from rootlocus.critical import (
     _delay_lam,
     _delay_lam_prime,
     _sign_flips,
+    _phase_fn,
     boundary_crossings,
-    boundary_crossings_delay,
-    boundary_crossings_gain,
     branch_points_gain,
     crossing_direction,
     dedup_points,
     delay_admissible_intervals,
     magnitude_intervals,
-    phase_monotone_partition,
     starting_points,
 )
 from rootlocus.errors import PoleZeroProximityError
@@ -119,22 +117,19 @@ def test_magnitude_intervals_empty_when_lambda_max_tiny():
     assert magnitude_intervals(problem) == []
 
 
-def test_phase_monotone_partition_first_order():
+def test_phase_fn_equals_phi_at_the_interval_ends():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
-    mags = magnitude_intervals(problem)
-    partition = phase_monotone_partition(problem, mags)
-    assert len(partition) == 1
-    mi = partition[0]
-    assert (mi.lo, mi.hi) == pytest.approx(mags[0])
-    # the partition computes the phase offset once; the values stay phi's bits
-    assert mi.phi_lo == phi(problem.plant, -0.5, mi.lo)
-    assert mi.phi_hi == phi(problem.plant, -0.5, mi.hi)
-    assert mi.phi_hi < mi.phi_lo  # phi' < 0 everywhere here
+    (lo, hi), = magnitude_intervals(problem)
+    phase = _phase_fn(problem.plant, -0.5, problem.plant.delay)
+    # the phase offset is computed once; the values stay phi's bits
+    assert phase(lo) == phi(problem.plant, -0.5, lo)
+    assert phase(hi) == phi(problem.plant, -0.5, hi)
+    assert phase(hi) < phase(lo)  # phi' < 0 everywhere here
 
 
 def test_boundary_crossings_gain_first_order():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
-    crossings = boundary_crossings_gain(problem)
+    crossings = boundary_crossings(problem)
     assert len(crossings) == 2  # mirrored +/- omega pair
     top = [c for c in crossings if c.root.imag > 0][0]
     w = top.root.imag
@@ -150,7 +145,7 @@ def test_boundary_crossings_gain_first_order():
 def test_boundary_crossings_gain_mirror_every_crossing():
     # the scan covers omega >= 0 only; a conjugate-symmetric plant gets the
     # mirror image of every crossing
-    found = boundary_crossings_gain(example3_problem())
+    found = boundary_crossings(example3_problem())
     assert any(abs(cp.root.imag) > 1e-6 for cp in found)
     for cp in found:
         assert any(
@@ -242,7 +237,7 @@ def test_branch_points_gain_skips_a_candidate_at_a_pole():
 
 def test_boundary_crossings_gain_excluded_by_lambda_max():
     problem = _gain_problem(first_order_plant(), -0.5, 1.0)
-    assert boundary_crossings_gain(problem) == []
+    assert boundary_crossings(problem) == []
 
 
 def test_crossing_direction_first_order():
@@ -276,10 +271,19 @@ def test_delay_lambda_at_zero():
     assert _delay_lam(plant, -4.0, 0.0) == pytest.approx(0.10137, abs=1e-5)
 
 
+def test_delay_admissible_intervals_clip_both_sides_closed_form():
+    # G = 2/(s+1) on sigma0 = -0.5: lam(w) = ln((0.25 + w^2)/4) rises from
+    # lam(0) < 0, so the interval starts where lam = 0 and ends where lam = 1
+    problem = LocusProblem(LocusKind.DELAY, -0.5, 1.0, first_order_plant(gain=2.0))
+    (lo, hi), = delay_admissible_intervals(problem)
+    assert lo == pytest.approx(math.sqrt(3.75), abs=1e-9)
+    assert hi == pytest.approx(math.sqrt(4.0 * math.e - 0.25), abs=1e-9)
+
+
 def test_boundary_crossings_delay_example1_against_grid_oracle():
     problem = example1_problem()
     plant, s0, lmax = problem.plant, problem.sigma0, problem.lambda_max
-    crossings = boundary_crossings_delay(problem)
+    crossings = boundary_crossings(problem)
     assert crossings
 
     # independent oracle: scan the wrapped phase residual of the boundary
@@ -336,7 +340,7 @@ def _seeded_delay_problems(count, seed):
 
 
 def test_sign_flips_match_the_per_index_loop():
-    # psi' on the grids that boundary_crossings_delay scans
+    # psi' on the grids that boundary_crossings scans for the delay locus
     flips = []
     for problem in [example1_problem()] + _seeded_delay_problems(11, 1):
         flips.append(0)
@@ -363,15 +367,4 @@ def test_boundary_crossings_delay_empty():
     # min lam(omega) = lam(0) = ln(0.5)/(-0.5) = 1.386 exceeds lambda_max
     plant = Plant(zeros=(), poles=(-1.0,), gain=0.25, delay=1.0)
     problem = LocusProblem(LocusKind.DELAY, -0.5, 0.5, plant)
-    assert boundary_crossings_delay(problem) == []
-
-
-def test_boundary_crossings_dispatch():
-    g = _gain_problem(first_order_plant(), -0.5, 2.0)
-    assert [c.lam for c in boundary_crossings(g)] == [
-        c.lam for c in boundary_crossings_gain(g)
-    ]
-    d = example1_problem()
-    assert [c.lam for c in boundary_crossings(d)] == [
-        c.lam for c in boundary_crossings_delay(d)
-    ]
+    assert boundary_crossings(problem) == []

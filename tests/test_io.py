@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,64 @@ def test_validation_biproper_bound_message(tmp_path):
     }
     with pytest.raises(ValidationError, match="lambda_max"):
         parse_problem(_write(tmp_path, doc))
+
+
+def _doc(plant=None, locus=None, continuation=None):
+    """A one-pole gain problem with the given plant and locus fields replaced."""
+    doc = {
+        "plant": {"zeros": [], "poles": [[-1.0, 0.0]], "gain": 1.0, "delay": 1.0},
+        "locus": {"kind": "gain", "sigma0": -0.5, "lambda_max": 1.0},
+    }
+    doc["plant"].update(plant or {})
+    doc["locus"].update(locus or {})
+    if continuation is not None:
+        doc["continuation"] = continuation
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _doc(locus={"lambda_max": math.inf}),
+        _doc(locus={"sigma0": -math.inf}),
+        _doc(plant={"gain": math.inf}),
+        _doc(plant={"delay": math.inf}),
+        _doc(plant={"poles": [[math.nan, 0.0]]}),
+        _doc(plant={"zeros": [[math.inf, 0.0]], "poles": [[-1.0, 0.0], [-2.0, 0.0]]}),
+    ],
+)
+def test_validation_rejects_non_finite_json_numbers(tmp_path, doc):
+    # json writes these as Infinity and NaN, and json.load reads them back
+    assert "Infinity" in json.dumps(doc) or "NaN" in json.dumps(doc)
+    with pytest.raises(ValidationError, match="finite"):
+        parse_problem(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_doc(plant={"poles": [[True, False]]}), "plant.poles[0][0]"),
+        (_doc(plant={"poles": [["-1", "0"]]}), "plant.poles[0][0]"),
+        (_doc(plant={"zeros": [[-2.0, None]], "poles": [[-1, 0], [-3, 0]]}), "plant.zeros[0][1]"),
+        (_doc(continuation={"h0": "x"}), "continuation.h0"),
+        (_doc(continuation={"corrector_tol": [1e-6]}), "continuation.corrector_tol"),
+        (_doc(continuation={"max_newton_iters": 2.5}), "continuation.max_newton_iters"),
+        (_doc(continuation={"max_points": True}), "continuation.max_points"),
+    ],
+)
+def test_parse_rejects_non_numbers(tmp_path, doc, field):
+    with pytest.raises(ParseError, match=re.escape(field)):
+        parse_problem(_write(tmp_path, doc))
+
+
+def test_parse_continuation_types(tmp_path):
+    doc = _doc(continuation={"h0": None, "h_max": 2, "max_newton_iters": 7, "max_points": 500})
+    problem, config = parse_problem(_write(tmp_path, doc))
+    assert problem.plant.poles == (complex(-1.0, 0.0),)
+    assert config.h0 is None and config.max_newton_iters == 7 and config.max_points == 500
+    assert config.h_max == 2.0
+    with pytest.raises(ValidationError, match=r"continuation.*h0"):
+        parse_problem(_write(tmp_path, _doc(continuation={"h0": 5.0})))
 
 
 def test_problem_dict_round_trip():

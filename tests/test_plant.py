@@ -254,6 +254,27 @@ def test_plant_validation():
         Plant(zeros=(-1.0,) * 31, poles=(-2.0,) * 31, gain=1.0, delay=1.0)  # size cap
 
 
+@pytest.mark.parametrize(
+    "zeros, poles, gain, delay",
+    [
+        ((), (complex(math.nan, 0.0),), 1.0, 1.0),
+        ((complex(-1.0, math.inf),), (-2.0,), 1.0, 1.0),
+        ((), (-1.0,), math.inf, 1.0),
+        ((), (-1.0,), math.nan, 1.0),
+        ((), (-1.0,), 1.0, math.inf),
+    ],
+)
+def test_plant_validation_rejects_non_finite_numbers(zeros, poles, gain, delay):
+    with pytest.raises(ValidationError, match="finite"):
+        Plant(zeros=zeros, poles=poles, gain=gain, delay=delay)
+
+
+@pytest.mark.parametrize("sigma0, lambda_max", [(-math.inf, 1.0), (-0.5, math.inf)])
+def test_problem_validation_rejects_non_finite_numbers(sigma0, lambda_max):
+    with pytest.raises(ValidationError, match="finite"):
+        LocusProblem(LocusKind.GAIN, sigma0, lambda_max, first_order_plant())
+
+
 def test_problem_validation_region():
     plant = first_order_plant()
     with pytest.raises(ValidationError):

@@ -23,8 +23,7 @@ from conftest import example3_problem, first_order_plant
 def test_polynomial_trim_and_degree():
     p = RealPolynomial((1.0, 2.0, 0.0, 1e-20))
     assert p.degree == 1
-    assert p(3.0) == pytest.approx(7.0)
-    assert p.derivative().coefficients == (2.0,)
+    assert p.coefficients == (1.0, 2.0)
     assert RealPolynomial((0.0, 0.0)).is_zero
     with pytest.raises(DegenerateError):
         RealPolynomial(())

@@ -5,13 +5,13 @@ builders of ``perfbench/workloads.py`` from that checkout):
 
     python3 tools/result_digest.py
 
-It solves the reference, random_gain and random_delay problems at benchmark
-seeds 1 and 2 (108 runs) and hashes, for each run, the bytes that
-``emit_results`` writes plus every trajectory point, critical point (with its
-directions), imaginary-axis event, stability interval, the initial unstable
-count, every trajectory's origin, termination and note, and every warning,
-with floats in hex.  It prints one sha256 per (workload, seed), over the
-run digests of that pair, so a mismatch names the workload, and then the
+It solves the reference problems once and the random_gain and random_delay
+problems at benchmark seeds 1 and 2 (104 runs), and hashes, for each run, the
+bytes that ``emit_results`` writes plus every trajectory point, critical point
+(with its directions), imaginary-axis event, stability interval, the initial
+unstable count, every trajectory's origin, termination and note, and every
+warning, with floats in hex.  It prints one sha256 per (workload, seed), over
+the run digests of that pair, so a mismatch names the workload, and then the
 total over all runs.  Two checkouts that print the same digest computed the
 same bits; a change meant to be bit-identical is checked by running this on
 the parent and on the change.
@@ -80,6 +80,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in WORKLOADS:
+                if workload == "reference" and seed != SEEDS[0]:
+                    continue  # the reference problems do not depend on the seed
                 part = hashlib.sha256()
                 problems = workloads.build(workload, seed)
                 for i, problem in enumerate(problems):
