@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _dgesv
-from scipy.optimize import brentq
 
 from . import localmodel
 from .critical import CriticalKind, CriticalPoint, branch_point
@@ -25,6 +24,7 @@ from .errors import (
     PoleZeroProximityError,
 )
 from .plant import LocusKind, LocusProblem
+from .rootfind import Bracket, bracketed_root
 
 _LAMBDA_NOISE_REL = 1e-12
 _REAL_AXIS_SAMPLES = 400
@@ -550,7 +550,8 @@ def real_axis_segments(
         # clip the far end at lambda_max
         if lam_to > problem.lambda_max:
             f = lambda x: lam_of(x) - problem.lambda_max
-            x_to = float(brentq(f, min(x_from, x_to), max(x_from, x_to), xtol=1e-13))
+            x_lo, x_hi = min(x_from, x_to), max(x_from, x_to)
+            x_to = bracketed_root(f, Bracket(x_lo, x_hi, f(x_lo), f(x_hi)), 1e-13)
             lam_to = problem.lambda_max
             clipped = True
         else:

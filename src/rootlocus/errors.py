@@ -26,7 +26,7 @@ class BracketError(RootLocusError):
 
 
 class NoConvergenceError(RootLocusError):
-    """Newton iteration failed to converge within the iteration budget."""
+    """An iterative solve (Newton or Brent) failed to converge within its budget."""
 
 
 class JacobianSingularError(RootLocusError):

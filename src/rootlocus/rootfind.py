@@ -3,24 +3,28 @@
 Polynomials are stored as ascending-degree real coefficient arrays.  The
 boundary-extremum polynomials are assembled by explicit convolution with
 rescaling after each product, then solved through companion-matrix
-eigenvalues with a short Newton polish.
+eigenvalues with a short Newton polish.  Scalar roots on a sign-changing
+bracket come from Brent's method (Brent, *Algorithms for Minimization
+Without Derivatives*, 1973), as Charles Harris's C ``brentq`` runs it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketError, DegenerateError
+from .errors import BracketError, DegenerateError, NoConvergenceError
 from .plant import Plant
 
 _TRIM_REL = 1e-14
 _REAL_IM_TOL = 1e-7
 _DEDUP_TOL = 1e-8
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,76 @@ class Bracket:
 
 
 def bracketed_root(f, bracket: Bracket, tol: float) -> float:
-    """Brent's method on a valid bracket; endpoint roots are returned directly."""
+    """Brent's method on a valid bracket; endpoint roots are returned directly.
+
+    Step for step Charles Harris's C ``brentq`` with ``xtol=tol``, ``rtol``
+    4 eps and 200 iterations, so it returns the same float.  A NaN value of
+    f or a run that does not converge raises ``NoConvergenceError``; ends
+    whose values have the same sign raise ``BracketError``.
+    """
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    return float(brentq(f, bracket.lo, bracket.hi, xtol=tol, maxiter=200))
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise NoConvergenceError(f"Brent's method: f is NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(bracket.lo), float(bracket.hi)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change on [{xpre}, {xcur}]: f={fpre:g}, {fcur:g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (tol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; where C divides by zero it gets an inf or a
+                # NaN, which fails the test below just as inf does
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NoConvergenceError(
+        f"Brent's method did not converge in {_BRENT_MAXITER} iterations; last x = {xcur!r}"
+    )
 
 
 def _newton_polish(f, df, x, steps: int = 5):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +124,14 @@ def test_continuation_override_of_the_wrong_type_exit_code(tmp_path, capsys, ove
     problem = _write_problem(tmp_path, dict(PROBLEM, continuation=overrides))
     assert main(["compute", problem, "--out", str(tmp_path / "out")]) == EXIT_PARSE
     assert f"continuation.{next(iter(overrides))}" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing the library and its CLI in a
+    # fresh interpreter must not load any part of it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, rootlocus, rootlocus.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

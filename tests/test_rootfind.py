@@ -1,11 +1,14 @@
 """Scalar and polynomial root-finding utilities."""
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
-from rootlocus.errors import BracketError, DegenerateError
+from rootlocus import rootfind
+from rootlocus.errors import BracketError, DegenerateError, NoConvergenceError
 from rootlocus.plant import Plant, big_lambda_prime, phi_prime
 from rootlocus.rootfind import (
     Bracket,
@@ -56,6 +59,78 @@ def test_bracketed_root_boundary_phase():
     root = bracketed_root(f, Bracket(1.0, 3.0, f(1.0), f(3.0)), 1e-12)
     assert abs(math.atan(2.0 * root) + root - math.pi) < 1e-10
     assert root == pytest.approx(1.8366, abs=5e-4)
+
+
+def test_bracketed_root_nan_value_is_no_convergence():
+    f = lambda x: x - 0.3 if x < 0.5 else math.nan
+    with pytest.raises(NoConvergenceError, match=r"NaN at x = 1\.0"):
+        bracketed_root(f, Bracket(0.0, 1.0, -0.3, 0.7), 1e-13)
+
+
+def test_bracketed_root_budget_is_no_convergence():
+    # halving [-1e300, 1e300] down to a 1e-13 bracket takes over 1000 steps
+    f = lambda x: 1.0 if x > 0.3 else -1.0
+    with pytest.raises(NoConvergenceError, match="200 iterations; last x = "):
+        bracketed_root(f, Bracket(-1e300, 1e300, -1.0, 1.0), 1e-13)
+
+
+def test_bracketed_root_same_sign_ends_is_bracket_error():
+    # the bracket claims a sign change that f does not have
+    with pytest.raises(BracketError):
+        bracketed_root(lambda x: 1.0 + x, Bracket(0.0, 1.0, -1.0, 1.0), 1e-13)
+
+
+def _brent_case(rng):
+    """(f, lo, hi) of a seeded family: smooth, near-step, step or cubic, at
+    scales from 1e-300 to 1e300, some with the root at 0.0, and some cubics
+    starting exactly at their root, with f(lo) = +0.0 or -0.0."""
+    r = 0.0 if rng.random() < 0.2 else rng.uniform(-3.0, 3.0)
+    lo, hi = sorted(rng.uniform(-10.0, 10.0) for _ in range(2))
+    scale = 10.0 ** rng.uniform(-300.0, 300.0) if rng.random() < 0.3 else 1.0
+    kind = rng.randrange(5)
+    if kind == 0:
+        a, c = rng.uniform(0.1, 5.0), rng.uniform(-0.2, 0.2)
+        return (lambda x: scale * (math.atan(a * (x - r)) + c * math.sin(x - r) * (x - r))), lo, hi
+    if kind == 1:
+        w = 10.0 ** rng.uniform(-12.0, -1.0)
+        return (lambda x: scale * math.tanh((x - r) / w)), lo, hi
+    if kind == 2:
+        return (lambda x: scale if x > r else -scale), -1e300, 1e300
+    if kind == 3:
+        return (lambda x: scale * (x - r) ** 3), lo, hi
+    b, c, sign = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0), rng.choice((scale, -scale))
+    if rng.random() < 0.1:
+        lo, hi = (r, max(hi, r + 1.0)) if rng.random() < 0.5 else (min(lo, r - 1.0), r)
+    return (lambda x: sign * (x - r) * ((x - b) * (x - b) + c)), lo, hi
+
+
+def test_bracketed_root_matches_scipy_brentq_bit_for_bit(monkeypatch):
+    # scipy's brentq as an independent oracle: the same float, or a failure
+    # where it fails (a run past the budget names the same last x); the
+    # coarse tolerance 0.5 reaches the -delta of the step-acceptance test
+    from scipy.optimize import brentq
+
+    rng = random.Random(20260418)
+    checked = failed = endpoint_zeros = 0
+    while checked < 3000:
+        f, lo, hi = _brent_case(rng)
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
+            continue
+        tol = rng.choice((1e-13, 1e-8, 5e-324, 0.5))
+        maxiter = rng.choice((5, 200))
+        monkeypatch.setattr(rootfind, "_BRENT_MAXITER", maxiter)
+        want, info = brentq(f, lo, hi, xtol=tol, maxiter=maxiter, full_output=True, disp=False)
+        if info.converged:
+            got = bracketed_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
+            assert got.hex() == want.hex(), (lo, hi, tol, maxiter)
+        else:
+            with pytest.raises(NoConvergenceError, match=re.escape(f"last x = {want!r}") + "$"):
+                bracketed_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
+            failed += 1
+        endpoint_zeros += f_lo == 0.0 or f_hi == 0.0
+        checked += 1
+    assert failed > 100 and endpoint_zeros > 20
 
 
 def test_real_nonneg_roots():
