@@ -24,7 +24,7 @@ from .errors import (
     PoleZeroProximityError,
 )
 from .plant import LocusKind, LocusProblem
-from .rootfind import Bracket, bracketed_root
+from .rootfind import bracketed_root
 
 _LAMBDA_NOISE_REL = 1e-12
 _REAL_AXIS_SAMPLES = 400
@@ -153,15 +153,6 @@ def _located_point(problem: LocusProblem, y: np.ndarray, step: float) -> Traject
     """The point y = (sigma, omega, lam), as plain floats, with its Cartesian residual."""
     sigma, omega, lam = y.tolist()
     return TrajectoryPoint(sigma, omega, lam, problem.cartesian_residual(sigma, omega, lam), step)
-
-
-def initial_tangent(problem: LocusProblem, point: CriticalPoint) -> np.ndarray:
-    """Unit tangent (Re ds, Im ds, dlam), dlam > 0, at a start or crossing point."""
-    if point.multiplicity > 1:
-        raise JacobianSingularError(
-            "tangent is singular at a multiple root; use the branch ray structure"
-        )
-    return localmodel.initial_tangent_simple(problem, point.root, point.lam)
 
 
 def predict(prev: TrajectoryPoint, curr: TrajectoryPoint, step: float) -> np.ndarray:
@@ -304,13 +295,14 @@ def trace_trajectory(
     registry: BranchRegistry,
     config: ContinuationConfig,
     origin_record: _BranchRecord | None = None,
-    first_prediction: np.ndarray | None = None,
     spawn_ray: complex | None = None,
 ) -> tuple[Trajectory, _BranchRecord | None]:
     """Trace one trajectory from a critical point until a termination condition.
 
-    Returns the trajectory and, when it merged at a branch point, the branch
-    record the caller uses to spawn outgoing branches.
+    A trajectory leaving a multiple point along ``spawn_ray`` takes its first
+    point from ``branch_spawn_prediction`` at the current step.  Returns the
+    trajectory and, when it merged at a branch point, the branch record the
+    caller uses to spawn outgoing branches.
     """
     y0 = (origin.root.real, origin.root.imag, float(origin.lam))
     try:
@@ -321,16 +313,12 @@ def trace_trajectory(
     h = config.resolved_h0(problem)
     d = np.asarray(direction, dtype=float)
     d = d / _norm(d)
-    pending_first = first_prediction
 
     def shrink(step: float):
-        nonlocal h, d, pending_first
+        nonlocal h, d
         h = step
-        pending_first = None
-        # a shortened first step from a multiple point must be re-placed on
-        # the ray model; tangent extrapolation has the wrong parameter scaling
         if spawn_ray is not None and len(points) == 1:
-            pending_first, d = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)
+            d = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)[1]
 
     def end(termination: Termination, note: str = ""):
         return Trajectory(origin, points, termination, note), None
@@ -348,8 +336,10 @@ def trace_trajectory(
             d = d / _norm(d)
         halvings = 0
         while True:
-            if pending_first is not None:
-                y_pred = np.array(pending_first, dtype=float)
+            if spawn_ray is not None and len(points) == 1:
+                # the first step from a multiple point is placed on the ray
+                # model; tangent extrapolation has the wrong parameter scaling
+                y_pred = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)[0]
             elif len(points) >= 2:
                 y_pred = predict(points[-2], points[-1], h)
             else:
@@ -378,7 +368,6 @@ def trace_trajectory(
                         f"at step h = {h:.6g} after {halvings} halvings: {exc}",
                     )
                 return merged(registry.register(cp))
-            pending_first = None
             # curvature guard: sharp turns mean the predictor skipped locus
             # structure (tight loops, nearby branch points); refine the step
             chord = pt.as_array() - points[-1].as_array()
@@ -515,6 +504,13 @@ def real_axis_segments(
     def lam_of(x: float) -> float:
         return math.exp(h * x) / abs(g_real(x))
 
+    def add_boundary_point(pts: list[TrajectoryPoint], at: int) -> None:
+        # the boundary is pole/zero-free, so the exact point at s0 is usable
+        lam_b = lam_of(s0)
+        if lam_b <= problem.lambda_max * (1 + 1e-12):
+            res = problem.cartesian_residual(s0, 0.0, lam_b)
+            pts.insert(at, TrajectoryPoint(s0, 0.0, lam_b, res, 0.0))
+
     # right cap: beyond all finite structure, push until lam exceeds lambda_max
     cap = max([s0 + 1.0] + [v + 1.0 for v in real_poles + real_zeros]
               + [bp.root.real + 1.0 for bp in real_bps])
@@ -549,9 +545,9 @@ def real_axis_segments(
             continue
         # clip the far end at lambda_max
         if lam_to > problem.lambda_max:
-            f = lambda x: lam_of(x) - problem.lambda_max
-            x_lo, x_hi = min(x_from, x_to), max(x_from, x_to)
-            x_to = bracketed_root(f, Bracket(x_lo, x_hi, f(x_lo), f(x_hi)), 1e-13)
+            x_to = bracketed_root(
+                lambda x: lam_of(x) - problem.lambda_max, min(x_from, x_to), max(x_from, x_to)
+            )
             lam_to = problem.lambda_max
             clipped = True
         else:
@@ -581,16 +577,8 @@ def real_axis_segments(
             )
             pts.insert(0, TrajectoryPoint(start_knot, 0.0, 0.0, 0.0, 0.0))
         elif abs(start_knot - s0) < 1e-12:
-            # the boundary is pole/zero-free, so the exact endpoint is usable
-            lam_b = lam_of(s0)
-            origin = CriticalPoint(CriticalKind.CROSSING_IN, complex(s0, 0.0), lam_b)
-            if lam_b <= problem.lambda_max * (1 + 1e-12):
-                pts.insert(
-                    0,
-                    TrajectoryPoint(
-                        s0, 0.0, lam_b, problem.cartesian_residual(s0, 0.0, lam_b), 0.0
-                    ),
-                )
+            origin = CriticalPoint(CriticalKind.CROSSING_IN, complex(s0, 0.0), lam_of(s0))
+            add_boundary_point(pts, 0)
         else:
             bp = _nearest_bp(real_bps, start_knot)
             origin = bp if bp is not None else CriticalPoint(
@@ -601,13 +589,7 @@ def real_axis_segments(
             term = Termination.LAMBDA_MAX_REACHED
         elif abs(end_knot - s0) < 1e-12:
             term = Termination.LEFT_REGION
-            lam_b = lam_of(s0)
-            if lam_b <= problem.lambda_max * (1 + 1e-12):
-                pts.append(
-                    TrajectoryPoint(
-                        s0, 0.0, lam_b, problem.cartesian_residual(s0, 0.0, lam_b), 0.0
-                    )
-                )
+            add_boundary_point(pts, len(pts))
         else:
             bp = _nearest_bp(real_bps, end_knot)
             if bp is not None:

@@ -21,7 +21,6 @@ from .plant import (
     phi_prime,
 )
 from .rootfind import (
-    Bracket,
     bracketed_root,
     magnitude_extremum_freqs,
     phase_extremum_freqs,
@@ -212,7 +211,7 @@ def _admissible_intervals(
             if not ok_lo and not ok_hi:
                 seg_lo, seg_hi = None, None
                 break
-            w_star = bracketed_root(shifted, Bracket(seg_lo, seg_hi, f_lo, f_hi), 1e-13)
+            w_star = bracketed_root(shifted, seg_lo, seg_hi)
             if ok_lo:
                 seg_hi = w_star
             else:
@@ -293,7 +292,7 @@ def _solve_levels(lo: float, hi: float, phase, on_root) -> None:
         f_hi = phi_hi - target
         if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1, f_lo) == math.copysign(1, f_hi):
             continue
-        w = bracketed_root(lambda x: phase(x) - target, Bracket(lo, hi, f_lo, f_hi), 1e-13)
+        w = bracketed_root(lambda x: phase(x) - target, lo, hi)
         on_root(w)
 
 
@@ -352,11 +351,7 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
             grid = np.linspace(lo, hi, min(max(n, 200), 400000))
             dp = np.asarray(psi_prime(grid))
             return [
-                bracketed_root(
-                    lambda x: float(psi_prime(x)),
-                    Bracket(grid[i], grid[i + 1], dp[i], dp[i + 1]),
-                    1e-13,
-                )
+                bracketed_root(lambda x: float(psi_prime(x)), grid[i], grid[i + 1])
                 for i in _sign_flips(dp)
             ]
 

@@ -40,7 +40,6 @@ class RootLocusResult:
 class _Seed:
     origin: CriticalPoint
     direction: np.ndarray
-    first_prediction: np.ndarray | None = None
     record: object = None  # _BranchRecord when spawned from a branch point
     spawn_ray: complex | None = None
 
@@ -49,25 +48,28 @@ class _Seed:
         return (*self.origin.key(), round(math.atan2(d[1], d[0]), 12))
 
 
+def _ray_seeds(
+    problem: LocusProblem, cp: CriticalPoint, rays, config: cont.ContinuationConfig, record=None
+) -> list[_Seed]:
+    """One seed per up ray of the multiple point ``cp``."""
+    return [
+        _Seed(cp, cont.branch_spawn_prediction(problem, cp, ray, config)[1], record, ray)
+        for ray in rays
+    ]
+
+
 def _start_seeds(
     problem: LocusProblem, cp: CriticalPoint, config: cont.ContinuationConfig
 ) -> list[_Seed]:
     if cp.multiplicity == 1:
-        return [_Seed(cp, cont.initial_tangent(problem, cp))]
-    seeds = []
-    for ray in localmodel.start_rays(problem, cp.root, cp.multiplicity):
-        y0, d0 = cont.branch_spawn_prediction(problem, cp, ray, config)
-        seeds.append(_Seed(cp, d0, first_prediction=y0, spawn_ray=ray))
-    return seeds
+        return [_Seed(cp, localmodel.initial_tangent_simple(problem, cp.root, cp.lam))]
+    rays = localmodel.start_rays(problem, cp.root, cp.multiplicity)
+    return _ray_seeds(problem, cp, rays, config)
 
 
 def _branch_seeds(problem: LocusProblem, rec, config: cont.ContinuationConfig) -> list[_Seed]:
     """Spawn every up ray of a branch record not spawned yet, and empty its list."""
-    cp = rec.point
-    seeds = []
-    for ray in rec.rays:
-        y0, d0 = cont.branch_spawn_prediction(problem, cp, ray, config)
-        seeds.append(_Seed(cp, d0, first_prediction=y0, record=rec, spawn_ray=ray))
+    seeds = _ray_seeds(problem, rec.point, rec.rays, config, rec)
     rec.rays = []
     return seeds
 
@@ -121,7 +123,7 @@ def compute_root_locus(
             seeds.extend(_start_seeds(problem, cp, config))
     for cp in crossings:
         if cp.kind is CriticalKind.CROSSING_IN and not on_axis(cp):
-            seeds.append(_Seed(cp, cont.initial_tangent(problem, cp)))
+            seeds.append(_Seed(cp, localmodel.initial_tangent_simple(problem, cp.root, cp.lam)))
 
     # generation by generation, each sorted by _Seed.key: traces register the
     # branch points that later traces merge into, so this order is part of
@@ -137,7 +139,6 @@ def compute_root_locus(
                 registry,
                 config,
                 origin_record=seed.record,
-                first_prediction=seed.first_prediction,
                 spawn_ray=seed.spawn_ray,
             )
             trajectories.append(traj)

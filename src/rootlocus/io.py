@@ -131,8 +131,8 @@ def parse_problem(path: str) -> tuple[LocusProblem, ContinuationConfig]:
     return parse_problem_dict(doc, where=path)
 
 
-def problem_to_dict(problem: LocusProblem, config: ContinuationConfig | None = None) -> dict:
-    doc = {
+def problem_to_dict(problem: LocusProblem) -> dict:
+    return {
         "plant": {
             "zeros": [[z.real, z.imag] for z in problem.plant.zeros],
             "poles": [[p.real, p.imag] for p in problem.plant.poles],
@@ -145,11 +145,6 @@ def problem_to_dict(problem: LocusProblem, config: ContinuationConfig | None = N
             "lambda_max": problem.lambda_max,
         },
     }
-    if config is not None:
-        doc["continuation"] = {
-            f.name: getattr(config, f.name) for f in fields(ContinuationConfig)
-        }
-    return doc
 
 
 def _point_row(pt: TrajectoryPoint) -> list[str]:

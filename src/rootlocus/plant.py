@@ -222,18 +222,13 @@ class LocusProblem:
         # the proximity tolerance of transfer at s = sigma0, where the crossing
         # search evaluates G (phi_offset)
         tol = 1e-9 * (1.0 + abs(self.sigma0))
-        for p in self.plant.poles:
-            if abs(p.real - self.sigma0) < tol:
-                raise ValidationError(
-                    f"pole {p} lies on the region boundary Re(s) = {self.sigma0}; "
-                    "crossing computations require pole/zero-free boundaries"
-                )
-        for z in self.plant.zeros:
-            if abs(z.real - self.sigma0) < tol:
-                raise ValidationError(
-                    f"zero {z} lies on the region boundary Re(s) = {self.sigma0}; "
-                    "crossing computations require pole/zero-free boundaries"
-                )
+        for word, values in (("pole", self.plant.poles), ("zero", self.plant.zeros)):
+            for v in values:
+                if abs(v.real - self.sigma0) < tol:
+                    raise ValidationError(
+                        f"{word} {v} lies on the region boundary Re(s) = {self.sigma0}; "
+                        "crossing computations require pole/zero-free boundaries"
+                    )
         if self.plant.biproper:
             d = abs(self.plant.gain)
             if self.kind is LocusKind.GAIN:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -23,70 +22,19 @@ from .plant import Plant
 _TRIM_REL = 1e-14
 _REAL_IM_TOL = 1e-7
 _DEDUP_TOL = 1e-8
+_BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 200
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Real polynomial, ascending-degree coefficients, trailing noise trimmed."""
+def bracketed_root(f, lo: float, hi: float) -> float:
+    """A root of f on [lo, hi] by Brent's method; a zero end is returned as is.
 
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.size == 0:
-            raise DegenerateError("empty coefficient list")
-        top = np.max(np.abs(c))
-        if top == 0.0:
-            object.__setattr__(self, "coefficients", (0.0,))
-            return
-        keep = c.size
-        while keep > 1 and abs(c[keep - 1]) < _TRIM_REL * top:
-            keep -= 1
-        object.__setattr__(self, "coefficients", tuple(float(v) for v in c[:keep]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficients == (0.0,)
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Sign-changing bracket [lo, hi] for a continuous scalar function."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise BracketError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo == 0.0 or self.f_hi == 0.0:
-            return
-        if math.copysign(1.0, self.f_lo) == math.copysign(1.0, self.f_hi):
-            raise BracketError(
-                f"no sign change on [{self.lo}, {self.hi}]: f={self.f_lo:g}, {self.f_hi:g}"
-            )
-
-
-def bracketed_root(f, bracket: Bracket, tol: float) -> float:
-    """Brent's method on a valid bracket; endpoint roots are returned directly.
-
-    Step for step Charles Harris's C ``brentq`` with ``xtol=tol``, ``rtol``
+    Step for step Charles Harris's C ``brentq`` with ``xtol`` 1e-13, ``rtol``
     4 eps and 200 iterations, so it returns the same float.  A NaN value of
     f or a run that does not converge raises ``NoConvergenceError``; ends
     whose values have the same sign raise ``BracketError``.
     """
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
 
     def value(x):
         fx = float(f(x))
@@ -94,7 +42,7 @@ def bracketed_root(f, bracket: Bracket, tol: float) -> float:
             raise NoConvergenceError(f"Brent's method: f is NaN at x = {x!r}")
         return fx
 
-    xpre, xcur = float(bracket.lo), float(bracket.hi)
+    xpre, xcur = float(lo), float(hi)
     fpre = value(xpre)
     fcur = value(xcur)
     if fpre == 0.0:
@@ -112,7 +60,7 @@ def bracketed_root(f, bracket: Bracket, tol: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (tol + _BRENT_RTOL * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -164,16 +112,21 @@ def _newton_polish(f, df, x, steps: int = 5):
     return x
 
 
-def real_nonneg_roots(p: RealPolynomial) -> list[float]:
-    """All real roots >= 0, ascending, deduplicated.
+def real_nonneg_roots(coefficients) -> list[float]:
+    """All real roots >= 0 of the real polynomial with these ascending
+    coefficients, ascending and deduplicated; [] for a constant or zero one.
 
-    Companion eigenvalues of the normalized polynomial, keeping eigenvalues
-    with small imaginary part and polishing each with a few Newton steps.
+    Trailing coefficients below ``_TRIM_REL`` times the largest are dropped;
+    then companion eigenvalues with small imaginary part are kept and each
+    is polished with a few Newton steps.
     """
-    if p.is_zero:
-        raise DegenerateError("polynomial is identically zero")
-    c = np.asarray(p.coefficients)
-    if p.degree == 0:
+    c = np.asarray(coefficients, dtype=float)
+    top = np.max(np.abs(c), initial=0.0)
+    keep = c.size
+    while keep > 1 and abs(c[keep - 1]) < _TRIM_REL * top:
+        keep -= 1
+    c = c[:keep]
+    if top == 0.0 or keep <= 1:
         return []
     raw = np.polynomial.polynomial.polyroots(c)
     dc = np.polynomial.polynomial.polyder(c)
@@ -264,10 +217,7 @@ def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
         zero_sum = _poly_add(zero_sum, term)
 
     poly = _poly_add(np.convolve(big_z, pole_sum), -np.convolve(big_p, zero_sum))
-    rp = RealPolynomial(tuple(poly))
-    if rp.is_zero:
-        return []
-    return real_nonneg_roots(rp)
+    return real_nonneg_roots(poly)
 
 
 def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
@@ -288,10 +238,7 @@ def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
         -np.convolve(big_z, pole_sum),
         -h * scale * np.convolve(big_z, big_p),
     )
-    rp = RealPolynomial(tuple(poly))
-    if rp.is_zero:
-        return []
-    return real_nonneg_roots(rp)
+    return real_nonneg_roots(poly)
 
 
 def poly_from_roots(roots) -> np.ndarray:

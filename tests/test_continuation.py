@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rootlocus.continuation import (
+    _MERGE_TOL,
     BranchRegistry,
     ContinuationConfig,
     Termination,
@@ -17,7 +18,6 @@ from rootlocus.continuation import (
     _solve,
     branch_spawn_prediction,
     correct,
-    initial_tangent,
     predict,
     real_axis_segments,
     solve_branch_point,
@@ -26,6 +26,7 @@ from rootlocus.continuation import (
 )
 from rootlocus.critical import CriticalKind, CriticalPoint, branch_points_gain
 from rootlocus.errors import DegenerateError, JacobianSingularError, NoConvergenceError
+from rootlocus.localmodel import initial_tangent_simple
 from rootlocus.plant import LocusKind, LocusProblem, Plant, wrap_angle
 
 from conftest import example1_problem, example3_problem, first_order_plant
@@ -53,7 +54,7 @@ def test_initial_tangent_gain_start():
     # ds/dlam = -e^{1} at the pole s = -1 of G = 1/(s+1), h = 1
     problem = _first_order_problem()
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
-    d = initial_tangent(problem, cp)
+    d = initial_tangent_simple(problem, cp.root, cp.lam)
     want = np.array([-math.e, 0.0, 1.0])
     want = want / np.linalg.norm(want)
     assert d == pytest.approx(want, abs=1e-12)
@@ -64,7 +65,7 @@ def test_initial_tangent_delay_start():
     plant = first_order_plant(gain=2.0)
     problem = LocusProblem(LocusKind.DELAY, -5.0, 1.0, plant)
     cp = CriticalPoint(CriticalKind.START, complex(-3.0, 0.0), 0.0)
-    d = initial_tangent(problem, cp)
+    d = initial_tangent_simple(problem, cp.root, cp.lam)
     want = np.array([-6.0, 0.0, 1.0])
     want = want / np.linalg.norm(want)
     assert d == pytest.approx(want, abs=1e-10)
@@ -126,7 +127,7 @@ def test_stall_note_names_point_step_and_cause():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
     )
     assert merge is None
     assert traj.termination is Termination.STALLED
@@ -180,7 +181,7 @@ def test_trace_trajectory_leaves_region(config):
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
     )
     assert merge is None
     assert traj.termination is Termination.LEFT_REGION
@@ -193,7 +194,7 @@ def test_trace_trajectory_clips_at_lambda_max(config):
     problem = _first_order_problem(sigma0=-1.5, lambda_max=0.05)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, _ = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
     )
     assert traj.termination is Termination.LAMBDA_MAX_REACHED
     last = traj.points[-1]
@@ -209,11 +210,28 @@ def test_trace_merges_at_registered_branch_point(config):
     registry.register(bp)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), registry, config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry, config
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is not None
     assert merge.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-8)
+
+
+def test_register_returns_the_record_of_a_branch_point_within_merge_tol():
+    problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
+    bp = branch_points_gain(problem)[0]
+    registry = BranchRegistry()
+    rec = registry.register(bp)
+    rays = list(rec.rays)
+    near = CriticalPoint(
+        CriticalKind.BRANCH, bp.root + 0.5 * _MERGE_TOL, bp.lam, 2, [np.array([0.0, 1.0, 0.0])]
+    )
+    assert registry.register(near) is rec
+    assert rec.point is bp and rec.rays == rays
+    assert registry.records == [rec]
+    far = CriticalPoint(CriticalKind.BRANCH, bp.root + 2.0 * _MERGE_TOL, bp.lam, 2)
+    assert registry.register(far) is not rec
+    assert len(registry.records) == 2
 
 
 def _start_before_branch_point_with_one_newton_iteration():
@@ -236,7 +254,7 @@ def test_failed_halvings_merge_into_the_registered_branch_point():
     registry = BranchRegistry()
     rec = registry.register(bp)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), registry, config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry, config
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is rec
@@ -249,7 +267,7 @@ def test_failed_halvings_solve_and_register_the_branch_point():
     problem, cp, config = _start_before_branch_point_with_one_newton_iteration()
     registry = BranchRegistry()
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), registry, config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry, config
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert registry.records == [merge]
@@ -264,7 +282,7 @@ def test_lambda_nondecreasing_along_gain_trace(config):
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, _ = trace_trajectory(
-        problem, cp, initial_tangent(problem, cp), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
     )
     lams = [p.lam for p in traj.points]
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
@@ -273,8 +291,6 @@ def test_lambda_nondecreasing_along_gain_trace(config):
 def test_secant_approaches_analytic_tangent(config):
     # invariant: the chord direction converges to the tangent as the step shrinks
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
-    from rootlocus.localmodel import initial_tangent_simple
-
     sigma = -1.2
     lam = math.exp(sigma) * abs(sigma + 1.0)
     tangent = initial_tangent_simple(problem, complex(sigma, 0.0), lam)

@@ -140,6 +140,27 @@ def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
         assert dist == pytest.approx(0.05, rel=0.05)
 
 
+def test_delay_locus_from_a_double_start_root():
+    # 1 + G = (s + 1)^2 / (s(s + 2)) for G = 1/(s(s+2)): two roots start at
+    # s = -1 and split into a complex pair as the delay grows
+    plant = Plant(zeros=(), poles=(0.0, -2.0), gain=1.0, delay=1.0)
+    problem = LocusProblem(LocusKind.DELAY, -1.5, 1.0, plant)
+    config = ContinuationConfig()
+    result = compute_root_locus(problem, config)
+    assert result.warnings == []
+    trajs = [t for t in result.trajectories if abs(t.origin.root + 1.0) < 1e-6]
+    assert len(trajs) == 2
+    roots = []
+    for traj in trajs:
+        a, b = next((a, b) for a, b in zip(traj.points, traj.points[1:]) if a.lam <= 0.3 <= b.lam)
+        guess = a.as_array() + (0.3 - a.lam) / (b.lam - a.lam) * (b.as_array() - a.as_array())
+        y = continuation._clip_solve(problem, guess, "lam", 0.3, config)
+        roots.append(complex(y[0], y[1]))
+    roots.sort(key=lambda r: r.imag)
+    want = [complex(-0.80960550, -0.54251225), complex(-0.80960550, 0.54251225)]
+    assert roots == [pytest.approx(w, abs=1e-8) for w in want]
+
+
 def test_stable_throughout_when_nothing_reaches_the_axis():
     # G = 1/(s+1), sigma0 = -0.5: no starts in the region, the entering
     # boundary root at lam = 1.156 never reaches the imaginary axis by lam = 2

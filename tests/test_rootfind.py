@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from rootlocus import rootfind
-from rootlocus.errors import BracketError, DegenerateError, NoConvergenceError
+from rootlocus.errors import BracketError, NoConvergenceError
 from rootlocus.plant import Plant, big_lambda_prime, phi_prime
 from rootlocus.rootfind import (
-    Bracket,
-    RealPolynomial,
     bracketed_root,
     magnitude_extremum_freqs,
     phase_extremum_freqs,
@@ -23,40 +21,24 @@ from rootlocus.rootfind import (
 from conftest import example3_problem, first_order_plant
 
 
-def test_polynomial_trim_and_degree():
-    p = RealPolynomial((1.0, 2.0, 0.0, 1e-20))
-    assert p.degree == 1
-    assert p.coefficients == (1.0, 2.0)
-    assert RealPolynomial((0.0, 0.0)).is_zero
-    with pytest.raises(DegenerateError):
-        RealPolynomial(())
-
-
-def test_bracket_validation():
-    Bracket(0.0, 1.0, -1.0, 2.0)
-    with pytest.raises(BracketError):
-        Bracket(1.0, 0.0, -1.0, 2.0)  # reversed endpoints
-    with pytest.raises(BracketError):
-        Bracket(0.0, 1.0, 1.0, 2.0)  # no sign change
-
-
 def test_bracketed_root_cube_root():
     f = lambda x: x**3 - 2.0
-    root = bracketed_root(f, Bracket(1.0, 2.0, f(1.0), f(2.0)), 1e-12)
+    root = bracketed_root(f, 1.0, 2.0)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
     assert root == pytest.approx(1.259921, abs=1e-6)
 
 
 def test_bracketed_root_endpoint():
     f = lambda x: x
-    assert bracketed_root(f, Bracket(0.0, 1.0, 0.0, 1.0), 1e-12) == 0.0
+    assert bracketed_root(f, 0.0, 1.0) == 0.0
+    assert bracketed_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
 def test_bracketed_root_boundary_phase():
     # phi(w) = -atan(2w) - w for G = 1/(s+1), sigma0 = -0.5, h = 1; the
     # phi = -pi crossing solves atan(2w) + w = pi, near w = 1.8366
     f = lambda w: -math.atan(2.0 * w) - w + math.pi
-    root = bracketed_root(f, Bracket(1.0, 3.0, f(1.0), f(3.0)), 1e-12)
+    root = bracketed_root(f, 1.0, 3.0)
     assert abs(math.atan(2.0 * root) + root - math.pi) < 1e-10
     assert root == pytest.approx(1.8366, abs=5e-4)
 
@@ -64,20 +46,19 @@ def test_bracketed_root_boundary_phase():
 def test_bracketed_root_nan_value_is_no_convergence():
     f = lambda x: x - 0.3 if x < 0.5 else math.nan
     with pytest.raises(NoConvergenceError, match=r"NaN at x = 1\.0"):
-        bracketed_root(f, Bracket(0.0, 1.0, -0.3, 0.7), 1e-13)
+        bracketed_root(f, 0.0, 1.0)
 
 
 def test_bracketed_root_budget_is_no_convergence():
     # halving [-1e300, 1e300] down to a 1e-13 bracket takes over 1000 steps
     f = lambda x: 1.0 if x > 0.3 else -1.0
     with pytest.raises(NoConvergenceError, match="200 iterations; last x = "):
-        bracketed_root(f, Bracket(-1e300, 1e300, -1.0, 1.0), 1e-13)
+        bracketed_root(f, -1e300, 1e300)
 
 
 def test_bracketed_root_same_sign_ends_is_bracket_error():
-    # the bracket claims a sign change that f does not have
-    with pytest.raises(BracketError):
-        bracketed_root(lambda x: 1.0 + x, Bracket(0.0, 1.0, -1.0, 1.0), 1e-13)
+    with pytest.raises(BracketError, match="no sign change"):
+        bracketed_root(lambda x: 1.0 + x, 0.0, 1.0)
 
 
 def _brent_case(rng):
@@ -119,14 +100,15 @@ def test_bracketed_root_matches_scipy_brentq_bit_for_bit(monkeypatch):
             continue
         tol = rng.choice((1e-13, 1e-8, 5e-324, 0.5))
         maxiter = rng.choice((5, 200))
+        monkeypatch.setattr(rootfind, "_BRENT_XTOL", tol)
         monkeypatch.setattr(rootfind, "_BRENT_MAXITER", maxiter)
         want, info = brentq(f, lo, hi, xtol=tol, maxiter=maxiter, full_output=True, disp=False)
         if info.converged:
-            got = bracketed_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
+            got = bracketed_root(f, lo, hi)
             assert got.hex() == want.hex(), (lo, hi, tol, maxiter)
         else:
             with pytest.raises(NoConvergenceError, match=re.escape(f"last x = {want!r}") + "$"):
-                bracketed_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
+                bracketed_root(f, lo, hi)
             failed += 1
         endpoint_zeros += f_lo == 0.0 or f_hi == 0.0
         checked += 1
@@ -134,14 +116,19 @@ def test_bracketed_root_matches_scipy_brentq_bit_for_bit(monkeypatch):
 
 
 def test_real_nonneg_roots():
-    assert real_nonneg_roots(RealPolynomial((0.0, -2.0, 1.0))) == pytest.approx([0.0, 2.0])
-    assert real_nonneg_roots(RealPolynomial((0.75, 0.0, 1.0))) == []
-    assert real_nonneg_roots(RealPolynomial((2.0, 1.0))) == []  # root at -2
+    assert real_nonneg_roots((0.0, -2.0, 1.0)) == pytest.approx([0.0, 2.0])
+    assert real_nonneg_roots((0.75, 0.0, 1.0)) == []
+    assert real_nonneg_roots((2.0, 1.0)) == []  # root at -2
     # no negative zero sneaks through the clamp
-    roots = real_nonneg_roots(RealPolynomial((0.0, 1.0)))
+    roots = real_nonneg_roots((0.0, 1.0))
     assert roots == [0.0] and math.copysign(1.0, roots[0]) == 1.0
-    with pytest.raises(DegenerateError):
-        real_nonneg_roots(RealPolynomial((0.0,)))
+    # untrimmed, the -1e-20 cubic term would add a root near 1e20
+    assert real_nonneg_roots((0.0, -2.0, 1.0, -1e-20)) == pytest.approx([0.0, 2.0])
+    # what trims to a constant, and a zero or empty polynomial, has no roots
+    assert real_nonneg_roots((3.0, 1e-15)) == []
+    assert real_nonneg_roots((3.0,)) == []
+    assert real_nonneg_roots((0.0, 0.0)) == []
+    assert real_nonneg_roots(()) == []
 
 
 def _sign_scan_zeros(fn, lo, hi, n=200001):
