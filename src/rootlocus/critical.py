@@ -201,7 +201,7 @@ def _admissible_intervals(
         for bound, keep_below in bounds:
 
             def shifted(w):
-                return float(value(plant, s0, w)) - bound
+                return value(plant, s0, w) - bound
 
             f_lo, f_hi = shifted(seg_lo), shifted(seg_hi)
             ok_lo = f_lo <= 0.0 if keep_below else f_lo >= 0.0
@@ -253,7 +253,7 @@ def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float
     lmax = problem.lambda_max
 
     def beyond(w):
-        lam = float(_delay_lam(problem.plant, problem.sigma0, w))
+        lam = _delay_lam(problem.plant, problem.sigma0, w)
         return lam > 1.05 * lmax or lam < -0.05 * lmax
 
     return _admissible_intervals(problem, _delay_lam, [(lmax, True), (0.0, False)], beyond)
@@ -265,14 +265,14 @@ def _phase_fn(plant: Plant, sigma0: float, h: float):
     offset = phi_offset(plant, sigma0)
 
     def phase(w):
-        return float(_phi1(plant, sigma0, w, h) + offset)
+        return _phi1(plant, sigma0, w, h) + offset
 
     return phase
 
 
 def crossing_direction(problem: LocusProblem, omega_cr: float) -> int:
     """Gain-case crossing direction -sgn(phi'(omega_cr)); +1 means entering."""
-    d = float(phi_prime(problem.plant, problem.sigma0, omega_cr))
+    d = phi_prime(problem.plant, problem.sigma0, omega_cr)
     if abs(d) < _GRAZE_TOL:
         raise IllPosedCrossingError(
             f"grazing boundary crossing at omega = {omega_cr}: phi' = {d:g}"
@@ -322,7 +322,7 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
             return [w for w in splits if lo < w < hi]
 
         def lam_at(w):
-            return math.exp(float(big_lambda(plant, s0, w)))
+            return math.exp(big_lambda(plant, s0, w))
 
         def direction(w, lam):
             return crossing_direction(problem, w)
@@ -332,7 +332,7 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
         phase_g = _phase_fn(plant, s0, 0.0)
 
         def lam_at(w):
-            return float(_delay_lam(plant, s0, w))
+            return _delay_lam(plant, s0, w)
 
         def phase(w):
             # psi: the phase of G alone minus lam(w) * w
@@ -349,9 +349,9 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
             # the sign changes of psi' on a uniform grid, refined
             n = int(1e4 * (1.0 + lmax * (hi - lo) / (2 * math.pi)))
             grid = np.linspace(lo, hi, min(max(n, 200), 400000))
-            dp = np.asarray(psi_prime(grid))
+            dp = psi_prime(grid)
             return [
-                bracketed_root(lambda x: float(psi_prime(x)), grid[i], grid[i + 1])
+                bracketed_root(psi_prime, grid[i], grid[i + 1])
                 for i in _sign_flips(dp)
             ]
 

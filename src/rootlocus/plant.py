@@ -128,46 +128,82 @@ def eval_char_fn(plant: Plant, kind: LocusKind, s: complex, lam: float) -> compl
     return 1.0 + g * cmath.exp(-lam * s)
 
 
+# The boundary functions below take a float or an array omega down the same
+# lines: a float stays a Python float and only np.log / np.arctan go through
+# numpy, whose results agree bit for bit on scalars and arrays (math.log and
+# math.atan do not).  The omega term t is squared as t * t, as numpy squares
+# an array; ** 2 on a float calls libm pow, which rounds apart now and then.
+# The in-place operators spare a grid pass its temporaries (the delay psi'
+# scan evaluates Lambda, Lambda' and phi' on up to 4e5 points) and simply
+# rebind a float.
+
+
+def _zero_like(omega):
+    """+0.0 in the shape of ``omega``: a float for a float, an array for an array."""
+    return 0.0 * abs(omega)
+
+
+def _plain(acc):
+    """``acc`` with a numpy scalar turned into a Python float of the same bits."""
+    return acc if isinstance(acc, np.ndarray) else float(acc)
+
+
 def big_lambda(plant: Plant, sigma0: float, omega):
     """Boundary log-magnitude h*sigma0 - ln|G(sigma0 + j omega)|.
 
     exp(big_lambda(omega)) is the gain at which a characteristic root can sit
-    at sigma0 + j omega.  Vectorized over ``omega``.
+    at sigma0 + j omega.  A float gives a float, an array an array, same bits.
     """
-    w = np.asarray(omega, dtype=float)
-    acc = np.full(w.shape, plant.delay * sigma0 - math.log(abs(plant.gain)))
+    acc = plant.delay * sigma0 - math.log(abs(plant.gain)) + _zero_like(omega)
     for p in plant.poles:
-        acc += 0.5 * np.log((sigma0 - p.real) ** 2 + (w - p.imag) ** 2)
+        q = omega - p.imag
+        q *= q
+        q += (sigma0 - p.real) ** 2
+        acc += 0.5 * np.log(q)
     for z in plant.zeros:
-        acc -= 0.5 * np.log((sigma0 - z.real) ** 2 + (w - z.imag) ** 2)
-    return acc if acc.shape else float(acc)
+        q = omega - z.imag
+        q *= q
+        q += (sigma0 - z.real) ** 2
+        acc -= 0.5 * np.log(q)
+    return _plain(acc)
 
 
 def big_lambda_prime(plant: Plant, sigma0: float, omega):
-    """First derivative of ``big_lambda`` with respect to omega (h-free)."""
-    w = np.asarray(omega, dtype=float)
-    acc = np.zeros(w.shape)
+    """First derivative of ``big_lambda`` with respect to omega (h-free).
+
+    A float gives a float, an array an array, same bits.
+    """
+    acc = _zero_like(omega)
     for p in plant.poles:
-        acc += (w - p.imag) / ((sigma0 - p.real) ** 2 + (w - p.imag) ** 2)
+        t = omega - p.imag
+        q = t * t
+        q += (sigma0 - p.real) ** 2
+        t /= q
+        acc += t
     for z in plant.zeros:
-        acc -= (w - z.imag) / ((sigma0 - z.real) ** 2 + (w - z.imag) ** 2)
-    return acc if acc.shape else float(acc)
+        t = omega - z.imag
+        q = t * t
+        q += (sigma0 - z.real) ** 2
+        t /= q
+        acc -= t
+    return acc
 
 
 def _phi1(plant: Plant, sigma0: float, omega, h: float):
-    w = np.asarray(omega, dtype=float)
-    acc = -h * w
+    """``phi`` without its constant offset.  A float gives a float, an array
+    an array, same bits."""
+    acc = -h * omega
     for z in plant.zeros:
-        acc = acc + np.arctan((w - z.imag) / (sigma0 - z.real))
+        acc += np.arctan((omega - z.imag) / (sigma0 - z.real))
     for p in plant.poles:
-        acc = acc - np.arctan((w - p.imag) / (sigma0 - p.real))
-    return acc
+        acc -= np.arctan((omega - p.imag) / (sigma0 - p.real))
+    return _plain(acc)
 
 
 def phi_offset(plant: Plant, sigma0: float) -> float:
     """Phase offset in {0, pi} aligning the continuous phase with angle(G(sigma0))."""
     ang = cmath.phase(plant.transfer(complex(sigma0, 0.0)))
-    base = float(_phi1(plant, sigma0, 0.0, 0.0))
+    base = _phi1(plant, sigma0, 0.0, 0.0)
     best = 0.0
     if abs(wrap_angle(ang - base - math.pi)) < abs(wrap_angle(ang - base)):
         best = math.pi
@@ -178,25 +214,35 @@ def phi(plant: Plant, sigma0: float, omega, h: float | None = None):
     """Continuous (unwrapped) boundary phase of G e^{-hs} on Re(s) = sigma0.
 
     No modular reduction is applied; ``phi(0)`` equals angle(G(sigma0)) in
-    {0, pi}.  ``h=0`` gives the unwrapped phase of G alone.  Vectorized.
+    {0, pi}.  ``h=0`` gives the unwrapped phase of G alone.  A float gives a
+    float, an array an array, same bits.
     """
     if h is None:
         h = plant.delay
-    acc = _phi1(plant, sigma0, omega, h) + phi_offset(plant, sigma0)
-    return acc if np.asarray(omega).shape else float(acc)
+    acc = _phi1(plant, sigma0, omega, h)
+    acc += phi_offset(plant, sigma0)
+    return acc
 
 
 def phi_prime(plant: Plant, sigma0: float, omega, h: float | None = None):
-    """First derivative of ``phi`` with respect to omega."""
+    """First derivative of ``phi`` with respect to omega.
+
+    A float gives a float, an array an array, same bits.
+    """
     if h is None:
         h = plant.delay
-    w = np.asarray(omega, dtype=float)
-    acc = np.full(w.shape, -float(h))
+    acc = -h - _zero_like(omega)  # minus: -0.0 at h = 0 stays -0.0
     for z in plant.zeros:
-        acc += (sigma0 - z.real) / ((sigma0 - z.real) ** 2 + (w - z.imag) ** 2)
+        q = omega - z.imag
+        q *= q
+        q += (sigma0 - z.real) ** 2
+        acc += (sigma0 - z.real) / q
     for p in plant.poles:
-        acc -= (sigma0 - p.real) / ((sigma0 - p.real) ** 2 + (w - p.imag) ** 2)
-    return acc if acc.shape else float(acc)
+        q = omega - p.imag
+        q *= q
+        q += (sigma0 - p.real) ** 2
+        acc -= (sigma0 - p.real) / q
+    return acc
 
 
 @dataclass(frozen=True)

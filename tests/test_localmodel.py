@@ -102,3 +102,24 @@ def test_start_rays_simple_pole_matches_cleared_form():
     dpol = np.poly([-0.5, -1.0, -2.5])
     want = -np.polyval(npol, p) * cmath.exp(-p) / np.polyval(np.polyder(dpol), p)
     assert cmath.phase(rays[0] / want) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_start_rays_double_delay_start():
+    # delay locus of G = 1/(s(s+2)): 1 + G = (s+1)^2/(s(s+2)) has a double
+    # root at -1, where s(s+2) + e^{-lam s} = 0 gives (s+1)^2 ~ -lam, so the
+    # up rays are +-j
+    plant = Plant(zeros=(), poles=(0.0, -2.0), gain=1.0, delay=1.0)
+    problem = LocusProblem(LocusKind.DELAY, -1.5, 1.0, plant)
+    rays = start_rays(problem, complex(-1.0, 0.0), 2)
+    assert sorted(rays, key=lambda w: w.imag) == pytest.approx([-1j, 1j], abs=1e-12)
+    # at a small lam the two roots leave -1 along the rays:
+    # (s+1)/sqrt(lam) = 0.0005 +- 1.0000001j at lam = 1e-6
+    lam = 1e-6
+    for ray in rays:
+        s = -1.0 + math.sqrt(lam) * ray
+        for _ in range(50):
+            s -= (s * (s + 2.0) + cmath.exp(-lam * s)) / (
+                2.0 * s + 2.0 - lam * cmath.exp(-lam * s)
+            )
+        assert abs(eval_char_fn(plant, LocusKind.DELAY, s, lam)) < 1e-9
+        assert min(abs((s + 1.0) / math.sqrt(lam) - r) for r in rays) < 1e-3

@@ -15,6 +15,7 @@ from rootlocus.plant import (
     big_lambda_prime,
     eval_char_fn,
     phi,
+    phi_offset,
     phi_prime,
     wrap_angle,
 )
@@ -200,6 +201,80 @@ def test_phi_is_continuous():
     assert np.max(np.abs(np.diff(vals))) < 0.1
 
 
+# a 6-pole, 6-zero plant of the criterion-4 stream (index 47)
+_STREAM_PLANT_47 = Plant(
+    zeros=(
+        complex(-0.09338704425596944, 5.69216345063724),
+        complex(-0.09338704425596944, -5.69216345063724),
+        -2.1319511658710093,
+        complex(-2.024457094818403, 1.45531326121609),
+        complex(-2.024457094818403, -1.45531326121609),
+        -3.9729420516345644,
+    ),
+    poles=(
+        complex(-4.84909939760559, 8.112641661059522),
+        complex(-4.84909939760559, -8.112641661059522),
+        complex(-1.7268887233214159, 5.923146356857678),
+        complex(-1.7268887233214159, -5.923146356857678),
+        complex(-2.599903590016394, 8.856593417100651),
+        complex(-2.599903590016394, -8.856593417100651),
+    ),
+    gain=169.77036617906484,
+    delay=0.9745835729071057,
+)
+
+
+def _ref_boundary(plant, s0, w):
+    """big_lambda, big_lambda_prime, phi_prime and phi on an array w, one
+    vectorized expression per term, in the order the engine sums them."""
+    h = plant.delay
+    lam = np.full(w.shape, h * s0 - math.log(abs(plant.gain)))
+    lam_p, phase_p, phase = np.zeros(w.shape), np.full(w.shape, -h), -h * w
+    for v, sign in [(p, 1.0) for p in plant.poles] + [(z, -1.0) for z in plant.zeros]:
+        d2 = (s0 - v.real) ** 2 + (w - v.imag) ** 2
+        lam += sign * 0.5 * np.log(d2)
+        lam_p += sign * (w - v.imag) / d2
+    for v, sign in [(z, 1.0) for z in plant.zeros] + [(p, -1.0) for p in plant.poles]:
+        d2 = (s0 - v.real) ** 2 + (w - v.imag) ** 2
+        phase_p += sign * (s0 - v.real) / d2
+        phase += sign * np.arctan((w - v.imag) / (s0 - v.real))
+    phase += phi_offset(plant, s0)
+    return {big_lambda: lam, big_lambda_prime: lam_p, phi_prime: phase_p, phi: phase}
+
+
+def test_boundary_functions_agree_bitwise_on_floats_and_arrays():
+    # the crossing search calls these at a float inside Brent's method and on
+    # a grid for the delay psi' scan: both must compute the same bits
+    cases = [
+        (example1_problem().plant, -1.0),
+        (example3_problem().plant, -3.5),
+        (_STREAM_PLANT_47, -1.0),
+        (Plant(zeros=(), poles=(), gain=-2.5, delay=0.7), -1.0),
+    ]
+    rng = np.random.default_rng(3)
+    for plant, s0 in cases:
+        # besides spread points, those where (w - v.imag) ** 2 by libm pow and
+        # by multiplication round apart for some pole or zero v: there a float
+        # path squaring with ** 2 would part from the grid
+        near = [v.imag for v in plant.poles + plant.zeros]
+        tries = (rng.choice(near, 20000) + rng.uniform(-3.0, 3.0, 20000)).tolist() if near else []
+        apart = [w for w in tries if any((w - v) ** 2 != (w - v) * (w - v) for v in near)]
+        ws = [0.0, 1.0, -2.5, 5.69216345063724] + apart[:96]
+        ws = np.concatenate([ws, rng.uniform(-30.0, 30.0, 200 - len(ws))])
+        ref = _ref_boundary(plant, s0, ws)
+        for fn in (big_lambda, big_lambda_prime, phi_prime, phi):
+            grid = fn(plant, s0, ws.reshape(10, 20))
+            assert isinstance(grid, np.ndarray) and grid.shape == (10, 20)
+            assert grid.ravel().tobytes() == ref[fn].tobytes(), fn.__name__
+            for w, from_grid in zip(ws.tolist(), grid.ravel().tolist()):
+                at_float = fn(plant, s0, w)
+                at_float64 = fn(plant, s0, np.float64(w))
+                assert type(at_float) is float
+                assert isinstance(at_float64, float)
+                assert at_float.hex() == float(at_float64).hex() == from_grid.hex(), (
+                    fn.__name__, plant, w)
+
+
 def test_boundary_derivatives_match_finite_differences():
     problem = example3_problem()
     plant, s0 = problem.plant, problem.sigma0
@@ -308,6 +383,24 @@ def test_problem_validation_biproper_bounds():
     LocusProblem(LocusKind.DELAY, -0.5, 0.9 * bound_d, biproper)
     with pytest.raises(ValidationError):
         LocusProblem(LocusKind.DELAY, -0.5, 1.1 * bound_d, biproper)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the delay bound reads max(0, ln|G(inf)|/|sigma0|); the root chain at "
+    "Re s ~ ln|G(inf)|/lam stays outside the region only for lambda_max < "
+    "ln(1/|G(inf)|)/|sigma0|",
+)
+def test_problem_validation_biproper_delay_bound_keeps_the_root_chain_outside():
+    # f = 1 + G(s) e^{-lam s} has a chain of roots at Re s ~ ln|G(inf)|/lam;
+    # with |G(inf)| = 3 it lies inside Re s >= -1 for every lam > 0, e.g.
+    # 2.4227 + 5.9170j is a root at lam = 0.5
+    grows = Plant(zeros=(-2.0,), poles=(-0.5,), gain=3.0, delay=1.0)
+    with pytest.raises(ValidationError):
+        LocusProblem(LocusKind.DELAY, -1.0, 1.0, grows)
+    # with |G(inf)| = 0.3 it lies left of -1 for lam < ln(1/0.3) = 1.204
+    shrinks = Plant(zeros=(-2.0,), poles=(-0.5,), gain=0.3, delay=1.0)
+    LocusProblem(LocusKind.DELAY, -1.0, 1.0, shrinks)
 
 
 def test_effective_h():

@@ -15,10 +15,17 @@ the run digests of that pair, so a mismatch names the workload, and then the
 total over all runs.  Two checkouts that print the same digest computed the
 same bits; a change meant to be bit-identical is checked by running this on
 the parent and on the change.
+
+With ``--expect <sha256>`` it also prints the expected digest beside the
+computed one and exits 1 when they differ, so a bit-for-bit claim is one
+command:
+
+    python3 tools/result_digest.py --expect 63b20e17d9e77f2e4b2f61eb4aaec85254b811c6bffa431d63cab5c1631b6abc
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -75,6 +82,9 @@ def digest_run(problem, work_dir: str) -> bytes:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the total equals this")
+    args = parser.parse_args()
     total = hashlib.sha256()
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +103,11 @@ def main() -> int:
                 print(f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}")
     print(f"{runs} runs")
     print(total.hexdigest())
+    if args.expect is not None:
+        print(f"expected {args.expect}")
+        if total.hexdigest() != args.expect.strip().lower():
+            print("MISMATCH", file=sys.stderr)
+            return 1
     return 0
 
 
