@@ -27,7 +27,7 @@ from .plant import LocusKind, LocusProblem
 from .rootfind import bracketed_root
 
 _LAMBDA_NOISE_REL = 1e-12
-_REAL_AXIS_SAMPLES = 400
+_REAL_AXIS_LOG_TOL = 1e-2  # real-axis samples: max log-lam interpolation error
 _MERGE_TOL = 1e-6  # branch points closer than this in s are one point
 _BRANCH_SOLVE_ITERS = 60
 
@@ -504,6 +504,11 @@ def real_axis_segments(
     def lam_of(x: float) -> float:
         return math.exp(h * x) / abs(g_real(x))
 
+    def lam_and_log(x: float) -> tuple[float, float]:
+        # log lam from the log of |G|, finite where lam itself under- or overflows
+        g = abs(g_real(x))
+        return math.exp(h * x) / g, h * x - math.log(g)
+
     def add_boundary_point(pts: list[TrajectoryPoint], at: int) -> None:
         # the boundary is pole/zero-free, so the exact point at s0 is usable
         lam_b = lam_of(s0)
@@ -553,14 +558,12 @@ def real_axis_segments(
         else:
             clipped = False
 
-        xs = np.linspace(x_from, x_to, _REAL_AXIS_SAMPLES)
         pts = []
-        for x in xs:
-            lam = lam_of(float(x))
+        for x, lam in _real_axis_samples(lam_and_log, x_from, x_to):
             if lam > problem.lambda_max * (1 + 1e-12):
                 continue
-            res = problem.cartesian_residual(float(x), 0.0, max(lam, 1e-300))
-            pts.append(TrajectoryPoint(float(x), 0.0, lam, res, 0.0))
+            res = problem.cartesian_residual(x, 0.0, max(lam, 1e-300))
+            pts.append(TrajectoryPoint(x, 0.0, lam, res, 0.0))
         pts.sort(key=lambda p: p.lam)
         if len(pts) < 2:
             continue
@@ -601,6 +604,29 @@ def real_axis_segments(
                 term = Termination.LAMBDA_MAX_REACHED
         trajectories.append(Trajectory(origin, pts, term))
     return trajectories, colliders
+
+
+def _real_axis_samples(lam_and_log, x_from: float, x_to: float) -> list[tuple[float, float]]:
+    """(x, lam) samples from x_from to x_to, both ends included, bisected until
+    linear interpolation of log lam between neighbours is within
+    ``_REAL_AXIS_LOG_TOL`` of log lam at their midpoint, or until the midpoint
+    rounds onto an end."""
+    lam, log_lam = lam_and_log(x_from)
+    out = [(x_from, lam)]
+    a, log_a = x_from, log_lam
+    todo = [(x_to, *lam_and_log(x_to))]  # right ends, nearest last
+    while todo:
+        b, lam_b, log_b = todo[-1]
+        m = 0.5 * (a + b)
+        if m != a and m != b:
+            lam_m, log_m = lam_and_log(m)
+            if abs(log_m - 0.5 * (log_a + log_b)) > _REAL_AXIS_LOG_TOL:
+                todo.append((m, lam_m, log_m))
+                continue
+        todo.pop()
+        out.append((b, lam_b))
+        a, log_a = b, log_b
+    return out
 
 
 def _nearest_bp(real_bps: list[CriticalPoint], x: float) -> CriticalPoint | None:

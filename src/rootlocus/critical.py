@@ -30,6 +30,10 @@ from .rootfind import (
 _GRAZE_TOL = 1e-10
 _PHASE_RESIDUAL_TOL = 1e-8
 _CLUSTER_TOL = 1e-8
+# np.roots spreads an N-fold root by ~eps^(1/N) of its scale: ~1.5e-8 for a
+# double root, ~6e-6 for a triple one
+_SCATTER_TOL = 1e-5
+_MULTIPLE_ROOT_RESIDUAL = 1e-12  # |f| at a confirmed multiple start root
 
 
 class CriticalKind(Enum):
@@ -98,33 +102,58 @@ def _merge_touching(pieces: list[tuple[float, float]]) -> list[tuple[float, floa
     return merged
 
 
-def _cluster_roots(roots: list[complex]) -> list[tuple[complex, int]]:
-    """Group near-identical roots into (representative, multiplicity) pairs."""
+def _cluster_roots(roots, tol=_CLUSTER_TOL, confirm=None) -> list[tuple[complex, int]]:
+    """Group near-identical roots into (representative, multiplicity) pairs.
+
+    Sorted roots within ``tol`` (1 + |r|) of the running centroid form one
+    group.  ``confirm(centroid, m)`` gives the representative of a group of m,
+    or None when the group is m distinct close roots; those are grouped again
+    within _CLUSTER_TOL.
+    """
     items = sorted(roots, key=lambda c: (c.real, c.imag))
-    out: list[tuple[complex, int]] = []
+    groups: list[tuple[complex, list[complex]]] = []
     for r in items:
-        if out and abs(r - out[-1][0]) < _CLUSTER_TOL * (1.0 + abs(r)):
-            c, m = out[-1]
-            out[-1] = ((c * m + r) / (m + 1), m + 1)
+        if groups and abs(r - groups[-1][0]) < tol * (1.0 + abs(r)):
+            c, members = groups[-1]
+            m = len(members)
+            groups[-1] = ((c * m + r) / (m + 1), members + [r])
         else:
-            out.append((r, 1))
+            groups.append((r, [r]))
+    out: list[tuple[complex, int]] = []
+    for c, members in groups:
+        rep = c if confirm is None or len(members) == 1 else confirm(c, len(members))
+        if rep is None:
+            out.extend(_cluster_roots(members))
+        else:
+            out.append((rep, len(members)))
     return out
 
 
 def starting_points(problem: LocusProblem) -> list[CriticalPoint]:
-    """Characteristic roots at lam = 0 inside the region, with multiplicity."""
+    """Characteristic roots at lam = 0 inside the region, with multiplicity.
+
+    Gain starts are the given poles.  Delay starts are the zeros of 1 + G from
+    np.roots, which scatters an N-fold zero: a group of N within _SCATTER_TOL
+    is one N-fold start when Newton on the (N-1)-th s-derivative of f from the
+    group's centroid lands where f vanishes and ``localmodel.multiplicity``
+    reads N.  The derivatives alone cannot tell: f' vanishes midway between
+    two distinct roots, while f there is about f''/8 times their squared gap.
+    """
     if problem.kind is LocusKind.GAIN:
-        roots = [p for p in problem.plant.poles if p.real >= problem.sigma0]
+        clusters = _cluster_roots([p for p in problem.plant.poles if p.real >= problem.sigma0])
     else:
-        roots = [
-            r
-            for r in rational_zeros(problem.plant, "one_plus_g")
-            if r.real >= problem.sigma0
-        ]
-    return [
-        CriticalPoint(CriticalKind.START, r, 0.0, multiplicity=m)
-        for r, m in _cluster_roots(roots)
-    ]
+
+        def confirm(c: complex, n: int) -> complex | None:
+            s = localmodel.polish_multiple_root(problem, c, 0.0, n)
+            if problem.cartesian_residual(s.real, s.imag, 0.0) > _MULTIPLE_ROOT_RESIDUAL:
+                return None
+            return s if localmodel.multiplicity(problem, s, 0.0) == n else None
+
+        roots = rational_zeros(problem.plant, "one_plus_g")
+        clusters = _cluster_roots(
+            [r for r in roots if r.real >= problem.sigma0], _SCATTER_TOL, confirm
+        )
+    return [CriticalPoint(CriticalKind.START, r, 0.0, multiplicity=m) for r, m in clusters]
 
 
 def branch_point(

@@ -229,37 +229,85 @@ def result_from_dict(doc: dict) -> RootLocusResult:
     )
 
 
-def _iter_fmt(o):
-    if isinstance(o, float):
-        yield _fmt(o)
-    elif isinstance(o, dict):
-        yield "{"
-        first = True
-        for k, v in o.items():
-            if not first:
-                yield ", "
-            first = False
-            yield json.dumps(str(k))
-            yield ": "
-            yield from _iter_fmt(v)
-        yield "}"
-    elif isinstance(o, (list, tuple)):
-        yield "["
-        for i, v in enumerate(o):
-            if i:
-                yield ", "
-            yield from _iter_fmt(v)
-        yield "]"
-    else:
-        yield json.dumps(o)
+def _obj(pairs) -> str:
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}"
+
+
+def _arr(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _critical_json(cp: CriticalPoint) -> str:
+    return _obj([
+        ("kind", json.dumps(cp.kind.value)),
+        ("sigma", _fmt(cp.root.real)),
+        ("omega", _fmt(cp.root.imag)),
+        ("lambda", _fmt(cp.lam)),
+        ("multiplicity", json.dumps(cp.multiplicity)),
+        ("directions", _arr(f"[{_fmt(d[0])}, {_fmt(d[1])}, {_fmt(d[2])}]"
+                            for d in cp.directions)),
+    ])
+
+
+def _result_json(result: RootLocusResult, rows: list[list[list[str]]]) -> str:
+    """``result.json``: the JSON of ``result_to_dict(result)``, floats with 17
+    significant digits; ``rows`` holds each trajectory's formatted point rows."""
+    problem, plant = result.problem, result.problem.plant
+    problem_json = _obj([
+        ("plant", _obj([
+            ("zeros", _arr(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in plant.zeros)),
+            ("poles", _arr(f"[{_fmt(p.real)}, {_fmt(p.imag)}]" for p in plant.poles)),
+            ("gain", _fmt(plant.gain)),
+            ("delay", _fmt(plant.delay)),
+        ])),
+        ("locus", _obj([
+            ("kind", json.dumps(problem.kind.value)),
+            ("sigma0", _fmt(problem.sigma0)),
+            ("lambda_max", _fmt(problem.lambda_max)),
+        ])),
+    ])
+    trajectories = _arr(
+        _obj([
+            ("id", str(i)),
+            ("origin", _critical_json(t.origin)),
+            ("termination", json.dumps(t.termination.value)),
+            ("note", json.dumps(t.note)),
+            ("points", _arr(
+                f"[{', '.join(row)}, {_fmt(p.step_used)}]" for row, p in zip(traj_rows, t.points)
+            )),
+        ])
+        for i, (t, traj_rows) in enumerate(zip(result.trajectories, rows))
+    )
+    events = _arr(
+        _obj([("lambda", _fmt(e.lam)), ("omega", _fmt(e.omega)),
+              ("direction", json.dumps(e.direction))])
+        for e in result.imag_axis_events
+    )
+    return _obj([
+        ("problem", problem_json),
+        ("trajectories", trajectories),
+        ("critical_points", _arr(_critical_json(cp) for cp in result.critical_points)),
+        ("imag_axis_events", events),
+        ("stability_intervals", _arr(f"[{_fmt(a)}, {_fmt(b)}]"
+                                     for a, b in result.stability_intervals)),
+        ("initial_unstable_count", json.dumps(result.initial_unstable_count)),
+        ("warnings", _arr(map(json.dumps, result.warnings))),
+    ]) + "\n"
+
+
+def _point_rows(result: RootLocusResult) -> list[list[list[str]]]:
+    """Each trajectory's points as [sigma, omega, lambda, residual] strings."""
+    return [[_point_row(p) for p in t.points] for t in result.trajectories]
 
 
 def dumps_result(result: RootLocusResult) -> str:
-    return "".join(_iter_fmt(result_to_dict(result))) + "\n"
+    return _result_json(result, _point_rows(result))
 
 
 def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
-    """Write the result files into ``out_dir``; returns the written paths."""
+    """Write the result files into ``out_dir``; returns the written paths.
+
+    Each point's fields are formatted once, for ``result.json`` and its CSV."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -275,22 +323,22 @@ def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
             raise OSError(f"writing {p}: {exc}") from exc
         written.append(p)
 
-    write_text("result.json", dumps_result(result))
+    rows = _point_rows(result)
+    write_text("result.json", _result_json(result, rows))
 
-    for i, traj in enumerate(result.trajectories):
-        rows = ["sigma,omega,lambda,residual"]
-        rows += [",".join(_point_row(p)) for p in traj.points]
-        write_text(f"trajectory_{i:04d}.csv", "\n".join(rows) + "\n")
+    for i, traj_rows in enumerate(rows):
+        lines = ["sigma,omega,lambda,residual"] + [",".join(row) for row in traj_rows]
+        write_text(f"trajectory_{i:04d}.csv", "\n".join(lines) + "\n")
 
-    rows = ["kind,sigma,omega,lambda,multiplicity"]
+    lines = ["kind,sigma,omega,lambda,multiplicity"]
     for cp in result.critical_points:
-        rows.append(
+        lines.append(
             ",".join(
                 [cp.kind.value, _fmt(cp.root.real), _fmt(cp.root.imag),
                  _fmt(cp.lam), str(cp.multiplicity)]
             )
         )
-    write_text("critical_points.csv", "\n".join(rows) + "\n")
+    write_text("critical_points.csv", "\n".join(lines) + "\n")
 
     lines = [f"{_fmt(a)} {_fmt(b)}" for a, b in result.stability_intervals]
     write_text("stability_intervals.txt", "\n".join(lines) + ("\n" if lines else ""))

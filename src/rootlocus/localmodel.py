@@ -28,6 +28,7 @@ from .rootfind import poly_from_roots
 
 _MULT_MAX = 6
 _MULT_REL = 1e-6
+_POLISH_ITERS = 8
 
 
 def _u_derivatives(problem: LocusProblem, s: complex, lam: float, kmax: int) -> list[complex]:
@@ -81,6 +82,21 @@ def multiplicity(problem: LocusProblem, s: complex, lam: float) -> int:
         if m > _MULT_REL * top:
             return k
     return 1
+
+
+def polish_multiple_root(problem: LocusProblem, s: complex, lam: float, n: int) -> complex:
+    """Newton on the (n-1)-th s-derivative of f from s, n >= 2: its root is
+    simple where f has an n-fold one, so the iteration converges quadratically
+    where Newton on f itself only halves the error."""
+    for _ in range(_POLISH_ITERS):
+        g = char_s_derivatives(problem, s, lam, n)
+        if g[n] == 0.0:
+            break
+        step = g[n - 1] / g[n]
+        s -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(s)):
+            break
+    return s
 
 
 def rays_up(C: complex, N: int) -> list[complex]:

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from rootlocus import continuation
 from rootlocus.continuation import (
     _MERGE_TOL,
+    _REAL_AXIS_LOG_TOL,
     BranchRegistry,
     ContinuationConfig,
     Termination,
@@ -15,6 +17,7 @@ from rootlocus.continuation import (
     _clip_solve,
     _mp_jacobian,
     _norm,
+    _real_axis_samples,
     _solve,
     branch_spawn_prediction,
     correct,
@@ -25,7 +28,12 @@ from rootlocus.continuation import (
     trace_trajectory,
 )
 from rootlocus.critical import CriticalKind, CriticalPoint, branch_points_gain
-from rootlocus.errors import DegenerateError, JacobianSingularError, NoConvergenceError
+from rootlocus.errors import (
+    DegenerateError,
+    JacobianSingularError,
+    NoConvergenceError,
+    ValidationError,
+)
 from rootlocus.localmodel import initial_tangent_simple
 from rootlocus.plant import LocusKind, LocusProblem, Plant, wrap_angle
 
@@ -338,6 +346,68 @@ def test_real_axis_segments_collide_at_branch_point(config):
     merged = [t for t in trajs if t.termination is Termination.MERGED_AT_BRANCH]
     assert merged
     assert merged[0].points[-1].lam == pytest.approx(math.exp(-2.0), rel=1e-9)
+
+
+def _axis_problems():
+    """Example 3 and five seeded symmetric gain plants with real poles; among
+    them the real-axis segments start at poles and at sigma0 and end at
+    lambda_max, at sigma0 and at real branch points."""
+    rng = np.random.default_rng(3)
+    out = [example3_problem()]
+    while len(out) < 6:
+        poles = [complex(rng.uniform(-4.0, -0.2)) for _ in range(int(rng.integers(1, 4)))]
+        re, im = rng.uniform(-4.0, -0.2), rng.uniform(0.3, 5.0)
+        poles += [complex(re, im), complex(re, -im)] if rng.random() < 0.5 else []
+        zeros = [complex(rng.uniform(-5.0, 1.0)) for _ in range(int(rng.integers(0, len(poles))))]
+        gain = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+        plant = Plant(tuple(zeros), tuple(poles), gain, rng.uniform(0.2, 1.5))
+        try:
+            out.append(LocusProblem(LocusKind.GAIN, -3.0, rng.uniform(0.5, 3.0), plant))
+        except ValidationError:
+            continue
+    return out
+
+
+def _uniform_samples(lam_and_log, x_from, x_to):
+    # the former fixed rule: 400 evenly spaced samples, ends included
+    return [(x, lam_and_log(x)[0]) for x in np.linspace(x_from, x_to, 400).tolist()]
+
+
+def test_real_axis_samples_follow_log_lambda(config, monkeypatch):
+    kinds, ends = set(), set()
+    for k, problem in enumerate(_axis_problems()):
+        plant, h = problem.plant, problem.plant.delay
+        bps = [bp for bp in branch_points_gain(problem) if abs(bp.root.imag) < 1e-9]
+        samples = []
+
+        def spy(lam_and_log, x_from, x_to):
+            out = _real_axis_samples(lam_and_log, x_from, x_to)
+            samples.append(out)
+            return out
+
+        monkeypatch.setattr(continuation, "_real_axis_samples", spy)
+        trajs, colliders = real_axis_segments(problem, bps, config)
+        monkeypatch.setattr(continuation, "_real_axis_samples", _uniform_samples)
+        old_trajs, old_colliders = real_axis_segments(problem, bps, config)
+
+        assert colliders == old_colliders
+        assert len(trajs) == len(old_trajs) == len(samples) > 0
+        for new, old in zip(trajs, old_trajs):
+            assert new.origin == old.origin and new.termination is old.termination
+            assert new.points[0] == old.points[0] and new.points[-1] == old.points[-1]
+            assert len(new.points) <= 400
+            if k == 0:
+                assert len(new.points) < 400
+            kinds.add(new.origin.kind)
+            ends.add(new.termination)
+        for pts in samples:
+            for (a, lam_a), (b, lam_b) in zip(pts, pts[1:]):
+                m = 0.5 * (a + b)
+                log_m = math.log(math.exp(h * m) / abs(plant.transfer(complex(m, 0.0)).real))
+                err = abs(log_m - 0.5 * (math.log(lam_a) + math.log(lam_b)))
+                assert err <= _REAL_AXIS_LOG_TOL * (1 + 1e-9) + 1e-12
+    assert kinds >= {CriticalKind.START, CriticalKind.CROSSING_IN}
+    assert ends == set(Termination) - {Termination.STALLED}
 
 
 def _seeded_systems(n, seed=20261018):

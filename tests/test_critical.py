@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rootlocus import rootfind
+from rootlocus import localmodel, rootfind
 
 from rootlocus.critical import (
     CriticalKind,
@@ -66,6 +66,21 @@ def test_starting_points_delay():
     pts = starting_points(problem)
     assert len(pts) == 1
     assert pts[0].root == pytest.approx(-3.0)  # zero of 1 + 2/(s+1)
+
+
+def test_starting_points_keep_close_distinct_delay_roots_apart():
+    # 1 + G = (s + 1)(s + 1 + d)/(s(s + 2)): two simple roots d apart, close
+    # enough to be grouped as one scattered double root
+    d = 5e-6
+    plant = Plant(zeros=(-(1.0 + d) / d,), poles=(0.0, -2.0), gain=d, delay=1.0)
+    problem = LocusProblem(LocusKind.DELAY, -1.5, 1.0, plant)
+    pts = starting_points(problem)
+    assert [p.multiplicity for p in pts] == [1, 1]
+    assert [p.root for p in pts] == [
+        pytest.approx(-1.0 - d, abs=1e-9), pytest.approx(-1.0, abs=1e-9)
+    ]
+    # the derivatives at their midpoint read a double root: f' vanishes there
+    assert localmodel.multiplicity(problem, complex(-1.0 - d / 2, 0.0), 0.0) == 2
 
 
 def test_starting_points_example2_unstable_count():

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from rootlocus import continuation, engine
+from rootlocus import continuation, critical, engine, localmodel
 from rootlocus.continuation import ContinuationConfig, Termination
 from rootlocus.critical import CriticalKind
 from rootlocus.engine import compute_root_locus
@@ -159,6 +159,38 @@ def test_delay_locus_from_a_double_start_root():
     roots.sort(key=lambda r: r.imag)
     want = [complex(-0.80960550, -0.54251225), complex(-0.80960550, 0.54251225)]
     assert roots == [pytest.approx(w, abs=1e-8) for w in want]
+
+
+def test_double_delay_start_root_is_one_start_traced_along_its_rays(monkeypatch):
+    # np.roots returns the double zero -1 of 1 + G as -1+7.45e-9j and
+    # -1-1.49e-8j; they are one start of multiplicity 2
+    plant = Plant(zeros=(), poles=(0.0, -2.0), gain=1.0, delay=1.0)
+    problem = LocusProblem(LocusKind.DELAY, -1.5, 1.0, plant)
+    starts = critical.starting_points(problem)
+    assert len(starts) == 1 and starts[0].multiplicity == 2
+    assert abs(starts[0].root + 1.0) < 1e-12
+    calls = []
+    real_start_rays = localmodel.start_rays
+
+    def start_rays(problem, s0, n):
+        rays = real_start_rays(problem, s0, n)
+        calls.append((s0, n, rays))
+        return rays
+
+    monkeypatch.setattr(localmodel, "start_rays", start_rays)
+    result = compute_root_locus(problem)
+    assert result.warnings == []
+    assert len(calls) == 1
+    s0, n, rays = calls[0]
+    assert (s0, n) == (starts[0].root, 2)
+    assert sorted(rays, key=lambda r: r.imag) == [pytest.approx(-1j), pytest.approx(1j)]
+    trajs = [t for t in result.trajectories if t.origin.kind is CriticalKind.START]
+    assert [t.origin.multiplicity for t in trajs] == [2, 2]
+    # one trajectory leaves along each ray; the first chord bends off it by O(h)
+    trajs.sort(key=lambda t: t.points[1].omega)
+    for traj, ray in zip(trajs, sorted(rays, key=lambda r: r.imag)):
+        first = traj.points[1].root - traj.points[0].root
+        assert abs(first / abs(first) - ray) < 0.05
 
 
 def test_stable_throughout_when_nothing_reaches_the_axis():

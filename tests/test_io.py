@@ -1,5 +1,6 @@
 """Problem parsing, result serialization, round trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from rootlocus.continuation import Termination, Trajectory, TrajectoryPoint
 from rootlocus.engine import compute_root_locus
 from rootlocus.errors import ParseError, ValidationError
 from rootlocus.io import (
@@ -17,6 +19,7 @@ from rootlocus.io import (
     parse_problem,
     parse_problem_dict,
     problem_to_dict,
+    result_to_dict,
     results_equal,
 )
 from rootlocus.plant import LocusKind, LocusProblem
@@ -228,3 +231,95 @@ def test_emit_empty_result(tmp_path):
     assert (out / "stability_intervals.txt").read_text(encoding="utf-8") != ""
     loaded = load_result(str(out))
     assert results_equal(loaded, result)
+
+
+# --- byte identity against the recursive writer ------------------------------
+
+
+def _iter_fmt(o):
+    """The recursive writer ``result.json`` was first written with: floats
+    with 17 significant digits, everything else through ``json.dumps``."""
+    if isinstance(o, float):
+        yield format(o, ".17g")
+    elif isinstance(o, dict):
+        yield "{"
+        first = True
+        for k, v in o.items():
+            if not first:
+                yield ", "
+            first = False
+            yield json.dumps(str(k))
+            yield ": "
+            yield from _iter_fmt(v)
+        yield "}"
+    elif isinstance(o, (list, tuple)):
+        yield "["
+        for i, v in enumerate(o):
+            if i:
+                yield ", "
+            yield from _iter_fmt(v)
+        yield "]"
+    else:
+        yield json.dumps(o)
+
+
+def _reference_files(result) -> dict[str, str]:
+    """Every file ``emit_results`` writes, built field by field as the
+    recursive writer did."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    files = {"result.json": "".join(_iter_fmt(result_to_dict(result))) + "\n"}
+    for i, traj in enumerate(result.trajectories):
+        rows = ["sigma,omega,lambda,residual"]
+        rows += [",".join(fmt(v) for v in (p.sigma, p.omega, p.lam, p.residual))
+                 for p in traj.points]
+        files[f"trajectory_{i:04d}.csv"] = "\n".join(rows) + "\n"
+    rows = ["kind,sigma,omega,lambda,multiplicity"]
+    for cp in result.critical_points:
+        rows.append(",".join([cp.kind.value, fmt(cp.root.real), fmt(cp.root.imag),
+                              fmt(cp.lam), str(cp.multiplicity)]))
+    files["critical_points.csv"] = "\n".join(rows) + "\n"
+    lines = [f"{fmt(a)} {fmt(b)}" for a, b in result.stability_intervals]
+    files["stability_intervals.txt"] = "\n".join(lines) + ("\n" if lines else "")
+    return files
+
+
+def _assert_emitted_like_reference(result, out):
+    written = emit_results(result, str(out))
+    want = _reference_files(result)
+    assert sorted(os.path.basename(p) for p in written) == sorted(want)
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text.encode("utf-8"), name
+    assert dumps_result(result) == want["result.json"]
+    assert results_equal(load_result(str(out)), result)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1_result", "example2_result", "example3_result", "turning_point_result"]
+)
+def test_emit_matches_the_recursive_writer_on_reference_results(name, request, tmp_path):
+    _assert_emitted_like_reference(request.getfixturevalue(name), tmp_path / name)
+
+
+def test_emit_matches_the_recursive_writer_on_an_empty_result(tmp_path):
+    result = compute_root_locus(LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant()))
+    assert result.trajectories == [] and result.imag_axis_events == []
+    _assert_emitted_like_reference(result, tmp_path / "empty")
+
+
+def test_emit_matches_the_recursive_writer_on_escapes_and_negative_zero(small_result, tmp_path):
+    traj = small_result.trajectories[0]
+    odd = Trajectory(
+        traj.origin,
+        [TrajectoryPoint(-0.0, 0.0, 0.5, -0.0, -0.0)] + traj.points[1:],
+        Termination.STALLED,
+        'stalled at "s" = C:\\path, λ ≈ 1e-3 \u2603\n',
+    )
+    result = dataclasses.replace(
+        small_result,
+        trajectories=[odd] + small_result.trajectories[1:],
+        warnings=['trajectory "0" stalled \\ at σ = -0', "plain", "\x00\x1f tab\t"],
+    )
+    _assert_emitted_like_reference(result, tmp_path / "odd")
+    text = (tmp_path / "odd" / "result.json").read_text(encoding="utf-8")
+    assert "[-0, 0, 0.5, -0, -0]" in text
+    assert "\\u03bb" in text and '\\"s\\"' in text and "C:\\\\path" in text

@@ -16,11 +16,17 @@ total over all runs.  Two checkouts that print the same digest computed the
 same bits; a change meant to be bit-identical is checked by running this on
 the parent and on the change.
 
+Beside the total it prints a "locus" digest over the same runs that leaves
+out two things: the emitted bytes, and the points of the real-axis segments
+(the trajectories of a gain locus of a conjugate-symmetric plant whose every
+omega is exactly 0.0), whose samples the closed form lam(sigma) places.  A
+change to how those samples are placed or written keeps the locus digest.
+
 With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
 command:
 
-    python3 tools/result_digest.py --expect 63b20e17d9e77f2e4b2f61eb4aaec85254b811c6bffa431d63cab5c1631b6abc
+    python3 tools/result_digest.py --expect 0fe792761ea26a35b0f45b70543d7987c10d0b779faa00a52f42981f90f118d1
 """
 
 from __future__ import annotations
@@ -53,9 +59,20 @@ def _critical(cp) -> str:
     return f"{cp.kind.value} {_hex(cp.root)} {_hex(cp.lam)} {cp.multiplicity} [{dirs}]"
 
 
-def _result_lines(result):
+def _real_axis_segment(result, traj) -> bool:
+    problem = result.problem
+    return (
+        problem.kind.value == "gain"
+        and problem.plant.conjugate_symmetric
+        and all(p.omega == 0.0 for p in traj.points)
+    )
+
+
+def _result_lines(result, locus_only=False):
     for traj in result.trajectories:
         yield f"trajectory {_critical(traj.origin)} {traj.termination.value} {traj.note!r}"
+        if locus_only and _real_axis_segment(result, traj):
+            continue
         for p in traj.points:
             yield " ".join(_hex(v) for v in (p.sigma, p.omega, p.lam, p.residual, p.step_used))
     for cp in result.critical_points:
@@ -69,8 +86,9 @@ def _result_lines(result):
         yield f"warning {w!r}"
 
 
-def digest_run(problem, work_dir: str) -> bytes:
-    """sha256 of one run: its emitted files, then its in-memory result."""
+def digest_run(problem, work_dir: str) -> tuple[bytes, bytes]:
+    """sha256 of one run, its emitted files and then its in-memory result,
+    and its locus sha256, without the files and the real-axis samples."""
     result = compute_root_locus(problem)
     h = hashlib.sha256()
     for path in sorted(emit_results(result, work_dir)):
@@ -78,30 +96,39 @@ def digest_run(problem, work_dir: str) -> bytes:
             h.update(os.path.basename(path).encode() + b"\0" + fh.read() + b"\0")
     for line in _result_lines(result):
         h.update(line.encode() + b"\n")
-    return h.digest()
+    locus = hashlib.sha256()
+    for line in _result_lines(result, locus_only=True):
+        locus.update(line.encode() + b"\n")
+    return h.digest(), locus.digest()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the total equals this")
     args = parser.parse_args()
-    total = hashlib.sha256()
+    total, locus = hashlib.sha256(), hashlib.sha256()
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in WORKLOADS:
                 if workload == "reference" and seed != SEEDS[0]:
                     continue  # the reference problems do not depend on the seed
-                part = hashlib.sha256()
+                part, locus_part = hashlib.sha256(), hashlib.sha256()
                 problems = workloads.build(workload, seed)
                 for i, problem in enumerate(problems):
                     work_dir = os.path.join(tmp, f"{workload}_{seed}_{i}")
-                    run = digest_run(problem, work_dir)
+                    run, run_locus = digest_run(problem, work_dir)
                     part.update(run)
                     total.update(run)
+                    locus_part.update(run_locus)
+                    locus.update(run_locus)
                 runs += len(problems)
-                print(f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}")
+                print(
+                    f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}"
+                    f"  locus {locus_part.hexdigest()}"
+                )
     print(f"{runs} runs")
+    print(f"locus {locus.hexdigest()}")
     print(total.hexdigest())
     if args.expect is not None:
         print(f"expected {args.expect}")
