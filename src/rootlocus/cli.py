@@ -78,8 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         written = emit_results(result, args.out)
         if args.svg:
             window = tuple(args.window) if args.window else None
-            upper = result.problem.plant.conjugate_symmetric and window is None
-            doc = render_svg(result, window=window, upper_half_only=upper)
+            doc = render_svg(result, window=window, upper_half_only=window is None)
             path = os.path.join(args.out, "rootlocus.svg")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(doc)

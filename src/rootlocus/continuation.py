@@ -155,14 +155,13 @@ def _located_point(problem: LocusProblem, y: np.ndarray, step: float) -> Traject
     return TrajectoryPoint(sigma, omega, lam, problem.cartesian_residual(sigma, omega, lam), step)
 
 
-def predict(prev: TrajectoryPoint, curr: TrajectoryPoint, step: float) -> np.ndarray:
-    """Secant extrapolation from the last two corrected points."""
-    y = curr.as_array()
-    d = y - prev.as_array()
+def secant(prev: TrajectoryPoint, curr: TrajectoryPoint) -> np.ndarray:
+    """Unit secant direction through the last two corrected points."""
+    d = curr.as_array() - prev.as_array()
     norm = _norm(d)
     if norm < 1e-14:
         raise DegenerateError("secant direction degenerated: consecutive points coincide")
-    return y + d / norm * step
+    return d / norm
 
 
 def correct(
@@ -332,16 +331,13 @@ def trace_trajectory(
         if len(points) >= config.max_points:
             return end(Termination.STALLED, "max_points reached")
         if len(points) >= 2:
-            d = points[-1].as_array() - points[-2].as_array()
-            d = d / _norm(d)
+            d = secant(points[-2], points[-1])
         halvings = 0
         while True:
             if spawn_ray is not None and len(points) == 1:
                 # the first step from a multiple point is placed on the ray
                 # model; tangent extrapolation has the wrong parameter scaling
                 y_pred = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)[0]
-            elif len(points) >= 2:
-                y_pred = predict(points[-2], points[-1], h)
             else:
                 y_pred = points[-1].as_array() + d * h
             try:
@@ -475,15 +471,14 @@ def branch_spawn_prediction(
 
 
 def real_axis_segments(
-    problem: LocusProblem,
-    branch_points: list[CriticalPoint],
-    config: ContinuationConfig,
+    problem: LocusProblem, branch_points: list[CriticalPoint]
 ) -> tuple[list[Trajectory], list[CriticalPoint]]:
     """Direct real-axis locus computation for the gain case.
 
     On the real axis the gain is the closed form lam(sigma) =
     e^{h sigma}/|G(sigma)| wherever G(sigma) < 0; segments between real
-    critical points are sampled directly instead of continued.  Returns the
+    critical points, split also at each lam maximum above lambda_max, are
+    sampled directly instead of continued.  Returns the
     trajectories plus the real branch points that terminate colliding
     segments (for complex-pair spawning by the caller).
     """
@@ -524,20 +519,39 @@ def real_axis_segments(
             break
         cap *= 2.0 if cap > 0 else 0.5
         cap = cap + 1.0
+
+    eps = 1e-7
+
+    def drawn_in(a: float, b: float) -> tuple[float, float]:
+        return a + eps * (1 + abs(a)), b - eps * (1 + abs(b))
+
+    def dlog_lam(x: float) -> float:
+        # d(log lam)/dx = h - G'/G
+        return h - problem.evaluate(x, 0.0, 1.0)[2].real
+
     knots = sorted(
         set([s0, cap] + real_poles + real_zeros + [bp.root.real for bp in real_bps])
     )
+    # the locus covers the knot intervals where G < 0.  A lam maximum above
+    # lambda_max inside one is a real branch point that ``branch_points_gain``
+    # leaves out: the interval is split there, so that each arm rises
+    # monotonically to its lambda_max clip
+    pieces: list[tuple[float, float]] = []
+    for a, b in zip(knots[:-1], knots[1:]):
+        if b - a < 4 * eps or g_real(0.5 * (a + b)) >= 0.0:
+            continue
+        lo, hi = drawn_in(a, b)
+        if dlog_lam(lo) > 0.0 > dlog_lam(hi):
+            peak = bracketed_root(dlog_lam, lo, hi)
+            if lam_of(peak) > problem.lambda_max:
+                pieces += [(a, peak), (peak, b)]
+                continue
+        pieces.append((a, b))
     trajectories: list[Trajectory] = []
     colliders: list[CriticalPoint] = []
 
-    eps = 1e-7
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b - a < 4 * eps:
-            continue
-        mid = 0.5 * (a + b)
-        if g_real(mid) >= 0.0:
-            continue
-        lo, hi = a + eps * (1 + abs(a)), b - eps * (1 + abs(b))
+    for a, b in pieces:
+        lo, hi = drawn_in(a, b)
         lam_lo, lam_hi = lam_of(lo), lam_of(hi)
         # orient the traversal from low lam to high lam
         if lam_lo <= lam_hi:

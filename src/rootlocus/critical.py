@@ -49,7 +49,8 @@ class CriticalPoint:
     root: complex
     lam: float
     multiplicity: int = 1
-    directions: list = field(default_factory=list)  # unit 3-vectors (Re s, Im s, lam)
+    # unit (Re s, Im s, lam) triples of plain floats
+    directions: list[tuple[float, float, float]] = field(default_factory=list)
 
     def key(self) -> tuple[float, float, float]:
         return (self.lam, self.root.imag, self.root.real)
@@ -79,16 +80,14 @@ def dedup_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
     return out
 
 
-def _with_mirrors(points: list[CriticalPoint], plant: Plant) -> list[CriticalPoint]:
-    """Add the conjugate of every upper-half point when the plant is
-    conjugate-symmetric; the crossing scans cover only omega >= 0."""
-    if plant.conjugate_symmetric:
-        points += [
-            CriticalPoint(cp.kind, cp.root.conjugate(), cp.lam)
-            for cp in points
-            if cp.root.imag > 1e-12
-        ]
-    return points
+def _with_mirrors(points: list[CriticalPoint]) -> list[CriticalPoint]:
+    """Add the conjugate of every upper-half point: the plant is
+    conjugate-symmetric and the crossing scans cover only omega >= 0."""
+    return points + [
+        CriticalPoint(cp.kind, cp.root.conjugate(), cp.lam)
+        for cp in points
+        if cp.root.imag > 1e-12
+    ]
 
 
 def _merge_touching(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -163,9 +162,8 @@ def branch_point(
     ``min_multiplicity``, and its up rays as directions."""
     n = max(localmodel.multiplicity(problem, s, lam), min_multiplicity)
     rays = localmodel.branch_rays(problem, s, lam, n)
-    cp = CriticalPoint(CriticalKind.BRANCH, s, lam, multiplicity=n)
-    cp.directions = [np.array([w.real, w.imag, 0.0]) for w in rays]
-    return cp
+    directions = [(float(w.real), float(w.imag), 0.0) for w in rays]
+    return CriticalPoint(CriticalKind.BRANCH, s, lam, n, directions)
 
 
 def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
@@ -406,4 +404,4 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
         for a, b in zip(knots[:-1], knots[1:]):
             if b - a > 1e-14 * (1.0 + abs(b)):
                 _solve_levels(a, b, phase, on_root)
-    return dedup_points(_with_mirrors(found, plant))
+    return dedup_points(_with_mirrors(found))

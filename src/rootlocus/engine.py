@@ -100,9 +100,7 @@ def compute_root_locus(
     crit_points.extend(bps)
     records_by_bp = {id(bp): registry.register(bp) for bp in bps}
 
-    use_real_axis = (
-        problem.kind is LocusKind.GAIN and problem.plant.conjugate_symmetric
-    )
+    use_real_axis = problem.kind is LocusKind.GAIN
 
     def on_axis(cp: CriticalPoint) -> bool:
         """Real points whose real rays the closed-form axis segments own."""
@@ -110,7 +108,7 @@ def compute_root_locus(
 
     if use_real_axis:
         real_bps = [bp for bp in bps if on_axis(bp)]
-        real_trajs, colliders = cont.real_axis_segments(problem, real_bps, config)
+        real_trajs, colliders = cont.real_axis_segments(problem, real_bps)
         trajectories.extend(real_trajs)
         # real rays of real branch points are owned by the axis segments
         for bp in real_bps:

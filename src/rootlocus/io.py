@@ -11,8 +11,9 @@ The problem file is a JSON document:
 
 Results are written as one structured JSON file plus per-trajectory CSVs, a
 critical-points CSV and a stability-intervals text file.  All floats are
-serialized with 17 significant digits so that parsing the files back
-reproduces the computed values bit for bit.
+serialized with 17 significant digits, and ``load_result`` reads every one
+back as a float, so a loaded result holds the computed values bit for bit
+(-0.0 included) and compares equal to the computed one with ``==``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import fields
-
-import numpy as np
 
 from .continuation import ContinuationConfig, Termination, Trajectory, TrajectoryPoint
 from .critical import CriticalKind, CriticalPoint
@@ -131,77 +130,23 @@ def parse_problem(path: str) -> tuple[LocusProblem, ContinuationConfig]:
     return parse_problem_dict(doc, where=path)
 
 
-def problem_to_dict(problem: LocusProblem) -> dict:
-    return {
-        "plant": {
-            "zeros": [[z.real, z.imag] for z in problem.plant.zeros],
-            "poles": [[p.real, p.imag] for p in problem.plant.poles],
-            "gain": problem.plant.gain,
-            "delay": problem.plant.delay,
-        },
-        "locus": {
-            "kind": problem.kind.value,
-            "sigma0": problem.sigma0,
-            "lambda_max": problem.lambda_max,
-        },
-    }
-
-
 def _point_row(pt: TrajectoryPoint) -> list[str]:
     return [_fmt(pt.sigma), _fmt(pt.omega), _fmt(pt.lam), _fmt(pt.residual)]
 
 
-def _critical_to_dict(cp: CriticalPoint) -> dict:
-    return {
-        "kind": cp.kind.value,
-        "sigma": float(cp.root.real),
-        "omega": float(cp.root.imag),
-        "lambda": float(cp.lam),
-        "multiplicity": cp.multiplicity,
-        "directions": [[float(d[0]), float(d[1]), float(d[2])] for d in cp.directions],
-    }
-
-
 def _critical_from_dict(doc: dict) -> CriticalPoint:
-    cp = CriticalPoint(
+    return CriticalPoint(
         CriticalKind(doc["kind"]),
         complex(doc["sigma"], doc["omega"]),
         doc["lambda"],
-        multiplicity=doc["multiplicity"],
+        int(doc["multiplicity"]),
+        [tuple(d) for d in doc["directions"]],
     )
-    cp.directions = [np.array(d) for d in doc["directions"]]
-    return cp
-
-
-def result_to_dict(result: RootLocusResult) -> dict:
-    return {
-        "problem": problem_to_dict(result.problem),
-        "trajectories": [
-            {
-                "id": i,
-                "origin": _critical_to_dict(t.origin),
-                "termination": t.termination.value,
-                "note": t.note,
-                "points": [
-                    [float(p.sigma), float(p.omega), float(p.lam),
-                     float(p.residual), float(p.step_used)]
-                    for p in t.points
-                ],
-            }
-            for i, t in enumerate(result.trajectories)
-        ],
-        "critical_points": [_critical_to_dict(cp) for cp in result.critical_points],
-        "imag_axis_events": [
-            {"lambda": float(e.lam), "omega": float(e.omega), "direction": e.direction}
-            for e in result.imag_axis_events
-        ],
-        "stability_intervals": [[float(a), float(b)] for a, b in result.stability_intervals],
-        "initial_unstable_count": result.initial_unstable_count,
-        "warnings": list(result.warnings),
-    }
 
 
 def result_from_dict(doc: dict) -> RootLocusResult:
+    """The result in ``doc``, ``result.json`` parsed with every number a float
+    (as ``load_result`` parses it); the integer fields are made ints here."""
     problem, _ = parse_problem_dict(doc["problem"], where="result.problem")
     trajectories = []
     for t in doc["trajectories"]:
@@ -215,7 +160,7 @@ def result_from_dict(doc: dict) -> RootLocusResult:
             )
         )
     events = [
-        ImagAxisEvent(e["lambda"], e["omega"], e["direction"])
+        ImagAxisEvent(e["lambda"], e["omega"], int(e["direction"]))
         for e in doc["imag_axis_events"]
     ]
     return RootLocusResult(
@@ -224,7 +169,7 @@ def result_from_dict(doc: dict) -> RootLocusResult:
         [_critical_from_dict(c) for c in doc["critical_points"]],
         events,
         [(a, b) for a, b in doc["stability_intervals"]],
-        doc["initial_unstable_count"],
+        int(doc["initial_unstable_count"]),
         list(doc["warnings"]),
     )
 
@@ -250,8 +195,8 @@ def _critical_json(cp: CriticalPoint) -> str:
 
 
 def _result_json(result: RootLocusResult, rows: list[list[list[str]]]) -> str:
-    """``result.json``: the JSON of ``result_to_dict(result)``, floats with 17
-    significant digits; ``rows`` holds each trajectory's formatted point rows."""
+    """``result.json``, floats with 17 significant digits; ``rows`` holds each
+    trajectory's formatted point rows."""
     problem, plant = result.problem, result.problem.plant
     problem_json = _obj([
         ("plant", _obj([
@@ -300,10 +245,6 @@ def _point_rows(result: RootLocusResult) -> list[list[list[str]]]:
     return [[_point_row(p) for p in t.points] for t in result.trajectories]
 
 
-def dumps_result(result: RootLocusResult) -> str:
-    return _result_json(result, _point_rows(result))
-
-
 def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
     """Write the result files into ``out_dir``; returns the written paths.
 
@@ -346,11 +287,12 @@ def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
 
 
 def load_result(out_dir: str) -> RootLocusResult:
-    """Parse a result directory written by emit_results."""
+    """Parse a result directory written by emit_results: the result as it was
+    computed, every float with the bits it had (``-0`` is read as -0.0)."""
     p = os.path.join(out_dir, "result.json")
     try:
         with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)
     except OSError as exc:
         raise ParseError(f"{p}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -359,5 +301,5 @@ def load_result(out_dir: str) -> RootLocusResult:
 
 
 def results_equal(a: RootLocusResult, b: RootLocusResult) -> bool:
-    """Field-for-field equality of two results (array-safe)."""
-    return result_to_dict(a) == result_to_dict(b)
+    """Field-for-field equality of two results: ``a == b``."""
+    return a == b

@@ -265,6 +265,11 @@ class LocusProblem:
             raise ValidationError(
                 f"lambda_max must be positive and finite, got {self.lambda_max}"
             )
+        if not self.plant.conjugate_symmetric:
+            raise ValidationError(
+                "plant poles and zeros must come in complex-conjugate pairs: the "
+                "crossing search scans only omega >= 0 and mirrors what it finds"
+            )
         # the proximity tolerance of transfer at s = sigma0, where the crossing
         # search evaluates G (phi_offset)
         tol = 1e-9 * (1.0 + abs(self.sigma0))

@@ -82,6 +82,21 @@ def test_pole_within_proximity_of_the_boundary_exit_code(tmp_path, capsys, kind)
     assert "boundary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["gain", "delay"])
+def test_asymmetric_plant_exit_code(tmp_path, capsys, kind):
+    # the crossing search scans omega >= 0 only and mirrors what it finds, so
+    # an asymmetric plant would lose its negative-frequency roots silently
+    doc = {
+        "plant": {"zeros": [], "poles": [[-0.3, 2.0], [-2.0, -0.5]], "gain": 3.0, "delay": 1.0},
+        "locus": {"kind": kind, "sigma0": -1.0, "lambda_max": 1.0},
+    }
+    problem = _write_problem(tmp_path, doc)
+    code = main(["compute", problem, "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION == 3
+    assert "conjugate pairs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runs_are_byte_identical(tmp_path):
     problem = _write_problem(tmp_path, PROBLEM)
     out1, out2 = tmp_path / "a", tmp_path / "b"

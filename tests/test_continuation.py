@@ -21,13 +21,14 @@ from rootlocus.continuation import (
     _solve,
     branch_spawn_prediction,
     correct,
-    predict,
     real_axis_segments,
+    secant,
     solve_branch_point,
     step_update,
     trace_trajectory,
 )
 from rootlocus.critical import CriticalKind, CriticalPoint, branch_points_gain
+from rootlocus.engine import compute_root_locus
 from rootlocus.errors import (
     DegenerateError,
     JacobianSingularError,
@@ -49,13 +50,16 @@ def _first_order_problem(sigma0=-5.0, lambda_max=10.0):
 
 
 def test_predict_collinear():
-    assert predict(_pt(0, 0, 0), _pt(1, 0, 0), 0.5) == pytest.approx([1.5, 0, 0])
-    assert predict(_pt(0, 0, 0), _pt(0, 3, 4), 5.0) == pytest.approx([0, 6, 8])
+    # the predictor steps from the last point along the unit secant
+    last = _pt(1, 0, 0)
+    assert last.as_array() + secant(_pt(0, 0, 0), last) * 0.5 == pytest.approx([1.5, 0, 0])
+    last = _pt(0, 3, 4)
+    assert last.as_array() + secant(_pt(0, 0, 0), last) * 5.0 == pytest.approx([0, 6, 8])
 
 
 def test_predict_degenerate():
     with pytest.raises(DegenerateError):
-        predict(_pt(1, 2, 3), _pt(1, 2, 3), 0.1)
+        secant(_pt(1, 2, 3), _pt(1, 2, 3))
 
 
 def test_initial_tangent_gain_start():
@@ -325,7 +329,7 @@ def test_clip_solve_pinned_lambda(config):
 
 def test_real_axis_segments_simple(config):
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
-    trajs, colliders = real_axis_segments(problem, [], config)
+    trajs, colliders = real_axis_segments(problem, [])
     assert len(trajs) == 1
     assert colliders == []
     traj = trajs[0]
@@ -340,12 +344,26 @@ def test_real_axis_segments_simple(config):
 def test_real_axis_segments_collide_at_branch_point(config):
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     bps = branch_points_gain(problem)
-    trajs, colliders = real_axis_segments(problem, bps, config)
+    trajs, colliders = real_axis_segments(problem, bps)
     assert len(colliders) >= 1
     assert colliders[0].root == pytest.approx(complex(-2.0, 0.0), abs=1e-9)
     merged = [t for t in trajs if t.termination is Termination.MERGED_AT_BRANCH]
     assert merged
     assert merged[0].points[-1].lam == pytest.approx(math.exp(-2.0), rel=1e-9)
+
+
+def test_real_axis_segments_split_at_a_branch_point_above_lambda_max():
+    # lam(sigma) = e^sigma (sigma + 1)(sigma + 3) on (-3, -1) peaks at about
+    # 0.135 > lambda_max: the segment is two arms, each clipped at lambda_max
+    problem = LocusProblem(LocusKind.GAIN, -4.0, 0.1, Plant((), (-1.0, -3.0), 1.0, 1.0))
+    result = compute_root_locus(problem)
+    assert [t.origin.root for t in result.trajectories] == [-3.0, -1.0]
+    for traj, rising in zip(result.trajectories, (True, False)):
+        sigmas = [p.sigma for p in traj.points]
+        assert sigmas == sorted(sigmas, reverse=not rising)
+        assert traj.termination is Termination.LAMBDA_MAX_REACHED
+        assert traj.points[-1].lam == pytest.approx(0.1, rel=1e-12, abs=0.0)
+        assert all(p.residual < 1e-4 for p in traj.points)
 
 
 def _axis_problems():
@@ -386,9 +404,9 @@ def test_real_axis_samples_follow_log_lambda(config, monkeypatch):
             return out
 
         monkeypatch.setattr(continuation, "_real_axis_samples", spy)
-        trajs, colliders = real_axis_segments(problem, bps, config)
+        trajs, colliders = real_axis_segments(problem, bps)
         monkeypatch.setattr(continuation, "_real_axis_samples", _uniform_samples)
-        old_trajs, old_colliders = real_axis_segments(problem, bps, config)
+        old_trajs, old_colliders = real_axis_segments(problem, bps)
 
         assert colliders == old_colliders
         assert len(trajs) == len(old_trajs) == len(samples) > 0

@@ -13,13 +13,10 @@ from rootlocus.continuation import Termination, Trajectory, TrajectoryPoint
 from rootlocus.engine import compute_root_locus
 from rootlocus.errors import ParseError, ValidationError
 from rootlocus.io import (
-    dumps_result,
     emit_results,
     load_result,
     parse_problem,
     parse_problem_dict,
-    problem_to_dict,
-    result_to_dict,
     results_equal,
 )
 from rootlocus.plant import LocusKind, LocusProblem
@@ -168,9 +165,12 @@ def test_parse_continuation_types(tmp_path):
         parse_problem(_write(tmp_path, _doc(continuation={"h0": 5.0})))
 
 
-def test_problem_dict_round_trip():
+def test_problem_dict_round_trip(tmp_path):
+    # the problem section of result.json is a problem document
     problem = LocusProblem(LocusKind.GAIN, -1.5, 2.0, first_order_plant())
-    again, _ = parse_problem_dict(problem_to_dict(problem))
+    emit_results(compute_root_locus(problem), str(tmp_path))
+    doc = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    again, _ = parse_problem_dict(doc["problem"])
     assert again == problem
 
 
@@ -211,8 +211,9 @@ def test_trajectory_csv_shape(small_result, tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
 
 
-def test_seventeen_digit_floats_round_trip(small_result):
-    doc = json.loads(dumps_result(small_result))
+def test_seventeen_digit_floats_round_trip(small_result, tmp_path):
+    emit_results(small_result, str(tmp_path))
+    doc = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
     pt = small_result.trajectories[0].points[1]
     assert doc["trajectories"][0]["points"][1][0] == pt.sigma
     rng = np.random.default_rng(3)
@@ -263,11 +264,61 @@ def _iter_fmt(o):
         yield json.dumps(o)
 
 
+# result.json's keys, in their written order
+_RESULT_KEYS = ["problem", "trajectories", "critical_points", "imag_axis_events",
+                "stability_intervals", "initial_unstable_count", "warnings"]
+_PLANT_KEYS = ["zeros", "poles", "gain", "delay"]
+_LOCUS_KEYS = ["kind", "sigma0", "lambda_max"]
+_TRAJECTORY_KEYS = ["id", "origin", "termination", "note", "points"]
+_CRITICAL_KEYS = ["kind", "sigma", "omega", "lambda", "multiplicity", "directions"]
+_EVENT_KEYS = ["lambda", "omega", "direction"]
+
+
+def _assert_result_keys(doc):
+    assert list(doc) == _RESULT_KEYS
+    assert list(doc["problem"]) == ["plant", "locus"]
+    assert list(doc["problem"]["plant"]) == _PLANT_KEYS
+    assert list(doc["problem"]["locus"]) == _LOCUS_KEYS
+    for i, traj in enumerate(doc["trajectories"]):
+        assert list(traj) == _TRAJECTORY_KEYS and traj["id"] == i
+        assert list(traj["origin"]) == _CRITICAL_KEYS
+        assert all(len(row) == 5 for row in traj["points"])
+    assert all(list(cp) == _CRITICAL_KEYS for cp in doc["critical_points"])
+    assert all(list(ev) == _EVENT_KEYS for ev in doc["imag_axis_events"])
+
+
+def _leaves(value):
+    """Every scalar field of a result, depth first; a complex as its two parts."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.compare:
+                yield from _leaves(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    elif isinstance(value, complex):
+        yield value.real
+        yield value.imag
+    else:
+        yield value
+
+
+def _assert_identical(loaded, result):
+    """``loaded == result``, and every float of ``loaded`` is a float with
+    the bits of the computed one (so -0.0 is not 0.0)."""
+    assert loaded == result
+    for got, want in zip(_leaves(loaded), _leaves(result), strict=True):
+        if isinstance(want, float):
+            assert type(got) is float and got.hex() == want.hex(), (got, want)
+        else:
+            assert type(got) is type(want) and got == want, (got, want)
+
+
 def _reference_files(result) -> dict[str, str]:
-    """Every file ``emit_results`` writes, built field by field as the
-    recursive writer did."""
+    """The CSV and text files ``emit_results`` writes, built field by field
+    as the recursive writer did."""
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
-    files = {"result.json": "".join(_iter_fmt(result_to_dict(result))) + "\n"}
+    files = {}
     for i, traj in enumerate(result.trajectories):
         rows = ["sigma,omega,lambda,residual"]
         rows += [",".join(fmt(v) for v in (p.sigma, p.omega, p.lam, p.residual))
@@ -286,11 +337,20 @@ def _reference_files(result) -> dict[str, str]:
 def _assert_emitted_like_reference(result, out):
     written = emit_results(result, str(out))
     want = _reference_files(result)
-    assert sorted(os.path.basename(p) for p in written) == sorted(want)
+    assert sorted(os.path.basename(p) for p in written) == sorted([*want, "result.json"])
     for name, text in want.items():
         assert (out / name).read_bytes() == text.encode("utf-8"), name
-    assert dumps_result(result) == want["result.json"]
-    assert results_equal(load_result(str(out)), result)
+    # result.json is what the recursive writer makes of its own parse, so
+    # every number in it is the 17-digit form of the float it parses to ...
+    text = (out / "result.json").read_bytes().decode("utf-8")
+    doc = json.loads(text, parse_int=float)
+    assert "".join(_iter_fmt(doc)) + "\n" == text
+    _assert_result_keys(doc)
+    for i, traj in enumerate(doc["trajectories"]):
+        csv_rows = want[f"trajectory_{i:04d}.csv"].split("\n")[1:-1]
+        assert [",".join(format(v, ".17g") for v in row[:4]) for row in traj["points"]] == csv_rows
+    # ... and those floats are the computed ones, bit for bit
+    _assert_identical(load_result(str(out)), result)
 
 
 @pytest.mark.parametrize(
@@ -323,3 +383,21 @@ def test_emit_matches_the_recursive_writer_on_escapes_and_negative_zero(small_re
     text = (tmp_path / "odd" / "result.json").read_text(encoding="utf-8")
     assert "[-0, 0, 0.5, -0, -0]" in text
     assert "\\u03bb" in text and '\\"s\\"' in text and "C:\\\\path" in text
+
+
+def test_load_result_returns_the_written_floats(small_result, tmp_path):
+    traj = small_result.trajectories[0]
+    odd = dataclasses.replace(
+        traj, points=[TrajectoryPoint(-0.0, 0.0, 1.0, -0.0, 2.0)] + traj.points[1:]
+    )
+    result = dataclasses.replace(small_result, trajectories=[odd] + small_result.trajectories[1:])
+    emit_results(result, str(tmp_path))
+    loaded = load_result(str(tmp_path))
+    point = dataclasses.astuple(loaded.trajectories[0].points[0])
+    assert [type(v) for v in point] == [float] * 5
+    assert [v.hex() for v in point] == [
+        "-0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0", "0x1.0000000000000p+1"
+    ]
+    assert type(loaded.initial_unstable_count) is int
+    assert all(type(cp.multiplicity) is int for cp in loaded.critical_points)
+    _assert_identical(loaded, result)

@@ -18,9 +18,14 @@ the parent and on the change.
 
 Beside the total it prints a "locus" digest over the same runs that leaves
 out two things: the emitted bytes, and the points of the real-axis segments
-(the trajectories of a gain locus of a conjugate-symmetric plant whose every
-omega is exactly 0.0), whose samples the closed form lam(sigma) places.  A
-change to how those samples are placed or written keeps the locus digest.
+(the trajectories of a gain locus whose every omega is exactly 0.0), whose
+samples the closed form lam(sigma) places.  A change to how those samples
+are placed or written keeps the locus digest.
+
+Each run is also read back: ``load_result`` on the written directory must
+give a result equal (``==``) to the computed one, with every float a float
+of the computed bits (-0.0 included).  A run that does not is named, and
+the tool exits 1.
 
 With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
@@ -32,6 +37,7 @@ command:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -40,7 +46,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from rootlocus import compute_root_locus, emit_results  # noqa: E402
+from rootlocus import compute_root_locus, emit_results, load_result  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -60,12 +66,7 @@ def _critical(cp) -> str:
 
 
 def _real_axis_segment(result, traj) -> bool:
-    problem = result.problem
-    return (
-        problem.kind.value == "gain"
-        and problem.plant.conjugate_symmetric
-        and all(p.omega == 0.0 for p in traj.points)
-    )
+    return result.problem.kind.value == "gain" and all(p.omega == 0.0 for p in traj.points)
 
 
 def _result_lines(result, locus_only=False):
@@ -86,20 +87,49 @@ def _result_lines(result, locus_only=False):
         yield f"warning {w!r}"
 
 
-def digest_run(problem, work_dir: str) -> tuple[bytes, bytes]:
-    """sha256 of one run, its emitted files and then its in-memory result,
-    and its locus sha256, without the files and the real-axis samples."""
+def _leaves(value):
+    """Every scalar field of a result, depth first; a complex as its two parts."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.compare:
+                yield from _leaves(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    elif isinstance(value, complex):
+        yield value.real
+        yield value.imag
+    else:
+        yield value
+
+
+def round_trip_error(result, work_dir: str) -> str | None:
+    """Why ``load_result(work_dir)`` is not ``result`` bit for bit, or None."""
+    loaded = load_result(work_dir)
+    if loaded != result:
+        return "the loaded result differs from the computed one"
+    for got, want in zip(_leaves(loaded), _leaves(result), strict=True):
+        if isinstance(want, float) and not (type(got) is float and got.hex() == want.hex()):
+            return f"loaded {got!r} for the computed {want.hex()}"
+    return None
+
+
+def digest_run(problem, work_dir: str) -> tuple[bytes, bytes, str | None]:
+    """sha256 of one run, its emitted files and then its in-memory result;
+    its locus sha256, without the files and the real-axis samples; and its
+    round-trip error (None when the written result reads back exactly)."""
     result = compute_root_locus(problem)
     h = hashlib.sha256()
     for path in sorted(emit_results(result, work_dir)):
         with open(path, "rb") as fh:
             h.update(os.path.basename(path).encode() + b"\0" + fh.read() + b"\0")
+    error = round_trip_error(result, work_dir)
     for line in _result_lines(result):
         h.update(line.encode() + b"\n")
     locus = hashlib.sha256()
     for line in _result_lines(result, locus_only=True):
         locus.update(line.encode() + b"\n")
-    return h.digest(), locus.digest()
+    return h.digest(), locus.digest(), error
 
 
 def main() -> int:
@@ -108,6 +138,7 @@ def main() -> int:
     args = parser.parse_args()
     total, locus = hashlib.sha256(), hashlib.sha256()
     runs = 0
+    errors = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in WORKLOADS:
@@ -117,7 +148,9 @@ def main() -> int:
                 problems = workloads.build(workload, seed)
                 for i, problem in enumerate(problems):
                     work_dir = os.path.join(tmp, f"{workload}_{seed}_{i}")
-                    run, run_locus = digest_run(problem, work_dir)
+                    run, run_locus, error = digest_run(problem, work_dir)
+                    if error is not None:
+                        errors.append(f"{workload} seed {seed} problem {i}: {error}")
                     part.update(run)
                     total.update(run)
                     locus_part.update(run_locus)
@@ -127,15 +160,18 @@ def main() -> int:
                     f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}"
                     f"  locus {locus_part.hexdigest()}"
                 )
-    print(f"{runs} runs")
+    print(f"{runs} runs, {runs - len(errors)} read back exactly")
     print(f"locus {locus.hexdigest()}")
     print(total.hexdigest())
+    for error in errors:
+        print(f"ROUND TRIP: {error}", file=sys.stderr)
+    status = 1 if errors else 0
     if args.expect is not None:
         print(f"expected {args.expect}")
         if total.hexdigest() != args.expect.strip().lower():
             print("MISMATCH", file=sys.stderr)
-            return 1
-    return 0
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
