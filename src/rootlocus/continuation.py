@@ -22,14 +22,18 @@ from .errors import (
     JacobianSingularError,
     NoConvergenceError,
     PoleZeroProximityError,
+    RootLocusError,
 )
 from .plant import LocusKind, LocusProblem
 from .rootfind import bracketed_root
 
+_AXIS_TOL = 1e-9  # a root within this of an axis lies on it
 _LAMBDA_NOISE_REL = 1e-12
 _REAL_AXIS_LOG_TOL = 1e-2  # real-axis samples: max log-lam interpolation error
 _MERGE_TOL = 1e-6  # branch points closer than this in s are one point
 _BRANCH_SOLVE_ITERS = 60
+# the kinds of critical point a real-axis segment can begin at
+_AXIS_ORIGINS = (CriticalKind.START, CriticalKind.CROSSING_IN, CriticalKind.BRANCH)
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,10 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
             break
     else:
         raise NoConvergenceError("branch-point solve did not converge")
+    if not (y[0] >= problem.sigma0 and 0.0 < y[2] <= problem.lambda_max):
+        raise NoConvergenceError(
+            f"branch-point solve left the region: (sigma, omega, lam) = {tuple(y.tolist())}"
+        )
     return branch_point(problem, complex(y[0], y[1]), float(y[2]), 2)
 
 
@@ -471,51 +479,52 @@ def branch_spawn_prediction(
 
 
 def real_axis_segments(
-    problem: LocusProblem, branch_points: list[CriticalPoint]
+    problem: LocusProblem, axis_points: list[CriticalPoint]
 ) -> tuple[list[Trajectory], list[CriticalPoint]]:
     """Direct real-axis locus computation for the gain case.
 
     On the real axis the gain is the closed form lam(sigma) =
-    e^{h sigma}/|G(sigma)| wherever G(sigma) < 0; segments between real
-    critical points, split also at each lam maximum above lambda_max, are
-    sampled directly instead of continued.  Returns the
-    trajectories plus the real branch points that terminate colliding
-    segments (for complex-pair spawning by the caller).
+    e^{h sigma}/|G(sigma)| wherever G(sigma) < 0.  The segments run between
+    ``axis_points``, the pole starts, the omega = 0 crossing and the real
+    branch points, split also at each lam maximum above lambda_max; each
+    begins at one of these points, ends at one or at the lambda_max clip, and
+    is sampled directly instead of continued, at sigma = 0 too if it crosses
+    there.  Returns the trajectories plus the real branch points that
+    terminate colliding segments (for complex-pair spawning by the caller).
     """
     assert problem.kind is LocusKind.GAIN
     plant = problem.plant
     s0 = problem.sigma0
     h = plant.delay
-    real_poles = sorted({p.real for p in plant.poles if abs(p.imag) < 1e-12 and p.real >= s0})
-    real_zeros = sorted({z.real for z in plant.zeros if abs(z.imag) < 1e-12 and z.real >= s0})
-    real_bps = sorted(
-        (bp for bp in branch_points if abs(bp.root.imag) < 1e-9),
-        key=lambda bp: bp.root.real,
-    )
+    at = {cp.root.real: cp for cp in axis_points}
+    real_zeros = [z.real for z in plant.zeros if abs(z.imag) < _AXIS_TOL and z.real >= s0]
 
     def g_real(x: float) -> float:
         return plant.transfer(complex(x, 0.0)).real
-
-    def lam_of(x: float) -> float:
-        return math.exp(h * x) / abs(g_real(x))
 
     def lam_and_log(x: float) -> tuple[float, float]:
         # log lam from the log of |G|, finite where lam itself under- or overflows
         g = abs(g_real(x))
         return math.exp(h * x) / g, h * x - math.log(g)
 
-    def add_boundary_point(pts: list[TrajectoryPoint], at: int) -> None:
-        # the boundary is pole/zero-free, so the exact point at s0 is usable
-        lam_b = lam_of(s0)
-        if lam_b <= problem.lambda_max * (1 + 1e-12):
-            res = problem.cartesian_residual(s0, 0.0, lam_b)
-            pts.insert(at, TrajectoryPoint(s0, 0.0, lam_b, res, 0.0))
+    def point_at(x: float, kinds: tuple[CriticalKind, ...], which: str) -> CriticalPoint:
+        cp = at.get(x)
+        if cp is None or cp.kind not in kinds:
+            raise RootLocusError(
+                f"the real-axis segment {which} at sigma = {x!r} has no critical point there"
+            )
+        return cp
+
+    def axis_point(cp: CriticalPoint, residual: bool) -> TrajectoryPoint:
+        # cp on the axis, with its residual if asked and lam > 0 (not a pole)
+        x, lam = cp.root.real, cp.lam
+        res = problem.cartesian_residual(x, 0.0, lam) if residual and lam > 0 else 0.0
+        return TrajectoryPoint(x, 0.0, lam, res, 0.0)
 
     # right cap: beyond all finite structure, push until lam exceeds lambda_max
-    cap = max([s0 + 1.0] + [v + 1.0 for v in real_poles + real_zeros]
-              + [bp.root.real + 1.0 for bp in real_bps])
+    cap = max([s0 + 1.0] + [v + 1.0 for v in [*at, *real_zeros]])
     for _ in range(200):
-        if g_real(cap) >= 0.0 or lam_of(cap) > 2.0 * problem.lambda_max:
+        if g_real(cap) >= 0.0 or lam_and_log(cap)[0] > 2.0 * problem.lambda_max:
             break
         cap *= 2.0 if cap > 0 else 0.5
         cap = cap + 1.0
@@ -529,9 +538,7 @@ def real_axis_segments(
         # d(log lam)/dx = h - G'/G
         return h - problem.evaluate(x, 0.0, 1.0)[2].real
 
-    knots = sorted(
-        set([s0, cap] + real_poles + real_zeros + [bp.root.real for bp in real_bps])
-    )
+    knots = sorted(set([s0, cap, *at, *real_zeros]))
     # the locus covers the knot intervals where G < 0.  A lam maximum above
     # lambda_max inside one is a real branch point that ``branch_points_gain``
     # leaves out: the interval is split there, so that each arm rises
@@ -543,7 +550,7 @@ def real_axis_segments(
         lo, hi = drawn_in(a, b)
         if dlog_lam(lo) > 0.0 > dlog_lam(hi):
             peak = bracketed_root(dlog_lam, lo, hi)
-            if lam_of(peak) > problem.lambda_max:
+            if lam_and_log(peak)[0] > problem.lambda_max:
                 pieces += [(a, peak), (peak, b)]
                 continue
         pieces.append((a, b))
@@ -552,7 +559,7 @@ def real_axis_segments(
 
     for a, b in pieces:
         lo, hi = drawn_in(a, b)
-        lam_lo, lam_hi = lam_of(lo), lam_of(hi)
+        lam_lo, lam_hi = lam_and_log(lo)[0], lam_and_log(hi)[0]
         # orient the traversal from low lam to high lam
         if lam_lo <= lam_hi:
             x_from, x_to, lam_from, lam_to = lo, hi, lam_lo, lam_hi
@@ -563,17 +570,19 @@ def real_axis_segments(
         if lam_from > problem.lambda_max:
             continue
         # clip the far end at lambda_max
-        if lam_to > problem.lambda_max:
+        clipped = lam_to > problem.lambda_max
+        if clipped:
             x_to = bracketed_root(
-                lambda x: lam_of(x) - problem.lambda_max, min(x_from, x_to), max(x_from, x_to)
+                lambda x: lam_and_log(x)[0] - problem.lambda_max,
+                min(x_from, x_to),
+                max(x_from, x_to),
             )
-            lam_to = problem.lambda_max
-            clipped = True
-        else:
-            clipped = False
 
         pts = []
-        for x, lam in _real_axis_samples(lam_and_log, x_from, x_to):
+        samples = _real_axis_samples(lam_and_log, x_from, x_to)
+        if min(x_from, x_to) < 0.0 < max(x_from, x_to):
+            samples.append((0.0, lam_and_log(0.0)[0]))  # its axis event is refined here
+        for x, lam in samples:
             if lam > problem.lambda_max * (1 + 1e-12):
                 continue
             res = problem.cartesian_residual(x, 0.0, max(lam, 1e-300))
@@ -582,40 +591,19 @@ def real_axis_segments(
         if len(pts) < 2:
             continue
 
-        # classify the origin of the segment
-        def near(x, values, tol=1e-7):
-            return any(abs(x - v) < tol * (1 + abs(v)) for v in values)
-
-        if near(start_knot, real_poles) and lam_from < 1e-3:
-            mult = sum(1 for p in plant.poles if abs(p.imag) < 1e-12
-                       and abs(p.real - start_knot) < 1e-9)
-            origin = CriticalPoint(
-                CriticalKind.START, complex(start_knot, 0.0), 0.0, multiplicity=mult
-            )
-            pts.insert(0, TrajectoryPoint(start_knot, 0.0, 0.0, 0.0, 0.0))
-        elif abs(start_knot - s0) < 1e-12:
-            origin = CriticalPoint(CriticalKind.CROSSING_IN, complex(s0, 0.0), lam_of(s0))
-            add_boundary_point(pts, 0)
-        else:
-            bp = _nearest_bp(real_bps, start_knot)
-            origin = bp if bp is not None else CriticalPoint(
-                CriticalKind.START, complex(start_knot, 0.0), lam_from
-            )
-
-        if clipped:
+        origin = point_at(start_knot, _AXIS_ORIGINS, "start")
+        pts.insert(0, axis_point(origin, True))
+        if clipped or (end_knot not in at and end_knot != s0):
+            # clipped, or lam -> inf at a zero or the cap, clipped below
             term = Termination.LAMBDA_MAX_REACHED
-        elif abs(end_knot - s0) < 1e-12:
+        elif end_knot == s0:
             term = Termination.LEFT_REGION
-            add_boundary_point(pts, len(pts))
+            pts.append(axis_point(point_at(s0, (CriticalKind.CROSSING_OUT,), "end"), True))
         else:
-            bp = _nearest_bp(real_bps, end_knot)
-            if bp is not None:
-                term = Termination.MERGED_AT_BRANCH
-                pts.append(TrajectoryPoint(bp.root.real, 0.0, bp.lam, 0.0, 0.0))
-                colliders.append(bp)
-            else:
-                # lam -> inf at a zero, clipped below; any other end knot is the cap
-                term = Termination.LAMBDA_MAX_REACHED
+            bp = point_at(end_knot, (CriticalKind.BRANCH,), "end")
+            term = Termination.MERGED_AT_BRANCH
+            pts.append(axis_point(bp, False))  # no residual, as at a traced merge
+            colliders.append(bp)
         trajectories.append(Trajectory(origin, pts, term))
     return trajectories, colliders
 
@@ -642,9 +630,3 @@ def _real_axis_samples(lam_and_log, x_from: float, x_to: float) -> list[tuple[fl
         a, log_a = b, log_b
     return out
 
-
-def _nearest_bp(real_bps: list[CriticalPoint], x: float) -> CriticalPoint | None:
-    for bp in real_bps:
-        if abs(bp.root.real - x) < 1e-7 * (1 + abs(x)):
-            return bp
-    return None

@@ -10,10 +10,9 @@ import numpy as np
 from . import continuation as cont
 from . import critical, localmodel
 from .critical import CriticalKind, CriticalPoint, dedup_points
+from .continuation import _AXIS_TOL
 from .errors import NoConvergenceError, JacobianSingularError
 from .plant import LocusKind, LocusProblem
-
-_AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,15 @@ def compute_root_locus(
         return use_real_axis and abs(cp.root.imag) < _AXIS_TOL
 
     if use_real_axis:
-        real_bps = [bp for bp in bps if on_axis(bp)]
-        real_trajs, colliders = cont.real_axis_segments(problem, real_bps)
+        real_trajs, colliders = cont.real_axis_segments(
+            problem, [cp for cp in crit_points if on_axis(cp)]
+        )
         trajectories.extend(real_trajs)
         # real rays of real branch points are owned by the axis segments
-        for bp in real_bps:
-            rec = records_by_bp[id(bp)]
-            rec.rays = [ray for ray in rec.rays if abs(ray.imag) >= 1e-9]
+        for bp in bps:
+            if on_axis(bp):
+                rec = records_by_bp[id(bp)]
+                rec.rays = [ray for ray in rec.rays if abs(ray.imag) >= 1e-9]
         for bp in colliders:
             seeds.extend(_branch_seeds(problem, records_by_bp[id(bp)], config))
     for cp in starts:

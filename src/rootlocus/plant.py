@@ -190,24 +190,23 @@ def big_lambda_prime(plant: Plant, sigma0: float, omega):
 
 
 def _phi1(plant: Plant, sigma0: float, omega, h: float):
-    """``phi`` without its constant offset.  A float gives a float, an array
-    an array, same bits."""
+    """``phi`` without its constant offset; exactly 0 at omega = 0.  A float
+    gives a float, an array an array, same bits."""
     acc = -h * omega
     for z in plant.zeros:
         acc += np.arctan((omega - z.imag) / (sigma0 - z.real))
     for p in plant.poles:
         acc -= np.arctan((omega - p.imag) / (sigma0 - p.real))
+    # at omega = 0 the terms of a conjugate pair cancel exactly only when the
+    # pair is summed back to back; the sum is 0 in any listing order
+    acc *= omega != 0
     return _plain(acc)
 
 
 def phi_offset(plant: Plant, sigma0: float) -> float:
-    """Phase offset in {0, pi} aligning the continuous phase with angle(G(sigma0))."""
+    """Phase offset in {0, pi}: angle(G(sigma0)), the phase at omega = 0."""
     ang = cmath.phase(plant.transfer(complex(sigma0, 0.0)))
-    base = _phi1(plant, sigma0, 0.0, 0.0)
-    best = 0.0
-    if abs(wrap_angle(ang - base - math.pi)) < abs(wrap_angle(ang - base)):
-        best = math.pi
-    return best
+    return math.pi if abs(wrap_angle(ang - math.pi)) < abs(wrap_angle(ang)) else 0.0
 
 
 def phi(plant: Plant, sigma0: float, omega, h: float | None = None):
@@ -345,6 +344,10 @@ class LocusProblem:
         return m, p
 
     def cartesian_residual(self, sigma: float, omega: float, lam: float) -> float:
-        """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|)."""
+        """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|);
+        inf where e^M overflows."""
         m, p = self.mp(sigma, omega, lam)
-        return abs(1.0 - cmath.exp(complex(m, p)))
+        try:
+            return abs(1.0 - cmath.exp(complex(m, p)))
+        except OverflowError:
+            return math.inf

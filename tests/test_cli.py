@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from rootlocus.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from rootlocus.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from rootlocus.continuation import Termination
+from rootlocus.io import load_result
 
 
 PROBLEM = {
@@ -95,6 +97,27 @@ def test_asymmetric_plant_exit_code(tmp_path, capsys, kind):
     assert code == EXIT_VALIDATION == 3
     assert "conjugate pairs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("demo", ["example3_gain.json", "example1_delay.json"])
+def test_stalled_run_warns_and_exit_code(tmp_path, capsys, demo):
+    # a corrector that cannot converge stalls every traced trajectory: the run
+    # still writes a readable result, warns once per stalled trajectory and
+    # exits 4 (it used to overflow in the residual, or spawn from a "branch
+    # point" far left of sigma0 and write inf)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos", demo)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["continuation"] = {"max_newton_iters": 1, "corrector_tol": 1e-300}
+    out = tmp_path / "out"
+    assert main(["compute", _write_problem(tmp_path, doc), "--out", str(out)]) == EXIT_NUMERICAL
+    result = load_result(str(out))
+    stalled = [t for t in result.trajectories if t.termination is Termination.STALLED]
+    warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert stalled and len(warned) == len(stalled) == len(result.warnings)
+    problem = result.problem
+    for cp in result.critical_points:
+        assert cp.root.real >= problem.sigma0 and 0.0 <= cp.lam <= problem.lambda_max
 
 
 def test_runs_are_byte_identical(tmp_path):

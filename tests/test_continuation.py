@@ -8,6 +8,7 @@ import pytest
 
 from rootlocus import continuation
 from rootlocus.continuation import (
+    _AXIS_TOL,
     _MERGE_TOL,
     _REAL_AXIS_LOG_TOL,
     BranchRegistry,
@@ -27,12 +28,19 @@ from rootlocus.continuation import (
     step_update,
     trace_trajectory,
 )
-from rootlocus.critical import CriticalKind, CriticalPoint, branch_points_gain
+from rootlocus.critical import (
+    CriticalKind,
+    CriticalPoint,
+    boundary_crossings,
+    branch_points_gain,
+    starting_points,
+)
 from rootlocus.engine import compute_root_locus
 from rootlocus.errors import (
     DegenerateError,
     JacobianSingularError,
     NoConvergenceError,
+    RootLocusError,
     ValidationError,
 )
 from rootlocus.localmodel import initial_tangent_simple
@@ -176,6 +184,11 @@ def test_solve_branch_point_two_pole_plant():
     assert cp.lam == pytest.approx(lam_b, rel=1e-6)
     assert cp.multiplicity == 2
     assert len(cp.directions) == 2
+    # the same branch point left of sigma0, or above lambda_max, is no solution
+    for sigma0, lambda_max in [(sb + 0.01, 10.0), (-5.0, lam_b * 0.99)]:
+        outside = LocusProblem(LocusKind.GAIN, sigma0, lambda_max, plant)
+        with pytest.raises(NoConvergenceError, match="left the region"):
+            solve_branch_point(outside, np.array([sb + 0.02, 0.01, lam_b * 1.05]))
 
 
 def test_branch_spawn_prediction_parameter_scaling(config):
@@ -327,9 +340,22 @@ def test_clip_solve_pinned_lambda(config):
     assert y[2] == lam
 
 
+def _axis_points(problem):
+    """The critical points on the real axis, as the engine hands them over."""
+    points = starting_points(problem) + boundary_crossings(problem) + branch_points_gain(problem)
+    return [cp for cp in points if abs(cp.root.imag) < _AXIS_TOL]
+
+
 def test_real_axis_segments_simple(config):
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
-    trajs, colliders = real_axis_segments(problem, [])
+    # a segment begins and ends at critical points and does not invent one
+    starts = [cp for cp in _axis_points(problem) if cp.kind is CriticalKind.START]
+    with pytest.raises(RootLocusError, match=r"end at sigma = -1\.5 "):
+        real_axis_segments(problem, starts)
+    entering = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant(gain=-1.0))
+    with pytest.raises(RootLocusError, match=r"start at sigma = -0\.5 "):
+        real_axis_segments(entering, [])
+    trajs, colliders = real_axis_segments(problem, _axis_points(problem))
     assert len(trajs) == 1
     assert colliders == []
     traj = trajs[0]
@@ -343,8 +369,7 @@ def test_real_axis_segments_simple(config):
 
 def test_real_axis_segments_collide_at_branch_point(config):
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
-    bps = branch_points_gain(problem)
-    trajs, colliders = real_axis_segments(problem, bps)
+    trajs, colliders = real_axis_segments(problem, _axis_points(problem))
     assert len(colliders) >= 1
     assert colliders[0].root == pytest.approx(complex(-2.0, 0.0), abs=1e-9)
     merged = [t for t in trajs if t.termination is Termination.MERGED_AT_BRANCH]
@@ -395,7 +420,7 @@ def test_real_axis_samples_follow_log_lambda(config, monkeypatch):
     kinds, ends = set(), set()
     for k, problem in enumerate(_axis_problems()):
         plant, h = problem.plant, problem.plant.delay
-        bps = [bp for bp in branch_points_gain(problem) if abs(bp.root.imag) < 1e-9]
+        axis_points = _axis_points(problem)
         samples = []
 
         def spy(lam_and_log, x_from, x_to):
@@ -404,9 +429,9 @@ def test_real_axis_samples_follow_log_lambda(config, monkeypatch):
             return out
 
         monkeypatch.setattr(continuation, "_real_axis_samples", spy)
-        trajs, colliders = real_axis_segments(problem, bps)
+        trajs, colliders = real_axis_segments(problem, axis_points)
         monkeypatch.setattr(continuation, "_real_axis_samples", _uniform_samples)
-        old_trajs, old_colliders = real_axis_segments(problem, bps)
+        old_trajs, old_colliders = real_axis_segments(problem, axis_points)
 
         assert colliders == old_colliders
         assert len(trajs) == len(old_trajs) == len(samples) > 0

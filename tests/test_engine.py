@@ -17,10 +17,30 @@ from rootlocus.plant import LocusKind, LocusProblem, Plant
 from conftest import example3_problem, first_order_plant
 
 
+def _assert_origins_are_critical_first_points(result):
+    keys = {cp.key() for cp in result.critical_points}
+    for traj in result.trajectories:
+        origin, first = traj.origin, traj.points[0]
+        assert origin.key() in keys
+        # the first point is the origin; a real-axis segment lies on omega = 0
+        assert (first.sigma, first.lam) == (origin.root.real, origin.lam)
+        assert first.omega == origin.root.imag or (
+            first.omega == 0.0 and abs(origin.root.imag) < continuation._AXIS_TOL
+        )
+
+
 def test_trajectory_origins_are_critical_points(example3_result):
-    keys = {cp.key() for cp in example3_result.critical_points}
-    for traj in example3_result.trajectories:
-        assert traj.origin.key() in keys
+    _assert_origins_are_critical_first_points(example3_result)
+
+
+def test_real_axis_segment_from_sigma0_begins_at_the_crossing():
+    # G = 1/(s+1), h = 4: the real-axis segment entering at sigma0 = -1.5
+    # begins at the omega = 0 crossing, not at a second evaluation of lam
+    # there that differs in the last bit
+    problem = LocusProblem(LocusKind.GAIN, -1.5, 0.05, first_order_plant(delay=4.0))
+    result = compute_root_locus(problem)
+    assert any(t.origin.root == -1.5 for t in result.trajectories)
+    _assert_origins_are_critical_first_points(result)
 
 
 def test_example3_branch_point_and_events(example3_result):
@@ -212,3 +232,58 @@ def test_no_stalled_trajectories_on_reference_runs(
         assert all(
             t.termination is not Termination.STALLED for t in result.trajectories
         )
+
+
+def test_listing_order_of_conjugate_poles_keeps_the_omega_0_crossing():
+    # at omega = 0 the phase sums to exactly angle(G(sigma0)) in any listing
+    # order; with the pairs interleaved it was off by an ulp, the level through
+    # omega = 0 had no sign change, and the real root entering at lam = ln 2
+    # was never traced
+    upper = [complex(-1.5, 3.0), complex(-1.5, 1.0), complex(-2.0, 1.5)]
+    listings = [
+        upper + [p.conjugate() for p in upper],
+        [q for p in upper for q in (p, p.conjugate())],
+    ]
+    results = [
+        compute_root_locus(
+            LocusProblem(LocusKind.DELAY, -1.0, 2.0, Plant((), tuple(poles), -18.7890625, 1.0))
+        )
+        for poles in listings
+    ]
+    for result in results:
+        assert len(result.trajectories) == 3
+        assert result.warnings == []
+        assert any(
+            cp.kind is CriticalKind.CROSSING_IN and cp.root == -1.0
+            and cp.lam == pytest.approx(math.log(2.0), rel=1e-12)
+            for cp in result.critical_points
+        )
+    a, b = (r.critical_points for r in results)
+    assert [cp.kind for cp in a] == [cp.kind for cp in b]
+    for p, q in zip(a, b):
+        assert p.root == pytest.approx(q.root, rel=1e-12, abs=1e-12)
+        assert p.lam == pytest.approx(q.lam, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "zeros, poles, gain, delay, lambda_max",
+    [
+        ((), (-2.194, -0.069), -0.822, 0.621, 0.732),
+        ((-1.481,), (-0.333, -1.041, -0.383), -1.691, 0.289, 1.97),
+    ],
+)
+def test_real_axis_event_at_s_0_does_not_depend_on_the_samples(
+    monkeypatch, zeros, poles, gain, delay, lambda_max
+):
+    # a real-axis segment across the imaginary axis has an exact sample at
+    # s = 0, and the axis event is refined from it: a finer sampling of the
+    # segment leaves the event's bits alone
+    problem = LocusProblem(LocusKind.GAIN, -1.5, lambda_max, Plant(zeros, poles, gain, delay))
+
+    def events_at_0():
+        return [e for e in compute_root_locus(problem).imag_axis_events if e.omega == 0.0]
+
+    coarse = events_at_0()
+    assert len(coarse) == 1
+    monkeypatch.setattr(continuation, "_REAL_AXIS_LOG_TOL", 1e-3)
+    assert events_at_0() == coarse

@@ -184,6 +184,15 @@ def test_phi_first_order():
     assert phi(plant, -0.5, w) == pytest.approx(-math.atan(w / 0.5) - w)
 
 
+def test_phi_at_omega_0_is_the_angle_of_g_in_any_listing_order():
+    # the conjugate terms cancel exactly only when summed back to back; the
+    # phase at omega = 0 must not depend on that
+    upper = [complex(-1.5, 3.0), complex(-1.5, 1.0), complex(-2.0, 1.5)]
+    plant = Plant((), tuple(upper + [p.conjugate() for p in upper]), -18.7890625, 1.0)
+    assert phi(plant, -1.0, 0.0) == math.pi
+    assert phi(plant, -1.0, np.array([0.0, 1.0, 0.0]))[[0, 2]].tolist() == [math.pi] * 2
+
+
 def test_phi_matches_wrapped_plant_phase():
     problem = example3_problem()
     plant, s0 = problem.plant, problem.sigma0

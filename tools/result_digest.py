@@ -31,15 +31,31 @@ With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
 command:
 
-    python3 tools/result_digest.py --expect 0fe792761ea26a35b0f45b70543d7987c10d0b779faa00a52f42981f90f118d1
+    python3 tools/result_digest.py --expect f773a7fbb8325dc44d81d71937a3a516edcc69b9b49c5c159f67393f5024dd93
+
+A change meant to move only last bits is checked value by value instead.
+``--keep DIR`` saves each run's ``result.json`` under ``DIR/<workload>_<seed>_<i>``;
+``--against DIR`` reads the files one checkout saved there with this
+checkout's ``load_result`` and, for each (workload, seed), names the runs
+that differ, any change in trajectory or event counts, and the largest
+change in units in the last place (ulps) in trajectory points (sigma, omega
+and lam; residuals aside), origins, critical points, axis events and
+stability intervals.  Points one side has and the other lacks are counted
+as added or removed:
+
+    python3 tools/result_digest.py --keep /tmp/before          # parent checkout
+    python3 tools/result_digest.py --against /tmp/before       # this checkout
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import difflib
 import hashlib
 import os
+import shutil
+import struct
 import sys
 import tempfile
 
@@ -114,10 +130,11 @@ def round_trip_error(result, work_dir: str) -> str | None:
     return None
 
 
-def digest_run(problem, work_dir: str) -> tuple[bytes, bytes, str | None]:
+def digest_run(problem, work_dir: str):
     """sha256 of one run, its emitted files and then its in-memory result;
-    its locus sha256, without the files and the real-axis samples; and its
-    round-trip error (None when the written result reads back exactly)."""
+    its locus sha256, without the files and the real-axis samples; its
+    round-trip error (None when the written result reads back exactly); and
+    the result."""
     result = compute_root_locus(problem)
     h = hashlib.sha256()
     for path in sorted(emit_results(result, work_dir)):
@@ -129,13 +146,93 @@ def digest_run(problem, work_dir: str) -> tuple[bytes, bytes, str | None]:
     locus = hashlib.sha256()
     for line in _result_lines(result, locus_only=True):
         locus.update(line.encode() + b"\n")
-    return h.digest(), locus.digest(), error
+    return h.digest(), locus.digest(), error, result
+
+
+def _ordinal(x: float) -> int:
+    """Integers in the order of the floats, one apart for adjacent floats."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+
+
+def _ulps(a, b) -> int:
+    """Largest ulp distance between corresponding floats of two flat tuples."""
+    return max((abs(_ordinal(x) - _ordinal(y)) for x, y in zip(a, b, strict=True)), default=0)
+
+
+def _cp_values(cp) -> tuple:
+    return (cp.root.real, cp.root.imag, cp.lam, *(x for d in cp.directions for x in d))
+
+
+class Changes:
+    """What moved between saved results and recomputed ones, over many runs."""
+
+    AREAS = ("points", "origins", "critical points", "axis events", "stability intervals")
+
+    def __init__(self):
+        self.runs: list[int] = []
+        self.counts: list[str] = []
+        self.ulps = dict.fromkeys(self.AREAS, 0)
+        self.added = self.removed = 0
+
+    def _pairs(self, area: str, old: list[tuple], new: list[tuple]) -> None:
+        if len(old) == len(new):
+            for a, b in zip(old, new):
+                if len(a) == len(b):
+                    self.ulps[area] = max(self.ulps[area], _ulps(a, b))
+
+    def _points(self, old, new) -> None:
+        old = [(p.sigma, p.omega, p.lam) for p in old]
+        new = [(p.sigma, p.omega, p.lam) for p in new]
+        matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+        for op, i1, i2, j1, j2 in matcher.get_opcodes():
+            if op == "replace" and i2 - i1 == j2 - j1:
+                self._pairs("points", old[i1:i2], new[j1:j2])
+            elif op != "equal":
+                self.removed += i2 - i1
+                self.added += j2 - j1
+
+    def add(self, index: int, old, new) -> None:
+        """Record run ``index``: ``old`` loaded from disk, ``new`` computed."""
+        if old == new:
+            return
+        self.runs.append(index)
+        for what, a, b in (
+            ("trajectories", old.trajectories, new.trajectories),
+            ("critical points", old.critical_points, new.critical_points),
+            ("axis events", old.imag_axis_events, new.imag_axis_events),
+        ):
+            if len(a) != len(b):
+                self.counts.append(f"run {index}: {what} {len(a)} -> {len(b)}")
+        for t_old, t_new in zip(old.trajectories, new.trajectories):
+            self._points(t_old.points, t_new.points)
+        self._pairs("origins", [_cp_values(t.origin) for t in old.trajectories],
+                    [_cp_values(t.origin) for t in new.trajectories])
+        self._pairs("critical points", [_cp_values(c) for c in old.critical_points],
+                    [_cp_values(c) for c in new.critical_points])
+        self._pairs("axis events", [(e.lam, e.omega) for e in old.imag_axis_events],
+                    [(e.lam, e.omega) for e in new.imag_axis_events])
+        self._pairs("stability intervals", old.stability_intervals, new.stability_intervals)
+
+    def report(self, total: int) -> list[str]:
+        if not self.runs:
+            return [f"  all {total} runs equal"]
+        lines = [f"  {len(self.runs)} of {total} runs differ: {self.runs}"]
+        lines += [f"  {c}" for c in self.counts]
+        moved = ", ".join(f"{area} {self.ulps[area]}" for area in self.AREAS)
+        lines.append(f"  largest ulp change: {moved}")
+        lines.append(f"  points added {self.added}, removed {self.removed}")
+        return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the total equals this")
+    parser.add_argument("--keep", metavar="DIR", help="save each run's result.json under DIR")
+    parser.add_argument("--against", metavar="DIR",
+                        help="report what moved against the results saved under DIR")
     args = parser.parse_args()
+    report: list[str] = []
     total, locus = hashlib.sha256(), hashlib.sha256()
     runs = 0
     errors = []
@@ -146,11 +243,19 @@ def main() -> int:
                     continue  # the reference problems do not depend on the seed
                 part, locus_part = hashlib.sha256(), hashlib.sha256()
                 problems = workloads.build(workload, seed)
+                changes = Changes()
                 for i, problem in enumerate(problems):
-                    work_dir = os.path.join(tmp, f"{workload}_{seed}_{i}")
-                    run, run_locus, error = digest_run(problem, work_dir)
+                    name = f"{workload}_{seed}_{i}"
+                    work_dir = os.path.join(tmp, name)
+                    run, run_locus, error, result = digest_run(problem, work_dir)
                     if error is not None:
                         errors.append(f"{workload} seed {seed} problem {i}: {error}")
+                    if args.keep is not None:
+                        os.makedirs(os.path.join(args.keep, name), exist_ok=True)
+                        shutil.copy(os.path.join(work_dir, "result.json"),
+                                    os.path.join(args.keep, name, "result.json"))
+                    if args.against is not None:
+                        changes.add(i, load_result(os.path.join(args.against, name)), result)
                     part.update(run)
                     total.update(run)
                     locus_part.update(run_locus)
@@ -160,9 +265,14 @@ def main() -> int:
                     f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}"
                     f"  locus {locus_part.hexdigest()}"
                 )
+                if args.against is not None:
+                    report += [f"{workload} seed {seed} against {args.against}:"]
+                    report += changes.report(len(problems))
     print(f"{runs} runs, {runs - len(errors)} read back exactly")
     print(f"locus {locus.hexdigest()}")
     print(total.hexdigest())
+    for line in report:
+        print(line)
     for error in errors:
         print(f"ROUND TRIP: {error}", file=sys.stderr)
     status = 1 if errors else 0
