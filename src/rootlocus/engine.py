@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -12,7 +13,9 @@ from . import critical, localmodel
 from .critical import CriticalKind, CriticalPoint, dedup_points
 from .continuation import _AXIS_TOL
 from .errors import NoConvergenceError, JacobianSingularError
-from .plant import LocusKind, LocusProblem
+from .plant import LocusKind, LocusProblem, _is_conjugate_symmetric
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,25 @@ def compute_root_locus(
 
     # generation by generation, each sorted by _Seed.key: traces register the
     # branch points that later traces merge into, so this order is part of
-    # the result
+    # the result.  When the poles and the zeros are each closed under
+    # conjugation bit for bit, f(conj s) = conj f(s): a seed whose origin
+    # mirrors that of a plain trajectory (see _plain) takes the twin's
+    # conjugate.  The key sorts the lower half first, so the upper half is
+    # the one mirrored
+    plant = problem.plant
+    symmetric = all(_is_conjugate_symmetric(v, 0.0) for v in (plant.zeros, plant.poles))
+    plain: dict[tuple, cont.Trajectory] = {}  # by (kind, lam, root) of origin
+    traced = mirrored = 0
     while seeds:
         seeds.sort(key=_Seed.key)
         new: list[_Seed] = []
         for seed in seeds:
+            o = seed.origin
+            twin = plain.pop((o.kind, o.lam, o.root.conjugate()), None)
+            if twin is not None:
+                trajectories.append(_mirror(twin, o))
+                mirrored += 1
+                continue
             traj, rec = cont.trace_trajectory(
                 problem,
                 seed.origin,
@@ -141,12 +158,19 @@ def compute_root_locus(
                 spawn_ray=seed.spawn_ray,
             )
             trajectories.append(traj)
+            traced += 1
+            if symmetric and _plain(traj):
+                plain[o.kind, o.lam, o.root] = traj
             if rec is None:
                 continue
             if not any(cp is rec.point for cp in crit_points):
                 crit_points.append(rec.point)
             new.extend(_branch_seeds(problem, rec, config))
         seeds = new
+    log.debug(
+        "%d trajectories: %d traced, %d mirrored, %d on the real axis",
+        len(trajectories), traced, mirrored, len(trajectories) - traced - mirrored,
+    )
 
     for traj in trajectories:
         if traj.termination is cont.Termination.STALLED:
@@ -161,6 +185,29 @@ def compute_root_locus(
     return RootLocusResult(
         problem, trajectories, crit_points, events, stability, n0, warnings
     )
+
+
+def _plain(traj: cont.Trajectory) -> bool:
+    """Whether the mirror image of ``traj`` is the trajectory of its origin's
+    conjugate: a simple origin, an end at lambda_max or sigma0 (so no branch
+    point was registered on the way), and every point strictly inside one
+    quadrant, so it meets neither the real axis nor an imaginary-axis event."""
+    pts = traj.points
+    w, s = math.copysign(1.0, pts[0].omega), math.copysign(1.0, pts[0].sigma)
+    return (
+        traj.origin.multiplicity == 1
+        and traj.termination in (cont.Termination.LAMBDA_MAX_REACHED, cont.Termination.LEFT_REGION)
+        and all(p.omega * w > _AXIS_TOL and p.sigma * s > _AXIS_TOL for p in pts)
+    )
+
+
+def _mirror(twin: cont.Trajectory, origin: CriticalPoint) -> cont.Trajectory:
+    """The exact conjugate of ``twin``, from ``origin``."""
+    pts = [
+        cont.TrajectoryPoint(p.sigma, -p.omega, p.lam, p.residual, p.step_used)
+        for p in twin.points
+    ]
+    return cont.Trajectory(origin, pts, twin.termination, twin.note)
 
 
 def _first_angle(t: cont.Trajectory) -> float:

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import logging
 import math
 import os
 
@@ -14,7 +15,14 @@ from rootlocus.engine import compute_root_locus
 from rootlocus.io import results_equal
 from rootlocus.plant import LocusKind, LocusProblem, Plant
 
-from conftest import example3_problem, first_order_plant
+from conftest import example2_problem, example3_problem, first_order_plant
+
+
+def _perfbench(monkeypatch, name: str):
+    """A module of the benchmark in ``perfbench/``."""
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    return importlib.import_module(name)
 
 
 def _assert_origins_are_critical_first_points(result):
@@ -129,9 +137,7 @@ def test_merge_at_a_field_equal_copy_of_a_branch_point(monkeypatch):
 def test_benchmark_tracer_patches_current_names(monkeypatch):
     # perfbench/tracing.py wraps engine functions by module attribute; renaming
     # or deleting one of them breaks the traced benchmark and must fail here
-    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
-    monkeypatch.syspath_prepend(bench)
-    tracing = importlib.import_module("tracing")
+    tracing = _perfbench(monkeypatch, "tracing")
     problem = example3_problem(lambda_max=1.0)
     untraced = engine.compute_root_locus
     tracer = tracing.Tracer()
@@ -287,3 +293,132 @@ def test_real_axis_event_at_s_0_does_not_depend_on_the_samples(
     assert len(coarse) == 1
     monkeypatch.setattr(continuation, "_REAL_AXIS_LOG_TOL", 1e-3)
     assert events_at_0() == coarse
+
+
+def _real_axis_segment(traj) -> bool:
+    return all(p.omega == 0.0 for p in traj.points)
+
+
+_QUADRANT = [(-1.0, -2.0, 0.5), (-0.5, -2.5, 0.7)]  # (sigma, omega, lam)
+
+
+@pytest.mark.parametrize(
+    "points, termination, multiplicity, plain",
+    [
+        (_QUADRANT, Termination.LAMBDA_MAX_REACHED, 1, True),
+        (_QUADRANT, Termination.LEFT_REGION, 1, True),
+        (_QUADRANT, Termination.MERGED_AT_BRANCH, 1, False),
+        (_QUADRANT, Termination.STALLED, 1, False),
+        (_QUADRANT, Termination.LAMBDA_MAX_REACHED, 2, False),
+        (_QUADRANT + [(0.5, -2.5, 0.9)], Termination.LAMBDA_MAX_REACHED, 1, False),
+        (_QUADRANT + [(-1e-10, -2.5, 0.9)], Termination.LAMBDA_MAX_REACHED, 1, False),
+        (_QUADRANT + [(-0.5, -1e-10, 0.9)], Termination.LAMBDA_MAX_REACHED, 1, False),
+        (_QUADRANT + [(-0.5, 0.5, 0.9)], Termination.LAMBDA_MAX_REACHED, 1, False),
+    ],
+)
+def test_plain_trajectories(points, termination, multiplicity, plain):
+    # mirrored only: a simple origin, no branch point registered, and every
+    # point strictly inside the origin's quadrant
+    sigma, omega, lam = points[0]
+    origin = critical.CriticalPoint(
+        CriticalKind.CROSSING_IN, complex(sigma, omega), lam, multiplicity
+    )
+    pts = [continuation.TrajectoryPoint(*p, 0.0, 0.0) for p in points]
+    assert engine._plain(continuation.Trajectory(origin, pts, termination)) is plain
+
+
+@pytest.mark.parametrize("name", ["example2", "example3", "stream_plant_28"])
+def test_mirrored_trajectories_match_tracing(monkeypatch, name):
+    # a seed whose origin mirrors that of a plain traced trajectory takes the
+    # twin's exact conjugate; tracing that seed gives the same trajectory
+    if name == "stream_plant_28":
+        # gain index 14 of the random_gain workload at seed 1: its crossings
+        # reach |omega| ~ 2000 and it owns most of that workload's trajectories
+        problem = _perfbench(monkeypatch, "workloads").build("random_gain", 1)[14]
+    else:
+        problem = {"example2": example2_problem, "example3": example3_problem}[name]()
+    trace = continuation.trace_trajectory
+    traced = set()
+
+    def recording_trace(problem, origin, *args, **kwargs):
+        traced.add(id(origin))
+        return trace(problem, origin, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "trace_trajectory", recording_trace)
+    result = compute_root_locus(problem)
+    registry = continuation.BranchRegistry()
+    for cp in result.critical_points:
+        if cp.kind is CriticalKind.BRANCH:
+            registry.register(cp)
+    mirrored = [
+        t for t in result.trajectories
+        if id(t.origin) not in traced and not _real_axis_segment(t)
+    ]
+    assert mirrored
+    for traj in mirrored:
+        o = traj.origin
+        (twin,) = [
+            t for t in result.trajectories
+            if id(t.origin) in traced
+            and (t.origin.kind, t.origin.lam, t.origin.root) == (o.kind, o.lam, o.root.conjugate())
+        ]
+        assert traj.points == [
+            continuation.TrajectoryPoint(p.sigma, -p.omega, p.lam, p.residual, p.step_used)
+            for p in twin.points
+        ]
+        assert (traj.termination, traj.note) == (twin.termination, twin.note)
+        direction = localmodel.initial_tangent_simple(problem, o.root, o.lam)
+        direct, rec = trace(problem, o, direction, registry, ContinuationConfig())
+        assert rec is None
+        assert direct.termination is traj.termination
+        assert len(direct.points) == len(traj.points)
+        for p, q in zip(direct.points, traj.points):
+            assert abs(p.sigma - q.sigma) <= 1e-9
+            assert abs(p.omega - q.omega) <= 1e-9
+            assert abs(p.lam - q.lam) <= 1e-9
+
+
+def test_plant_symmetric_only_within_tolerance_is_traced_in_full(monkeypatch, caplog):
+    # a conjugate zero pair off by 1e-12 passes validation, but the plant is
+    # not exactly symmetric: every seed is traced, none mirrored
+    plant = Plant(
+        zeros=(complex(5.0, 5.0), complex(5.0, -5.0 - 1e-12)),
+        poles=(-0.5, -1.0, -2.5),
+        gain=1.0,
+        delay=1.0,
+    )
+    problem = LocusProblem(LocusKind.GAIN, -3.5, 5.0, plant)
+    assert plant.conjugate_symmetric
+    with caplog.at_level(logging.DEBUG, logger="rootlocus.engine"):
+        result = compute_root_locus(problem)
+    assert ", 0 mirrored," in caplog.records[-1].getMessage()
+    complex_trajs = [t for t in result.trajectories if not _real_axis_segment(t)]
+    assert complex_trajs
+    for a in complex_trajs:
+        conj = [(p.sigma, -p.omega, p.lam) for p in a.points]
+        for b in complex_trajs:
+            assert conj != [(p.sigma, p.omega, p.lam) for p in b.points]
+    assert _perfbench(monkeypatch, "workloads").residual_failures(result) == []
+
+
+def test_reference_results_pass_the_benchmark_golden_check(
+    monkeypatch, example1_result, example2_result, example3_result, turning_point_result
+):
+    # the benchmark's order-sensitive golden check, run here so that a swap
+    # of two tied rows fails the test suite too
+    workloads = _perfbench(monkeypatch, "workloads")
+    checker = workloads.Checker("reference")
+    results = [example1_result, example2_result, example3_result, turning_point_result]
+    for i, (problem, result) in enumerate(zip(workloads.reference_problems(), results)):
+        assert workloads.describe(result.problem) == workloads.describe(problem)
+        assert checker.failures(i, result) == []
+
+
+def test_debug_line_counts_traced_and_mirrored_trajectories(caplog):
+    with caplog.at_level(logging.DEBUG, logger="rootlocus.engine"):
+        result = compute_root_locus(example3_problem())
+    lines = [r.getMessage() for r in caplog.records if r.name == "rootlocus.engine"]
+    # example 3: three real-axis segments, and 26 of the 56 traced seeds
+    # mirror one of the other 30
+    assert len(result.trajectories) == 59
+    assert lines == ["59 trajectories: 30 traced, 26 mirrored, 3 on the real axis"]

@@ -31,13 +31,14 @@ With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
 command:
 
-    python3 tools/result_digest.py --expect f773a7fbb8325dc44d81d71937a3a516edcc69b9b49c5c159f67393f5024dd93
+    python3 tools/result_digest.py --expect 740d19ba0482891bdeadc82ec76b9076f165d22dfcca10d6d66df1e4abc7aab5
 
 A change meant to move only last bits is checked value by value instead.
 ``--keep DIR`` saves each run's ``result.json`` under ``DIR/<workload>_<seed>_<i>``;
 ``--against DIR`` reads the files one checkout saved there with this
 checkout's ``load_result`` and, for each (workload, seed), names the runs
-that differ, any change in trajectory or event counts, and the largest
+that differ, any change in trajectory or event counts or in the
+terminations of the trajectories, and the largest
 change in units in the last place (ulps) in trajectory points (sigma, omega
 and lam; residuals aside), origins, critical points, axis events and
 stability intervals.  Points one side has and the other lacks are counted
@@ -204,6 +205,9 @@ class Changes:
         ):
             if len(a) != len(b):
                 self.counts.append(f"run {index}: {what} {len(a)} -> {len(b)}")
+        ends = [[t.termination for t in r.trajectories] for r in (old, new)]
+        if ends[0] != ends[1]:
+            self.counts.append(f"run {index}: trajectory terminations differ")
         for t_old, t_new in zip(old.trajectories, new.trajectories):
             self._points(t_old.points, t_new.points)
         self._pairs("origins", [_cp_values(t.origin) for t in old.trajectories],
