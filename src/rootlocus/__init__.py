@@ -6,7 +6,7 @@ Re(s) >= sigma0, by critical-point computation and pseudo-arclength
 continuation, along with imaginary-axis crossings and stability intervals.
 """
 
-from .continuation import ContinuationConfig, Termination, Trajectory, TrajectoryPoint
+from .continuation import Termination, Trajectory, TrajectoryPoint
 from .critical import CriticalKind, CriticalPoint
 from .engine import ImagAxisEvent, RootLocusResult, compute_root_locus
 from .errors import (
@@ -28,7 +28,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BracketError",
-    "ContinuationConfig",
     "CriticalKind",
     "CriticalPoint",
     "DegenerateError",

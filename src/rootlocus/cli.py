@@ -3,14 +3,19 @@
     rootlocus compute <problem.json> --out <dir> [--svg]
                       [--window SLO SHI WLO WHI]
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 numerical
-failure (stalled trajectories or solver breakdown).
+Exit codes: 0 success, 2 parse error (a malformed problem file or a bad
+``--window``), 3 validation error, 4 numerical failure (stalled trajectories
+or solver breakdown).
+
+``ROOTLOCUS_LOG`` sets the log level: DEBUG, INFO, WARNING (the default),
+ERROR or CRITICAL, in any case.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -25,6 +30,8 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 log = logging.getLogger("rootlocus")
+
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,17 +55,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("ROOTLOCUS_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    raw = os.environ.get("ROOTLOCUS_LOG") or "WARNING"
+    level = raw.upper()
+    if level not in _LOG_LEVELS:
+        print(
+            f"warning: ROOTLOCUS_LOG={raw!r} is not one of {', '.join(_LOG_LEVELS)}; "
+            "using WARNING",
+            file=sys.stderr,
+        )
+        level = "WARNING"
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    if args.window is not None:
+        slo, shi, wlo, whi = args.window
+        if not (all(map(math.isfinite, args.window)) and slo < shi and wlo < whi):
+            print(
+                "error: --window needs four finite values with SLO < SHI and WLO < WHI, "
+                f"got {' '.join(map(repr, args.window))}",
+                file=sys.stderr,
+            )
+            return EXIT_PARSE
 
     try:
-        problem, config = parse_problem(args.problem)
+        problem = parse_problem(args.problem)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -69,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     log.info("problem parsed: %s locus, sigma0=%g, lambda_max=%g",
              problem.kind.value, problem.sigma0, problem.lambda_max)
     try:
-        result = compute_root_locus(problem, config)
+        result = compute_root_locus(problem)
     except RootLocusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

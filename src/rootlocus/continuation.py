@@ -35,30 +35,19 @@ _BRANCH_SOLVE_ITERS = 60
 # the kinds of critical point a real-axis segment can begin at
 _AXIS_ORIGINS = (CriticalKind.START, CriticalKind.CROSSING_IN, CriticalKind.BRANCH)
 
+# step control and corrector settings
+_KAPPA_NOMINAL = 0.5  # Newton contraction rate the step length aims at
+_DELTA_NOMINAL = 1e-3  # distance to the locus the step length aims at
+_CORRECTOR_TOL = 1e-5
+_MAX_NEWTON_ITERS = 25
+_H_MIN = 1e-9
+_H_MAX = 1.0
+_MAX_POINTS = 100000
 
-@dataclass(frozen=True)
-class ContinuationConfig:
-    """Step-control and corrector settings for trajectory tracing."""
 
-    h0: float | None = None  # default resolved per problem: 1e-2 * (1 + |sigma0|)
-    kappa_nominal: float = 0.5
-    delta_nominal: float = 1e-3
-    corrector_tol: float = 1e-5
-    max_newton_iters: int = 25
-    h_min: float = 1e-9
-    h_max: float = 1.0
-    max_points: int = 100000
-
-    def __post_init__(self):
-        if self.h0 is not None and not (self.h_min <= self.h0 <= self.h_max):
-            raise ValueError("require h_min <= h0 <= h_max")
-        if min(self.kappa_nominal, self.delta_nominal, self.corrector_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def resolved_h0(self, problem: LocusProblem) -> float:
-        if self.h0 is not None:
-            return self.h0
-        return min(self.h_max, max(self.h_min, 1e-2 * (1.0 + abs(problem.sigma0))))
+def _h0(problem: LocusProblem) -> float:
+    """The first step length: 1e-2 * (1 + |sigma0|), within [_H_MIN, _H_MAX]."""
+    return min(_H_MAX, max(_H_MIN, 1e-2 * (1.0 + abs(problem.sigma0))))
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,6 @@ def correct(
     problem: LocusProblem,
     predicted: np.ndarray,
     direction: np.ndarray,
-    config: ContinuationConfig,
 ) -> tuple[TrajectoryPoint, float]:
     """Newton correction of a predicted point onto the locus.
 
@@ -184,7 +172,7 @@ def correct(
     yp = y.copy()
     gain = problem.kind is LocusKind.GAIN
     first = second = 0.0  # norms of the first two Newton updates
-    for it in range(config.max_newton_iters):
+    for it in range(_MAX_NEWTON_ITERS):
         if gain and y[2] <= 0.0:
             raise NoConvergenceError("corrector iterate left lam > 0")
         if not gain and y[2] < 0.0:
@@ -203,7 +191,7 @@ def correct(
             first = norm
         elif it == 1:
             second = norm
-        if norm < config.corrector_tol:
+        if norm < _CORRECTOR_TOL:
             if gain and y[2] <= 0.0:
                 raise NoConvergenceError("corrector converged outside lam > 0")
             if not gain and y[2] < 0.0:
@@ -212,18 +200,16 @@ def correct(
             return _located_point(problem, y, 0.0), kappa
         if it >= 2 and norm > 10.0 * first:
             raise NoConvergenceError("corrector diverging")
-    raise NoConvergenceError(f"corrector did not converge in {config.max_newton_iters} iterations")
+    raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
 
 
-def step_update(
-    kappa: float, delta: float, h_curr: float, config: ContinuationConfig
-) -> tuple[float, bool]:
+def step_update(kappa: float, delta: float, h_curr: float) -> tuple[float, bool]:
     """Adaptive step length from contraction rate and distance to the locus."""
-    kappa_df = math.sqrt(max(kappa, 0.0) / config.kappa_nominal)
-    delta_df = math.sqrt(max(delta, 0.0) / config.delta_nominal)
+    kappa_df = math.sqrt(max(kappa, 0.0) / _KAPPA_NOMINAL)
+    delta_df = math.sqrt(max(delta, 0.0) / _DELTA_NOMINAL)
     raw = max(kappa_df, delta_df)
     h_df = max(min(raw, 2.0), 0.5)
-    h_next = min(max(h_curr / h_df, config.h_min), config.h_max)
+    h_next = min(max(h_curr / h_df, _H_MIN), _H_MAX)
     return h_next, raw >= 2.0
 
 
@@ -266,7 +252,6 @@ def _clip_solve(
     y_guess: np.ndarray,
     pin: str,
     pin_value: float,
-    config: ContinuationConfig,
 ) -> np.ndarray:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0)."""
     y = np.array(y_guess, dtype=float)
@@ -300,7 +285,6 @@ def trace_trajectory(
     origin: CriticalPoint,
     direction: np.ndarray,
     registry: BranchRegistry,
-    config: ContinuationConfig,
     origin_record: _BranchRecord | None = None,
     spawn_ray: complex | None = None,
 ) -> tuple[Trajectory, _BranchRecord | None]:
@@ -317,7 +301,7 @@ def trace_trajectory(
     except PoleZeroProximityError:
         res0 = 0.0
     points = [TrajectoryPoint(*y0, res0, 0.0)]
-    h = config.resolved_h0(problem)
+    h = _h0(problem)
     d = np.asarray(direction, dtype=float)
     d = d / _norm(d)
 
@@ -325,7 +309,7 @@ def trace_trajectory(
         nonlocal h, d
         h = step
         if spawn_ray is not None and len(points) == 1:
-            d = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)[1]
+            d = branch_spawn_prediction(origin, spawn_ray, h)[1]
 
     def end(termination: Termination, note: str = ""):
         return Trajectory(origin, points, termination, note), None
@@ -336,7 +320,7 @@ def trace_trajectory(
         return Trajectory(origin, points, Termination.MERGED_AT_BRANCH), rec
 
     while True:
-        if len(points) >= config.max_points:
+        if len(points) >= _MAX_POINTS:
             return end(Termination.STALLED, "max_points reached")
         if len(points) >= 2:
             d = secant(points[-2], points[-1])
@@ -345,14 +329,14 @@ def trace_trajectory(
             if spawn_ray is not None and len(points) == 1:
                 # the first step from a multiple point is placed on the ray
                 # model; tangent extrapolation has the wrong parameter scaling
-                y_pred = branch_spawn_prediction(problem, origin, spawn_ray, config, t=h)[0]
+                y_pred = branch_spawn_prediction(origin, spawn_ray, h)[0]
             else:
                 y_pred = points[-1].as_array() + d * h
             try:
-                pt, kappa = correct(problem, y_pred, d, config)
+                pt, kappa = correct(problem, y_pred, d)
             except (NoConvergenceError, JacobianSingularError) as exc:
                 halvings += 1
-                shrink(max(h / 2.0, config.h_min))
+                shrink(max(h / 2.0, _H_MIN))
                 if halvings <= 6:
                     continue
                 # repeated failure: branch point nearby, or a genuine stall
@@ -376,7 +360,7 @@ def trace_trajectory(
             # structure (tight loops, nearby branch points); refine the step
             chord = pt.as_array() - points[-1].as_array()
             chord_norm = _norm(chord)
-            if chord_norm > 0 and h > config.h_min * 1.01:
+            if chord_norm > 0 and h > _H_MIN * 1.01:
                 turned = float(np.dot(chord, d)) / chord_norm < 0.9
                 # midpoint-on-locus check catches skipped loops; invalid near a
                 # multiple point, where the parameter grows superlinearly
@@ -386,15 +370,15 @@ def trace_trajectory(
                     try:
                         skipped = (
                             problem.cartesian_residual(*mid.tolist())
-                            > 100.0 * config.delta_nominal
+                            > 100.0 * _DELTA_NOMINAL
                         )
                     except PoleZeroProximityError:
                         skipped = True
                 if turned or skipped:
-                    shrink(max(h / 2.0, config.h_min))
+                    shrink(max(h / 2.0, _H_MIN))
                     continue
-            h_next, repeat = step_update(kappa, pt.residual, h, config)
-            if repeat and h > config.h_min * 1.01:
+            h_next, repeat = step_update(kappa, pt.residual, h)
+            if repeat and h > _H_MIN * 1.01:
                 shrink(h_next)
                 continue
             h = h_next
@@ -404,14 +388,14 @@ def trace_trajectory(
         # clip against the lam upper bound and the region boundary
         if pt.lam > problem.lambda_max:
             try:
-                y_end = _clip_solve(problem, pt.as_array(), "lam", problem.lambda_max, config)
+                y_end = _clip_solve(problem, pt.as_array(), "lam", problem.lambda_max)
                 points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
             return end(Termination.LAMBDA_MAX_REACHED)
         if pt.sigma < problem.sigma0:
             try:
-                y_end = _clip_solve(problem, pt.as_array(), "sigma", problem.sigma0, config)
+                y_end = _clip_solve(problem, pt.as_array(), "sigma", problem.sigma0)
                 if 0.0 <= y_end[2] <= problem.lambda_max:
                     points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
@@ -453,19 +437,14 @@ def _truncate_at_branch(points: list[TrajectoryPoint], rec: _BranchRecord) -> in
 
 
 def branch_spawn_prediction(
-    problem: LocusProblem,
-    cp: CriticalPoint,
-    ray: complex,
-    config: ContinuationConfig,
-    t: float | None = None,
+    cp: CriticalPoint, ray: complex, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial predicted point and direction for a trajectory leaving a branch point.
+    """Initial predicted point and direction for a trajectory leaving a branch
+    point along ``ray``, at distance ``t`` from it.
 
     Along an up ray the parameter grows like t^N, so the first prediction is
     placed analytically rather than by tangent extrapolation.
     """
-    if t is None:
-        t = config.resolved_h0(problem)
     n = cp.multiplicity
     y_pred = np.array(
         [

@@ -287,8 +287,13 @@ def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float
 
 
 def _phase_fn(plant: Plant, sigma0: float, h: float):
-    """Scalar ``phi(plant, sigma0, w, h)`` as a function of w, with the
-    constant phase offset computed once rather than on every call."""
+    """The continuous (unwrapped) boundary phase of G e^{-hs} on Re(s) =
+    sigma0, as a function of w, with the constant offset ``phi_offset``
+    computed once.
+
+    No modular reduction is applied; the phase at w = 0 is angle(G(sigma0))
+    in {0, pi}.  ``h=0`` gives the unwrapped phase of G alone.  A float gives
+    a float, an array an array, same bits."""
     offset = phi_offset(plant, sigma0)
 
     def phase(w):

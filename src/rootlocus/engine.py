@@ -50,44 +50,35 @@ class _Seed:
         return (*self.origin.key(), round(math.atan2(d[1], d[0]), 12))
 
 
-def _ray_seeds(
-    problem: LocusProblem, cp: CriticalPoint, rays, config: cont.ContinuationConfig, record=None
-) -> list[_Seed]:
+def _ray_seeds(problem: LocusProblem, cp: CriticalPoint, rays, record=None) -> list[_Seed]:
     """One seed per up ray of the multiple point ``cp``."""
-    return [
-        _Seed(cp, cont.branch_spawn_prediction(problem, cp, ray, config)[1], record, ray)
-        for ray in rays
-    ]
+    t = cont._h0(problem)
+    return [_Seed(cp, cont.branch_spawn_prediction(cp, ray, t)[1], record, ray) for ray in rays]
 
 
-def _start_seeds(
-    problem: LocusProblem, cp: CriticalPoint, config: cont.ContinuationConfig
-) -> list[_Seed]:
+def _start_seeds(problem: LocusProblem, cp: CriticalPoint) -> list[_Seed]:
     if cp.multiplicity == 1:
         return [_Seed(cp, localmodel.initial_tangent_simple(problem, cp.root, cp.lam))]
     rays = localmodel.start_rays(problem, cp.root, cp.multiplicity)
-    return _ray_seeds(problem, cp, rays, config)
+    return _ray_seeds(problem, cp, rays)
 
 
-def _branch_seeds(problem: LocusProblem, rec, config: cont.ContinuationConfig) -> list[_Seed]:
+def _branch_seeds(problem: LocusProblem, rec) -> list[_Seed]:
     """Spawn every up ray of a branch record not spawned yet, and empty its list."""
-    seeds = _ray_seeds(problem, rec.point, rec.rays, config, rec)
+    seeds = _ray_seeds(problem, rec.point, rec.rays, rec)
     rec.rays = []
     return seeds
 
 
-def compute_root_locus(
-    problem: LocusProblem,
-    config: cont.ContinuationConfig | None = None,
-    workers: int = 1,
-) -> RootLocusResult:
+def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResult:
     """Compute every locus trajectory in the region for lam in [0, lambda_max].
 
-    Trajectories are traced serially; ``workers`` accepts only 1.
+    Step control is fixed (the constants of ``continuation``); the problem is
+    the only input.  Trajectories are traced serially; ``workers`` accepts
+    only 1.
     """
     if workers != 1:
         raise ValueError(f"compute_root_locus runs serially: workers must be 1, got {workers}")
-    config = config or cont.ContinuationConfig()
     registry = cont.BranchRegistry()
     warnings: list[str] = []
 
@@ -119,10 +110,10 @@ def compute_root_locus(
                 rec = records_by_bp[id(bp)]
                 rec.rays = [ray for ray in rec.rays if abs(ray.imag) >= 1e-9]
         for bp in colliders:
-            seeds.extend(_branch_seeds(problem, records_by_bp[id(bp)], config))
+            seeds.extend(_branch_seeds(problem, records_by_bp[id(bp)]))
     for cp in starts:
         if not on_axis(cp):
-            seeds.extend(_start_seeds(problem, cp, config))
+            seeds.extend(_start_seeds(problem, cp))
     for cp in crossings:
         if cp.kind is CriticalKind.CROSSING_IN and not on_axis(cp):
             seeds.append(_Seed(cp, localmodel.initial_tangent_simple(problem, cp.root, cp.lam)))
@@ -153,7 +144,6 @@ def compute_root_locus(
                 seed.origin,
                 seed.direction,
                 registry,
-                config,
                 origin_record=seed.record,
                 spawn_ray=seed.spawn_ray,
             )
@@ -165,7 +155,7 @@ def compute_root_locus(
                 continue
             if not any(cp is rec.point for cp in crit_points):
                 crit_points.append(rec.point)
-            new.extend(_branch_seeds(problem, rec, config))
+            new.extend(_branch_seeds(problem, rec))
         seeds = new
     log.debug(
         "%d trajectories: %d traced, %d mirrored, %d on the real axis",
@@ -180,7 +170,7 @@ def compute_root_locus(
 
     trajectories.sort(key=lambda t: (*t.origin.key(), _first_angle(t)))
     crit_points = dedup_points(crit_points)
-    events, n0 = _imag_axis_events(problem, trajectories, config)
+    events, n0 = _imag_axis_events(problem, trajectories)
     stability = _stability_intervals(problem, events, n0)
     return RootLocusResult(
         problem, trajectories, crit_points, events, stability, n0, warnings
@@ -218,9 +208,7 @@ def _first_angle(t: cont.Trajectory) -> float:
 
 
 def _imag_axis_events(
-    problem: LocusProblem,
-    trajectories: list[cont.Trajectory],
-    config: cont.ContinuationConfig,
+    problem: LocusProblem, trajectories: list[cont.Trajectory]
 ) -> tuple[list[ImagAxisEvent], int]:
     """Refined axis crossings of all trajectories plus the unstable count at lam = 0.
 
@@ -253,7 +241,7 @@ def _imag_axis_events(
             frac = a.sigma / (a.sigma - b.sigma)
             guess = a.as_array() + frac * (b.as_array() - a.as_array())
             try:
-                y = cont._clip_solve(problem, guess, "sigma", 0.0, config)
+                y = cont._clip_solve(problem, guess, "sigma", 0.0)
                 events.append(ImagAxisEvent(float(y[2]), float(y[1]), sign))
             except (NoConvergenceError, JacobianSingularError):
                 events.append(ImagAxisEvent(float(guess[2]), float(guess[1]), sign))

@@ -5,9 +5,11 @@ The problem file is a JSON document:
     {
       "plant": {"zeros": [[re, im], ...], "poles": [[re, im], ...],
                 "gain": 1.0, "delay": 1.0},
-      "locus": {"kind": "gain" | "delay", "sigma0": -1.0, "lambda_max": 5.0},
-      "continuation": { ... optional ContinuationConfig overrides ... }
+      "locus": {"kind": "gain" | "delay", "sigma0": -1.0, "lambda_max": 5.0}
     }
+
+"zeros" may be left out; every other key is required, and any other key is a
+parse error.  Step control is fixed and has no settings in the file.
 
 Results are written as one structured JSON file plus per-trajectory CSVs, a
 critical-points CSV and a stability-intervals text file.  All floats are
@@ -20,16 +22,17 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
 
-from .continuation import ContinuationConfig, Termination, Trajectory, TrajectoryPoint
+from .continuation import Termination, Trajectory, TrajectoryPoint
 from .critical import CriticalKind, CriticalPoint
 from .engine import ImagAxisEvent, RootLocusResult
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .plant import LocusKind, LocusProblem, Plant
 
-# field name -> annotation ("float", "int" or "float | None")
-_CONFIG_TYPES = {f.name: f.type for f in fields(ContinuationConfig)}
+# the keys of a problem document and of its two objects
+_PROBLEM_KEYS = ("plant", "locus")
+_PLANT_KEYS = ("zeros", "poles", "gain", "delay")
+_LOCUS_KEYS = ("kind", "sigma0", "lambda_max")
 
 
 def _fmt(x) -> str:
@@ -60,23 +63,20 @@ def _real(raw, where):
     return float(raw)
 
 
-def _config_value(raw, name, where):
-    """A continuation override checked against the annotation of its field."""
-    kind = _CONFIG_TYPES[name]
-    if raw is None and kind == "float | None":
-        return None
-    if kind == "int":
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ParseError(f"{where}: expected an integer, got {raw!r}")
-        return raw
-    return _real(raw, where)
+def _object(raw, keys, where):
+    """``raw``, an object with no key outside ``keys``."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object")
+    for key in raw:
+        if key not in keys:
+            raise ParseError(f"{where}.{key}: unknown key; valid keys are {', '.join(keys)}")
+    return raw
 
 
-def parse_problem_dict(doc: dict, where: str = "problem") -> tuple[LocusProblem, ContinuationConfig]:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: top level must be an object")
-    plant_doc = _require(doc, "plant", where)
-    locus_doc = _require(doc, "locus", where)
+def parse_problem_dict(doc: dict, where: str = "problem") -> LocusProblem:
+    _object(doc, _PROBLEM_KEYS, where)
+    plant_doc = _object(_require(doc, "plant", where), _PLANT_KEYS, f"{where}.plant")
+    locus_doc = _object(_require(doc, "locus", where), _LOCUS_KEYS, f"{where}.locus")
     plant = Plant(
         zeros=_complex_list(plant_doc.get("zeros", []), f"{where}.plant.zeros"),
         poles=_complex_list(_require(plant_doc, "poles", f"{where}.plant"), f"{where}.plant.poles"),
@@ -90,7 +90,7 @@ def parse_problem_dict(doc: dict, where: str = "problem") -> tuple[LocusProblem,
         raise ParseError(
             f'{where}.locus.kind: expected "gain" or "delay", got {kind_raw!r}'
         ) from None
-    problem = LocusProblem(
+    return LocusProblem(
         kind=kind,
         sigma0=_real(_require(locus_doc, "sigma0", f"{where}.locus"), f"{where}.locus.sigma0"),
         lambda_max=_real(
@@ -98,27 +98,9 @@ def parse_problem_dict(doc: dict, where: str = "problem") -> tuple[LocusProblem,
         ),
         plant=plant,
     )
-    overrides = doc.get("continuation", {})
-    if not isinstance(overrides, dict):
-        raise ParseError(f"{where}.continuation: expected an object")
-    unknown = set(overrides) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ParseError(
-            f"{where}.continuation: unknown fields {sorted(unknown)}; "
-            f"valid fields are {sorted(_CONFIG_TYPES)}"
-        )
-    values = {
-        name: _config_value(raw, name, f"{where}.continuation.{name}")
-        for name, raw in overrides.items()
-    }
-    try:
-        config = ContinuationConfig(**values)
-    except ValueError as exc:
-        raise ValidationError(f"{where}.continuation: {exc}") from None
-    return problem, config
 
 
-def parse_problem(path: str) -> tuple[LocusProblem, ContinuationConfig]:
+def parse_problem(path: str) -> LocusProblem:
     """Read and validate a problem file; raises ParseError or ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -147,7 +129,7 @@ def _critical_from_dict(doc: dict) -> CriticalPoint:
 def result_from_dict(doc: dict) -> RootLocusResult:
     """The result in ``doc``, ``result.json`` parsed with every number a float
     (as ``load_result`` parses it); the integer fields are made ints here."""
-    problem, _ = parse_problem_dict(doc["problem"], where="result.problem")
+    problem = parse_problem_dict(doc["problem"], where="result.problem")
     trajectories = []
     for t in doc["trajectories"]:
         points = [TrajectoryPoint(*row) for row in t["points"]]
@@ -288,7 +270,10 @@ def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
 
 def load_result(out_dir: str) -> RootLocusResult:
     """Parse a result directory written by emit_results: the result as it was
-    computed, every float with the bits it had (``-0`` is read as -0.0)."""
+    computed, every float with the bits it had (``-0`` is read as -0.0).
+
+    Raises ParseError for a missing or malformed ``result.json``, and
+    ValidationError for a problem in it that the validator rejects."""
     p = os.path.join(out_dir, "result.json")
     try:
         with open(p, encoding="utf-8") as fh:
@@ -297,7 +282,12 @@ def load_result(out_dir: str) -> RootLocusResult:
         raise ParseError(f"{p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return result_from_dict(doc)
+    try:
+        return result_from_dict(doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing key, a value of the wrong type, an unknown enum value, an
+        # infinite integer
+        raise ParseError(f"{p}: malformed result ({type(exc).__name__}: {exc})") from exc
 
 
 def results_equal(a: RootLocusResult, b: RootLocusResult) -> bool:

@@ -190,8 +190,9 @@ def big_lambda_prime(plant: Plant, sigma0: float, omega):
 
 
 def _phi1(plant: Plant, sigma0: float, omega, h: float):
-    """``phi`` without its constant offset; exactly 0 at omega = 0.  A float
-    gives a float, an array an array, same bits."""
+    """The boundary phase phi of G e^{-hs} on Re(s) = sigma0 without its
+    constant offset ``phi_offset``; exactly 0 at omega = 0.  A float gives a
+    float, an array an array, same bits."""
     acc = -h * omega
     for z in plant.zeros:
         acc += np.arctan((omega - z.imag) / (sigma0 - z.real))
@@ -209,22 +210,8 @@ def phi_offset(plant: Plant, sigma0: float) -> float:
     return math.pi if abs(wrap_angle(ang - math.pi)) < abs(wrap_angle(ang)) else 0.0
 
 
-def phi(plant: Plant, sigma0: float, omega, h: float | None = None):
-    """Continuous (unwrapped) boundary phase of G e^{-hs} on Re(s) = sigma0.
-
-    No modular reduction is applied; ``phi(0)`` equals angle(G(sigma0)) in
-    {0, pi}.  ``h=0`` gives the unwrapped phase of G alone.  A float gives a
-    float, an array an array, same bits.
-    """
-    if h is None:
-        h = plant.delay
-    acc = _phi1(plant, sigma0, omega, h)
-    acc += phi_offset(plant, sigma0)
-    return acc
-
-
 def phi_prime(plant: Plant, sigma0: float, omega, h: float | None = None):
-    """First derivative of ``phi`` with respect to omega.
+    """First derivative of the boundary phase phi with respect to omega.
 
     A float gives a float, an array an array, same bits.
     """

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from rootlocus.continuation import ContinuationConfig
 from rootlocus.engine import compute_root_locus
 from rootlocus.plant import LocusKind, LocusProblem, Plant
 
@@ -62,8 +61,3 @@ def example3_result():
 @pytest.fixture(scope="session")
 def turning_point_result():
     return compute_root_locus(turning_point_problem())
-
-
-@pytest.fixture
-def config():
-    return ContinuationConfig()

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 from rootlocus.cli import EXIT_OK, main as cli_main
-from rootlocus.continuation import ContinuationConfig, Termination, _clip_solve
+from rootlocus.continuation import Termination, _clip_solve
 from rootlocus.critical import CriticalKind
 from rootlocus.engine import compute_root_locus
 from rootlocus.plant import (
@@ -305,7 +305,7 @@ def _oracle_roots(problem, lam, r_cap, n_grid):
     return sorted(full, key=lambda c: (c.real, c.imag))
 
 
-def _traced_roots(problem, result, lam, config):
+def _traced_roots(problem, result, lam):
     roots = []
     for traj in result.trajectories:
         pts = traj.points
@@ -319,7 +319,7 @@ def _traced_roots(problem, result, lam, config):
                 frac = (lam - a.lam) / (b.lam - a.lam)
                 guess = a.as_array() + frac * (b.as_array() - a.as_array())
             try:
-                y = _clip_solve(problem, guess, "lam", lam, config)
+                y = _clip_solve(problem, guess, "lam", lam)
             except Exception:
                 continue
             if y[0] < problem.sigma0 - 1e-9:
@@ -340,7 +340,6 @@ def _match_sets(a, b, tol):
 
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(515151)
-    config = ContinuationConfig()
     accepted = 0
     while accepted < 20:
         problem = _random_problem(rng, LocusKind.GAIN, strictly_proper=True)
@@ -359,7 +358,7 @@ def test_criterion_5_oracle_equivalence():
             # pitch-halving stability of the oracle itself
             assert len(coarse) == len(fine)
             _match_sets(coarse, fine, 1e-6)
-            traced = _traced_roots(problem, result, lam, config)
+            traced = _traced_roots(problem, result, lam)
             if not fine and not traced:
                 continue
             assert fine and traced

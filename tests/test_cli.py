@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from rootlocus import continuation
 from rootlocus.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from rootlocus.continuation import Termination
 from rootlocus.io import load_result
@@ -100,17 +101,16 @@ def test_asymmetric_plant_exit_code(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("demo", ["example3_gain.json", "example1_delay.json"])
-def test_stalled_run_warns_and_exit_code(tmp_path, capsys, demo):
+def test_stalled_run_warns_and_exit_code(tmp_path, capsys, monkeypatch, demo):
     # a corrector that cannot converge stalls every traced trajectory: the run
     # still writes a readable result, warns once per stalled trajectory and
     # exits 4 (it used to overflow in the residual, or spawn from a "branch
     # point" far left of sigma0 and write inf)
+    monkeypatch.setattr(continuation, "_MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(continuation, "_CORRECTOR_TOL", 1e-300)
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos", demo)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["continuation"] = {"max_newton_iters": 1, "corrector_tol": 1e-300}
     out = tmp_path / "out"
-    assert main(["compute", _write_problem(tmp_path, doc), "--out", str(out)]) == EXIT_NUMERICAL
+    assert main(["compute", path, "--out", str(out)]) == EXIT_NUMERICAL
     result = load_result(str(out))
     stalled = [t for t in result.trajectories if t.termination is Termination.STALLED]
     warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
@@ -131,10 +131,11 @@ def test_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_log_env_var(tmp_path, monkeypatch):
+def test_log_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ROOTLOCUS_LOG", "INFO")
     problem = _write_problem(tmp_path, PROBLEM)
     assert main(["compute", problem, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "warning:" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -157,11 +158,49 @@ def test_non_finite_and_non_numeric_problems_exit_code(tmp_path, capsys, plant, 
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides", [{"h0": "x"}, {"max_newton_iters": 2.5}])
-def test_continuation_override_of_the_wrong_type_exit_code(tmp_path, capsys, overrides):
-    problem = _write_problem(tmp_path, dict(PROBLEM, continuation=overrides))
+@pytest.mark.parametrize(
+    "where, key, valid",
+    [
+        ((), "contination", "plant, locus"),
+        ((), "continuation", "plant, locus"),
+        (("plant",), "zeroes", "zeros, poles, gain, delay"),
+        (("locus",), "lamda_max", "kind, sigma0, lambda_max"),
+    ],
+    ids=["top", "continuation", "plant", "locus"],
+)
+def test_unknown_key_exit_code(tmp_path, capsys, where, key, valid):
+    # an unknown key used to be ignored (a misspelt "zeros" ran with no
+    # zeros); a step-control block, which no longer sets anything, is one too
+    doc = json.loads(json.dumps(PROBLEM))
+    obj = doc[where[0]] if where else doc
+    obj[key] = {"max_newton_iters": 1} if key == "continuation" else 1.0
+    problem = _write_problem(tmp_path, doc)
     assert main(["compute", problem, "--out", str(tmp_path / "out")]) == EXIT_PARSE
-    assert f"continuation.{next(iter(overrides))}" in capsys.readouterr().err
+    path = ".".join([problem, *where, key])
+    assert f"error: {path}: unknown key; valid keys are {valid}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("window", [["1", "0", "-2", "2"], ["0", "1", "nan", "2"]])
+def test_bad_window_exit_code(tmp_path, capsys, window):
+    # a bad window used to fail in the SVG writer, after every result file was
+    # written, with a traceback and exit 1
+    problem = _write_problem(tmp_path, PROBLEM)
+    code = main(["compute", problem, "--out", str(tmp_path / "out"), "--svg", "--window", *window])
+    assert code == EXIT_PARSE
+    assert "error: --window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["BASIC_FORMAT", "verbose"])
+def test_log_env_var_takes_only_level_names(tmp_path, capsys, monkeypatch, value):
+    # BASIC_FORMAT used to name a logging attribute that is no level and crash
+    # the run; an unknown name fell back to WARNING without a word
+    monkeypatch.setenv("ROOTLOCUS_LOG", value)
+    problem = _write_problem(tmp_path, PROBLEM)
+    assert main(["compute", problem, "--out", str(tmp_path / "out")]) == EXIT_OK
+    warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warned) == 1 and repr(value) in warned[0] and "WARNING" in warned[0]
 
 
 def test_import_loads_no_scipy():

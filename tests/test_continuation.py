@@ -12,7 +12,6 @@ from rootlocus.continuation import (
     _MERGE_TOL,
     _REAL_AXIS_LOG_TOL,
     BranchRegistry,
-    ContinuationConfig,
     Termination,
     TrajectoryPoint,
     _clip_solve,
@@ -91,36 +90,36 @@ def test_initial_tangent_delay_start():
     assert d == pytest.approx(want, abs=1e-10)
 
 
-def test_correct_on_trajectory(config):
+def test_correct_on_trajectory():
     # (-2, 0, e^{-2}) lies exactly on the locus of G = 1/(s+1), h = 1; use a
     # nearby regular point to stay clear of the branch point at -2
     problem = _first_order_problem()
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
     direction = np.array([-1.0, 0.0, 0.0])
-    pt, kappa = correct(problem, np.array([sigma, 0.0, lam]), direction, config)
+    pt, kappa = correct(problem, np.array([sigma, 0.0, lam]), direction)
     assert pt.sigma == pytest.approx(sigma, abs=1e-10)
     assert pt.omega == pytest.approx(0.0, abs=1e-10)
     assert pt.lam == pytest.approx(lam, abs=1e-10)
     assert pt.residual < 1e-10
 
 
-def test_correct_perturbed_converges(config):
+def test_correct_perturbed_converges():
     problem = _first_order_problem()
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
     predicted = np.array([sigma, 1e-3, lam])
     direction = np.array([-1.0, 0.0, 0.0])
-    pt, kappa = correct(problem, predicted, direction, config)
+    pt, kappa = correct(problem, predicted, direction)
     assert pt.residual < 1e-8
     assert kappa < 0.5
     assert abs(pt.omega) < 1e-8
 
 
-def test_correct_at_pole_fails(config):
+def test_correct_at_pole_fails():
     problem = _first_order_problem()
     with pytest.raises(NoConvergenceError):
-        correct(problem, np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]), config)
+        correct(problem, np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("problem", [example3_problem(), example1_problem()],
@@ -140,18 +139,19 @@ def test_mp_jacobian_matches_central_differences(problem):
             assert rows[1][j] == pytest.approx(wrap_angle(p_hi - p_lo) / (2 * step), abs=1e-6)
 
 
-def test_stall_note_names_point_step_and_cause():
+def test_stall_note_names_point_step_and_cause(monkeypatch):
     # one Newton iteration never meets a 1e-300 tolerance, so every corrector
     # call fails, and no branch solve can start from the lam = 0 start point
-    config = ContinuationConfig(max_newton_iters=1, corrector_tol=1e-300)
+    monkeypatch.setattr(continuation, "_MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(continuation, "_CORRECTOR_TOL", 1e-300)
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
     )
     assert merge is None
     assert traj.termination is Termination.STALLED
-    h = config.resolved_h0(problem) / 2**7
+    h = continuation._h0(problem) / 2**7
     assert traj.note == (
         "corrector stalled after point (sigma, omega, lam) = (-1, 0, 0) "
         f"at step h = {h:.6g} after 7 halvings: "
@@ -159,19 +159,19 @@ def test_stall_note_names_point_step_and_cause():
     )
 
 
-def test_step_update_rules(config):
+def test_step_update_rules():
     # nominal point: no change, no repeat
-    h, repeat = step_update(config.kappa_nominal, config.delta_nominal, 0.1, config)
+    h, repeat = step_update(continuation._KAPPA_NOMINAL, continuation._DELTA_NOMINAL, 0.1)
     assert h == pytest.approx(0.1) and not repeat
     # slow Newton: kappa_df = 2 forces a halved repeat
-    h, repeat = step_update(4 * config.kappa_nominal, 0.0, 0.1, config)
+    h, repeat = step_update(4 * continuation._KAPPA_NOMINAL, 0.0, 0.1)
     assert h == pytest.approx(0.05) and repeat
     # fast convergence: both factors clamp at 1/2, step doubles
-    h, repeat = step_update(1e-12, 1e-12, 0.1, config)
+    h, repeat = step_update(1e-12, 1e-12, 0.1)
     assert h == pytest.approx(0.2) and not repeat
     # clamped at h_max
-    h, _ = step_update(1e-12, 1e-12, 0.9, config)
-    assert h == config.h_max
+    h, _ = step_update(1e-12, 1e-12, 0.9)
+    assert h == continuation._H_MAX
 
 
 def test_solve_branch_point_two_pole_plant():
@@ -191,22 +191,20 @@ def test_solve_branch_point_two_pole_plant():
             solve_branch_point(outside, np.array([sb + 0.02, 0.01, lam_b * 1.05]))
 
 
-def test_branch_spawn_prediction_parameter_scaling(config):
+def test_branch_spawn_prediction_parameter_scaling():
     cp = CriticalPoint(CriticalKind.BRANCH, complex(-2.0, 0.0), 0.1, multiplicity=2)
-    y, d = branch_spawn_prediction(
-        LocusProblem(LocusKind.GAIN, -5.0, 1.0, first_order_plant()), cp, 1j, config, t=0.01
-    )
+    y, d = branch_spawn_prediction(cp, 1j, 0.01)
     assert y == pytest.approx([-2.0, 0.01, 0.1 + 1e-4])
     assert np.linalg.norm(d) == pytest.approx(1.0)
 
 
-def test_trace_trajectory_leaves_region(config):
+def test_trace_trajectory_leaves_region():
     # from the pole at -1 the real locus runs left; it must exit at sigma0
     # with lam = e^{sigma0} * |sigma0 + 1|
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
     )
     assert merge is None
     assert traj.termination is Termination.LEFT_REGION
@@ -215,11 +213,11 @@ def test_trace_trajectory_leaves_region(config):
     assert last.lam == pytest.approx(math.exp(-1.5) * 0.5, abs=1e-8)
 
 
-def test_trace_trajectory_clips_at_lambda_max(config):
+def test_trace_trajectory_clips_at_lambda_max():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=0.05)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, _ = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
     )
     assert traj.termination is Termination.LAMBDA_MAX_REACHED
     last = traj.points[-1]
@@ -228,14 +226,14 @@ def test_trace_trajectory_clips_at_lambda_max(config):
     assert math.exp(last.sigma) * abs(last.sigma + 1.0) == pytest.approx(0.05, rel=1e-8)
 
 
-def test_trace_merges_at_registered_branch_point(config):
+def test_trace_merges_at_registered_branch_point():
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     bp = branch_points_gain(problem)[0]
     registry = BranchRegistry()
     registry.register(bp)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry, config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is not None
@@ -259,27 +257,28 @@ def test_register_returns_the_record_of_a_branch_point_within_merge_tol():
     assert len(registry.records) == 2
 
 
-def _start_before_branch_point_with_one_newton_iteration():
+def _start_before_branch_point_with_one_newton_iteration(monkeypatch):
     # G = 1/(s+1), h = 1: the real locus runs from -1 to the branch point
     # (-2, e^-2).  One Newton iteration from an h0 = 1 prediction never
     # converges, so every corrector call fails and the trace takes the exit
     # after 6 failed halvings
+    monkeypatch.setattr(continuation, "_h0", lambda problem: 1.0)
+    monkeypatch.setattr(continuation, "_MAX_NEWTON_ITERS", 1)
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     sigma = -1.8
     cp = CriticalPoint(
         CriticalKind.CROSSING_IN, complex(sigma, 0.0), math.exp(sigma) * abs(sigma + 1.0)
     )
-    config = ContinuationConfig(h0=1.0, max_newton_iters=1)
-    return problem, cp, config
+    return problem, cp
 
 
-def test_failed_halvings_merge_into_the_registered_branch_point():
-    problem, cp, config = _start_before_branch_point_with_one_newton_iteration()
+def test_failed_halvings_merge_into_the_registered_branch_point(monkeypatch):
+    problem, cp = _start_before_branch_point_with_one_newton_iteration(monkeypatch)
     bp = branch_points_gain(problem)[0]
     registry = BranchRegistry()
     rec = registry.register(bp)
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry, config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is rec
@@ -288,11 +287,11 @@ def test_failed_halvings_merge_into_the_registered_branch_point():
     assert (traj.points[-1].root, traj.points[-1].lam) == (bp.root, bp.lam)
 
 
-def test_failed_halvings_solve_and_register_the_branch_point():
-    problem, cp, config = _start_before_branch_point_with_one_newton_iteration()
+def test_failed_halvings_solve_and_register_the_branch_point(monkeypatch):
+    problem, cp = _start_before_branch_point_with_one_newton_iteration(monkeypatch)
     registry = BranchRegistry()
     traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry, config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry
     )
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert registry.records == [merge]
@@ -303,17 +302,17 @@ def test_failed_halvings_solve_and_register_the_branch_point():
     assert (traj.points[-1].root, traj.points[-1].lam) == (merge.point.root, merge.point.lam)
 
 
-def test_lambda_nondecreasing_along_gain_trace(config):
+def test_lambda_nondecreasing_along_gain_trace():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     traj, _ = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry(), config
+        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
     )
     lams = [p.lam for p in traj.points]
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
 
 
-def test_secant_approaches_analytic_tangent(config):
+def test_secant_approaches_analytic_tangent():
     # invariant: the chord direction converges to the tangent as the step shrinks
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     sigma = -1.2
@@ -323,18 +322,18 @@ def test_secant_approaches_analytic_tangent(config):
     chords = []
     for step in (1e-2, 1e-3):
         pred = base + tangent * step
-        pt, _ = correct(problem, pred, tangent, config)
+        pt, _ = correct(problem, pred, tangent)
         chord = pt.as_array() - base
         chords.append(chord / np.linalg.norm(chord))
     assert np.linalg.norm(chords[1] - tangent) < 1e-3
     assert np.linalg.norm(chords[1] - tangent) <= np.linalg.norm(chords[0] - tangent) + 1e-12
 
 
-def test_clip_solve_pinned_lambda(config):
+def test_clip_solve_pinned_lambda():
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
-    y = _clip_solve(problem, np.array([sigma + 0.01, 0.005, lam]), "lam", lam, config)
+    y = _clip_solve(problem, np.array([sigma + 0.01, 0.005, lam]), "lam", lam)
     assert y[0] == pytest.approx(sigma, abs=1e-10)
     assert y[1] == pytest.approx(0.0, abs=1e-10)
     assert y[2] == lam
@@ -346,7 +345,7 @@ def _axis_points(problem):
     return [cp for cp in points if abs(cp.root.imag) < _AXIS_TOL]
 
 
-def test_real_axis_segments_simple(config):
+def test_real_axis_segments_simple():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     # a segment begins and ends at critical points and does not invent one
     starts = [cp for cp in _axis_points(problem) if cp.kind is CriticalKind.START]
@@ -367,7 +366,7 @@ def test_real_axis_segments_simple(config):
         assert abs(p.omega) < 1e-12
 
 
-def test_real_axis_segments_collide_at_branch_point(config):
+def test_real_axis_segments_collide_at_branch_point():
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     trajs, colliders = real_axis_segments(problem, _axis_points(problem))
     assert len(colliders) >= 1
@@ -416,7 +415,7 @@ def _uniform_samples(lam_and_log, x_from, x_to):
     return [(x, lam_and_log(x)[0]) for x in np.linspace(x_from, x_to, 400).tolist()]
 
 
-def test_real_axis_samples_follow_log_lambda(config, monkeypatch):
+def test_real_axis_samples_follow_log_lambda(monkeypatch):
     kinds, ends = set(), set()
     for k, problem in enumerate(_axis_problems()):
         plant, h = problem.plant, problem.plant.delay
@@ -508,9 +507,9 @@ def test_norm_equals_numpy_norm_bit_for_bit():
     assert _norm(np.zeros(3)) == 0.0
 
 
-def test_correct_returns_plain_floats(config):
+def test_correct_returns_plain_floats():
     problem = _first_order_problem()
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
-    pt, _ = correct(problem, np.array([sigma, 1e-3, lam]), np.array([-1.0, 0.0, 0.0]), config)
+    pt, _ = correct(problem, np.array([sigma, 1e-3, lam]), np.array([-1.0, 0.0, 0.0]))
     assert all(type(v) is float for v in (pt.sigma, pt.omega, pt.lam, pt.residual))

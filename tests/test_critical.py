@@ -29,9 +29,10 @@ from rootlocus.plant import (
     LocusKind,
     LocusProblem,
     Plant,
+    _phi1,
     big_lambda,
     eval_char_fn,
-    phi,
+    phi_offset,
     phi_prime,
     wrap_angle,
 )
@@ -136,9 +137,11 @@ def test_phase_fn_equals_phi_at_the_interval_ends():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
     (lo, hi), = magnitude_intervals(problem)
     phase = _phase_fn(problem.plant, -0.5, problem.plant.delay)
-    # the phase offset is computed once; the values stay phi's bits
-    assert phase(lo) == phi(problem.plant, -0.5, lo)
-    assert phase(hi) == phi(problem.plant, -0.5, hi)
+    # the phase offset is computed once; the values keep the bits of the
+    # offset-free phase plus the offset
+    plant = problem.plant
+    for w in (lo, hi):
+        assert phase(w) == _phi1(plant, -0.5, w, plant.delay) + phi_offset(plant, -0.5)
     assert phase(hi) < phase(lo)  # phi' < 0 everywhere here
 
 

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from rootlocus import continuation, critical, engine, localmodel
-from rootlocus.continuation import ContinuationConfig, Termination
+from rootlocus.continuation import Termination
 from rootlocus.critical import CriticalKind
 from rootlocus.engine import compute_root_locus
 from rootlocus.io import results_equal
@@ -151,11 +151,12 @@ def test_benchmark_tracer_patches_current_names(monkeypatch):
 
 def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
     # the first prediction off a double pole is placed on its ray at the
-    # distance h0 of the caller's config, not of the default one (0.04 here)
+    # distance h0 = 1e-2 * (1 + |sigma0|) of the first step
     p = complex(-1.0, 1.0)
     plant = Plant(zeros=(), poles=(p, p, p.conjugate(), p.conjugate()), gain=1.0, delay=1.0)
     problem = LocusProblem(LocusKind.GAIN, -3.0, 2.0, plant)
-    result = compute_root_locus(problem, ContinuationConfig(h0=0.05))
+    assert continuation._h0(problem) == 0.04
+    result = compute_root_locus(problem)
     firsts = [
         abs(t.points[1].root - t.points[0].root)
         for t in result.trajectories
@@ -163,7 +164,7 @@ def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
     ]
     assert len(firsts) == 4
     for dist in firsts:
-        assert dist == pytest.approx(0.05, rel=0.05)
+        assert dist == pytest.approx(0.04, rel=0.05)
 
 
 def test_delay_locus_from_a_double_start_root():
@@ -171,8 +172,7 @@ def test_delay_locus_from_a_double_start_root():
     # s = -1 and split into a complex pair as the delay grows
     plant = Plant(zeros=(), poles=(0.0, -2.0), gain=1.0, delay=1.0)
     problem = LocusProblem(LocusKind.DELAY, -1.5, 1.0, plant)
-    config = ContinuationConfig()
-    result = compute_root_locus(problem, config)
+    result = compute_root_locus(problem)
     assert result.warnings == []
     trajs = [t for t in result.trajectories if abs(t.origin.root + 1.0) < 1e-6]
     assert len(trajs) == 2
@@ -180,7 +180,7 @@ def test_delay_locus_from_a_double_start_root():
     for traj in trajs:
         a, b = next((a, b) for a, b in zip(traj.points, traj.points[1:]) if a.lam <= 0.3 <= b.lam)
         guess = a.as_array() + (0.3 - a.lam) / (b.lam - a.lam) * (b.as_array() - a.as_array())
-        y = continuation._clip_solve(problem, guess, "lam", 0.3, config)
+        y = continuation._clip_solve(problem, guess, "lam", 0.3)
         roots.append(complex(y[0], y[1]))
     roots.sort(key=lambda r: r.imag)
     want = [complex(-0.80960550, -0.54251225), complex(-0.80960550, 0.54251225)]
@@ -368,7 +368,7 @@ def test_mirrored_trajectories_match_tracing(monkeypatch, name):
         ]
         assert (traj.termination, traj.note) == (twin.termination, twin.note)
         direction = localmodel.initial_tangent_simple(problem, o.root, o.lam)
-        direct, rec = trace(problem, o, direction, registry, ContinuationConfig())
+        direct, rec = trace(problem, o, direction, registry)
         assert rec is None
         assert direct.termination is traj.termination
         assert len(direct.points) == len(traj.points)

@@ -42,20 +42,12 @@ def _write(tmp_path, doc):
 
 
 def test_parse_example3(tmp_path):
-    problem, config = parse_problem(_write(tmp_path, EXAMPLE3_DOC))
+    problem = parse_problem(_write(tmp_path, EXAMPLE3_DOC))
     assert problem.kind is LocusKind.GAIN
     assert problem.sigma0 == -3.5
     assert len(problem.plant.poles) == 3
     # the stated poles factor the cubic s^3 + 4s^2 + 4.25s + 1.25
     assert np.poly([-0.5, -1.0, -2.5]) == pytest.approx([1.0, 4.0, 4.25, 1.25])
-    assert config.corrector_tol == 1e-5
-
-
-def test_parse_continuation_overrides(tmp_path):
-    doc = dict(EXAMPLE3_DOC, continuation={"h0": 0.005, "corrector_tol": 1e-7})
-    _, config = parse_problem(_write(tmp_path, doc))
-    assert config.h0 == 0.005
-    assert config.corrector_tol == 1e-7
 
 
 def test_parse_errors_name_the_field(tmp_path):
@@ -68,8 +60,8 @@ def test_parse_errors_name_the_field(tmp_path):
     with pytest.raises(ParseError, match="gain.*delay|kind"):
         parse_problem(_write(tmp_path, doc))
 
-    doc = dict(EXAMPLE3_DOC, continuation={"bogus": 1})
-    with pytest.raises(ParseError, match="bogus"):
+    doc = {"plant": dict(EXAMPLE3_DOC["plant"], bogus=1), "locus": EXAMPLE3_DOC["locus"]}
+    with pytest.raises(ParseError, match=r"plant\.bogus"):
         parse_problem(_write(tmp_path, doc))
 
     bad = {"plant": dict(EXAMPLE3_DOC["plant"], poles=[[1.0]]), "locus": EXAMPLE3_DOC["locus"]}
@@ -107,7 +99,7 @@ def test_validation_biproper_bound_message(tmp_path):
         parse_problem(_write(tmp_path, doc))
 
 
-def _doc(plant=None, locus=None, continuation=None):
+def _doc(plant=None, locus=None):
     """A one-pole gain problem with the given plant and locus fields replaced."""
     doc = {
         "plant": {"zeros": [], "poles": [[-1.0, 0.0]], "gain": 1.0, "delay": 1.0},
@@ -115,8 +107,6 @@ def _doc(plant=None, locus=None, continuation=None):
     }
     doc["plant"].update(plant or {})
     doc["locus"].update(locus or {})
-    if continuation is not None:
-        doc["continuation"] = continuation
     return doc
 
 
@@ -144,10 +134,6 @@ def test_validation_rejects_non_finite_json_numbers(tmp_path, doc):
         (_doc(plant={"poles": [[True, False]]}), "plant.poles[0][0]"),
         (_doc(plant={"poles": [["-1", "0"]]}), "plant.poles[0][0]"),
         (_doc(plant={"zeros": [[-2.0, None]], "poles": [[-1, 0], [-3, 0]]}), "plant.zeros[0][1]"),
-        (_doc(continuation={"h0": "x"}), "continuation.h0"),
-        (_doc(continuation={"corrector_tol": [1e-6]}), "continuation.corrector_tol"),
-        (_doc(continuation={"max_newton_iters": 2.5}), "continuation.max_newton_iters"),
-        (_doc(continuation={"max_points": True}), "continuation.max_points"),
     ],
 )
 def test_parse_rejects_non_numbers(tmp_path, doc, field):
@@ -155,22 +141,12 @@ def test_parse_rejects_non_numbers(tmp_path, doc, field):
         parse_problem(_write(tmp_path, doc))
 
 
-def test_parse_continuation_types(tmp_path):
-    doc = _doc(continuation={"h0": None, "h_max": 2, "max_newton_iters": 7, "max_points": 500})
-    problem, config = parse_problem(_write(tmp_path, doc))
-    assert problem.plant.poles == (complex(-1.0, 0.0),)
-    assert config.h0 is None and config.max_newton_iters == 7 and config.max_points == 500
-    assert config.h_max == 2.0
-    with pytest.raises(ValidationError, match=r"continuation.*h0"):
-        parse_problem(_write(tmp_path, _doc(continuation={"h0": 5.0})))
-
-
 def test_problem_dict_round_trip(tmp_path):
     # the problem section of result.json is a problem document
     problem = LocusProblem(LocusKind.GAIN, -1.5, 2.0, first_order_plant())
     emit_results(compute_root_locus(problem), str(tmp_path))
     doc = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
-    again, _ = parse_problem_dict(doc["problem"])
+    again = parse_problem_dict(doc["problem"])
     assert again == problem
 
 
@@ -401,3 +377,23 @@ def test_load_result_returns_the_written_floats(small_result, tmp_path):
     assert type(loaded.initial_unstable_count) is int
     assert all(type(cp.multiplicity) is int for cp in loaded.critical_points)
     _assert_identical(loaded, result)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda doc: {k: v for k, v in doc.items() if k != "trajectories"}, "KeyError"),
+        (lambda doc: [doc], "TypeError"),
+        (lambda doc: dict(doc, initial_unstable_count=math.inf), "OverflowError"),
+    ],
+    ids=["missing_trajectories", "top_level_array", "infinite_count"],
+)
+def test_load_result_raises_parse_error_for_a_malformed_result_json(
+    small_result, tmp_path, edit, error
+):
+    emit_results(small_result, str(tmp_path))
+    path = tmp_path / "result.json"
+    doc = edit(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: malformed result ({error}")):
+        load_result(str(tmp_path))

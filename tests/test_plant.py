@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rootlocus.critical import _phase_fn
 from rootlocus.errors import PoleZeroProximityError, ValidationError
 from rootlocus.plant import (
     LocusKind,
@@ -14,7 +15,6 @@ from rootlocus.plant import (
     big_lambda,
     big_lambda_prime,
     eval_char_fn,
-    phi,
     phi_offset,
     phi_prime,
     wrap_angle,
@@ -173,6 +173,11 @@ def test_big_lambda_first_order():
     assert big_lambda(plant, -0.5, 0.0) == pytest.approx(-0.5 + math.log(0.5))
     assert big_lambda(plant, -0.5, 0.0) == pytest.approx(-1.1931471805599453)
     assert big_lambda_prime(plant, -0.5, 1.0) == pytest.approx(1.0 / 1.25)
+
+
+def phi(plant, sigma0, omega):
+    """The boundary phase of G e^{-hs}, as the crossing search computes it."""
+    return _phase_fn(plant, sigma0, plant.delay)(omega)
 
 
 def test_phi_first_order():
