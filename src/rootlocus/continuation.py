@@ -4,6 +4,12 @@ A trajectory is followed in the combined (Re s, Im s, lam) space: secant
 prediction, Newton correction on the log magnitude/phase pair plus a
 linearized arclength constraint, and adaptive step control driven by the
 Newton contraction rate and the distance to the locus.
+
+The corrector, the clip solve and the tracer's per-step arithmetic run on
+plain floats.  numpy keeps only the calls whose rounding sets the bits of
+the traced locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and
+BLAS ``ddot`` for every 3-vector dot product and norm (a Python sum of
+products rounds apart from it now and then).
 """
 
 from __future__ import annotations
@@ -113,25 +119,10 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _solve(a, b, what: str) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for one right-hand side, without its argument
-    checks and wrapping: the same LAPACK ``dgesv`` gufunc, so the same bits.
-
-    The gufunc flags a zero pivot as an invalid floating-point operation (and
-    fills the result with NaN); that flag, the one ``np.linalg.solve`` turns
-    into ``LinAlgError``, raises JacobianSingularError here.
-    """
-    try:
-        with np.errstate(invalid="raise"):
-            return _dgesv(a, b, signature="dd->d")
-    except FloatingPointError as exc:
-        raise JacobianSingularError(f"singular {what} Jacobian") from exc
-
-
-def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> tuple[tuple[float, float], list]:
+def _mp_jacobian(problem: LocusProblem, y) -> tuple[tuple[float, float], list]:
     """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows,
     from one ``evaluate`` pass."""
-    sigma, omega, lam = y.tolist()
+    sigma, omega, lam = y
     m, p, u = problem.evaluate(sigma, omega, lam)
     a = u.real - problem.effective_h(lam)
     b = u.imag
@@ -142,64 +133,74 @@ def _mp_jacobian(problem: LocusProblem, y: np.ndarray) -> tuple[tuple[float, flo
     return (m, p), [[a, -b, dm_dl], [b, a, dp_dl]]
 
 
-def _located_point(problem: LocusProblem, y: np.ndarray, step: float) -> TrajectoryPoint:
-    """The point y = (sigma, omega, lam), as plain floats, with its Cartesian residual."""
-    sigma, omega, lam = y.tolist()
+def _located_point(problem: LocusProblem, y, step: float) -> TrajectoryPoint:
+    """The point y = (sigma, omega, lam) of plain floats, with its Cartesian residual."""
+    sigma, omega, lam = y
     return TrajectoryPoint(sigma, omega, lam, problem.cartesian_residual(sigma, omega, lam), step)
 
 
 def secant(prev: TrajectoryPoint, curr: TrajectoryPoint) -> np.ndarray:
     """Unit secant direction through the last two corrected points."""
-    d = curr.as_array() - prev.as_array()
+    d = np.array((curr.sigma - prev.sigma, curr.omega - prev.omega, curr.lam - prev.lam))
     norm = _norm(d)
     if norm < 1e-14:
         raise DegenerateError("secant direction degenerated: consecutive points coincide")
     return d / norm
 
 
-def correct(
-    problem: LocusProblem,
-    predicted: np.ndarray,
-    direction: np.ndarray,
-) -> tuple[TrajectoryPoint, float]:
+def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoint, float]:
     """Newton correction of a predicted point onto the locus.
 
     Solves M = 0, P = 0 and the arclength plane constraint; returns the
-    accepted point together with the contraction rate of the first two
-    Newton updates.
+    accepted point (its ``step_used`` 0.0) together with the contraction rate
+    of the first two Newton updates.  The iterate is plain floats; each 3x3
+    system goes to ``dgesv``, whose zero-pivot flag (an invalid operation)
+    raises JacobianSingularError, and the arclength row and the update norm
+    are ``ddot`` products.
     """
-    y = np.array(predicted, dtype=float)
-    yp = y.copy()
+    sigma, omega, lam = yp = tuple(map(float, predicted))
     gain = problem.kind is LocusKind.GAIN
+    a = np.empty((3, 3))
+    row = a[2]  # the direction row, set once
+    row[:] = direction
+    b, moved = np.empty((2, 3))  # the right-hand side; y - yp
     first = second = 0.0  # norms of the first two Newton updates
-    for it in range(_MAX_NEWTON_ITERS):
-        if gain and y[2] <= 0.0:
-            raise NoConvergenceError("corrector iterate left lam > 0")
-        if not gain and y[2] < 0.0:
-            y[2] = 0.0
-        try:
-            (m, p), rows = _mp_jacobian(problem, y)
-        except PoleZeroProximityError as exc:
-            raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
-        rows.append(direction)
-        delta = _solve(rows, [-m, -p, -float(np.dot(y - yp, direction))], "corrector")
-        if not all(map(math.isfinite, delta.tolist())):
-            raise JacobianSingularError("corrector update overflowed")
-        y = y + delta
-        norm = _norm(delta)
-        if it == 0:
-            first = norm
-        elif it == 1:
-            second = norm
-        if norm < _CORRECTOR_TOL:
-            if gain and y[2] <= 0.0:
-                raise NoConvergenceError("corrector converged outside lam > 0")
-            if not gain and y[2] < 0.0:
-                y[2] = 0.0
-            kappa = second / first if it >= 1 else 0.0
-            return _located_point(problem, y, 0.0), kappa
-        if it >= 2 and norm > 10.0 * first:
-            raise NoConvergenceError("corrector diverging")
+    with np.errstate(invalid="raise"):
+        for it in range(_MAX_NEWTON_ITERS):
+            if gain and lam <= 0.0:
+                raise NoConvergenceError("corrector iterate left lam > 0")
+            if not gain and lam < 0.0:
+                lam = 0.0
+            try:
+                (m, p), rows = _mp_jacobian(problem, (sigma, omega, lam))
+            except PoleZeroProximityError as exc:
+                raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
+            (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
+            moved[0], moved[1], moved[2] = sigma - yp[0], omega - yp[1], lam - yp[2]
+            b[0], b[1] = -m, -p
+            try:
+                b[2] = -moved.dot(row)
+                delta = _dgesv(a, b)
+            except FloatingPointError as exc:
+                raise JacobianSingularError("singular corrector Jacobian") from exc
+            step = delta.tolist()
+            if not all(map(math.isfinite, step)):
+                raise JacobianSingularError("corrector update overflowed")
+            sigma, omega, lam = sigma + step[0], omega + step[1], lam + step[2]
+            norm = math.sqrt(delta.dot(delta))
+            if it == 0:
+                first = norm
+            elif it == 1:
+                second = norm
+            if norm < _CORRECTOR_TOL:
+                if gain and lam <= 0.0:
+                    raise NoConvergenceError("corrector converged outside lam > 0")
+                if not gain and lam < 0.0:
+                    lam = 0.0
+                kappa = second / first if it >= 1 else 0.0
+                return _located_point(problem, (sigma, omega, lam), 0.0), kappa
+            if it >= 2 and norm > 10.0 * first:
+                raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
 
 
@@ -224,7 +225,7 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
         raise NoConvergenceError("branch solve needs lam > 0 on a gain locus")
     for _ in range(_BRANCH_SOLVE_ITERS):
         try:
-            (m, p), rows = _mp_jacobian(problem, y)
+            (m, p), rows = _mp_jacobian(problem, y.tolist())
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"branch solve hit a pole/zero: {exc}") from exc
         # rows[k][0] are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
@@ -247,28 +248,32 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
     return branch_point(problem, complex(y[0], y[1]), float(y[2]), 2)
 
 
-def _clip_solve(
-    problem: LocusProblem,
-    y_guess: np.ndarray,
-    pin: str,
-    pin_value: float,
-) -> np.ndarray:
-    """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0)."""
-    y = np.array(y_guess, dtype=float)
+def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
+    """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
+    on plain floats with ``dgesv`` and ``ddot`` as in ``correct``."""
+    y = list(map(float, y_guess))
     idx = {"sigma": 0, "lam": 2}[pin]
-    free = [i for i in range(3) if i != idx]
-    y[idx] = pin_value
-    for _ in range(50):
-        (m, p), rows = _mp_jacobian(problem, y)
-        jac = [[row[i] for i in free] for row in rows]
-        delta = _solve(jac, [-m, -p], "clip")
-        y[free] += delta
-        if _norm(delta) < 1e-13 * (1.0 + _norm(y)):
-            return y
+    i, j = [k for k in range(3) if k != idx]
+    y[idx] = float(pin_value)
+    a, b = np.empty((2, 2)), np.empty(2)
+    with np.errstate(invalid="raise"):
+        for _ in range(50):
+            (m, p), rows = _mp_jacobian(problem, y)
+            (a[0, 0], a[0, 1]), (a[1, 0], a[1, 1]) = [(row[i], row[j]) for row in rows]
+            b[0], b[1] = -m, -p
+            try:
+                delta = _dgesv(a, b)
+            except FloatingPointError as exc:
+                raise JacobianSingularError("singular clip Jacobian") from exc
+            step = delta.tolist()
+            y[i] += step[0]
+            y[j] += step[1]
+            if _norm(delta) < 1e-13 * (1.0 + _norm(np.array(y))):
+                return y
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
 
-def _branch_proximity(registry, y: np.ndarray, radius: float, skip) -> _BranchRecord | None:
+def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
     """Nearest registered branch point within ``radius`` that lies ahead in lam."""
     for rec in registry.records:
         if skip is not None and rec is skip:
@@ -322,8 +327,9 @@ def trace_trajectory(
     while True:
         if len(points) >= _MAX_POINTS:
             return end(Termination.STALLED, "max_points reached")
+        last = points[-1]
         if len(points) >= 2:
-            d = secant(points[-2], points[-1])
+            d = secant(points[-2], last)
         halvings = 0
         while True:
             if spawn_ray is not None and len(points) == 1:
@@ -331,7 +337,8 @@ def trace_trajectory(
                 # model; tangent extrapolation has the wrong parameter scaling
                 y_pred = branch_spawn_prediction(origin, spawn_ray, h)[0]
             else:
-                y_pred = points[-1].as_array() + d * h
+                d0, d1, d2 = d.tolist()
+                y_pred = (last.sigma + d0 * h, last.omega + d1 * h, last.lam + d2 * h)
             try:
                 pt, kappa = correct(problem, y_pred, d)
             except (NoConvergenceError, JacobianSingularError) as exc:
@@ -340,15 +347,12 @@ def trace_trajectory(
                 if halvings <= 6:
                     continue
                 # repeated failure: branch point nearby, or a genuine stall
-                rec = _branch_proximity(
-                    registry, points[-1].as_array(), 50.0 * h + 1e-6, origin_record
-                )
+                rec = _branch_proximity(registry, last.as_array(), 50.0 * h + 1e-6, origin_record)
                 if rec is not None:
                     return merged(rec)
                 try:
-                    cp = solve_branch_point(problem, points[-1].as_array())
+                    cp = solve_branch_point(problem, last.as_array())
                 except NoConvergenceError:
-                    last = points[-1]
                     return end(
                         Termination.STALLED,
                         f"corrector stalled after point (sigma, omega, lam) = "
@@ -358,20 +362,19 @@ def trace_trajectory(
                 return merged(registry.register(cp))
             # curvature guard: sharp turns mean the predictor skipped locus
             # structure (tight loops, nearby branch points); refine the step
-            chord = pt.as_array() - points[-1].as_array()
+            c0, c1, c2 = pt.sigma - last.sigma, pt.omega - last.omega, pt.lam - last.lam
+            chord = np.array((c0, c1, c2))
             chord_norm = _norm(chord)
             if chord_norm > 0 and h > _H_MIN * 1.01:
-                turned = float(np.dot(chord, d)) / chord_norm < 0.9
+                turned = float(chord.dot(d)) / chord_norm < 0.9
                 # midpoint-on-locus check catches skipped loops; invalid near a
                 # multiple point, where the parameter grows superlinearly
                 skipped = False
                 if len(points) >= 3:
-                    mid = points[-1].as_array() + 0.5 * chord
                     try:
-                        skipped = (
-                            problem.cartesian_residual(*mid.tolist())
-                            > 100.0 * _DELTA_NOMINAL
-                        )
+                        skipped = problem.cartesian_residual(
+                            last.sigma + 0.5 * c0, last.omega + 0.5 * c1, last.lam + 0.5 * c2
+                        ) > 100.0 * _DELTA_NOMINAL
                     except PoleZeroProximityError:
                         skipped = True
                 if turned or skipped:
@@ -383,19 +386,21 @@ def trace_trajectory(
                 continue
             h = h_next
             break
-        pt = TrajectoryPoint(pt.sigma, pt.omega, pt.lam, pt.residual, h)
+        # the step is known only now; pt is new and unshared: stamp, not rebuild
+        object.__setattr__(pt, "step_used", h)
+        y = (pt.sigma, pt.omega, pt.lam)
 
         # clip against the lam upper bound and the region boundary
         if pt.lam > problem.lambda_max:
             try:
-                y_end = _clip_solve(problem, pt.as_array(), "lam", problem.lambda_max)
+                y_end = _clip_solve(problem, y, "lam", problem.lambda_max)
                 points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
             return end(Termination.LAMBDA_MAX_REACHED)
         if pt.sigma < problem.sigma0:
             try:
-                y_end = _clip_solve(problem, pt.as_array(), "sigma", problem.sigma0)
+                y_end = _clip_solve(problem, y, "sigma", problem.sigma0)
                 if 0.0 <= y_end[2] <= problem.lambda_max:
                     points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
@@ -403,10 +408,10 @@ def trace_trajectory(
             return end(Termination.LEFT_REGION)
 
         # lam reversal: the continuation ran straight through an even branch point
-        drop = points[-1].lam - pt.lam
-        if drop > _LAMBDA_NOISE_REL * max(1.0, points[-1].lam) and len(points) >= 2:
+        drop = last.lam - pt.lam
+        if drop > _LAMBDA_NOISE_REL * max(1.0, last.lam) and len(points) >= 2:
             try:
-                cp = solve_branch_point(problem, points[-1].as_array())
+                cp = solve_branch_point(problem, last.as_array())
             except NoConvergenceError:
                 return end(
                     Termination.STALLED, "lam reversal detected but branch-point solve failed"
@@ -418,7 +423,7 @@ def trace_trajectory(
         points.append(pt)
 
         # proactive merge with registered branch points lying ahead
-        rec = _branch_proximity(registry, pt.as_array(), max(2.0 * h, 1e-9), origin_record)
+        rec = _branch_proximity(registry, y, max(2.0 * h, 1e-9), origin_record)
         if rec is not None:
             return merged(rec)
         if len(points) >= 4:

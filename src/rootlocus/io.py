@@ -116,33 +116,49 @@ def _point_row(pt: TrajectoryPoint) -> list[str]:
     return [_fmt(pt.sigma), _fmt(pt.omega), _fmt(pt.lam), _fmt(pt.residual)]
 
 
+def _leaf(v, kind=float):
+    """``v``, a leaf of ``result.json`` of type ``kind``; TypeError if not."""
+    if type(v) is not kind:
+        raise TypeError(f"expected a {kind.__name__}, got {v!r}")
+    return v
+
+
+def _int(v) -> int:
+    """The integer the float ``v`` holds; ValueError or OverflowError if none."""
+    n = int(_leaf(v))
+    if n != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return n
+
+
 def _critical_from_dict(doc: dict) -> CriticalPoint:
     return CriticalPoint(
         CriticalKind(doc["kind"]),
-        complex(doc["sigma"], doc["omega"]),
-        doc["lambda"],
-        int(doc["multiplicity"]),
-        [tuple(d) for d in doc["directions"]],
+        complex(_leaf(doc["sigma"]), _leaf(doc["omega"])),
+        _leaf(doc["lambda"]),
+        _int(doc["multiplicity"]),
+        [tuple(map(_leaf, d)) for d in doc["directions"]],
     )
 
 
 def result_from_dict(doc: dict) -> RootLocusResult:
     """The result in ``doc``, ``result.json`` parsed with every number a float
-    (as ``load_result`` parses it); the integer fields are made ints here."""
+    (as ``load_result`` parses it); the integer fields are made ints here.
+    Raises TypeError or ValueError for a leaf of the wrong type."""
     problem = parse_problem_dict(doc["problem"], where="result.problem")
     trajectories = []
     for t in doc["trajectories"]:
-        points = [TrajectoryPoint(*row) for row in t["points"]]
+        points = [TrajectoryPoint(*map(_leaf, row)) for row in t["points"]]
         trajectories.append(
             Trajectory(
                 _critical_from_dict(t["origin"]),
                 points,
                 Termination(t["termination"]),
-                t.get("note", ""),
+                _leaf(t.get("note", ""), str),
             )
         )
     events = [
-        ImagAxisEvent(e["lambda"], e["omega"], int(e["direction"]))
+        ImagAxisEvent(_leaf(e["lambda"]), _leaf(e["omega"]), _int(e["direction"]))
         for e in doc["imag_axis_events"]
     ]
     return RootLocusResult(
@@ -150,9 +166,9 @@ def result_from_dict(doc: dict) -> RootLocusResult:
         trajectories,
         [_critical_from_dict(c) for c in doc["critical_points"]],
         events,
-        [(a, b) for a, b in doc["stability_intervals"]],
-        int(doc["initial_unstable_count"]),
-        list(doc["warnings"]),
+        [(_leaf(a), _leaf(b)) for a, b in doc["stability_intervals"]],
+        _int(doc["initial_unstable_count"]),
+        [_leaf(w, str) for w in doc["warnings"]],
     )
 
 

@@ -284,6 +284,9 @@ class LocusProblem:
                         f"region only for lambda_max < max(0, ln|G(inf)|/|sigma0|) = "
                         f"{bound:.6g}; got {self.lambda_max}"
                     )
+        # per-plant constants of ``evaluate``
+        object.__setattr__(self, "_log_gain", math.log(abs(self.plant.gain)))
+        object.__setattr__(self, "_gain_angle", self.plant.gain_angle())
 
     def effective_h(self, lam: float) -> float:
         """Exponent coefficient of the dead-time term at locus parameter lam."""
@@ -301,26 +304,30 @@ class LocusProblem:
         k, h = (lam, plant.delay) if self.kind is LocusKind.GAIN else (1.0, lam)
         s = complex(sigma, omega)
         tol = 1e-9 * (1.0 + abs(s))
+        # abs(d) < tol implies q < near whatever the rounding: abs(d) runs only then
+        near = tol * tol * (1.0 + 1e-12)
         log, atan2 = math.log, math.atan2
-        m = log(abs(plant.gain)) + log(k) - h * sigma
-        p = plant.gain_angle() - h * omega - math.pi
+        m = self._log_gain + log(k) - h * sigma
+        p = self._gain_angle - h * omega - math.pi
         u = 0.0 + 0.0j
         # x ** 2 (libm pow), not x * x: the two round apart now and then, and
         # the traced locus is kept bit-stable
         for z in plant.zeros:
             d = s - z
-            if abs(d) < tol:
-                raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
             x, y = d.real, d.imag
-            m += 0.5 * log(x ** 2 + y ** 2)
+            q = x ** 2 + y ** 2
+            if q < near and abs(d) < tol:
+                raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
+            m += 0.5 * log(q)
             p += atan2(y, x)
             u += 1.0 / d
-        for q in plant.poles:
-            d = s - q
-            if abs(d) < tol:
-                raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {q}")
+        for z in plant.poles:
+            d = s - z
             x, y = d.real, d.imag
-            m -= 0.5 * log(x ** 2 + y ** 2)
+            q = x ** 2 + y ** 2
+            if q < near and abs(d) < tol:
+                raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {z}")
+            m -= 0.5 * log(q)
             p -= atan2(y, x)
             u -= 1.0 / d
         return m, wrap_angle(p), u

@@ -165,6 +165,17 @@ def _random_problem(rng, kind, strictly_proper=False):
 
 # --- criterion 4: residual bounds on references plus 50 random plants -------
 
+STREAM_SEED = 20260823
+
+
+def stream_problem(index):
+    """Plant ``index`` of the criterion-4 stream: gain plants at even indices,
+    delay plants at odd ones."""
+    rng = np.random.default_rng(STREAM_SEED)
+    for i in range(index + 1):
+        problem = _random_problem(rng, LocusKind.GAIN if i % 2 == 0 else LocusKind.DELAY)
+    return problem
+
 
 def _assert_result_residuals(result):
     problem = result.problem
@@ -186,12 +197,31 @@ def test_criterion_4_reference_residuals(
 
 
 def test_criterion_4_random_plant_residuals():
-    rng = np.random.default_rng(20260823)
+    rng = np.random.default_rng(STREAM_SEED)
     for i in range(50):
         kind = LocusKind.GAIN if i % 2 == 0 else LocusKind.DELAY
         problem = _random_problem(rng, kind)
         result = compute_root_locus(problem)
         _assert_result_residuals(result)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: stability intervals come from sign changes of sigma "
+    "between traced points, and the trace of stream plant 31 steps across its "
+    "right-half-plane excursion; it reports stability on all of [0, lambda_max]",
+)
+def test_stream_plant_31_is_unstable_at_lambda_0_13():
+    problem = stream_problem(31)
+    assert problem.kind is LocusKind.DELAY
+    assert problem.lambda_max == pytest.approx(0.8436, abs=1e-4)
+    # an independent Newton solve on the characteristic function: a root pair
+    # sits right of the imaginary axis at lam = 0.13
+    root = _newton_root(problem, 0.13, complex(0.05, 4.65))
+    assert root == pytest.approx(complex(0.010758, 4.665386), abs=1e-6)
+    assert abs(eval_char_fn(problem.plant, problem.kind, root, 0.13)) < 1e-14
+    result = compute_root_locus(problem)
+    assert not any(a <= 0.13 <= b for a, b in result.stability_intervals)
 
 
 # --- criterion 5: brute-force oracle equivalence at fixed lambda ------------

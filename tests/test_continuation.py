@@ -15,10 +15,11 @@ from rootlocus.continuation import (
     Termination,
     TrajectoryPoint,
     _clip_solve,
+    _dgesv,
+    _located_point,
     _mp_jacobian,
     _norm,
     _real_axis_samples,
-    _solve,
     branch_spawn_prediction,
     correct,
     real_axis_segments,
@@ -39,6 +40,7 @@ from rootlocus.errors import (
     DegenerateError,
     JacobianSingularError,
     NoConvergenceError,
+    PoleZeroProximityError,
     RootLocusError,
     ValidationError,
 )
@@ -46,6 +48,7 @@ from rootlocus.localmodel import initial_tangent_simple
 from rootlocus.plant import LocusKind, LocusProblem, Plant, wrap_angle
 
 from conftest import example1_problem, example3_problem, first_order_plant
+from test_acceptance import stream_problem
 
 
 def _pt(sigma, omega, lam):
@@ -471,30 +474,34 @@ def _seeded_systems(n, seed=20261018):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_solve_equals_numpy_solve_bit_for_bit(n):
+    # the corrector and the clip solve call the dgesv gufunc on float64
+    # arrays, without np.linalg.solve's argument handling
     for a, b in _seeded_systems(n):
         want = np.linalg.solve(a, b)
-        got = _solve(a, b, "corrector")
+        got = _dgesv(np.array(a), np.array(b))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    # the corrector's third row is the direction array, not a list
-    a, b = _seeded_systems(3)[0]
-    mixed = a[:2] + [np.array(a[2])]
-    assert _solve(mixed, b, "corrector").tobytes() == np.linalg.solve(a, b).tobytes()
 
 
 @pytest.mark.parametrize("what", ["corrector", "clip"])
-def test_solve_singular_raises_without_a_warning(what):
-    singular = {
-        2: [[1.0, 2.0], [2.0, 4.0]],
-        3: [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
-    }
-    for n, a in singular.items():
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(a, [1.0] * n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(JacobianSingularError, match=f"^singular {what} Jacobian$"):
-                _solve(a, [1.0] * n, what)
+def test_solve_singular_raises_without_a_warning(what, monkeypatch):
+    # Jacobian rows that are singular (with the direction row, for the
+    # corrector; in the two free columns, for the clip solve)
+    rows = {
+        "corrector": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
+        "clip": [[1.0, 2.0, 0.5], [2.0, 4.0, 0.5]],
+    }[what]
+    monkeypatch.setattr(
+        continuation, "_mp_jacobian", lambda problem, y: ((1.0, 1.0), [list(r) for r in rows])
+    )
+    problem = _first_order_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JacobianSingularError, match=f"^singular {what} Jacobian$"):
+            if what == "corrector":
+                correct(problem, (0.5, 0.5, 1.0), np.array([0.0, 1.0, 1.0]))
+            else:
+                _clip_solve(problem, (0.5, 0.5, 1.0), "lam", 1.0)
 
 
 def test_norm_equals_numpy_norm_bit_for_bit():
@@ -513,3 +520,129 @@ def test_correct_returns_plain_floats():
     lam = math.exp(sigma) * abs(sigma + 1.0)
     pt, _ = correct(problem, np.array([sigma, 1e-3, lam]), np.array([-1.0, 0.0, 0.0]))
     assert all(type(v) is float for v in (pt.sigma, pt.omega, pt.lam, pt.residual))
+
+
+# --- the array-based corrector and clip solve, kept as the oracle of the
+# plain-float ones: numpy arrays for the iterate, np.linalg.solve's gufunc
+# for every system, norms and the arclength row by BLAS ddot
+
+
+def _array_solve(a, b, what):
+    try:
+        with np.errstate(invalid="raise"):
+            return _dgesv(a, b, signature="dd->d")
+    except FloatingPointError as exc:
+        raise JacobianSingularError(f"singular {what} Jacobian") from exc
+
+
+def _array_correct(problem, predicted, direction):
+    y = np.array(predicted, dtype=float)
+    yp = y.copy()
+    gain = problem.kind is LocusKind.GAIN
+    first = second = 0.0
+    for it in range(continuation._MAX_NEWTON_ITERS):
+        if gain and y[2] <= 0.0:
+            raise NoConvergenceError("corrector iterate left lam > 0")
+        if not gain and y[2] < 0.0:
+            y[2] = 0.0
+        try:
+            (m, p), rows = _mp_jacobian(problem, y.tolist())
+        except PoleZeroProximityError as exc:
+            raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
+        rows.append(direction)
+        delta = _array_solve(rows, [-m, -p, -float(np.dot(y - yp, direction))], "corrector")
+        if not all(map(math.isfinite, delta.tolist())):
+            raise JacobianSingularError("corrector update overflowed")
+        y = y + delta
+        norm = _norm(delta)
+        if it == 0:
+            first = norm
+        elif it == 1:
+            second = norm
+        if norm < continuation._CORRECTOR_TOL:
+            if gain and y[2] <= 0.0:
+                raise NoConvergenceError("corrector converged outside lam > 0")
+            if not gain and y[2] < 0.0:
+                y[2] = 0.0
+            kappa = second / first if it >= 1 else 0.0
+            return _located_point(problem, y.tolist(), 0.0), kappa
+        if it >= 2 and norm > 10.0 * first:
+            raise NoConvergenceError("corrector diverging")
+    raise NoConvergenceError(
+        f"corrector did not converge in {continuation._MAX_NEWTON_ITERS} iterations"
+    )
+
+
+def _array_clip_solve(problem, y_guess, pin, pin_value):
+    y = np.array(y_guess, dtype=float)
+    idx = {"sigma": 0, "lam": 2}[pin]
+    free = [i for i in range(3) if i != idx]
+    y[idx] = pin_value
+    for _ in range(50):
+        (m, p), rows = _mp_jacobian(problem, y.tolist())
+        jac = [[row[i] for i in free] for row in rows]
+        delta = _array_solve(jac, [-m, -p], "clip")
+        y[free] += delta
+        if _norm(delta) < 1e-13 * (1.0 + _norm(y)):
+            return y
+    raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, every float in hex, or its exception's type
+    and message (a gain-locus iterate at lam <= 0 fails in math.log)."""
+    try:
+        out = fn(*args)
+    except (RootLocusError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):  # (point, kappa)
+        pt, kappa = out
+        return [v.hex() for v in (pt.sigma, pt.omega, pt.lam, pt.residual, pt.step_used, kappa)]
+    return [float(v).hex() for v in out]
+
+
+@pytest.fixture(scope="module")
+def traced_steps(example1_result, example2_result, example3_result, turning_point_result):
+    """Seeded (problem, last point, secant, step) tuples from the traced
+    trajectories of the four reference problems and of criterion-4 stream
+    plant 28."""
+    rng = np.random.default_rng(16)
+    results = [example1_result, example2_result, example3_result, turning_point_result,
+               compute_root_locus(stream_problem(28))]
+    out = []
+    for result in results:
+        problem = result.problem
+        pairs = [
+            (a, b)
+            for t in result.trajectories
+            if any(p.omega != 0.0 for p in t.points)
+            for a, b in zip(t.points, t.points[1:])
+        ]
+        for k in rng.choice(len(pairs), size=min(len(pairs), 60), replace=False):
+            a, b = pairs[k]
+            # one step near the one the tracer took, one well past it
+            for step in b.step_used * 2.0 ** rng.uniform([-2.0, 3.0], [3.0, 9.0]):
+                out.append((problem, b, secant(a, b), step))
+    return out
+
+
+def test_float_corrector_keeps_the_array_corrector_bits(traced_steps):
+    kinds = set()
+    for problem, last, d, h in traced_steps:
+        predicted = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
+        got = _outcome(correct, problem, predicted, d)
+        want = _outcome(_array_correct, problem, np.array(predicted), d)
+        assert got == want
+        kinds.add(got[0] if isinstance(got, tuple) else "point")
+    assert kinds >= {"point", NoConvergenceError}
+
+
+def test_float_clip_solve_keeps_the_array_clip_solve_bits(traced_steps):
+    converged = 0
+    for problem, last, d, h in traced_steps:
+        guess = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
+        for pin, value in (("lam", last.lam), ("sigma", last.sigma), ("sigma", 0.0)):
+            got = _outcome(_clip_solve, problem, guess, pin, value)
+            assert got == _outcome(_array_clip_solve, problem, np.array(guess), pin, value)
+            converged += isinstance(got, list)
+    assert converged > len(traced_steps)

@@ -397,3 +397,41 @@ def test_load_result_raises_parse_error_for_a_malformed_result_json(
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(f"{path}: malformed result ({error}")):
         load_result(str(tmp_path))
+
+
+def _set(path, value):
+    """An edit of a result document: the leaf at ``path`` becomes ``value``."""
+
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (_set(["warnings"], [1]), "TypeError: expected a str, got 1.0"),
+        (_set(["trajectories", 0, "note"], 7), "TypeError: expected a str, got 7.0"),
+        (
+            _set(["trajectories", 0, "points", 1, 2], "0.5"),
+            "TypeError: expected a float, got '0.5'",
+        ),
+        (
+            _set(["critical_points", 0, "multiplicity"], 2.5),
+            "ValueError: expected an integer, got 2.5",
+        ),
+    ],
+    ids=["number_warning", "number_note", "string_in_point_row", "fractional_multiplicity"],
+)
+def test_load_result_checks_leaf_types(small_result, tmp_path, edit, error):
+    emit_results(small_result, str(tmp_path))
+    path = tmp_path / "result.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: malformed result ({error})")):
+        load_result(str(tmp_path))

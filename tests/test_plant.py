@@ -145,6 +145,40 @@ def test_evaluate_raises_near_zero_and_pole():
         problem.evaluate(-1.0 + 1e-12, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("kind", list(LocusKind))
+def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
+    # evaluate takes abs(s - v) only when x**2 + y**2 < tol**2 (1 + 1e-12);
+    # at |s - v| = tol (1 + k ulp) around a zero and a pole of example 1 it
+    # must raise exactly where abs(s - v) < tol = 1e-9 (1 + |s|)
+    base = example1_problem()  # zeros 0, 0; poles +-2j, +-4j
+    problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
+    lam = 0.5
+    for v, word, angles in (
+        (0j, "zero", np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)),
+        (2j, "pole", [0.0, math.pi]),  # omega near 2 is too coarse off the axis
+    ):
+        inside = set()
+        for angle in angles:
+            e = cmath.exp(1j * angle)
+            r = 1e-9 * (1.0 + abs(v))
+            for _ in range(3):  # the radius where |s - v| = 1e-9 (1 + |s|)
+                r = 1e-9 * (1.0 + abs(v + r * e))
+            for k in range(-8, 9):
+                s = v + r * (1.0 + k * 2.0**-52) * e
+                sigma, omega = s.real, s.imag
+                s = complex(sigma, omega)
+                if abs(s - v) < 1e-9 * (1.0 + abs(s)):
+                    inside.add(True)
+                    with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
+                        problem.evaluate(sigma, omega, lam)
+                else:
+                    inside.add(False)
+                    assert problem.evaluate(sigma, omega, lam) == _ref_evaluate(
+                        problem, sigma, omega, lam
+                    )
+        assert inside == {True, False}
+
+
 def test_evaluate_log_magnitude_first_order():
     # G = 1/(s+1): at s = j with k = 1, h = 1 the log magnitude is -ln(sqrt(2))
     problem = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant())
