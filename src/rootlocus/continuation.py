@@ -133,6 +133,17 @@ def _mp_jacobian(problem: LocusProblem, y) -> tuple[tuple[float, float], list]:
     return (m, p), [[a, -b, dm_dl], [b, a, dp_dl]]
 
 
+def _iterate_jacobian(problem: LocusProblem, y, solver: str) -> tuple[tuple[float, float], list]:
+    """``_mp_jacobian`` at a Newton iterate of ``solver``; an iterate at lam <= 0
+    on a gain locus, or on a pole or zero, fails with NoConvergenceError."""
+    if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
+        raise NoConvergenceError(f"{solver} iterate left lam > 0")
+    try:
+        return _mp_jacobian(problem, y)
+    except PoleZeroProximityError as exc:
+        raise NoConvergenceError(f"{solver} iterate hit a pole/zero: {exc}") from exc
+
+
 def _located_point(problem: LocusProblem, y, step: float) -> TrajectoryPoint:
     """The point y = (sigma, omega, lam) of plain floats, with its Cartesian residual."""
     sigma, omega, lam = y
@@ -167,14 +178,9 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     first = second = 0.0  # norms of the first two Newton updates
     with np.errstate(invalid="raise"):
         for it in range(_MAX_NEWTON_ITERS):
-            if gain and lam <= 0.0:
-                raise NoConvergenceError("corrector iterate left lam > 0")
             if not gain and lam < 0.0:
                 lam = 0.0
-            try:
-                (m, p), rows = _mp_jacobian(problem, (sigma, omega, lam))
-            except PoleZeroProximityError as exc:
-                raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
+            (m, p), rows = _iterate_jacobian(problem, (sigma, omega, lam), "corrector")
             (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
             moved[0], moved[1], moved[2] = sigma - yp[0], omega - yp[1], lam - yp[2]
             b[0], b[1] = -m, -p
@@ -221,13 +227,8 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
     and attaches the up-ray directions.
     """
     y = np.array(y_init, dtype=float)
-    if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
-        raise NoConvergenceError("branch solve needs lam > 0 on a gain locus")
     for _ in range(_BRANCH_SOLVE_ITERS):
-        try:
-            (m, p), rows = _mp_jacobian(problem, y.tolist())
-        except PoleZeroProximityError as exc:
-            raise NoConvergenceError(f"branch solve hit a pole/zero: {exc}") from exc
+        (m, p), rows = _iterate_jacobian(problem, y.tolist(), "branch solve")
         # rows[k][0] are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
         du = localmodel._u_derivatives(problem, complex(y[0], y[1]), y[2], 1)[1]
         dl = 0.0 if problem.kind is LocusKind.GAIN else -1.0
@@ -250,7 +251,7 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
 
 def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
-    on plain floats with ``dgesv`` and ``ddot`` as in ``correct``."""
+    on plain floats with ``dgesv`` and ``ddot``, failing as ``correct`` does."""
     y = list(map(float, y_guess))
     idx = {"sigma": 0, "lam": 2}[pin]
     i, j = [k for k in range(3) if k != idx]
@@ -258,7 +259,7 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
     a, b = np.empty((2, 2)), np.empty(2)
     with np.errstate(invalid="raise"):
         for _ in range(50):
-            (m, p), rows = _mp_jacobian(problem, y)
+            (m, p), rows = _iterate_jacobian(problem, y, "clip solve")
             (a[0, 0], a[0, 1]), (a[1, 0], a[1, 1]) = [(row[i], row[j]) for row in rows]
             b[0], b[1] = -m, -p
             try:
@@ -274,9 +275,10 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
 
 
 def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
-    """Nearest registered branch point within ``radius`` that lies ahead in lam."""
+    """Nearest registered branch point within ``radius`` that lies ahead in lam,
+    other than the one at the critical point ``skip``."""
     for rec in registry.records:
-        if skip is not None and rec is skip:
+        if rec.point is skip:
             continue
         if rec.point.lam < y[2] - 1e-12 * (1.0 + abs(y[2])):
             continue
@@ -288,17 +290,17 @@ def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
 def trace_trajectory(
     problem: LocusProblem,
     origin: CriticalPoint,
-    direction: np.ndarray,
     registry: BranchRegistry,
-    origin_record: _BranchRecord | None = None,
     spawn_ray: complex | None = None,
 ) -> tuple[Trajectory, _BranchRecord | None]:
     """Trace one trajectory from a critical point until a termination condition.
 
-    A trajectory leaving a multiple point along ``spawn_ray`` takes its first
-    point from ``branch_spawn_prediction`` at the current step.  Returns the
-    trajectory and, when it merged at a branch point, the branch record the
-    caller uses to spawn outgoing branches.
+    The first step leaves a simple ``origin`` along its tangent, and a
+    multiple one along its up ray ``spawn_ray``: the first point is placed by
+    ``branch_spawn_prediction`` at the current step.  For its first three
+    steps the trajectory does not merge into the branch record of its origin.
+    Returns the trajectory and, when it merged at a branch point, the branch
+    record the caller uses to spawn outgoing branches.
     """
     y0 = (origin.root.real, origin.root.imag, float(origin.lam))
     try:
@@ -307,14 +309,10 @@ def trace_trajectory(
         res0 = 0.0
     points = [TrajectoryPoint(*y0, res0, 0.0)]
     h = _h0(problem)
-    d = np.asarray(direction, dtype=float)
-    d = d / _norm(d)
-
-    def shrink(step: float):
-        nonlocal h, d
-        h = step
-        if spawn_ray is not None and len(points) == 1:
-            d = branch_spawn_prediction(origin, spawn_ray, h)[1]
+    skip = origin  # origin shielding, for the first three steps
+    if spawn_ray is None:
+        d = localmodel.initial_tangent_simple(problem, origin.root, origin.lam)
+        d = d / _norm(d)
 
     def end(termination: Termination, note: str = ""):
         return Trajectory(origin, points, termination, note), None
@@ -335,7 +333,8 @@ def trace_trajectory(
             if spawn_ray is not None and len(points) == 1:
                 # the first step from a multiple point is placed on the ray
                 # model; tangent extrapolation has the wrong parameter scaling
-                y_pred = branch_spawn_prediction(origin, spawn_ray, h)[0]
+                y_pred, d = branch_spawn_prediction(origin, spawn_ray, h)
+                d = d / _norm(d)
             else:
                 d0, d1, d2 = d.tolist()
                 y_pred = (last.sigma + d0 * h, last.omega + d1 * h, last.lam + d2 * h)
@@ -343,11 +342,11 @@ def trace_trajectory(
                 pt, kappa = correct(problem, y_pred, d)
             except (NoConvergenceError, JacobianSingularError) as exc:
                 halvings += 1
-                shrink(max(h / 2.0, _H_MIN))
+                h = max(h / 2.0, _H_MIN)
                 if halvings <= 6:
                     continue
                 # repeated failure: branch point nearby, or a genuine stall
-                rec = _branch_proximity(registry, last.as_array(), 50.0 * h + 1e-6, origin_record)
+                rec = _branch_proximity(registry, last.as_array(), 50.0 * h + 1e-6, skip)
                 if rec is not None:
                     return merged(rec)
                 try:
@@ -378,14 +377,13 @@ def trace_trajectory(
                     except PoleZeroProximityError:
                         skipped = True
                 if turned or skipped:
-                    shrink(max(h / 2.0, _H_MIN))
+                    h = max(h / 2.0, _H_MIN)
                     continue
             h_next, repeat = step_update(kappa, pt.residual, h)
-            if repeat and h > _H_MIN * 1.01:
-                shrink(h_next)
-                continue
+            repeat = repeat and h > _H_MIN * 1.01
             h = h_next
-            break
+            if not repeat:
+                break
         # the step is known only now; pt is new and unshared: stamp, not rebuild
         object.__setattr__(pt, "step_used", h)
         y = (pt.sigma, pt.omega, pt.lam)
@@ -423,11 +421,11 @@ def trace_trajectory(
         points.append(pt)
 
         # proactive merge with registered branch points lying ahead
-        rec = _branch_proximity(registry, y, max(2.0 * h, 1e-9), origin_record)
+        rec = _branch_proximity(registry, y, max(2.0 * h, 1e-9), skip)
         if rec is not None:
             return merged(rec)
         if len(points) >= 4:
-            origin_record = None  # origin shielding only applies near the origin
+            skip = None
 
 
 def _truncate_at_branch(points: list[TrajectoryPoint], rec: _BranchRecord) -> int:

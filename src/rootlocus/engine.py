@@ -6,8 +6,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import continuation as cont
 from . import critical, localmodel
 from .critical import CriticalKind, CriticalPoint, dedup_points
@@ -38,34 +36,24 @@ class RootLocusResult:
     warnings: list[str] = field(default_factory=list)
 
 
-@dataclass
-class _Seed:
-    origin: CriticalPoint
-    direction: np.ndarray
-    record: object = None  # _BranchRecord when spawned from a branch point
-    spawn_ray: complex | None = None
-
-    def key(self):
-        d = self.direction
-        return (*self.origin.key(), round(math.atan2(d[1], d[0]), 12))
+def _seeds(problem: LocusProblem, origin: CriticalPoint, rays=(None,)) -> list[tuple]:
+    """The (origin, ray) seeds of the up ``rays`` of ``origin`` that are traced;
+    a simple point has the one ray None, its tangent.  Every up ray is traced
+    except the real rays of a real point on a gain locus, which the real-axis
+    closed form owns (the tangent of a simple real point is real)."""
+    if problem.kind is LocusKind.GAIN and abs(origin.root.imag) < _AXIS_TOL:
+        rays = [ray for ray in rays if ray is not None and abs(ray.imag) >= 1e-9]
+    return [(origin, ray) for ray in rays]
 
 
-def _ray_seeds(problem: LocusProblem, cp: CriticalPoint, rays, record=None) -> list[_Seed]:
-    """One seed per up ray of the multiple point ``cp``."""
-    t = cont._h0(problem)
-    return [_Seed(cp, cont.branch_spawn_prediction(cp, ray, t)[1], record, ray) for ray in rays]
+def _seed_key(seed: tuple) -> tuple:
+    origin, ray = seed
+    return (*origin.key(), 0.0 if ray is None else round(math.atan2(ray.imag, ray.real), 12))
 
 
-def _start_seeds(problem: LocusProblem, cp: CriticalPoint) -> list[_Seed]:
-    if cp.multiplicity == 1:
-        return [_Seed(cp, localmodel.initial_tangent_simple(problem, cp.root, cp.lam))]
-    rays = localmodel.start_rays(problem, cp.root, cp.multiplicity)
-    return _ray_seeds(problem, cp, rays)
-
-
-def _branch_seeds(problem: LocusProblem, rec) -> list[_Seed]:
-    """Spawn every up ray of a branch record not spawned yet, and empty its list."""
-    seeds = _ray_seeds(problem, rec.point, rec.rays, rec)
+def _branch_seeds(problem: LocusProblem, rec) -> list[tuple]:
+    """The seeds of the up rays of a branch record not spawned yet; empties its list."""
+    seeds = _seeds(problem, rec.point, rec.rays)
     rec.rays = []
     return seeds
 
@@ -73,9 +61,11 @@ def _branch_seeds(problem: LocusProblem, rec) -> list[_Seed]:
 def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResult:
     """Compute every locus trajectory in the region for lam in [0, lambda_max].
 
-    Step control is fixed (the constants of ``continuation``); the problem is
-    the only input.  Trajectories are traced serially; ``workers`` accepts
-    only 1.
+    On a gain locus the real axis comes from the closed form.  Every other
+    trajectory is traced from a seed: a critical point and, at a multiple
+    point, one of its up rays, as ``_seeds`` picks them.  Step control is
+    fixed (the constants of ``continuation``); the problem is the only input.
+    Trajectories are traced serially; ``workers`` accepts only 1.
     """
     if workers != 1:
         raise ValueError(f"compute_root_locus runs serially: workers must be 1, got {workers}")
@@ -87,38 +77,29 @@ def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResu
     crit_points: list[CriticalPoint] = list(starts) + list(crossings)
 
     trajectories: list[cont.Trajectory] = []
-    seeds: list[_Seed] = []
+    seeds: list[tuple] = []
 
     bps = critical.branch_points_gain(problem) if problem.kind is LocusKind.GAIN else []
     crit_points.extend(bps)
-    records_by_bp = {id(bp): registry.register(bp) for bp in bps}
+    for bp in bps:
+        registry.register(bp)
 
-    use_real_axis = problem.kind is LocusKind.GAIN
-
-    def on_axis(cp: CriticalPoint) -> bool:
-        """Real points whose real rays the closed-form axis segments own."""
-        return use_real_axis and abs(cp.root.imag) < _AXIS_TOL
-
-    if use_real_axis:
+    if problem.kind is LocusKind.GAIN:
         real_trajs, colliders = cont.real_axis_segments(
-            problem, [cp for cp in crit_points if on_axis(cp)]
+            problem, [cp for cp in crit_points if abs(cp.root.imag) < _AXIS_TOL]
         )
         trajectories.extend(real_trajs)
-        # real rays of real branch points are owned by the axis segments
-        for bp in bps:
-            if on_axis(bp):
-                rec = records_by_bp[id(bp)]
-                rec.rays = [ray for ray in rec.rays if abs(ray.imag) >= 1e-9]
         for bp in colliders:
-            seeds.extend(_branch_seeds(problem, records_by_bp[id(bp)]))
+            seeds.extend(_branch_seeds(problem, registry.register(bp)))
     for cp in starts:
-        if not on_axis(cp):
-            seeds.extend(_start_seeds(problem, cp))
+        n = cp.multiplicity
+        rays = localmodel.start_rays(problem, cp.root, n) if n > 1 else (None,)
+        seeds.extend(_seeds(problem, cp, rays))
     for cp in crossings:
-        if cp.kind is CriticalKind.CROSSING_IN and not on_axis(cp):
-            seeds.append(_Seed(cp, localmodel.initial_tangent_simple(problem, cp.root, cp.lam)))
+        if cp.kind is CriticalKind.CROSSING_IN:
+            seeds.extend(_seeds(problem, cp))
 
-    # generation by generation, each sorted by _Seed.key: traces register the
+    # generation by generation, each sorted by _seed_key: traces register the
     # branch points that later traces merge into, so this order is part of
     # the result.  When the poles and the zeros are each closed under
     # conjugation bit for bit, f(conj s) = conj f(s): a seed whose origin
@@ -130,23 +111,15 @@ def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResu
     plain: dict[tuple, cont.Trajectory] = {}  # by (kind, lam, root) of origin
     traced = mirrored = 0
     while seeds:
-        seeds.sort(key=_Seed.key)
-        new: list[_Seed] = []
-        for seed in seeds:
-            o = seed.origin
+        seeds.sort(key=_seed_key)
+        new: list[tuple] = []
+        for o, ray in seeds:
             twin = plain.pop((o.kind, o.lam, o.root.conjugate()), None)
             if twin is not None:
                 trajectories.append(_mirror(twin, o))
                 mirrored += 1
                 continue
-            traj, rec = cont.trace_trajectory(
-                problem,
-                seed.origin,
-                seed.direction,
-                registry,
-                origin_record=seed.record,
-                spawn_ray=seed.spawn_ray,
-            )
+            traj, rec = cont.trace_trajectory(problem, o, registry, ray)
             trajectories.append(traj)
             traced += 1
             if symmetric and _plain(traj):

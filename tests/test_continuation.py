@@ -1,7 +1,9 @@
 """Predictor-corrector stepping, branch handling, real-axis segments."""
 
+import copy
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from rootlocus.continuation import (
     BranchRegistry,
     Termination,
     TrajectoryPoint,
+    _branch_proximity,
     _clip_solve,
     _dgesv,
     _located_point,
@@ -149,9 +152,7 @@ def test_stall_note_names_point_step_and_cause(monkeypatch):
     monkeypatch.setattr(continuation, "_CORRECTOR_TOL", 1e-300)
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
-    traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
-    )
+    traj, merge = trace_trajectory(problem, cp, BranchRegistry())
     assert merge is None
     assert traj.termination is Termination.STALLED
     h = continuation._h0(problem) / 2**7
@@ -206,9 +207,7 @@ def test_trace_trajectory_leaves_region():
     # with lam = e^{sigma0} * |sigma0 + 1|
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
-    traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
-    )
+    traj, merge = trace_trajectory(problem, cp, BranchRegistry())
     assert merge is None
     assert traj.termination is Termination.LEFT_REGION
     last = traj.points[-1]
@@ -219,9 +218,7 @@ def test_trace_trajectory_leaves_region():
 def test_trace_trajectory_clips_at_lambda_max():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=0.05)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
-    traj, _ = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
-    )
+    traj, _ = trace_trajectory(problem, cp, BranchRegistry())
     assert traj.termination is Termination.LAMBDA_MAX_REACHED
     last = traj.points[-1]
     assert last.lam == pytest.approx(0.05, abs=1e-12)
@@ -235,9 +232,7 @@ def test_trace_merges_at_registered_branch_point():
     registry = BranchRegistry()
     registry.register(bp)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
-    traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry
-    )
+    traj, merge = trace_trajectory(problem, cp, registry)
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is not None
     assert merge.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-8)
@@ -260,6 +255,21 @@ def test_register_returns_the_record_of_a_branch_point_within_merge_tol():
     assert len(registry.records) == 2
 
 
+def test_branch_proximity_skips_only_the_record_of_the_origin_itself():
+    # origin shielding: a trajectory spawned from a branch point does not
+    # merge straight back into it; any other origin, a field-equal copy of
+    # the branch point included, sees the record
+    problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
+    bp = branch_points_gain(problem)[0]
+    registry = BranchRegistry()
+    rec = registry.register(bp)
+    y = rec.y()
+    assert _branch_proximity(registry, y, 1e-9, bp) is None
+    start = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
+    for skip in (start, copy.copy(bp), None):
+        assert _branch_proximity(registry, y, 1e-9, skip) is rec
+
+
 def _start_before_branch_point_with_one_newton_iteration(monkeypatch):
     # G = 1/(s+1), h = 1: the real locus runs from -1 to the branch point
     # (-2, e^-2).  One Newton iteration from an h0 = 1 prediction never
@@ -280,9 +290,7 @@ def test_failed_halvings_merge_into_the_registered_branch_point(monkeypatch):
     bp = branch_points_gain(problem)[0]
     registry = BranchRegistry()
     rec = registry.register(bp)
-    traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry
-    )
+    traj, merge = trace_trajectory(problem, cp, registry)
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert merge is rec
     assert registry.records == [rec]
@@ -293,9 +301,7 @@ def test_failed_halvings_merge_into_the_registered_branch_point(monkeypatch):
 def test_failed_halvings_solve_and_register_the_branch_point(monkeypatch):
     problem, cp = _start_before_branch_point_with_one_newton_iteration(monkeypatch)
     registry = BranchRegistry()
-    traj, merge = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), registry
-    )
+    traj, merge = trace_trajectory(problem, cp, registry)
     assert traj.termination is Termination.MERGED_AT_BRANCH
     assert registry.records == [merge]
     assert merge.point.root == pytest.approx(complex(-2.0, 0.0), abs=1e-9)
@@ -308,9 +314,7 @@ def test_failed_halvings_solve_and_register_the_branch_point(monkeypatch):
 def test_lambda_nondecreasing_along_gain_trace():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
-    traj, _ = trace_trajectory(
-        problem, cp, initial_tangent_simple(problem, cp.root, cp.lam), BranchRegistry()
-    )
+    traj, _ = trace_trajectory(problem, cp, BranchRegistry())
     lams = [p.lam for p in traj.points]
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
 
@@ -579,7 +583,12 @@ def _array_clip_solve(problem, y_guess, pin, pin_value):
     free = [i for i in range(3) if i != idx]
     y[idx] = pin_value
     for _ in range(50):
-        (m, p), rows = _mp_jacobian(problem, y.tolist())
+        if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
+            raise NoConvergenceError("clip solve iterate left lam > 0")
+        try:
+            (m, p), rows = _mp_jacobian(problem, y.tolist())
+        except PoleZeroProximityError as exc:
+            raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
         jac = [[row[i] for i in free] for row in rows]
         delta = _array_solve(jac, [-m, -p], "clip")
         y[free] += delta
@@ -590,10 +599,10 @@ def _array_clip_solve(problem, y_guess, pin, pin_value):
 
 def _outcome(fn, *args):
     """What ``fn(*args)`` returns, every float in hex, or its exception's type
-    and message (a gain-locus iterate at lam <= 0 fails in math.log)."""
+    and message."""
     try:
         out = fn(*args)
-    except (RootLocusError, ValueError) as exc:
+    except RootLocusError as exc:
         return type(exc), str(exc)
     if isinstance(out, tuple):  # (point, kappa)
         pt, kappa = out
@@ -646,3 +655,21 @@ def test_float_clip_solve_keeps_the_array_clip_solve_bits(traced_steps):
             assert got == _outcome(_array_clip_solve, problem, np.array(guess), pin, value)
             converged += isinstance(got, list)
     assert converged > len(traced_steps)
+
+
+def test_clip_solve_iterates_at_lam_0_or_on_a_pole_fail_to_converge(traced_steps):
+    # as in ``correct``: a gain-locus iterate at lam <= 0 (where the log
+    # magnitude is undefined) or on a pole or zero raises NoConvergenceError,
+    # which every caller of the clip solve catches
+    causes = Counter()
+    for problem, last, d, h in traced_steps:
+        guess = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
+        for pin, value in (("lam", last.lam), ("sigma", last.sigma), ("sigma", 0.0)):
+            try:
+                _clip_solve(problem, guess, pin, value)
+            except NoConvergenceError as exc:
+                causes[str(exc).split(":")[0]] += 1
+            except JacobianSingularError:
+                pass
+    assert causes["clip solve iterate left lam > 0"] > 0
+    assert causes["clip solve iterate hit a pole/zero"] > 0

@@ -167,6 +167,38 @@ def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
         assert dist == pytest.approx(0.04, rel=0.05)
 
 
+def test_real_double_pole_start_leaves_along_its_complex_rays():
+    # G = e^{-s}/(s+1)^2: both up rays of the double pole are complex, so the
+    # real-axis closed form owns none of them and both are traced.  On the
+    # imaginary axis 2 atan(w) + w = pi and lam = 1 + w^2
+    plant = Plant(zeros=(), poles=(-1.0, -1.0), gain=1.0, delay=1.0)
+    result = compute_root_locus(LocusProblem(LocusKind.GAIN, -2.0, 5.0, plant))
+    assert result.warnings == []
+    assert len(result.trajectories) == 4
+    events = result.imag_axis_events
+    assert [e.omega for e in events] == pytest.approx([-1.306542374188806, 1.306542374188806])
+    assert [e.direction for e in events] == [1, 1]
+    ((lo, hi),) = result.stability_intervals
+    assert lo == 0.0 and hi == pytest.approx(2.707052975550922, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="branch_spawn_prediction places lam at lam + t^N and drops the |C| of "
+    "ds^N = C dlam; here |C| = e, every first step off the triple pole fails and "
+    "both complex rays stall.  The scaled placement swaps tied golden events of "
+    "example 3, so it waits for the tie-tolerant golden check (ROADMAP item 1)",
+)
+def test_real_triple_pole_start_spawns_on_the_scaled_ray_model():
+    # G = e^{-s}/(s+1)^3: one up ray is real (the closed form's), two are
+    # complex.  On the imaginary axis 3 atan(w) + w = pi, lam = (1 + w^2)^(3/2)
+    plant = Plant(zeros=(), poles=(-1.0, -1.0, -1.0), gain=1.0, delay=1.0)
+    result = compute_root_locus(LocusProblem(LocusKind.GAIN, -2.0, 5.0, plant))
+    assert result.warnings == []
+    ((lo, hi),) = result.stability_intervals
+    assert lo == 0.0 and hi == pytest.approx(2.49516418680135, abs=1e-9)
+
+
 def test_delay_locus_from_a_double_start_root():
     # 1 + G = (s + 1)^2 / (s(s + 2)) for G = 1/(s(s+2)): two roots start at
     # s = -1 and split into a complex pair as the delay grows
@@ -367,8 +399,7 @@ def test_mirrored_trajectories_match_tracing(monkeypatch, name):
             for p in twin.points
         ]
         assert (traj.termination, traj.note) == (twin.termination, twin.note)
-        direction = localmodel.initial_tangent_simple(problem, o.root, o.lam)
-        direct, rec = trace(problem, o, direction, registry)
+        direct, rec = trace(problem, o, registry)
         assert rec is None
         assert direct.termination is traj.termination
         assert len(direct.points) == len(traj.points)
