@@ -56,7 +56,7 @@ def _h0(problem: LocusProblem) -> float:
     return min(_H_MAX, max(_H_MIN, 1e-2 * (1.0 + abs(problem.sigma0))))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectoryPoint:
     sigma: float
     omega: float
@@ -92,8 +92,13 @@ class _BranchRecord:
     point: CriticalPoint  # BRANCH critical point, lam at the branch
     rays: list[complex]  # up rays no trajectory has been spawned along yet
 
+    def __post_init__(self):
+        # built once: _branch_proximity reads it at every accepted step
+        self._y = np.array([self.point.root.real, self.point.root.imag, self.point.lam])
+
     def y(self) -> np.ndarray:
-        return np.array([self.point.root.real, self.point.root.imag, self.point.lam])
+        """(sigma, omega, lam) of the branch point; callers do not mutate it."""
+        return self._y
 
 
 class BranchRegistry:
@@ -124,24 +129,12 @@ def _mp_jacobian(problem: LocusProblem, y) -> tuple[tuple[float, float], list]:
     from one ``evaluate`` pass."""
     sigma, omega, lam = y
     m, p, u = problem.evaluate(sigma, omega, lam)
-    a = u.real - problem.effective_h(lam)
     b = u.imag
     if problem.kind is LocusKind.GAIN:
-        dm_dl, dp_dl = 1.0 / lam, 0.0
-    else:
-        dm_dl, dp_dl = -sigma, -omega
-    return (m, p), [[a, -b, dm_dl], [b, a, dp_dl]]
-
-
-def _iterate_jacobian(problem: LocusProblem, y, solver: str) -> tuple[tuple[float, float], list]:
-    """``_mp_jacobian`` at a Newton iterate of ``solver``; an iterate at lam <= 0
-    on a gain locus, or on a pole or zero, fails with NoConvergenceError."""
-    if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
-        raise NoConvergenceError(f"{solver} iterate left lam > 0")
-    try:
-        return _mp_jacobian(problem, y)
-    except PoleZeroProximityError as exc:
-        raise NoConvergenceError(f"{solver} iterate hit a pole/zero: {exc}") from exc
+        a = u.real - problem.plant.delay
+        return (m, p), [[a, -b, 1.0 / lam], [b, a, 0.0]]
+    a = u.real - lam
+    return (m, p), [[a, -b, -sigma], [b, a, -omega]]
 
 
 def _located_point(problem: LocusProblem, y, step: float) -> TrajectoryPoint:
@@ -167,32 +160,41 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     of the first two Newton updates.  The iterate is plain floats; each 3x3
     system goes to ``dgesv``, whose zero-pivot flag (an invalid operation)
     raises JacobianSingularError, and the arclength row and the update norm
-    are ``ddot`` products.
+    are ``ddot`` products.  An iterate at lam <= 0 on a gain locus, or on a
+    pole or zero, fails with NoConvergenceError, as in the other two solvers.
     """
-    sigma, omega, lam = yp = tuple(map(float, predicted))
+    sigma_p, omega_p, lam_p = map(float, predicted)
+    sigma, omega, lam = sigma_p, omega_p, lam_p
     gain = problem.kind is LocusKind.GAIN
+    isfinite = math.isfinite
     a = np.empty((3, 3))
     row = a[2]  # the direction row, set once
     row[:] = direction
-    b, moved = np.empty((2, 3))  # the right-hand side; y - yp
+    b, moved = np.empty((2, 3))  # the right-hand side; the iterate minus the prediction
     first = second = 0.0  # norms of the first two Newton updates
     with np.errstate(invalid="raise"):
         for it in range(_MAX_NEWTON_ITERS):
-            if not gain and lam < 0.0:
+            if gain:
+                if lam <= 0.0:
+                    raise NoConvergenceError("corrector iterate left lam > 0")
+            elif lam < 0.0:
                 lam = 0.0
-            (m, p), rows = _iterate_jacobian(problem, (sigma, omega, lam), "corrector")
+            try:
+                (m, p), rows = _mp_jacobian(problem, (sigma, omega, lam))
+            except PoleZeroProximityError as exc:
+                raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
             (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
-            moved[0], moved[1], moved[2] = sigma - yp[0], omega - yp[1], lam - yp[2]
+            moved[0], moved[1], moved[2] = sigma - sigma_p, omega - omega_p, lam - lam_p
             b[0], b[1] = -m, -p
             try:
                 b[2] = -moved.dot(row)
                 delta = _dgesv(a, b)
             except FloatingPointError as exc:
                 raise JacobianSingularError("singular corrector Jacobian") from exc
-            step = delta.tolist()
-            if not all(map(math.isfinite, step)):
+            d0, d1, d2 = delta.tolist()
+            if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
                 raise JacobianSingularError("corrector update overflowed")
-            sigma, omega, lam = sigma + step[0], omega + step[1], lam + step[2]
+            sigma, omega, lam = sigma + d0, omega + d1, lam + d2
             norm = math.sqrt(delta.dot(delta))
             if it == 0:
                 first = norm
@@ -227,16 +229,22 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
     and attaches the up-ray directions.
     """
     y = np.array(y_init, dtype=float)
+    gain = problem.kind is LocusKind.GAIN
     for _ in range(_BRANCH_SOLVE_ITERS):
-        (m, p), rows = _iterate_jacobian(problem, y.tolist(), "branch solve")
+        if gain and y[2] <= 0.0:
+            raise NoConvergenceError("branch solve iterate left lam > 0")
+        try:
+            (m, p), rows = _mp_jacobian(problem, y.tolist())
+        except PoleZeroProximityError as exc:
+            raise NoConvergenceError(f"branch solve iterate hit a pole/zero: {exc}") from exc
         # rows[k][0] are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
         du = localmodel._u_derivatives(problem, complex(y[0], y[1]), y[2], 1)[1]
-        dl = 0.0 if problem.kind is LocusKind.GAIN else -1.0
+        dl = 0.0 if gain else -1.0
         f = np.array([m, p, rows[0][0], rows[1][0]])
         jac = np.array(rows + [[du.real, -du.imag, dl], [du.imag, du.real, 0.0]])
         delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         y = y + delta
-        if problem.kind is LocusKind.GAIN:
+        if gain:
             y[2] = max(y[2], 1e-300)
         if _norm(delta) < 1e-12 * (1.0 + _norm(y)):
             break
@@ -253,23 +261,30 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
     on plain floats with ``dgesv`` and ``ddot``, failing as ``correct`` does."""
     y = list(map(float, y_guess))
-    idx = {"sigma": 0, "lam": 2}[pin]
-    i, j = [k for k in range(3) if k != idx]
-    y[idx] = float(pin_value)
-    a, b = np.empty((2, 2)), np.empty(2)
+    # the free coordinates i, j and the pinned one
+    i, j, k = (0, 1, 2) if pin == "lam" else (1, 2, 0)
+    y[k] = float(pin_value)
+    gain = problem.kind is LocusKind.GAIN
+    a, b, yv = np.empty((2, 2)), np.empty(2), np.empty(3)
     with np.errstate(invalid="raise"):
         for _ in range(50):
-            (m, p), rows = _iterate_jacobian(problem, y, "clip solve")
-            (a[0, 0], a[0, 1]), (a[1, 0], a[1, 1]) = [(row[i], row[j]) for row in rows]
+            if gain and y[2] <= 0.0:
+                raise NoConvergenceError("clip solve iterate left lam > 0")
+            try:
+                (m, p), (r0, r1) = _mp_jacobian(problem, y)
+            except PoleZeroProximityError as exc:
+                raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
+            a[0, 0], a[0, 1], a[1, 0], a[1, 1] = r0[i], r0[j], r1[i], r1[j]
             b[0], b[1] = -m, -p
             try:
                 delta = _dgesv(a, b)
             except FloatingPointError as exc:
                 raise JacobianSingularError("singular clip Jacobian") from exc
-            step = delta.tolist()
-            y[i] += step[0]
-            y[j] += step[1]
-            if _norm(delta) < 1e-13 * (1.0 + _norm(np.array(y))):
+            d0, d1 = delta.tolist()
+            y[i] += d0
+            y[j] += d1
+            yv[0], yv[1], yv[2] = y
+            if math.sqrt(delta.dot(delta)) < 1e-13 * (1.0 + math.sqrt(yv.dot(yv))):
                 return y
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
@@ -365,18 +380,17 @@ def trace_trajectory(
             chord = np.array((c0, c1, c2))
             chord_norm = _norm(chord)
             if chord_norm > 0 and h > _H_MIN * 1.01:
-                turned = float(chord.dot(d)) / chord_norm < 0.9
+                refused = float(chord.dot(d)) / chord_norm < 0.9
                 # midpoint-on-locus check catches skipped loops; invalid near a
                 # multiple point, where the parameter grows superlinearly
-                skipped = False
-                if len(points) >= 3:
+                if not refused and len(points) >= 3:
                     try:
-                        skipped = problem.cartesian_residual(
+                        refused = problem.cartesian_residual(
                             last.sigma + 0.5 * c0, last.omega + 0.5 * c1, last.lam + 0.5 * c2
                         ) > 100.0 * _DELTA_NOMINAL
                     except PoleZeroProximityError:
-                        skipped = True
-                if turned or skipped:
+                        refused = True
+                if refused:
                     h = max(h / 2.0, _H_MIN)
                     continue
             h_next, repeat = step_update(kappa, pt.residual, h)
@@ -385,7 +399,7 @@ def trace_trajectory(
             if not repeat:
                 break
         # the step is known only now; pt is new and unshared: stamp, not rebuild
-        object.__setattr__(pt, "step_used", h)
+        pt.step_used = h
         y = (pt.sigma, pt.omega, pt.lam)
 
         # clip against the lam upper bound and the region boundary
@@ -554,10 +568,10 @@ def real_axis_segments(
         # clip the far end at lambda_max
         clipped = lam_to > problem.lambda_max
         if clipped:
+            lmax = problem.lambda_max
+            (x0, lam0), (x1, lam1) = sorted([(x_from, lam_from), (x_to, lam_to)])
             x_to = bracketed_root(
-                lambda x: lam_and_log(x)[0] - problem.lambda_max,
-                min(x_from, x_to),
-                max(x_from, x_to),
+                lambda x: lam_and_log(x)[0] - lmax, x0, x1, lam0 - lmax, lam1 - lmax
             )
 
         pts = []

@@ -238,7 +238,7 @@ def _admissible_intervals(
             if not ok_lo and not ok_hi:
                 seg_lo, seg_hi = None, None
                 break
-            w_star = bracketed_root(shifted, seg_lo, seg_hi)
+            w_star = bracketed_root(shifted, seg_lo, seg_hi, f_lo, f_hi)
             if ok_lo:
                 seg_hi = w_star
             else:
@@ -324,7 +324,7 @@ def _solve_levels(lo: float, hi: float, phase, on_root) -> None:
         f_hi = phi_hi - target
         if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1, f_lo) == math.copysign(1, f_hi):
             continue
-        w = bracketed_root(lambda x: phase(x) - target, lo, hi)
+        w = bracketed_root(lambda x: phase(x) - target, lo, hi, f_lo, f_hi)
         on_root(w)
 
 
@@ -383,7 +383,7 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
             grid = np.linspace(lo, hi, min(max(n, 200), 400000))
             dp = psi_prime(grid)
             return [
-                bracketed_root(psi_prime, grid[i], grid[i + 1])
+                bracketed_root(psi_prime, grid[i], grid[i + 1], dp[i], dp[i + 1])
                 for i in _sign_flips(dp)
             ]
 

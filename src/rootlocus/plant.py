@@ -292,13 +292,17 @@ class LocusProblem:
         """Exponent coefficient of the dead-time term at locus parameter lam."""
         return self.plant.delay if self.kind is LocusKind.GAIN else lam
 
-    def evaluate(self, sigma: float, omega: float, lam: float) -> tuple[float, float, complex]:
+    def evaluate(
+        self, sigma: float, omega: float, lam: float, with_u: bool = True
+    ) -> tuple[float, float, complex | None]:
         """(M, P, G'/G) at sigma + j omega in one pass over the zeros, then the poles.
 
         M = ln|k G(s) e^{-h s}| and P, the phase of G e^{-h s} relative to pi
         wrapped to (-pi, pi], are the corrector residuals of ``mp``; k and h
         are lam > 0 and the dead time (gain locus) or 1 and lam (delay locus).
-        Raises PoleZeroProximityError within 1e-9 (1 + |s|) of a pole or zero.
+        ``with_u`` false skips the G'/G sum, which then reads None: the pass
+        of ``mp``.  Raises PoleZeroProximityError within 1e-9 (1 + |s|) of a
+        pole or zero.
         """
         plant = self.plant
         k, h = (lam, plant.delay) if self.kind is LocusKind.GAIN else (1.0, lam)
@@ -309,7 +313,7 @@ class LocusProblem:
         log, atan2 = math.log, math.atan2
         m = self._log_gain + log(k) - h * sigma
         p = self._gain_angle - h * omega - math.pi
-        u = 0.0 + 0.0j
+        u = 0.0 + 0.0j if with_u else None
         # x ** 2 (libm pow), not x * x: the two round apart now and then, and
         # the traced locus is kept bit-stable
         for z in plant.zeros:
@@ -320,7 +324,8 @@ class LocusProblem:
                 raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
             m += 0.5 * log(q)
             p += atan2(y, x)
-            u += 1.0 / d
+            if with_u:
+                u += 1.0 / d
         for z in plant.poles:
             d = s - z
             x, y = d.real, d.imag
@@ -329,13 +334,13 @@ class LocusProblem:
                 raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {z}")
             m -= 0.5 * log(q)
             p -= atan2(y, x)
-            u -= 1.0 / d
+            if with_u:
+                u -= 1.0 / d
         return m, wrap_angle(p), u
 
     def mp(self, sigma: float, omega: float, lam: float) -> tuple[float, float]:
         """Corrector residual pair (M, P) at a point of the locus equation."""
-        m, p, _ = self.evaluate(sigma, omega, lam)
-        return m, p
+        return self.evaluate(sigma, omega, lam, False)[:2]
 
     def cartesian_residual(self, sigma: float, omega: float, lam: float) -> float:
         """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|);

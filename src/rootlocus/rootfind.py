@@ -27,24 +27,26 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 200
 
 
-def bracketed_root(f, lo: float, hi: float) -> float:
+def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
     """A root of f on [lo, hi] by Brent's method; a zero end is returned as is.
 
     Step for step Charles Harris's C ``brentq`` with ``xtol`` 1e-13, ``rtol``
-    4 eps and 200 iterations, so it returns the same float.  A NaN value of
+    4 eps and 200 iterations, so it returns the same float.  ``f_lo`` and
+    ``f_hi``, when given, are f(lo) and f(hi), which a caller that already
+    holds them passes instead of having f evaluated again.  A NaN value of
     f or a run that does not converge raises ``NoConvergenceError``; ends
     whose values have the same sign raise ``BracketError``.
     """
 
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if fx != fx:
             raise NoConvergenceError(f"Brent's method: f is NaN at x = {x!r}")
         return fx
 
     xpre, xcur = float(lo), float(hi)
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fpre = value(xpre, f_lo)
+    fcur = value(xcur, f_hi)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

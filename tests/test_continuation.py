@@ -417,6 +417,28 @@ def _axis_problems():
     return out
 
 
+def test_real_axis_clip_passes_brent_the_end_values_it_holds(monkeypatch):
+    # the lambda_max clip of a segment already holds lam at both ends of its
+    # bracket and passes exactly those values, ends in ascending order
+    brent = continuation.bracketed_root
+    clips = 0
+
+    def checked(f, lo, hi, f_lo=None, f_hi=None):
+        nonlocal clips
+        if f.__name__ == "<lambda>":
+            assert lo <= hi
+            for x, fx in ((lo, f_lo), (hi, f_hi)):
+                assert fx is not None and float(fx).hex() == float(f(x)).hex()
+            clips += 1
+        return brent(f, lo, hi, f_lo, f_hi)
+
+    monkeypatch.setattr(continuation, "bracketed_root", checked)
+    split = LocusProblem(LocusKind.GAIN, -4.0, 0.1, Plant((), (-1.0, -3.0), 1.0, 1.0))
+    for problem in _axis_problems() + [split]:
+        compute_root_locus(problem)
+    assert clips >= 3
+
+
 def _uniform_samples(lam_and_log, x_from, x_to):
     # the former fixed rule: 400 evenly spaced samples, ends included
     return [(x, lam_and_log(x)[0]) for x in np.linspace(x_from, x_to, 400).tolist()]

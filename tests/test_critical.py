@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rootlocus import localmodel, rootfind
+from rootlocus import critical, localmodel, rootfind
 
 from rootlocus.critical import (
     CriticalKind,
@@ -386,3 +386,24 @@ def test_boundary_crossings_delay_empty():
     plant = Plant(zeros=(), poles=(-1.0,), gain=0.25, delay=1.0)
     problem = LocusProblem(LocusKind.DELAY, -0.5, 0.5, plant)
     assert boundary_crossings(problem) == []
+
+
+def test_crossing_search_passes_brent_the_end_values_it_holds(monkeypatch):
+    # each caller of bracketed_root in the crossing search already holds f at
+    # both ends and passes exactly those values, to the bit
+    from test_acceptance import stream_problem
+
+    brent = critical.bracketed_root
+    callers = set()
+
+    def checked(f, lo, hi, f_lo=None, f_hi=None):
+        for x, fx in ((lo, f_lo), (hi, f_hi)):
+            assert fx is not None and float(fx).hex() == float(f(x)).hex()
+        callers.add(f.__qualname__.split(".")[0])
+        return brent(f, lo, hi, f_lo, f_hi)
+
+    monkeypatch.setattr(critical, "bracketed_root", checked)
+    for problem in (example1_problem(), example3_problem(), stream_problem(31)):
+        boundary_crossings(problem)
+    # the phase levels, the admissible-interval clips and the delay psi' turns
+    assert callers == {"_solve_levels", "_admissible_intervals", "boundary_crossings"}

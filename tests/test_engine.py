@@ -136,17 +136,45 @@ def test_merge_at_a_field_equal_copy_of_a_branch_point(monkeypatch):
 
 def test_benchmark_tracer_patches_current_names(monkeypatch):
     # perfbench/tracing.py wraps engine functions by module attribute; renaming
-    # or deleting one of them breaks the traced benchmark and must fail here
+    # or deleting one of them, or a call that bypasses one, breaks the traced
+    # benchmark and must fail here.  Its counts must equal what wrappers
+    # installed beneath it see: the Jacobians made inside correct and the
+    # evaluate passes that skip G'/G
     tracing = _perfbench(monkeypatch, "tracing")
     problem = example3_problem(lambda_max=1.0)
+    seen = {"newton": 0, "residual": 0, "in_correct": 0}
+    correct, jacobian = continuation.correct, continuation._mp_jacobian
+    evaluate = LocusProblem.evaluate
+
+    def counted_correct(*args):
+        seen["in_correct"] += 1
+        try:
+            return correct(*args)
+        finally:
+            seen["in_correct"] -= 1
+
+    def counted_jacobian(problem, y):
+        seen["newton"] += seen["in_correct"] > 0
+        return jacobian(problem, y)
+
+    def counted_evaluate(self, sigma, omega, lam, with_u=True):
+        seen["residual"] += not with_u
+        return evaluate(self, sigma, omega, lam, with_u)
+
+    monkeypatch.setattr(continuation, "correct", counted_correct)
+    monkeypatch.setattr(continuation, "_mp_jacobian", counted_jacobian)
+    monkeypatch.setattr(LocusProblem, "evaluate", counted_evaluate)
     untraced = engine.compute_root_locus
     tracer = tracing.Tracer()
     with tracer.installed():
         traced = engine.compute_root_locus(problem)
+    counts = {name: tracer.counts[tracer.op, name] for name in (
+        "continuation.newton_iters", "continuation.points", "plant.mp_calls")}
+    assert counts["continuation.points"] > 0
+    assert counts["continuation.newton_iters"] == seen["newton"] > 0
+    assert counts["plant.mp_calls"] == seen["residual"] > 0
     assert engine.compute_root_locus is untraced
     assert results_equal(traced, compute_root_locus(problem))
-    for name in ("continuation.newton_iters", "continuation.points", "plant.mp_calls"):
-        assert tracer.counts[tracer.op, name] > 0
 
 
 def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
@@ -180,6 +208,24 @@ def test_real_double_pole_start_leaves_along_its_complex_rays():
     assert [e.direction for e in events] == [1, 1]
     ((lo, hi),) = result.stability_intervals
     assert lo == 0.0 and hi == pytest.approx(2.707052975550922, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the real branch point between the two poles has lam 9.2e-16 and a "
+    "multiplicity of 6; real_axis_segments skips the piece between the poles, "
+    "shorter than 4 * eps, so no segment ends there, its complex rays are never "
+    "spawned and the run reports [(0, 5)] with no warning",
+)
+def test_near_coincident_real_poles_keep_their_complex_branches():
+    # G = e^{-s}/((s+1)(s+1.0000001)) is within 1e-7 of the double pole above,
+    # whose locus is unstable from lam = 2.707052975550922 on; a run either
+    # agrees with that limit or warns
+    plant = Plant(zeros=(), poles=(-1.0, -1.0000001), gain=1.0, delay=1.0)
+    result = compute_root_locus(LocusProblem(LocusKind.GAIN, -2.0, 5.0, plant))
+    if not result.warnings:
+        ((lo, hi),) = result.stability_intervals
+        assert lo == 0.0 and hi == pytest.approx(2.707052975550922, abs=1e-5)
 
 
 @pytest.mark.xfail(

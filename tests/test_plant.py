@@ -145,19 +145,14 @@ def test_evaluate_raises_near_zero_and_pole():
         problem.evaluate(-1.0 + 1e-12, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("kind", list(LocusKind))
-def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
-    # evaluate takes abs(s - v) only when x**2 + y**2 < tol**2 (1 + 1e-12);
-    # at |s - v| = tol (1 + k ulp) around a zero and a pole of example 1 it
-    # must raise exactly where abs(s - v) < tol = 1e-9 (1 + |s|)
-    base = example1_problem()  # zeros 0, 0; poles +-2j, +-4j
-    problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
-    lam = 0.5
+def _tolerance_edge_walk():
+    """(word, sigma, omega, inside) at |s - v| = tol (1 + k ulp), k in -8..8,
+    around a zero and a pole of example 1 (zeros 0, 0; poles +-2j, +-4j);
+    ``inside`` is abs(s - v) < tol = 1e-9 (1 + |s|), where evaluate raises."""
     for v, word, angles in (
         (0j, "zero", np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)),
         (2j, "pole", [0.0, math.pi]),  # omega near 2 is too coarse off the axis
     ):
-        inside = set()
         for angle in angles:
             e = cmath.exp(1j * angle)
             r = 1e-9 * (1.0 + abs(v))
@@ -167,16 +162,59 @@ def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
                 s = v + r * (1.0 + k * 2.0**-52) * e
                 sigma, omega = s.real, s.imag
                 s = complex(sigma, omega)
-                if abs(s - v) < 1e-9 * (1.0 + abs(s)):
-                    inside.add(True)
-                    with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
-                        problem.evaluate(sigma, omega, lam)
-                else:
-                    inside.add(False)
-                    assert problem.evaluate(sigma, omega, lam) == _ref_evaluate(
-                        problem, sigma, omega, lam
-                    )
-        assert inside == {True, False}
+                yield word, sigma, omega, abs(s - v) < 1e-9 * (1.0 + abs(s))
+
+
+@pytest.mark.parametrize("kind", list(LocusKind))
+def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
+    # evaluate takes abs(s - v) only when x**2 + y**2 < tol**2 (1 + 1e-12);
+    # at the tolerance edge it must raise exactly where abs(s - v) < tol
+    base = example1_problem()
+    problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
+    lam = 0.5
+    seen = set()
+    for word, sigma, omega, inside in _tolerance_edge_walk():
+        seen.add((word, inside))
+        if inside:
+            with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
+                problem.evaluate(sigma, omega, lam)
+        else:
+            assert problem.evaluate(sigma, omega, lam) == _ref_evaluate(
+                problem, sigma, omega, lam
+            )
+    assert seen == {(w, i) for w in ("zero", "pole") for i in (True, False)}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
+    # mp skips the G'/G sum of evaluate; M and P keep every bit, -0.0 too,
+    # and it raises at exactly the tolerance-edge points where evaluate does
+    from test_acceptance import stream_problem
+
+    rng = np.random.default_rng(20261019)
+    for base in _REFERENCE_PROBLEMS + [stream_problem(28)]:
+        for problem in _both_kinds(base):
+            for i in range(200):
+                sigma = rng.uniform(-4.0, 6.0)
+                # every fourth point on the real axis, where P can be -0.0
+                omega = 0.0 if i % 4 == 0 else rng.uniform(-10.0, 10.0)
+                lam = rng.uniform(0.01, 6.0)
+                want = _hex(problem.evaluate(sigma, omega, lam)[:2])
+                assert _hex(problem.mp(sigma, omega, lam)) == want
+    base = example1_problem()
+    for kind in LocusKind:
+        problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
+        for word, sigma, omega, inside in _tolerance_edge_walk():
+            if inside:
+                with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
+                    problem.mp(sigma, omega, 0.5)
+            else:
+                assert _hex(problem.mp(sigma, omega, 0.5)) == _hex(
+                    problem.evaluate(sigma, omega, 0.5)[:2]
+                )
 
 
 def test_evaluate_log_magnitude_first_order():

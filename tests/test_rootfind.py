@@ -115,6 +115,48 @@ def test_bracketed_root_matches_scipy_brentq_bit_for_bit(monkeypatch):
     assert failed > 100 and endpoint_zeros > 20
 
 
+def test_bracketed_root_given_end_values_returns_the_same_float(monkeypatch):
+    # a caller that holds f(lo) and f(hi) passes them; on the seeded cases of
+    # the brentq oracle the result keeps every bit, or fails alike, and f is
+    # called twice less; a same-sign bracket fails alike without a call of f
+    rng = random.Random(20260418)
+    checked = same_sign = 0
+    while checked < 3000:
+        f, lo, hi = _brent_case(rng)
+        f_lo, f_hi = f(lo), f(hi)
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
+            with pytest.raises(BracketError, match="no sign change") as want:
+                bracketed_root(f, lo, hi)
+            with pytest.raises(BracketError) as got:
+                bracketed_root(counted, lo, hi, f_lo, f_hi)
+            assert str(got.value) == str(want.value) and calls[0] == 0
+            same_sign += 1
+            continue
+        monkeypatch.setattr(rootfind, "_BRENT_XTOL", rng.choice((1e-13, 1e-8, 5e-324, 0.5)))
+        monkeypatch.setattr(rootfind, "_BRENT_MAXITER", rng.choice((5, 200)))
+        outcomes = []
+        for args in ((), (f_lo, f_hi)):
+            calls[0] = 0
+            try:
+                outcomes.append((bracketed_root(counted, lo, hi, *args).hex(), calls[0]))
+            except NoConvergenceError as exc:
+                outcomes.append((str(exc), calls[0]))
+        (want, n_want), (got, n_got) = outcomes
+        assert got == want, (lo, hi)
+        assert n_got == n_want - 2
+        checked += 1
+    assert same_sign > 100
+    # a zero end is returned as is, without a call of f
+    assert bracketed_root(lambda x: 1 / 0, 0.0, 1.0, -0.0, 1.0) == 0.0
+    assert bracketed_root(lambda x: 1 / 0, 0.0, 1.0, -1.0, 0.0) == 1.0
+
+
 def test_real_nonneg_roots():
     assert real_nonneg_roots((0.0, -2.0, 1.0)) == pytest.approx([0.0, 2.0])
     assert real_nonneg_roots((0.75, 0.0, 1.0)) == []

@@ -1,0 +1,123 @@
+"""Alternating A/B runs of the benchmark: an earlier revision against this checkout.
+
+Run from anywhere inside a checkout:
+
+    python3 tools/ab_bench.py --base HEAD~1 --workload random_gain --pairs 10 --seconds 6
+
+It checks out ``--base`` in a temporary ``git worktree`` and runs
+``perfbench/run.py --workload W --seed S --seconds S`` there and in this
+checkout as it stands (uncommitted edits included), one run of each per pair.
+The pairs alternate which side runs first, so a drift of the machine's speed
+falls on both sides alike.  For every end-to-end metric of BENCHMARK.json it
+prints the median and quartiles of each side, the change of the medians, the
+pairs in which the change did better, and whether the medians differ by more
+than the spread between the base's quartiles.  Runs whose operations failed
+are counted and named.  The worktree is removed on exit, also after an error
+or an interrupt.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("random_gain", "random_delay", "reference")
+
+
+def _git(*args: str) -> str:
+    out = subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON summary ``perfbench/run.py`` prints last, run in ``checkout``."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"perfbench/run.py exited with code {proc.returncode} in {checkout}")
+    return json.loads(lines[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
+    """One line per end-to-end metric, from the paired run summaries."""
+    lines = []
+    pairs = len(runs["base"])
+    for spec in specs:
+        name, lower = spec["name"], spec["better"] == "lower"
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        b1, b2, b3 = _quartiles(base)
+        c1, c2, c3 = _quartiles(change)
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        gain = (b2 - c2) if lower else (c2 - b2)
+        lines.append(
+            f"{name:>13}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} "
+            f"[{c1:.6g}, {c3:.6g}] {spec['unit']}  {100.0 * (c2 / b2 - 1.0):+.1f}%  "
+            f"better in {wins}/{pairs} pairs  "
+            f"beyond the base quartile spread: {'yes' if gain > b3 - b1 else 'no'}"
+        )
+    for side in ("base", "change"):
+        failed = [r["failed"] for r in runs[side]]
+        if any(failed) or not all(r["correct"] for r in runs[side]):
+            lines.append(f"{side}: failed operations per run {failed}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0.0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        specs = json.load(fh)["end_to_end"]
+    commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    # a SIGTERM unwinds through the finally below, as an interrupt does
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+    tmp = tempfile.mkdtemp(prefix="ab_bench_")
+    worktree = os.path.join(tmp, "base")
+    try:
+        _git("worktree", "add", "--detach", worktree, commit)
+        sides = {"base": worktree, "change": ROOT}
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(_run(sides[side], args.workload, args.seed, args.seconds))
+            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    finally:
+        if os.path.isdir(worktree):
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree],
+                           capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
+    print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run, "
+          f"{args.pairs} pairs; base {commit[:12]} ({args.base}), change: this checkout")
+    print("\n".join(report(specs, runs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
