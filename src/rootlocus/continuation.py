@@ -544,8 +544,10 @@ def real_axis_segments(
         if b - a < 4 * eps or g_real(0.5 * (a + b)) >= 0.0:
             continue
         lo, hi = drawn_in(a, b)
-        if dlog_lam(lo) > 0.0 > dlog_lam(hi):
-            peak = bracketed_root(dlog_lam, lo, hi)
+        d_lo = dlog_lam(lo)
+        d_hi = dlog_lam(hi) if d_lo > 0.0 else 0.0  # no maximum unless lam rises at lo
+        if d_lo > 0.0 > d_hi:
+            peak = bracketed_root(dlog_lam, lo, hi, d_lo, d_hi)
             if lam_and_log(peak)[0] > problem.lambda_max:
                 pieces += [(a, peak), (peak, b)]
                 continue

@@ -140,6 +140,15 @@ def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResu
             warnings.append(
                 f"trajectory from {traj.origin.root} stalled: {traj.note}"
             )
+    # a branch point that no trajectory reached keeps the up rays it would
+    # have spawned; those the closed form does not own are missing branches
+    for rec in registry.records:
+        missed = _seeds(problem, rec.point, rec.rays)
+        if missed:
+            warnings.append(
+                f"branch point {rec.point.root} at lam {rec.point.lam!r}: "
+                f"{len(missed)} of its up rays were never traced"
+            )
 
     trajectories.sort(key=lambda t: (*t.origin.key(), _first_angle(t)))
     crit_points = dedup_points(crit_points)

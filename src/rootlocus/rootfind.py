@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -98,20 +97,13 @@ def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
     )
 
 
-def _newton_polish(f, df, x, steps: int = 5):
-    """At most ``steps`` Newton steps on f from x, real or complex; stops at a
-    zero derivative, a non-finite step or a step below rounding."""
-    for _ in range(steps):
-        dfx = df(x)
-        if dfx == 0:
-            break
-        step = f(x) / dfx
-        if not np.isfinite(abs(step)):
-            break
-        x -= step
-        if abs(step) < 1e-15 * (1.0 + abs(x)):
-            break
-    return x
+def _horner(c: list[float], x: float) -> float:
+    """The ascending polynomial c at x, step for step as
+    ``np.polynomial.polynomial.polyval`` rounds it, on plain floats."""
+    y = c[-1] + x * 0
+    for ck in reversed(c[:-1]):
+        y = ck + y * x
+    return y
 
 
 def real_nonneg_roots(coefficients) -> list[float]:
@@ -120,7 +112,8 @@ def real_nonneg_roots(coefficients) -> list[float]:
 
     Trailing coefficients below ``_TRIM_REL`` times the largest are dropped;
     then companion eigenvalues with small imaginary part are kept and each
-    is polished with a few Newton steps.
+    is polished with at most five Newton steps, which stop at a zero
+    derivative, a non-finite step or a step below rounding.
     """
     c = np.asarray(coefficients, dtype=float)
     top = np.max(np.abs(c), initial=0.0)
@@ -130,14 +123,24 @@ def real_nonneg_roots(coefficients) -> list[float]:
     c = c[:keep]
     if top == 0.0 or keep <= 1:
         return []
-    raw = np.polynomial.polynomial.polyroots(c)
-    dc = np.polynomial.polynomial.polyder(c)
-    polyval = np.polynomial.polynomial.polyval
+    raw = np.polynomial.polynomial.polyroots(c).tolist()
+    cs = c.tolist()
+    dc = [k * ck for k, ck in enumerate(cs) if k]  # as polyder forms it
     out: list[float] = []
     for r in raw:
         if abs(r.imag) >= _REAL_IM_TOL * (1.0 + abs(r.real)):
             continue
-        x = _newton_polish(lambda x: polyval(x, c), lambda x: polyval(x, dc), float(r.real))
+        x = r.real
+        for _ in range(5):
+            dfx = _horner(dc, x)
+            if dfx == 0:
+                break
+            step = _horner(cs, x) / dfx
+            if not math.isfinite(step):
+                break
+            x -= step
+            if abs(step) < 1e-15 * (1.0 + abs(x)):
+                break
         if x < -_DEDUP_TOL:
             continue
         out.append(x if x > 0.0 else 0.0)
@@ -169,24 +172,31 @@ def _common_scale(values, sigma0: float) -> float:
     return float(np.exp(np.mean(np.log(tops))))
 
 
-def _product_and_leave_one_out(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    n = len(factors)
-    total = np.array([1.0])
+def _product_and_leave_one_out(factors: list[np.ndarray], dtype=float):
+    """The product of ``factors`` and, for each i, the product of all but
+    factors[i], as np.convolve chains from a unit of ``dtype``.
+
+    Every chain multiplies the factors in their order, so the ith
+    leave-one-out product is the prefix before i convolved with the factors
+    after i: the same convolutions in the same order as a chain of its own,
+    with the n prefixes shared by all of them.
+    """
+    prefixes = [np.ones(1, dtype)]
     for f in factors:
-        total = np.convolve(total, f)
+        prefixes.append(np.convolve(prefixes[-1], f))
     loo = []
-    for i in range(n):
-        acc = np.array([1.0])
-        for j, f in enumerate(factors):
-            if j != i:
-                acc = np.convolve(acc, f)
+    for i, acc in enumerate(prefixes[:-1]):
+        for f in factors[i + 1:]:
+            acc = np.convolve(acc, f)
         loo.append(acc)
-    return total, loo
+    return prefixes[-1], loo
 
 
-def _boundary_products(plant: Plant, sigma0: float):
+def boundary_products(plant: Plant, sigma0: float):
     """Common scale, then the gamma products and their leave-one-out products
-    over the zeros and over the poles: (scale, big_z, loo_z, big_p, loo_p)."""
+    over the zeros and over the poles: (scale, big_z, loo_z, big_p, loo_p).
+    ``magnitude_extremum_freqs`` and ``phase_extremum_freqs`` take them
+    built once for both."""
     scale = _common_scale(plant.zeros + plant.poles, sigma0)
     big_z, loo_z = _product_and_leave_one_out(_gamma_quadratics(plant.zeros, sigma0, scale))
     big_p, loo_p = _product_and_leave_one_out(_gamma_quadratics(plant.poles, sigma0, scale))
@@ -201,13 +211,14 @@ def _poly_add(*terms: np.ndarray) -> np.ndarray:
     return acc
 
 
-def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
+def magnitude_extremum_freqs(plant: Plant, sigma0: float, products=None) -> list[float]:
     """Non-negative zeros of the boundary log-magnitude derivative.
 
     Assembles the numerator polynomial of big_lambda_prime in omega and
-    returns its non-negative real roots.
+    returns its non-negative real roots.  ``products`` are those of
+    ``boundary_products(plant, sigma0)``, built here when not given.
     """
-    _, big_z, loo_z, big_p, loo_p = _boundary_products(plant, sigma0)
+    _, big_z, loo_z, big_p, loo_p = products or boundary_products(plant, sigma0)
 
     pole_sum = np.array([0.0])
     for p, loo in zip(plant.poles, loo_p):
@@ -222,9 +233,10 @@ def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
     return real_nonneg_roots(poly)
 
 
-def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
-    """Non-negative zeros of the boundary phase derivative phi'."""
-    scale, big_z, loo_z, big_p, loo_p = _boundary_products(plant, sigma0)
+def phase_extremum_freqs(plant: Plant, sigma0: float, h: float, products=None) -> list[float]:
+    """Non-negative zeros of the boundary phase derivative phi'; ``products``
+    as for ``magnitude_extremum_freqs``."""
+    scale, big_z, loo_z, big_p, loo_p = products or boundary_products(plant, sigma0)
 
     zero_sum = np.array([0.0])
     for z, loo in zip(plant.zeros, loo_z):
@@ -251,23 +263,63 @@ def poly_from_roots(roots) -> np.ndarray:
     return acc
 
 
+def _linear_factors(roots) -> list[np.ndarray]:
+    """The descending factors s - r, as ``poly_from_roots`` multiplies them."""
+    return [np.array([1.0, -r]) for r in roots]
+
+
+def _polished_roots(num: np.ndarray) -> list[complex]:
+    """The ``np.roots`` roots of the descending complex polynomial ``num``,
+    each after at most five Newton steps.
+
+    The polynomial and its derivative are evaluated at all the roots still
+    moving in one array pass of ``np.polyval``'s recurrence, which rounds
+    each element as its 0-d evaluation does.  Each root divides as a numpy
+    scalar and stops on its own at a zero derivative, a non-finite step or a
+    step below rounding.
+    """
+    dnum = np.polyder(num)
+    xs = np.roots(num).astype(complex)
+    moving = list(range(xs.size))
+    for _ in range(5):
+        if not moving:
+            break
+        at = xs[moving]
+        fx, dfx = np.zeros_like(at), np.zeros_like(at)
+        for pv in num:
+            fx = fx * at + pv
+        for pv in dnum:
+            dfx = dfx * at + pv
+        still = []
+        for i, f_i, df_i in zip(moving, fx, dfx):
+            if df_i == 0:
+                continue
+            step = f_i / df_i  # divided as numpy scalars, whose rounding the roots keep
+            if not np.isfinite(abs(step)):
+                continue
+            x = xs[i] = xs[i] - step
+            if abs(step) >= 1e-15 * (1.0 + abs(x)):
+                still.append(i)
+        moving = still
+    return xs.tolist()
+
+
 def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
     """Zeros of a structured rational function built from the plant.
 
     target "gprime_minus_hg": zeros of G'(s)/G(s) - h (branch-point candidates).
     target "one_plus_g": zeros of 1 + G(s) (delay-locus starting points).
     """
-    num_z = poly_from_roots(plant.zeros)  # monic numerator/gain excluded
-    den_p = poly_from_roots(plant.poles)
     if target == "one_plus_g":
-        num = np.polyadd(den_p, plant.gain * num_z)
+        num = np.polyadd(poly_from_roots(plant.poles), plant.gain * poly_from_roots(plant.zeros))
     elif target == "gprime_minus_hg":
+        # monic numerator and denominator, the gain excluded
+        num_z, loo_z = _product_and_leave_one_out(_linear_factors(plant.zeros), complex)
+        den_p, loo_p = _product_and_leave_one_out(_linear_factors(plant.poles), complex)
         acc = np.array([0.0 + 0.0j])
-        for r in range(len(plant.zeros)):
-            loo = poly_from_roots([z for i, z in enumerate(plant.zeros) if i != r])
+        for loo in loo_z:
             acc = np.polyadd(acc, np.convolve(loo, den_p))
-        for i in range(len(plant.poles)):
-            loo = poly_from_roots([p for j, p in enumerate(plant.poles) if j != i])
+        for loo in loo_p:
             acc = np.polysub(acc, np.convolve(loo, num_z))
         num = np.polysub(acc, h * np.convolve(num_z, den_p))
     else:
@@ -280,6 +332,4 @@ def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
     num = np.trim_zeros(num, "f")
     if num.size <= 1:
         return []
-    f, df = partial(np.polyval, num), partial(np.polyval, np.polyder(num))
-    roots = [complex(_newton_polish(f, df, complex(r))) for r in np.roots(num)]
-    return sorted(roots, key=lambda c: (c.real, c.imag))
+    return sorted(_polished_roots(num), key=lambda c: (c.real, c.imag))

@@ -439,6 +439,28 @@ def test_real_axis_clip_passes_brent_the_end_values_it_holds(monkeypatch):
     assert clips >= 3
 
 
+def test_real_axis_peak_search_passes_brent_the_end_values_it_holds(monkeypatch):
+    # the search for a lam maximum inside a real-axis piece has d(log lam)/dx
+    # at both ends of the piece when it calls Brent, and passes exactly those
+    brent = continuation.bracketed_root
+    peaks = 0
+
+    def checked(f, lo, hi, f_lo=None, f_hi=None):
+        nonlocal peaks
+        if f.__name__ == "dlog_lam":
+            assert f_lo > 0.0 > f_hi
+            for x, fx in ((lo, f_lo), (hi, f_hi)):
+                assert float(fx).hex() == float(f(x)).hex()
+            peaks += 1
+        return brent(f, lo, hi, f_lo, f_hi)
+
+    monkeypatch.setattr(continuation, "bracketed_root", checked)
+    split = LocusProblem(LocusKind.GAIN, -4.0, 0.1, Plant((), (-1.0, -3.0), 1.0, 1.0))
+    for problem in _axis_problems() + [split]:
+        compute_root_locus(problem)
+    assert peaks >= 1
+
+
 def _uniform_samples(lam_and_log, x_from, x_to):
     # the former fixed rule: 400 evenly spaced samples, ends included
     return [(x, lam_and_log(x)[0]) for x in np.linspace(x_from, x_to, 400).tolist()]

@@ -210,19 +210,16 @@ def test_real_double_pole_start_leaves_along_its_complex_rays():
     assert lo == 0.0 and hi == pytest.approx(2.707052975550922, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the real branch point between the two poles has lam 9.2e-16 and a "
-    "multiplicity of 6; real_axis_segments skips the piece between the poles, "
-    "shorter than 4 * eps, so no segment ends there, its complex rays are never "
-    "spawned and the run reports [(0, 5)] with no warning",
-)
 def test_near_coincident_real_poles_keep_their_complex_branches():
     # G = e^{-s}/((s+1)(s+1.0000001)) is within 1e-7 of the double pole above,
     # whose locus is unstable from lam = 2.707052975550922 on; a run either
-    # agrees with that limit or warns
+    # agrees with that limit or warns.  The real branch point between the
+    # poles (lam 9.2e-16, multiplicity 6) ends no real-axis segment, since the
+    # piece between the poles is shorter than 4 * eps, so its complex rays are
+    # never spawned and the run warns
     plant = Plant(zeros=(), poles=(-1.0, -1.0000001), gain=1.0, delay=1.0)
     result = compute_root_locus(LocusProblem(LocusKind.GAIN, -2.0, 5.0, plant))
+    assert any("up rays were never traced" in w for w in result.warnings)
     if not result.warnings:
         ((lo, hi),) = result.stability_intervals
         assert lo == 0.0 and hi == pytest.approx(2.707052975550922, abs=1e-5)

@@ -244,3 +244,247 @@ def test_rational_zeros_constant_plant():
 def test_rational_zeros_unknown_target():
     with pytest.raises(ValueError):
         rational_zeros(first_order_plant(), "nonsense")
+
+
+# --- bit-exact oracles: the polish and the products in their direct numpy forms
+
+def _oracle_newton_polish(f, df, x, steps=5):
+    # Newton polish on numpy scalars or 0-d arrays, one root at a time
+    for _ in range(steps):
+        dfx = df(x)
+        if dfx == 0:
+            break
+        step = f(x) / dfx
+        if not np.isfinite(abs(step)):
+            break
+        x -= step
+        if abs(step) < 1e-15 * (1.0 + abs(x)):
+            break
+    return x
+
+
+def _oracle_real_polish(c, x):
+    # the real polish through np.polynomial.polynomial.polyval of c and of polyder(c)
+    dc = np.polynomial.polynomial.polyder(c)
+    polyval = np.polynomial.polynomial.polyval
+    return _oracle_newton_polish(lambda x: polyval(x, c), lambda x: polyval(x, dc), x)
+
+
+def _oracle_complex_polish(num):
+    # the complex polish of the np.roots roots, one 0-d np.polyval per root
+    dnum = np.polyder(num)
+    return [
+        complex(_oracle_newton_polish(lambda x: np.polyval(num, x), lambda x: np.polyval(dnum, x), complex(r)))
+        for r in np.roots(num)
+    ]
+
+
+def _oracle_product_and_leave_one_out(factors, one):
+    # each leave-one-out product convolved from the unit on its own
+    total = one
+    for f in factors:
+        total = np.convolve(total, f)
+    loo = []
+    for i in range(len(factors)):
+        acc = one
+        for j, f in enumerate(factors):
+            if j != i:
+                acc = np.convolve(acc, f)
+        loo.append(acc)
+    return total, loo
+
+
+def _hex(values):
+    out = []
+    for v in np.asarray(values).ravel().tolist():
+        v = complex(v)
+        out.append((v.real.hex(), v.imag.hex()))
+    return out
+
+
+def _seeded_real_polys(rng, count):
+    """Ascending real polynomials of degree 1-24: random coefficients over
+    many scales, and products of real roots."""
+    out = []
+    for _ in range(count):
+        deg = int(rng.integers(1, 25))
+        if rng.random() < 0.5:
+            c = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-8.0, 8.0, deg + 1)
+        else:
+            roots = list(rng.uniform(-5.0, 5.0, deg))
+            c = np.polynomial.polynomial.polyfromroots(roots) * rng.uniform(0.1, 10.0)
+        out.append(c)
+    return out
+
+
+def _reference_polys(monkeypatch):
+    """The polynomials the critical-point search of the reference problems
+    and of stream plants 28 and 31 hands to ``real_nonneg_roots`` (ascending,
+    real) and to ``_polished_roots`` (descending, complex)."""
+    from conftest import example1_problem, example2_problem, turning_point_problem
+    from test_acceptance import stream_problem
+
+    from rootlocus import critical
+    from rootlocus.plant import LocusKind
+
+    real, complex_ = [], []
+    real_roots, polished = rootfind.real_nonneg_roots, rootfind._polished_roots
+
+    def keep_real(c):
+        real.append(np.array(c, dtype=float))
+        return real_roots(c)
+
+    def keep_complex(num):
+        complex_.append(num.copy())
+        return polished(num)
+
+    monkeypatch.setattr(rootfind, "real_nonneg_roots", keep_real)
+    monkeypatch.setattr(rootfind, "_polished_roots", keep_complex)
+    problems = [example1_problem(), example2_problem(), example3_problem(),
+                turning_point_problem(), stream_problem(28), stream_problem(31)]
+    for problem in problems:
+        critical.starting_points(problem)
+        critical.boundary_crossings(problem)
+        if problem.kind is LocusKind.GAIN:
+            critical.branch_points_gain(problem)
+    monkeypatch.undo()
+    assert len(real) >= 10 and len(complex_) >= 5
+    return real, complex_
+
+
+def test_horner_matches_polyval_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for c in _seeded_real_polys(rng, 400):
+        cs = c.tolist()
+        xs = list(rng.uniform(-6.0, 6.0, 20)) + [0.0, -0.0, 1e300, -1e-300]
+        for x in xs:
+            with np.errstate(all="ignore"):
+                want = np.polynomial.polynomial.polyval(x, c)
+                assert rootfind._horner(cs, x).hex() == float(want).hex(), (cs, x)
+            checked += 1
+    assert checked == 400 * 24
+
+
+def test_real_nonneg_roots_keep_the_polyval_polish_bits(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    real, _ = _reference_polys(monkeypatch)
+    polished = 0
+    for c in _seeded_real_polys(rng, 800) + real:
+        got = real_nonneg_roots(c)
+        # the oracle: the same trim and companion roots, the numpy polish
+        top = np.max(np.abs(c), initial=0.0)
+        keep = c.size
+        while keep > 1 and abs(c[keep - 1]) < rootfind._TRIM_REL * top:
+            keep -= 1
+        cc = c[:keep]
+        want = []
+        if top != 0.0 and keep > 1:
+            for r in np.polynomial.polynomial.polyroots(cc):
+                if abs(r.imag) >= rootfind._REAL_IM_TOL * (1.0 + abs(r.real)):
+                    continue
+                with np.errstate(all="ignore"):
+                    x = _oracle_real_polish(cc, float(r.real))
+                polished += 1
+                if x >= -rootfind._DEDUP_TOL:
+                    want.append(float(x) if x > 0.0 else 0.0)
+        want.sort()
+        dedup = []
+        for x in want:
+            if not dedup or x - dedup[-1] > rootfind._DEDUP_TOL:
+                dedup.append(x)
+        assert [x.hex() for x in got] == [x.hex() for x in dedup]
+        assert all(type(x) is float for x in got)
+    assert polished > 3000
+
+
+def _seeded_complex_polys(rng, count):
+    """Descending complex polynomials of degree 1-20 as ``rational_zeros``
+    hands them over: scaled to a largest coefficient of 1, roots clustered,
+    repeated, on the axes and at zero."""
+    out = []
+    for _ in range(count):
+        deg = int(rng.integers(1, 21))
+        kind = rng.integers(4)
+        if kind == 0:
+            roots = rng.uniform(-5.0, 5.0, deg) + 1j * rng.uniform(-5.0, 5.0, deg)
+        elif kind == 1:
+            half = rng.uniform(-3.0, 1.0, deg) + 1j * rng.uniform(0.0, 6.0, deg)
+            roots = np.concatenate([half, half.conj()])[:deg]
+        elif kind == 2:
+            roots = np.repeat(rng.uniform(-2.0, 2.0, (deg + 1) // 2), 2)[:deg] + 0j
+        else:
+            roots = np.concatenate([np.zeros(int(rng.integers(1, 3))), rng.uniform(-4.0, 0.0, deg)])
+        num = np.poly(roots).astype(complex) * rng.uniform(0.2, 5.0)
+        out.append(num / np.max(np.abs(num)))
+    return out
+
+
+def test_polished_roots_keep_the_0d_polyval_bits(monkeypatch):
+    # numpy's complex multiply rounds differently from Python's complex one;
+    # the array recurrence must round each element as the 0-d np.polyval did
+    rng = np.random.default_rng(20261021)
+    _, reference = _reference_polys(monkeypatch)
+    for num in _seeded_complex_polys(rng, 600) + reference:
+        with np.errstate(all="ignore"):
+            got = rootfind._polished_roots(num)
+            want = _oracle_complex_polish(num)
+        assert _hex(got) == _hex(want)
+        assert all(type(x) is complex for x in got)
+
+
+def _plant_factors(rng):
+    values = list(rng.uniform(-4.0, 0.5, int(rng.integers(0, 4))) + 0j)
+    for _ in range(int(rng.integers(0, 4))):
+        v = complex(rng.uniform(-4.0, 1.0), rng.uniform(0.1, 6.0))
+        values += [v, v.conjugate()]
+    rng.shuffle(values)
+    return values
+
+
+def test_leave_one_out_products_keep_the_chain_bits():
+    from conftest import example1_problem, example2_problem, turning_point_problem
+    from test_acceptance import stream_problem
+
+    rng = np.random.default_rng(20261022)
+    sets = [_plant_factors(rng) for _ in range(300)]
+    for problem in (example1_problem(), example2_problem(), example3_problem(),
+                    turning_point_problem(), stream_problem(28)):
+        sets += [list(problem.plant.zeros), list(problem.plant.poles)]
+    for values in sets:
+        sigma0 = float(rng.uniform(-4.0, -0.1))
+        gamma = rootfind._gamma_quadratics(values, sigma0, rootfind._common_scale(values, sigma0))
+        linear = rootfind._linear_factors(values)
+        for factors, dtype in ((gamma, float), (linear, complex)):
+            total, loo = rootfind._product_and_leave_one_out(factors, dtype)
+            want_total, want_loo = _oracle_product_and_leave_one_out(factors, np.ones(1, dtype))
+            assert total.dtype == want_total.dtype
+            assert _hex(total) == _hex(want_total)
+            assert [_hex(p) for p in loo] == [_hex(p) for p in want_loo]
+        # the total of the linear factors is the polynomial poly_from_roots forms
+        assert _hex(rootfind._product_and_leave_one_out(linear, complex)[0]) == _hex(
+            rootfind.poly_from_roots(values))
+
+
+def test_one_gamma_product_build_per_solve(monkeypatch):
+    # a gain solve hands one build of the gamma products to the magnitude
+    # and the phase extrema; a delay solve needs only the magnitude ones
+    from conftest import example1_problem
+
+    from rootlocus import critical
+    from rootlocus.engine import compute_root_locus
+
+    builds = 0
+    build = rootfind.boundary_products
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    monkeypatch.setattr(rootfind, "boundary_products", counted)
+    monkeypatch.setattr(critical, "boundary_products", counted)
+    for problem in (example3_problem(lambda_max=1.0), example1_problem()):
+        builds = 0
+        compute_root_locus(problem)
+        assert builds == 1

@@ -8,12 +8,14 @@ It checks out ``--base`` in a temporary ``git worktree`` and runs
 ``perfbench/run.py --workload W --seed S --seconds S`` there and in this
 checkout as it stands (uncommitted edits included), one run of each per pair.
 The pairs alternate which side runs first, so a drift of the machine's speed
-falls on both sides alike.  For every end-to-end metric of BENCHMARK.json it
-prints the median and quartiles of each side, the change of the medians, the
-pairs in which the change did better, and whether the medians differ by more
-than the spread between the base's quartiles.  Runs whose operations failed
-are counted and named.  The worktree is removed on exit, also after an error
-or an interrupt.
+falls on both sides alike.  ``--workload all`` runs every workload in each
+pair, one after the other, and prints one report block per workload, so that
+"no metric worse on any workload" is one command.  For every end-to-end
+metric of BENCHMARK.json a block gives the median and quartiles of each
+side, the change of the medians, the pairs in which the change did better,
+and whether the medians differ by more than the spread between the base's
+quartiles.  Runs whose operations failed are counted and named.  The
+worktree is removed on exit, also after an error or an interrupt.
 """
 
 from __future__ import annotations
@@ -81,16 +83,32 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
+def run_pairs(sides: dict[str, str], workloads, pairs: int, seed: int,
+              seconds: float) -> dict[str, dict[str, list[dict]]]:
+    """Run summaries by workload and side ("base", "change", each a checkout
+    directory in ``sides``): in every pair, each workload once per side, the
+    side that runs first alternating from pair to pair."""
+    runs = {w: {"base": [], "change": []} for w in workloads}
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for workload in workloads:
+            for side in order:
+                runs[workload][side].append(_run(sides[side], workload, seed, seconds))
+        print(f"pair {pair + 1}/{pairs} done", file=sys.stderr, flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0.0:
         parser.error("--pairs must be at least 1 and --seconds positive")
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = json.load(fh)["end_to_end"]
     commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
@@ -100,22 +118,22 @@ def main(argv=None) -> int:
     worktree = os.path.join(tmp, "base")
     try:
         _git("worktree", "add", "--detach", worktree, commit)
-        sides = {"base": worktree, "change": ROOT}
-        runs: dict[str, list[dict]] = {"base": [], "change": []}
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(_run(sides[side], args.workload, args.seed, args.seconds))
-            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+        runs = run_pairs({"base": worktree, "change": ROOT}, workloads, args.pairs,
+                         args.seed, args.seconds)
     finally:
         if os.path.isdir(worktree):
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree],
                            capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
-    print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run, "
-          f"{args.pairs} pairs; base {commit[:12]} ({args.base}), change: this checkout")
-    print("\n".join(report(specs, runs)))
+    blocks = []
+    for workload in workloads:
+        blocks.append("\n".join([
+            f"workload {workload}, seed {args.seed}, {args.seconds:g} s per run, "
+            f"{args.pairs} pairs; base {commit[:12]} ({args.base}), change: this checkout",
+            *report(specs, runs[workload]),
+        ]))
+    print("\n\n".join(blocks))
     return 0
 
 
