@@ -3,7 +3,7 @@
 A trajectory is followed in the combined (Re s, Im s, lam) space: secant
 prediction, Newton correction on the log magnitude/phase pair plus a
 linearized arclength constraint, and adaptive step control driven by the
-Newton contraction rate and the distance to the locus.
+Newton contraction rate.
 
 The corrector, the clip solve and the tracer's per-step arithmetic run on
 plain floats.  numpy keeps only the calls whose rounding sets the bits of
@@ -43,7 +43,8 @@ _AXIS_ORIGINS = (CriticalKind.START, CriticalKind.CROSSING_IN, CriticalKind.BRAN
 
 # step control and corrector settings
 _KAPPA_NOMINAL = 0.5  # Newton contraction rate the step length aims at
-_DELTA_NOMINAL = 1e-3  # distance to the locus the step length aims at
+# a step whose chord midpoint has a larger Cartesian residual skipped structure
+_MIDPOINT_RESIDUAL_MAX = 0.1
 _CORRECTOR_TOL = 1e-5
 _MAX_NEWTON_ITERS = 25
 _H_MIN = 1e-9
@@ -212,11 +213,10 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
 
 
-def step_update(kappa: float, delta: float, h_curr: float) -> tuple[float, bool]:
-    """Adaptive step length from contraction rate and distance to the locus."""
-    kappa_df = math.sqrt(max(kappa, 0.0) / _KAPPA_NOMINAL)
-    delta_df = math.sqrt(max(delta, 0.0) / _DELTA_NOMINAL)
-    raw = max(kappa_df, delta_df)
+def step_update(kappa: float, h_curr: float) -> tuple[float, bool]:
+    """Adaptive step length from the Newton contraction rate: the next step
+    and whether this one is to be repeated, at kappa of 4x the nominal and up."""
+    raw = math.sqrt(max(kappa, 0.0) / _KAPPA_NOMINAL)
     h_df = max(min(raw, 2.0), 0.5)
     h_next = min(max(h_curr / h_df, _H_MIN), _H_MAX)
     return h_next, raw >= 2.0
@@ -387,13 +387,13 @@ def trace_trajectory(
                     try:
                         refused = problem.cartesian_residual(
                             last.sigma + 0.5 * c0, last.omega + 0.5 * c1, last.lam + 0.5 * c2
-                        ) > 100.0 * _DELTA_NOMINAL
+                        ) > _MIDPOINT_RESIDUAL_MAX
                     except PoleZeroProximityError:
                         refused = True
                 if refused:
                     h = max(h / 2.0, _H_MIN)
                     continue
-            h_next, repeat = step_update(kappa, pt.residual, h)
+            h_next, repeat = step_update(kappa, h)
             repeat = repeat and h > _H_MIN * 1.01
             h = h_next
             if not repeat:

@@ -164,18 +164,20 @@ def test_stall_note_names_point_step_and_cause(monkeypatch):
 
 
 def test_step_update_rules():
-    # nominal point: no change, no repeat
-    h, repeat = step_update(continuation._KAPPA_NOMINAL, continuation._DELTA_NOMINAL, 0.1)
+    # nominal contraction: no change, no repeat
+    h, repeat = step_update(continuation._KAPPA_NOMINAL, 0.1)
     assert h == pytest.approx(0.1) and not repeat
-    # slow Newton: kappa_df = 2 forces a halved repeat
-    h, repeat = step_update(4 * continuation._KAPPA_NOMINAL, 0.0, 0.1)
+    # slow Newton: the factor 2 forces a halved repeat
+    h, repeat = step_update(4 * continuation._KAPPA_NOMINAL, 0.1)
     assert h == pytest.approx(0.05) and repeat
-    # fast convergence: both factors clamp at 1/2, step doubles
-    h, repeat = step_update(1e-12, 1e-12, 0.1)
+    # fast convergence: the factor clamps at 1/2, step doubles
+    h, repeat = step_update(1e-12, 0.1)
     assert h == pytest.approx(0.2) and not repeat
-    # clamped at h_max
-    h, _ = step_update(1e-12, 1e-12, 0.9)
+    # clamped at h_max and h_min
+    h, _ = step_update(1e-12, 0.9)
     assert h == continuation._H_MAX
+    h, repeat = step_update(1e6, 1e-9)
+    assert h == continuation._H_MIN and repeat
 
 
 def test_solve_branch_point_two_pole_plant():
