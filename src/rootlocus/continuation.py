@@ -46,6 +46,7 @@ _KAPPA_NOMINAL = 0.5  # Newton contraction rate the step length aims at
 # a step whose chord midpoint has a larger Cartesian residual skipped structure
 _MIDPOINT_RESIDUAL_MAX = 0.1
 _CORRECTOR_TOL = 1e-5
+_RESIDUAL_MAX = 1e-4  # the Cartesian residual a corrected point may keep
 _MAX_NEWTON_ITERS = 25
 _H_MIN = 1e-9
 _H_MAX = 1.0
@@ -158,7 +159,10 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
 
     Solves M = 0, P = 0 and the arclength plane constraint; returns the
     accepted point (its ``step_used`` 0.0) together with the contraction rate
-    of the first two Newton updates.  The iterate is plain floats; each 3x3
+    of the first two Newton updates.  A point is accepted once an update is
+    below ``_CORRECTOR_TOL`` and its Cartesian residual is at most
+    ``_RESIDUAL_MAX``: near lam = 0 an update that small can leave a point
+    far off the locus.  The iterate is plain floats; each 3x3
     system goes to ``dgesv``, whose zero-pivot flag (an invalid operation)
     raises JacobianSingularError, and the arclength row and the update norm
     are ``ddot`` products.  An iterate at lam <= 0 on a gain locus, or on a
@@ -206,8 +210,9 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
                     raise NoConvergenceError("corrector converged outside lam > 0")
                 if not gain and lam < 0.0:
                     lam = 0.0
-                kappa = second / first if it >= 1 else 0.0
-                return _located_point(problem, (sigma, omega, lam), 0.0), kappa
+                pt = _located_point(problem, (sigma, omega, lam), 0.0)
+                if pt.residual <= _RESIDUAL_MAX:
+                    return pt, second / first if it >= 1 else 0.0
             if it >= 2 and norm > 10.0 * first:
                 raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")

@@ -21,7 +21,6 @@ from .plant import (
     phi_prime,
 )
 from .rootfind import (
-    boundary_products,
     bracketed_root,
     magnitude_extremum_freqs,
     phase_extremum_freqs,
@@ -208,7 +207,7 @@ def _cap(problem: LocusProblem, extrema: list[float], beyond) -> float:
 
 
 def _admissible_intervals(
-    problem: LocusProblem, value, bounds: list[tuple[float, bool]], beyond, products=None
+    problem: LocusProblem, value, bounds: list[tuple[float, bool]], beyond
 ) -> list[tuple[float, float]]:
     """Maximal boundary-frequency intervals where ``value(plant, sigma0, w)``
     satisfies every ``(bound, keep_below)`` pair: at most ``bound`` when
@@ -217,12 +216,10 @@ def _admissible_intervals(
     ``value`` is monotone between the magnitude extrema, so each piece
     between consecutive extrema is clipped against each bound by one
     bracketed root; ``beyond`` places the cap of the scan (see ``_cap``).
-    ``products`` are the plant's ``boundary_products`` on Re s = sigma0, if
-    the caller has them.
     """
     plant = problem.plant
     s0 = problem.sigma0
-    extrema = magnitude_extremum_freqs(plant, s0, products)
+    extrema = magnitude_extremum_freqs(plant, s0)
     cap = _cap(problem, extrema, beyond)
     knots = [0.0] + [w for w in extrema if 1e-12 < w < cap] + [cap]
     pieces: list[tuple[float, float]] = []
@@ -251,9 +248,8 @@ def _admissible_intervals(
     return _merge_touching(pieces)
 
 
-def magnitude_intervals(problem: LocusProblem, products=None) -> list[tuple[float, float]]:
-    """Maximal boundary-frequency intervals where exp(big_lambda) <= lambda_max;
-    ``products`` as for ``_admissible_intervals``."""
+def magnitude_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
+    """Maximal boundary-frequency intervals where exp(big_lambda) <= lambda_max."""
     assert problem.kind is LocusKind.GAIN
     plant = problem.plant
     ln_max = math.log(problem.lambda_max)
@@ -266,7 +262,7 @@ def magnitude_intervals(problem: LocusProblem, products=None) -> list[tuple[floa
     def beyond(w):
         return big_lambda(plant, problem.sigma0, w) > target
 
-    return _admissible_intervals(problem, big_lambda, [(ln_max, True)], beyond, products)
+    return _admissible_intervals(problem, big_lambda, [(ln_max, True)], beyond)
 
 
 def _delay_lam(plant: Plant, s0: float, w):
@@ -350,11 +346,9 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
     s0 = problem.sigma0
     lmax = problem.lambda_max
     if problem.kind is LocusKind.GAIN:
-        # the magnitude and the phase extrema share one build of the products
-        products = boundary_products(plant, s0)
-        intervals = magnitude_intervals(problem, products)
+        intervals = magnitude_intervals(problem)
         phase = _phase_fn(plant, s0, plant.delay)
-        splits = phase_extremum_freqs(plant, s0, plant.delay, products)
+        splits = phase_extremum_freqs(plant, s0, plant.delay)
 
         def turns(lo, hi):
             return [w for w in splits if lo < w < hi]

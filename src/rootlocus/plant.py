@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import PoleZeroProximityError, ValidationError
 
-#: reject plants beyond this pole+zero count; the boundary polynomials have
-#: roughly twice that degree and companion conditioning degrades beyond it.
+#: reject plants beyond this pole+zero count: the delay starts and branch
+#: candidates come from expanded polynomials of up to that degree, whose
+#: companion-matrix roots degrade as it grows (``rootfind.rational_zeros``).
 MAX_POLE_ZERO_COUNT = 60
 
 _TWO_PI = 2.0 * math.pi

@@ -1,11 +1,11 @@
-"""Scalar and polynomial root-finding utilities.
+"""Scalar, pole-sum and polynomial root-finding utilities.
 
-Polynomials are stored as ascending-degree real coefficient arrays.  The
-boundary-extremum polynomials are assembled by explicit convolution with
-rescaling after each product, then solved through companion-matrix
-eigenvalues with a short Newton polish.  Scalar roots on a sign-changing
-bracket come from Brent's method (Brent, *Algorithms for Minimization
-Without Derivatives*, 1973), as Charles Harris's C ``brentq`` runs it.
+The boundary extrema are the zeros of a constant plus simple poles in
+omega^2: the eigenvalues of a diagonal plus a rank-one matrix.  The zeros of
+1 + G and of G'/G - h are companion-matrix eigenvalues of the expanded
+numerator, Newton-polished.  Brent's method (Brent, *Algorithms for
+Minimization Without Derivatives*, 1973) finds a root on a sign-changing
+bracket, as Charles Harris's C ``brentq`` runs it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import numpy as np
 from .errors import BracketError, DegenerateError, NoConvergenceError
 from .plant import Plant
 
-_TRIM_REL = 1e-14
 _REAL_IM_TOL = 1e-7
-_DEDUP_TOL = 1e-8
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 200
@@ -97,162 +95,63 @@ def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
     )
 
 
-def _horner(c: list[float], x: float) -> float:
-    """The ascending polynomial c at x, step for step as
-    ``np.polynomial.polynomial.polyval`` rounds it, on plain floats."""
-    y = c[-1] + x * 0
-    for ck in reversed(c[:-1]):
-        y = ck + y * x
-    return y
+def _pole_sum_zeros(const: complex, nodes: np.ndarray, residues: np.ndarray) -> list[float]:
+    """The w > 0, ascending, whose square is a real zero of
+    const + sum_k residues[k]/(y - nodes[k]), const != 0: an eigenvalue of
+    diag(nodes) - (residues/const) 1^T, a diagonal plus a rank-one matrix
+    (Golub, *SIAM Rev.* 15, 1973), with a small imaginary part.  A failed
+    eigenvalue solve raises ``NoConvergenceError``."""
+    a = np.diag(nodes) - (residues / const)[:, None]
+    try:
+        ys = np.linalg.eigvals(a).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"boundary extrema: eigenvalue solve failed: {exc}") from exc
+    return sorted(math.sqrt(y.real) for y in ys
+                  if y.real > 0.0 and abs(y.imag) < _REAL_IM_TOL * (1.0 + y.real))
 
 
-def real_nonneg_roots(coefficients) -> list[float]:
-    """All real roots >= 0 of the real polynomial with these ascending
-    coefficients, ascending and deduplicated; [] for a constant or zero one.
+def _boundary_nodes(plant: Plant, sigma0: float) -> tuple[np.ndarray, np.ndarray]:
+    """c_v = Im v + j(sigma0 - Re v) of the poles v, then the zeros, and the
+    signs s_v, +1 at a pole.  With d = sigma0 - Re v, the terms
+    (w - Im v)/|s - v|^2 of Lambda' and d/|s - v|^2 of phi' on s = sigma0 + jw
+    are (1/(w - c) + 1/(w - conj c))/2 and (1/(w - c) - 1/(w - conj c))/(2j),
+    and conjugate symmetry pairs conj(c_v) with -c_(conj v), so over all v
+    Lambda' = w sum s_v/(w^2 - c_v^2) and phi' = -h + j sum s_v c_v/(w^2 - c_v^2)."""
+    v = np.array(plant.poles + plant.zeros, dtype=complex)
+    sign = np.concatenate([np.ones(len(plant.poles)), -np.ones(len(plant.zeros))])
+    return v.imag + 1j * (sigma0 - v.real), sign
 
-    Trailing coefficients below ``_TRIM_REL`` times the largest are dropped;
-    then companion eigenvalues with small imaginary part are kept and each
-    is polished with at most five Newton steps, which stop at a zero
-    derivative, a non-finite step or a step below rounding.
+
+def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
+    """Positive zeros of ``big_lambda_prime``, ascending.
+
+    Lambda'/w = sum_k s_k/(y - y_k), y = w^2, y_k = c_k^2, has no constant and
+    a J-fold zero at y = inf: J = 1 when n != m (sum s = n - m), J = 2 for a
+    biproper plant (sum s = 0).  Each of J steps divides one out exactly:
+    (y - y_N) times the sum is sum s + sum_{k<N} s_k (y_k - y_N)/(y - y_k),
+    with sum s = 0 but on the last step.  Equal nodes are merged first, so a
+    pole and a zero mirrored in Re s = sigma0, whose terms cancel, leave none.
     """
-    c = np.asarray(coefficients, dtype=float)
-    top = np.max(np.abs(c), initial=0.0)
-    keep = c.size
-    while keep > 1 and abs(c[keep - 1]) < _TRIM_REL * top:
-        keep -= 1
-    c = c[:keep]
-    if top == 0.0 or keep <= 1:
-        return []
-    raw = np.polynomial.polynomial.polyroots(c).tolist()
-    cs = c.tolist()
-    dc = [k * ck for k, ck in enumerate(cs) if k]  # as polyder forms it
-    out: list[float] = []
-    for r in raw:
-        if abs(r.imag) >= _REAL_IM_TOL * (1.0 + abs(r.real)):
-            continue
-        x = r.real
-        for _ in range(5):
-            dfx = _horner(dc, x)
-            if dfx == 0:
-                break
-            step = _horner(cs, x) / dfx
-            if not math.isfinite(step):
-                break
-            x -= step
-            if abs(step) < 1e-15 * (1.0 + abs(x)):
-                break
-        if x < -_DEDUP_TOL:
-            continue
-        out.append(x if x > 0.0 else 0.0)
-    out.sort()
-    dedup: list[float] = []
-    for x in out:
-        if not dedup or x - dedup[-1] > _DEDUP_TOL:
-            dedup.append(x)
-    return dedup
+    c, sign = _boundary_nodes(plant, sigma0)
+    merged: dict[complex, float] = {}
+    for y, s in zip((c * c).tolist(), sign.tolist()):
+        merged[y] = merged.get(y, 0.0) + s
+    nodes = np.array([y for y, s in merged.items() if s], dtype=complex)
+    residues = np.array([s for s in merged.values() if s], dtype=complex)
+    if nodes.size == 0:
+        return []  # Lambda' = 0: |G| is constant on the boundary
+    for _ in range(2 if plant.biproper else 1):
+        const = residues.sum()
+        residues = residues[:-1] * (nodes[:-1] - nodes[-1])
+        nodes = nodes[:-1]
+    return _pole_sum_zeros(const, nodes, residues)
 
 
-def _gamma_quadratics(values, sigma0: float, scale: float = 1.0) -> list[np.ndarray]:
-    """gamma(w) = ((sigma0 - re)^2 + (w - im)^2) / scale as ascending quadratics."""
-    out = []
-    for v in values:
-        ds = sigma0 - v.real
-        out.append(np.array([ds * ds + v.imag * v.imag, -2.0 * v.imag, 1.0]) / scale)
-    return out
-
-
-def _common_scale(values, sigma0: float) -> float:
-    """Geometric-mean magnitude of the gamma quadratics, keeping products of a
-    fixed factor count uniformly scaled so they can be added exactly."""
-    tops = [
-        max((sigma0 - v.real) ** 2 + v.imag * v.imag, 1.0) for v in values
-    ]
-    if not tops:
-        return 1.0
-    return float(np.exp(np.mean(np.log(tops))))
-
-
-def _product_and_leave_one_out(factors: list[np.ndarray], dtype=float):
-    """The product of ``factors`` and, for each i, the product of all but
-    factors[i], as np.convolve chains from a unit of ``dtype``.
-
-    Every chain multiplies the factors in their order, so the ith
-    leave-one-out product is the prefix before i convolved with the factors
-    after i: the same convolutions in the same order as a chain of its own,
-    with the n prefixes shared by all of them.
-    """
-    prefixes = [np.ones(1, dtype)]
-    for f in factors:
-        prefixes.append(np.convolve(prefixes[-1], f))
-    loo = []
-    for i, acc in enumerate(prefixes[:-1]):
-        for f in factors[i + 1:]:
-            acc = np.convolve(acc, f)
-        loo.append(acc)
-    return prefixes[-1], loo
-
-
-def boundary_products(plant: Plant, sigma0: float):
-    """Common scale, then the gamma products and their leave-one-out products
-    over the zeros and over the poles: (scale, big_z, loo_z, big_p, loo_p).
-    ``magnitude_extremum_freqs`` and ``phase_extremum_freqs`` take them
-    built once for both."""
-    scale = _common_scale(plant.zeros + plant.poles, sigma0)
-    big_z, loo_z = _product_and_leave_one_out(_gamma_quadratics(plant.zeros, sigma0, scale))
-    big_p, loo_p = _product_and_leave_one_out(_gamma_quadratics(plant.poles, sigma0, scale))
-    return scale, big_z, loo_z, big_p, loo_p
-
-
-def _poly_add(*terms: np.ndarray) -> np.ndarray:
-    size = max(t.size for t in terms)
-    acc = np.zeros(size)
-    for t in terms:
-        acc[: t.size] += t
-    return acc
-
-
-def magnitude_extremum_freqs(plant: Plant, sigma0: float, products=None) -> list[float]:
-    """Non-negative zeros of the boundary log-magnitude derivative.
-
-    Assembles the numerator polynomial of big_lambda_prime in omega and
-    returns its non-negative real roots.  ``products`` are those of
-    ``boundary_products(plant, sigma0)``, built here when not given.
-    """
-    _, big_z, loo_z, big_p, loo_p = products or boundary_products(plant, sigma0)
-
-    pole_sum = np.array([0.0])
-    for p, loo in zip(plant.poles, loo_p):
-        term = np.convolve(np.array([-p.imag, 1.0]), loo)
-        pole_sum = _poly_add(pole_sum, term)
-    zero_sum = np.array([0.0])
-    for z, loo in zip(plant.zeros, loo_z):
-        term = np.convolve(np.array([-z.imag, 1.0]), loo)
-        zero_sum = _poly_add(zero_sum, term)
-
-    poly = _poly_add(np.convolve(big_z, pole_sum), -np.convolve(big_p, zero_sum))
-    return real_nonneg_roots(poly)
-
-
-def phase_extremum_freqs(plant: Plant, sigma0: float, h: float, products=None) -> list[float]:
-    """Non-negative zeros of the boundary phase derivative phi'; ``products``
-    as for ``magnitude_extremum_freqs``."""
-    scale, big_z, loo_z, big_p, loo_p = products or boundary_products(plant, sigma0)
-
-    zero_sum = np.array([0.0])
-    for z, loo in zip(plant.zeros, loo_z):
-        zero_sum = _poly_add(zero_sum, (sigma0 - z.real) * loo)
-    pole_sum = np.array([0.0])
-    for p, loo in zip(plant.poles, loo_p):
-        pole_sum = _poly_add(pole_sum, (sigma0 - p.real) * loo)
-
-    # the h term carries one more gamma factor than the sums; multiplying by
-    # the common scale keeps every term at the same power of the scale
-    poly = _poly_add(
-        np.convolve(big_p, zero_sum),
-        -np.convolve(big_z, pole_sum),
-        -h * scale * np.convolve(big_z, big_p),
-    )
-    return real_nonneg_roots(poly)
+def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
+    """Positive zeros of ``phi_prime``, ascending: phi' = -h + sum of simple
+    poles in w^2 (see ``_boundary_nodes``), whose constant -h is nonzero."""
+    c, sign = _boundary_nodes(plant, sigma0)
+    return _pole_sum_zeros(-h, c * c, 1j * sign * c)
 
 
 def poly_from_roots(roots) -> np.ndarray:
@@ -261,6 +160,26 @@ def poly_from_roots(roots) -> np.ndarray:
     for r in roots:
         acc = np.convolve(acc, np.array([1.0, -r]))
     return acc
+
+
+def _product_and_leave_one_out(factors: list[np.ndarray]):
+    """The product of ``factors`` and, for each i, the product of all but
+    factors[i], as np.convolve chains from a complex unit.
+
+    Every chain multiplies the factors in their order, so the ith
+    leave-one-out product is the prefix before i convolved with the factors
+    after i: the same convolutions in the same order as a chain of its own,
+    with the n prefixes shared by all of them.
+    """
+    prefixes = [np.ones(1, complex)]
+    for f in factors:
+        prefixes.append(np.convolve(prefixes[-1], f))
+    loo = []
+    for i, acc in enumerate(prefixes[:-1]):
+        for f in factors[i + 1:]:
+            acc = np.convolve(acc, f)
+        loo.append(acc)
+    return prefixes[-1], loo
 
 
 def _linear_factors(roots) -> list[np.ndarray]:
@@ -314,8 +233,8 @@ def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
         num = np.polyadd(poly_from_roots(plant.poles), plant.gain * poly_from_roots(plant.zeros))
     elif target == "gprime_minus_hg":
         # monic numerator and denominator, the gain excluded
-        num_z, loo_z = _product_and_leave_one_out(_linear_factors(plant.zeros), complex)
-        den_p, loo_p = _product_and_leave_one_out(_linear_factors(plant.poles), complex)
+        num_z, loo_z = _product_and_leave_one_out(_linear_factors(plant.zeros))
+        den_p, loo_p = _product_and_leave_one_out(_linear_factors(plant.poles))
         acc = np.array([0.0 + 0.0j])
         for loo in loo_z:
             acc = np.polyadd(acc, np.convolve(loo, den_p))

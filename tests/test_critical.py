@@ -279,6 +279,40 @@ def test_boundary_crossings_residuals_and_order(example1_result, example3_result
         assert ups == pytest.approx(downs)
 
 
+def test_high_order_gain_plant_keeps_every_crossing():
+    # a seeded order-40 plant (28 poles, 12 zeros, sigma0 -0.352), pinned
+    # because an expanded-polynomial extremum search gets its magnitude
+    # extrema, and so its admissible intervals, wrong and finds none of its
+    # three upper-half crossings.  The oracle scans Im(G(s) e^{-hs}) on a fine
+    # grid of s = sigma0 + jw, keeps the sign changes where Re < 0 and
+    # lam = 1/|G e^{-hs}| <= lambda_max, and refines them
+    from test_rootfind import high_order_plant
+
+    plant, s0 = high_order_plant(np.random.default_rng(19))
+    assert (len(plant.poles), len(plant.zeros), round(s0, 3)) == (28, 12, -0.352)
+    problem = _gain_problem(plant, s0, 2.0)
+
+    def loop(w):
+        s = s0 + 1j * np.asarray(w)
+        g = plant.gain * np.exp(-plant.delay * s)
+        for z in plant.zeros:
+            g = g * (s - z)
+        for p in plant.poles:
+            g = g / (s - p)
+        return g
+
+    w = np.linspace(1e-4, 60.0, 600000)
+    g = loop(w)
+    cells = np.flatnonzero((g.imag[:-1] * g.imag[1:] < 0) & (g.real[:-1] < 0))
+    want = [brentq(lambda x: loop(x).imag, w[i], w[i + 1], xtol=1e-14) for i in cells]
+    want = [x for x in want if 1.0 / abs(loop(x)) <= 2.0]
+    assert len(want) == 3
+    got = sorted((c for c in boundary_crossings(problem) if c.root.imag > 0), key=lambda c: c.root.imag)
+    assert [c.root.imag for c in got] == pytest.approx(want, abs=1e-9)
+    for c in got:
+        assert c.lam == pytest.approx(1.0 / abs(loop(c.root.imag)), rel=1e-9)
+
+
 def test_delay_lambda_at_zero():
     plant = first_order_plant(gain=2.0)
     problem = LocusProblem(LocusKind.DELAY, -4.0, 1.0, plant)

@@ -15,7 +15,6 @@ from rootlocus.rootfind import (
     magnitude_extremum_freqs,
     phase_extremum_freqs,
     rational_zeros,
-    real_nonneg_roots,
 )
 
 from conftest import example3_problem, first_order_plant
@@ -157,22 +156,6 @@ def test_bracketed_root_given_end_values_returns_the_same_float(monkeypatch):
     assert bracketed_root(lambda x: 1 / 0, 0.0, 1.0, -1.0, 0.0) == 1.0
 
 
-def test_real_nonneg_roots():
-    assert real_nonneg_roots((0.0, -2.0, 1.0)) == pytest.approx([0.0, 2.0])
-    assert real_nonneg_roots((0.75, 0.0, 1.0)) == []
-    assert real_nonneg_roots((2.0, 1.0)) == []  # root at -2
-    # no negative zero sneaks through the clamp
-    roots = real_nonneg_roots((0.0, 1.0))
-    assert roots == [0.0] and math.copysign(1.0, roots[0]) == 1.0
-    # untrimmed, the -1e-20 cubic term would add a root near 1e20
-    assert real_nonneg_roots((0.0, -2.0, 1.0, -1e-20)) == pytest.approx([0.0, 2.0])
-    # what trims to a constant, and a zero or empty polynomial, has no roots
-    assert real_nonneg_roots((3.0, 1e-15)) == []
-    assert real_nonneg_roots((3.0,)) == []
-    assert real_nonneg_roots((0.0, 0.0)) == []
-    assert real_nonneg_roots(()) == []
-
-
 def _sign_scan_zeros(fn, lo, hi, n=200001):
     from scipy.optimize import brentq
 
@@ -214,6 +197,123 @@ def test_phase_extrema_first_order_empty():
     # phi' = -0.5/(0.25+w^2) - 1 never vanishes
     plant = first_order_plant()
     assert phase_extremum_freqs(plant, -0.5, 1.0) == []
+
+
+def _symmetric_values(rng, count, re_lo, re_hi, im_hi):
+    values = []
+    while len(values) < count:
+        re = rng.uniform(re_lo, re_hi)
+        if count - len(values) >= 2 and rng.random() < 0.7:
+            im = rng.uniform(0.3, im_hi)
+            values += [complex(re, im), complex(re, -im)]
+        else:
+            values.append(complex(re, 0.0))
+    return tuple(values)
+
+
+def high_order_plant(rng, biproper=False):
+    """A seeded conjugate-symmetric plant with 10-60 poles and zeros in total
+    (n = m when ``biproper``), imaginary parts up to 20, |G(0)| = 1, and a
+    sigma0 in (-1, -0.3) at least 0.05 from every real part."""
+    order = int(rng.integers(10, 61))
+    while True:
+        n = order // 2 if biproper else int(rng.integers((order + 1) // 2, order + 1))
+        m = n if biproper else order - n
+        sigma0 = float(rng.uniform(-1.0, -0.3))
+        poles = _symmetric_values(rng, n, -5.0, -0.1, 20.0)
+        zeros = _symmetric_values(rng, m, -5.0, 1.0, 20.0)
+        if all(abs(v.real - sigma0) >= 0.05 for v in poles + zeros):
+            break
+    gain = float(np.prod(np.abs(poles)) / np.prod(np.abs(zeros)))
+    return Plant(zeros=zeros, poles=poles, gain=gain, delay=float(rng.uniform(0.2, 1.5))), sigma0
+
+
+def _scan_cells(fn, hi, n):
+    """The grid on (0, hi] and the cells [w[i], w[i+1]] where fn changes sign."""
+    w = np.linspace(hi / n, hi, n)
+    v = fn(w)
+    return w, np.flatnonzero(v[:-1] * v[1:] < 0.0)
+
+
+def test_high_order_extrema_match_a_dense_sign_scan():
+    # seeded plants of order 10-60, a third of them biproper, against a sign
+    # scan of Lambda' and phi' on 2e5 points of (0, 40], fine enough that no
+    # cell of these plants holds two zeros: each sign-change cell holds
+    # exactly one returned zero, and no returned zero lies outside them.  The
+    # expanded-polynomial route got the Lambda' set wrong in 23 of the 24
+    # plants and the phi' set in 20
+    rng = np.random.default_rng(20261101)
+    high = 40.0
+    biproper = 0
+    for k in range(24):
+        plant, s0 = high_order_plant(rng, biproper=k % 3 == 0)
+        biproper += plant.biproper
+        for fn, got in (
+            (lambda w: big_lambda_prime(plant, s0, w), magnitude_extremum_freqs(plant, s0)),
+            (lambda w: phi_prime(plant, s0, w), phase_extremum_freqs(plant, s0, plant.delay)),
+        ):
+            w, cells = _scan_cells(fn, high, 200000)
+            inside = [x for x in got if x <= high]
+            assert len(inside) == len(cells), (k, len(inside), len(cells))
+            for x, i in zip(inside, cells):
+                assert w[i] - 1e-9 <= x <= w[i + 1] + 1e-9, (k, x)
+    assert biproper >= 8
+
+
+def _benchmark_plants(monkeypatch):
+    """(plant, sigma0) of the random_gain and random_delay benchmark problems
+    of seeds 1-3."""
+    import importlib
+    import os
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [
+        (p.plant, p.sigma0)
+        for name in ("random_gain", "random_delay")
+        for seed in (1, 2, 3)
+        for p in workloads.build(name, seed)
+    ]
+
+
+def test_no_extremum_is_an_artifact_at_zero_or_infinity(monkeypatch):
+    # every returned extremum is a sign change of the function it belongs
+    # to, within 1e-7 relative: the zero of the odd Lambda' at w = 0 and its
+    # J-fold zero at infinity are divided out, not cut off by magnitude, so
+    # no value near 1e-8 or 1e16 is returned; this covers the 150 benchmark
+    # plants of seeds 1-3 and seeded high-order ones
+    rng = np.random.default_rng(20261102)
+    plants = _benchmark_plants(monkeypatch) + [high_order_plant(rng, k % 2 == 0) for k in range(10)]
+    counted = 0
+    for plant, s0 in plants:
+        for fn, got in (
+            (lambda w: big_lambda_prime(plant, s0, w), magnitude_extremum_freqs(plant, s0)),
+            (lambda w: phi_prime(plant, s0, w), phase_extremum_freqs(plant, s0, plant.delay)),
+        ):
+            for x in got:
+                assert x > 1e-6
+                lo, hi = fn(x * (1.0 - 1e-7)), fn(x * (1.0 + 1e-7))
+                assert lo * hi < 0.0, (plant, s0, x)
+                counted += 1
+    assert counted > 300
+
+
+def test_boundary_with_a_constant_magnitude_has_no_magnitude_extrema():
+    # a pole and a zero mirrored in Re s = sigma0 give |G| = 1 on it: their
+    # terms of Lambda' cancel, and so do their equal nodes
+    plant = Plant(zeros=(-1.0, -1 + 2j, -1 - 2j), poles=(-2.0, -2 + 2j, -2 - 2j), gain=1.0, delay=1.0)
+    assert magnitude_extremum_freqs(plant, -1.5) == []
+    w = np.linspace(0.0, 10.0, 11)
+    assert np.abs(big_lambda_prime(plant, -1.5, w)).max() < 1e-15
+    # the cancelling pair leaves the rest: adding it to a plant keeps the
+    # extrema, none for 1/(s + 3) and one for a biproper plant
+    for zeros, poles in (((), (-3.0,)), ((-4.0 + 1j, -4.0 - 1j), (-3.0 + 5j, -3.0 - 5j))):
+        bare = Plant(zeros=zeros, poles=poles, gain=1.0, delay=1.0)
+        both = Plant(zeros=zeros + (-1.0,), poles=poles + (-2.0,), gain=1.0, delay=1.0)
+        want = magnitude_extremum_freqs(bare, -1.5)
+        assert len(want) == len(zeros) // 2
+        assert magnitude_extremum_freqs(both, -1.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_rational_zeros_branch_candidates():
@@ -263,13 +363,6 @@ def _oracle_newton_polish(f, df, x, steps=5):
     return x
 
 
-def _oracle_real_polish(c, x):
-    # the real polish through np.polynomial.polynomial.polyval of c and of polyder(c)
-    dc = np.polynomial.polynomial.polyder(c)
-    polyval = np.polynomial.polynomial.polyval
-    return _oracle_newton_polish(lambda x: polyval(x, c), lambda x: polyval(x, dc), x)
-
-
 def _oracle_complex_polish(num):
     # the complex polish of the np.roots roots, one 0-d np.polyval per root
     dnum = np.polyder(num)
@@ -302,100 +395,33 @@ def _hex(values):
     return out
 
 
-def _seeded_real_polys(rng, count):
-    """Ascending real polynomials of degree 1-24: random coefficients over
-    many scales, and products of real roots."""
-    out = []
-    for _ in range(count):
-        deg = int(rng.integers(1, 25))
-        if rng.random() < 0.5:
-            c = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-8.0, 8.0, deg + 1)
-        else:
-            roots = list(rng.uniform(-5.0, 5.0, deg))
-            c = np.polynomial.polynomial.polyfromroots(roots) * rng.uniform(0.1, 10.0)
-        out.append(c)
-    return out
-
-
 def _reference_polys(monkeypatch):
-    """The polynomials the critical-point search of the reference problems
-    and of stream plants 28 and 31 hands to ``real_nonneg_roots`` (ascending,
-    real) and to ``_polished_roots`` (descending, complex)."""
+    """The descending complex polynomials the critical-point search of the
+    reference problems and of stream plants 28 and 31 hands to
+    ``_polished_roots``."""
     from conftest import example1_problem, example2_problem, turning_point_problem
     from test_acceptance import stream_problem
 
     from rootlocus import critical
     from rootlocus.plant import LocusKind
 
-    real, complex_ = [], []
-    real_roots, polished = rootfind.real_nonneg_roots, rootfind._polished_roots
+    polys = []
+    polished = rootfind._polished_roots
 
-    def keep_real(c):
-        real.append(np.array(c, dtype=float))
-        return real_roots(c)
-
-    def keep_complex(num):
-        complex_.append(num.copy())
+    def keep(num):
+        polys.append(num.copy())
         return polished(num)
 
-    monkeypatch.setattr(rootfind, "real_nonneg_roots", keep_real)
-    monkeypatch.setattr(rootfind, "_polished_roots", keep_complex)
+    monkeypatch.setattr(rootfind, "_polished_roots", keep)
     problems = [example1_problem(), example2_problem(), example3_problem(),
                 turning_point_problem(), stream_problem(28), stream_problem(31)]
     for problem in problems:
         critical.starting_points(problem)
-        critical.boundary_crossings(problem)
         if problem.kind is LocusKind.GAIN:
             critical.branch_points_gain(problem)
     monkeypatch.undo()
-    assert len(real) >= 10 and len(complex_) >= 5
-    return real, complex_
-
-
-def test_horner_matches_polyval_bit_for_bit():
-    rng = np.random.default_rng(20261019)
-    checked = 0
-    for c in _seeded_real_polys(rng, 400):
-        cs = c.tolist()
-        xs = list(rng.uniform(-6.0, 6.0, 20)) + [0.0, -0.0, 1e300, -1e-300]
-        for x in xs:
-            with np.errstate(all="ignore"):
-                want = np.polynomial.polynomial.polyval(x, c)
-                assert rootfind._horner(cs, x).hex() == float(want).hex(), (cs, x)
-            checked += 1
-    assert checked == 400 * 24
-
-
-def test_real_nonneg_roots_keep_the_polyval_polish_bits(monkeypatch):
-    rng = np.random.default_rng(20261020)
-    real, _ = _reference_polys(monkeypatch)
-    polished = 0
-    for c in _seeded_real_polys(rng, 800) + real:
-        got = real_nonneg_roots(c)
-        # the oracle: the same trim and companion roots, the numpy polish
-        top = np.max(np.abs(c), initial=0.0)
-        keep = c.size
-        while keep > 1 and abs(c[keep - 1]) < rootfind._TRIM_REL * top:
-            keep -= 1
-        cc = c[:keep]
-        want = []
-        if top != 0.0 and keep > 1:
-            for r in np.polynomial.polynomial.polyroots(cc):
-                if abs(r.imag) >= rootfind._REAL_IM_TOL * (1.0 + abs(r.real)):
-                    continue
-                with np.errstate(all="ignore"):
-                    x = _oracle_real_polish(cc, float(r.real))
-                polished += 1
-                if x >= -rootfind._DEDUP_TOL:
-                    want.append(float(x) if x > 0.0 else 0.0)
-        want.sort()
-        dedup = []
-        for x in want:
-            if not dedup or x - dedup[-1] > rootfind._DEDUP_TOL:
-                dedup.append(x)
-        assert [x.hex() for x in got] == [x.hex() for x in dedup]
-        assert all(type(x) is float for x in got)
-    assert polished > 3000
+    assert len(polys) >= 5
+    return polys
 
 
 def _seeded_complex_polys(rng, count):
@@ -424,7 +450,7 @@ def test_polished_roots_keep_the_0d_polyval_bits(monkeypatch):
     # numpy's complex multiply rounds differently from Python's complex one;
     # the array recurrence must round each element as the 0-d np.polyval did
     rng = np.random.default_rng(20261021)
-    _, reference = _reference_polys(monkeypatch)
+    reference = _reference_polys(monkeypatch)
     for num in _seeded_complex_polys(rng, 600) + reference:
         with np.errstate(all="ignore"):
             got = rootfind._polished_roots(num)
@@ -452,39 +478,11 @@ def test_leave_one_out_products_keep_the_chain_bits():
                     turning_point_problem(), stream_problem(28)):
         sets += [list(problem.plant.zeros), list(problem.plant.poles)]
     for values in sets:
-        sigma0 = float(rng.uniform(-4.0, -0.1))
-        gamma = rootfind._gamma_quadratics(values, sigma0, rootfind._common_scale(values, sigma0))
         linear = rootfind._linear_factors(values)
-        for factors, dtype in ((gamma, float), (linear, complex)):
-            total, loo = rootfind._product_and_leave_one_out(factors, dtype)
-            want_total, want_loo = _oracle_product_and_leave_one_out(factors, np.ones(1, dtype))
-            assert total.dtype == want_total.dtype
-            assert _hex(total) == _hex(want_total)
-            assert [_hex(p) for p in loo] == [_hex(p) for p in want_loo]
+        total, loo = rootfind._product_and_leave_one_out(linear)
+        want_total, want_loo = _oracle_product_and_leave_one_out(linear, np.ones(1, complex))
+        assert total.dtype == want_total.dtype
+        assert _hex(total) == _hex(want_total)
+        assert [_hex(p) for p in loo] == [_hex(p) for p in want_loo]
         # the total of the linear factors is the polynomial poly_from_roots forms
-        assert _hex(rootfind._product_and_leave_one_out(linear, complex)[0]) == _hex(
-            rootfind.poly_from_roots(values))
-
-
-def test_one_gamma_product_build_per_solve(monkeypatch):
-    # a gain solve hands one build of the gamma products to the magnitude
-    # and the phase extrema; a delay solve needs only the magnitude ones
-    from conftest import example1_problem
-
-    from rootlocus import critical
-    from rootlocus.engine import compute_root_locus
-
-    builds = 0
-    build = rootfind.boundary_products
-
-    def counted(*args):
-        nonlocal builds
-        builds += 1
-        return build(*args)
-
-    monkeypatch.setattr(rootfind, "boundary_products", counted)
-    monkeypatch.setattr(critical, "boundary_products", counted)
-    for problem in (example3_problem(lambda_max=1.0), example1_problem()):
-        builds = 0
-        compute_root_locus(problem)
-        assert builds == 1
+        assert _hex(total) == _hex(rootfind.poly_from_roots(values))

@@ -1,7 +1,9 @@
-"""The A/B tool's pairing, without running the benchmark."""
+"""The A/B tool's pairing and the digest tool's change report, without
+running the benchmark or the digest."""
 
 import importlib.util
 import json
+import math
 import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -35,3 +37,40 @@ def test_ab_bench_runs_every_workload_in_each_pair_alternating_sides(monkeypatch
         lines = ab.report(specs, runs[workload])
         assert len(lines) == len(specs)
         assert all("better in 2/2 pairs" in line for line in lines)
+
+
+def test_result_digest_matches_axis_events_inside_tie_groups(monkeypatch):
+    # a conjugate event pair whose lam tie to the last bits may come back in
+    # the other order: it is matched by (direction, omega), counted as one
+    # reordered group, and its lam moved by 1 ulp reads as 1 ulp, not ~9e18
+    import sys
+    from types import SimpleNamespace
+
+    from rootlocus.engine import ImagAxisEvent
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", os.path.join(ROOT, "tools", "result_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    def result(events):
+        return SimpleNamespace(trajectories=[], critical_points=[], stability_intervals=[],
+                               imag_axis_events=[ImagAxisEvent(*e) for e in events])
+
+    lam = 1.0102753803200897
+    nxt = math.nextafter(lam, 2.0)
+    old = result([(0.5, 0.0, 1), (lam, -6.9, 1), (nxt, 6.9, 1), (2.0, 1.0, -1), (2.0, -1.0, -1)])
+    new = result([(0.5, 0.0, 1), (lam, 6.9, 1), (nxt, -6.9, 1), (2.0, 1.0, -1), (2.0, -1.0, -1)])
+    changes = digest.Changes()
+    changes.add(3, old, new)
+    assert changes.reordered == 1
+    assert changes.ulps["axis events"] == 1
+    report = changes.report(4)
+    assert "  axis-event tie groups reordered: 1" in report
+    # events out of tie move by their own ulps, in order
+    changes = digest.Changes()
+    changes.add(0, result([(0.5, 0.0, 1), (1.0, 2.0, 1)]),
+                result([(0.5, 0.0, 1), (math.nextafter(1.0, 2.0), 2.0, 1)]))
+    assert changes.reordered == 0
+    assert changes.ulps["axis events"] == 1

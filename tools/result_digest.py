@@ -41,8 +41,10 @@ that differ, any change in trajectory or event counts or in the
 terminations of the trajectories, and the largest
 change in units in the last place (ulps) in trajectory points (sigma, omega
 and lam; residuals aside), origins, critical points, axis events and
-stability intervals.  Points one side has and the other lacks are counted
-as added or removed:
+stability intervals.  Axis events whose lam tie within 1e-9 (a conjugate
+pair) are matched inside their tie group, and the groups listed in another
+order are counted on a line of their own.  Points one side has and the
+other lacks are counted as added or removed:
 
     python3 tools/result_digest.py --keep /tmp/before          # parent checkout
     python3 tools/result_digest.py --against /tmp/before       # this checkout
@@ -175,12 +177,37 @@ class Changes:
         self.counts: list[str] = []
         self.ulps = dict.fromkeys(self.AREAS, 0)
         self.added = self.removed = 0
+        self.reordered = 0
 
     def _pairs(self, area: str, old: list[tuple], new: list[tuple]) -> None:
         if len(old) == len(new):
             for a, b in zip(old, new):
                 if len(a) == len(b):
                     self.ulps[area] = max(self.ulps[area], _ulps(a, b))
+
+    def _events(self, old, new) -> None:
+        """Axis events matched inside each tie group, a run of saved events
+        whose lam lie within 1e-9 of the one before: conjugate events tie to
+        the last bits, and a change may list such a group in another order.
+        The members of a group are matched by (direction, omega); a group
+        whose members are listed in another order counts as reordered."""
+        if len(old) != len(new):
+            return
+
+        def key(e):
+            return (e.direction, e.omega)
+
+        start = 0
+        for end in range(1, len(old) + 1):
+            if end < len(old) and old[end].lam - old[end - 1].lam <= 1e-9:
+                continue
+            a, b = old[start:end], new[start:end]
+            order_a = sorted(range(len(a)), key=lambda i: key(a[i]))
+            order_b = sorted(range(len(b)), key=lambda i: key(b[i]))
+            self.reordered += order_a != order_b
+            self._pairs("axis events", [(a[i].lam, a[i].omega) for i in order_a],
+                        [(b[i].lam, b[i].omega) for i in order_b])
+            start = end
 
     def _points(self, old, new) -> None:
         old = [(p.sigma, p.omega, p.lam) for p in old]
@@ -214,8 +241,7 @@ class Changes:
                     [_cp_values(t.origin) for t in new.trajectories])
         self._pairs("critical points", [_cp_values(c) for c in old.critical_points],
                     [_cp_values(c) for c in new.critical_points])
-        self._pairs("axis events", [(e.lam, e.omega) for e in old.imag_axis_events],
-                    [(e.lam, e.omega) for e in new.imag_axis_events])
+        self._events(old.imag_axis_events, new.imag_axis_events)
         self._pairs("stability intervals", old.stability_intervals, new.stability_intervals)
 
     def report(self, total: int) -> list[str]:
@@ -225,6 +251,7 @@ class Changes:
         lines += [f"  {c}" for c in self.counts]
         moved = ", ".join(f"{area} {self.ulps[area]}" for area in self.AREAS)
         lines.append(f"  largest ulp change: {moved}")
+        lines.append(f"  axis-event tie groups reordered: {self.reordered}")
         lines.append(f"  points added {self.added}, removed {self.removed}")
         return lines
 
