@@ -22,6 +22,8 @@ _REAL_IM_TOL = 1e-7
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 200
+#: a sum below this share of its term sizes is rounding (60 terms: < 1e-13)
+_MOMENT_TOL = 1e-12
 
 
 def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
@@ -125,26 +127,36 @@ def _boundary_nodes(plant: Plant, sigma0: float) -> tuple[np.ndarray, np.ndarray
 def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
     """Positive zeros of ``big_lambda_prime``, ascending.
 
-    Lambda'/w = sum_k s_k/(y - y_k), y = w^2, y_k = c_k^2, has no constant and
-    a J-fold zero at y = inf: J = 1 when n != m (sum s = n - m), J = 2 for a
-    biproper plant (sum s = 0).  Each of J steps divides one out exactly:
-    (y - y_N) times the sum is sum s + sum_{k<N} s_k (y_k - y_N)/(y - y_k),
-    with sum s = 0 but on the last step.  Equal nodes are merged first, so a
-    pole and a zero mirrored in Re s = sigma0, whose terms cancel, leave none.
+    f = Lambda'/w = sum_k r_k/(y - y_k), y = w^2, y_k = c_k^2 (nonzero: no
+    pole or zero lies on the boundary), r_k = s_k, has no constant.  Its
+    zeros at y = 0 and y = inf are divided out exactly, f/y =
+    sum (r_k/y_k)/(y - y_k) and (y - y_N) f = sum r +
+    sum_{k<N} r_k (y_k - y_N)/(y - y_k), while the sum that shows one,
+    f(0) = -sum r_k/y_k or sum r, is at most ``_MOMENT_TOL`` of its term
+    sizes.  Infinity takes one step when n != m, two for most biproper
+    plants and three or more when sum s_k y_k = 0 too, as when every
+    |Im v| = |sigma0 - Re v| (then f(0) = 0 as well).  A dropped zero that
+    is not exact lies within about 1e-6 |c_k| of 0 or past 1e6 |c_k|.
+    Equal nodes are merged first, so a pole and a zero mirrored in
+    Re s = sigma0, whose terms cancel, leave none.
     """
     c, sign = _boundary_nodes(plant, sigma0)
     merged: dict[complex, float] = {}
     for y, s in zip((c * c).tolist(), sign.tolist()):
         merged[y] = merged.get(y, 0.0) + s
     nodes = np.array([y for y, s in merged.items() if s], dtype=complex)
-    residues = np.array([s for s in merged.values() if s], dtype=complex)
-    if nodes.size == 0:
-        return []  # Lambda' = 0: |G| is constant on the boundary
-    for _ in range(2 if plant.biproper else 1):
-        const = residues.sum()
-        residues = residues[:-1] * (nodes[:-1] - nodes[-1])
-        nodes = nodes[:-1]
-    return _pole_sum_zeros(const, nodes, residues)
+    r = np.array([s for s in merged.values() if s], dtype=complex)
+    size = np.abs(r)
+    for _ in range(nodes.size - 1):  # f = P/Q with deg P < deg Q = N
+        if abs((r / nodes).sum()) > _MOMENT_TOL * (size / abs(nodes)).sum():
+            break
+        r, size = r / nodes, size / abs(nodes)
+    while nodes.size:
+        const, r = r.sum(), r[:-1] * (nodes[:-1] - nodes[-1])
+        if abs(const) > _MOMENT_TOL * size.sum():
+            return _pole_sum_zeros(const, nodes[:-1], r)
+        size, nodes = size[:-1] * (abs(nodes[:-1]) + abs(nodes[-1])), nodes[:-1]
+    return []  # Lambda' = 0: |G| is constant on the boundary
 
 
 def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
