@@ -302,14 +302,18 @@ def _phase_fn(plant: Plant, sigma0: float, h: float):
     return phase
 
 
-def crossing_direction(problem: LocusProblem, omega_cr: float) -> int:
-    """Gain-case crossing direction -sgn(phi'(omega_cr)); +1 means entering."""
-    d = phi_prime(problem.plant, problem.sigma0, omega_cr)
+def crossing_direction(problem: LocusProblem, omega: float, lam: float) -> int:
+    """Direction of the crossing at sigma0 + j omega, lam: the sign of the
+    root's Re ds/dlam, +1 entering the region, on either locus kind."""
+    try:
+        d = localmodel.ds_dlam(problem, complex(problem.sigma0, omega), lam).real
+    except ZeroDivisionError:
+        d = 0.0
     if abs(d) < _GRAZE_TOL:
         raise IllPosedCrossingError(
-            f"grazing boundary crossing at omega = {omega_cr}: phi' = {d:g}"
+            f"grazing boundary crossing at omega = {omega}: Re ds/dlam = {d:g}"
         )
-    return -1 if d > 0 else 1
+    return 1 if d > 0 else -1
 
 
 def _solve_levels(lo: float, hi: float, phase, on_root) -> None:
@@ -340,7 +344,7 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
     On each interval where the locus parameter lam(w) is in range, the
     phase is split into monotone pieces where it turns, and phase =
     (2l+1) pi is solved on every piece.  The two locus kinds differ only in
-    the phase, where it turns, lam(w) and the direction rule.
+    the phase, where it turns and lam(w); ``crossing_direction`` serves both.
     """
     plant = problem.plant
     s0 = problem.sigma0
@@ -355,9 +359,6 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
 
         def lam_at(w):
             return math.exp(big_lambda(plant, s0, w))
-
-        def direction(w, lam):
-            return crossing_direction(problem, w)
 
     else:
         intervals = delay_admissible_intervals(problem)
@@ -387,13 +388,6 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
                 for i in _sign_flips(dp)
             ]
 
-        def direction(w, lam):
-            u = problem.evaluate(s0, w, lam)[2] - lam
-            val = (complex(s0, w) / u).real if u != 0 else 0.0
-            if abs(val) < _GRAZE_TOL:
-                raise IllPosedCrossingError(f"grazing delay-locus crossing at omega = {w}")
-            return 1 if val > 0 else -1
-
     found: list[CriticalPoint] = []
 
     def on_root(w):
@@ -401,7 +395,8 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
         if not (-1e-12 <= lam <= lmax * (1.0 + 1e-12)):
             return
         lam = min(max(lam, 0.0), lmax)
-        kind = CriticalKind.CROSSING_IN if direction(w, lam) > 0 else CriticalKind.CROSSING_OUT
+        entering = crossing_direction(problem, w, lam) > 0
+        kind = CriticalKind.CROSSING_IN if entering else CriticalKind.CROSSING_OUT
         found.append(CriticalPoint(kind, complex(s0, w), lam))
 
     for lo, hi in intervals:

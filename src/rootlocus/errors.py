@@ -34,4 +34,4 @@ class JacobianSingularError(RootLocusError):
 
 
 class IllPosedCrossingError(RootLocusError):
-    """Crossing direction requested at a grazing crossing (phi' ~ 0)."""
+    """Crossing direction requested at a grazing crossing (Re ds/dlam ~ 0)."""

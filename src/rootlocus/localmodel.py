@@ -1,19 +1,22 @@
-"""Local analysis of the characteristic function around multiple roots.
+"""The local model of the locus at a root: tangent, multiplicity and rays.
 
-Provides the successive s-derivatives of the characteristic function in the
-log-free form, the resulting multiplicity test, and the ray structure that
-governs how trajectories enter and leave a branch point or a multiple
-starting root.
+The s-derivatives of the characteristic function f, in the log-free form,
+give the multiplicity test and the model by which trajectories leave a root.
 
 Near a root s~ of multiplicity N at parameter lam~ the characteristic
 function behaves as
 
     f(s~ + ds, lam~ + dlam) ~ g_N/N! * ds^N + f_lam * dlam
 
-so the locus satisfies ds^N = C * dlam with C = -N! * f_lam / g_N.  The N
-complex directions C^{1/N} * exp(2 pi i k / N) are the rays along which the
-locus leaves the point with increasing parameter ("up" rays); rotating any
-ray by pi/N flips the parameter side.
+so the locus satisfies ds^N = C * dlam with C = -N! * f_lam / g_N
+(``LocusProblem.f_lambda``).  The N complex directions
+C^{1/N} * exp(2 pi i k / N) are the rays along which the locus leaves the
+point with increasing parameter ("up" rays); rotating any ray by pi/N flips
+the parameter side.  At a simple root g_1 = -u, u = G'/G - h_eff, so the
+tangent is ds/dlam = f_lam / u (``ds_dlam``); the sign of its real part is
+the direction of a boundary crossing.  A delay start is a regular root of
+f; a gain start is a pole of G, where f is singular, so its C comes from
+the polynomial-cleared form D + lam * K N e^{-hs} (``_cleared_gain_c``).
 """
 
 from __future__ import annotations
@@ -64,11 +67,9 @@ def char_s_derivatives(problem: LocusProblem, s: complex, lam: float, kmax: int)
     return g
 
 
-def f_lambda(problem: LocusProblem, s: complex, lam: float) -> complex:
-    """df/dlam at a root of the characteristic function."""
-    if problem.kind is LocusKind.GAIN:
-        return -1.0 / lam
-    return complex(s)
+def ds_dlam(problem: LocusProblem, s: complex, lam: float) -> complex:
+    """ds/dlam = -f_lam / f_s = f_lam / u at a simple root; ZeroDivisionError at u = 0."""
+    return problem.f_lambda(s, lam) / _u_derivatives(problem, s, lam, 0)[0]
 
 
 def multiplicity(problem: LocusProblem, s: complex, lam: float) -> int:
@@ -112,49 +113,36 @@ def rays_up(C: complex, N: int) -> list[complex]:
 def branch_rays(problem: LocusProblem, s: complex, lam: float, N: int) -> list[complex]:
     """Up-ray directions at an interior branch point of multiplicity N."""
     g = char_s_derivatives(problem, s, lam, N)
-    C = -math.factorial(N) * f_lambda(problem, s, lam) / g[N]
+    C = -math.factorial(N) * problem.f_lambda(s, lam) / g[N]
     return rays_up(C, N)
+
+
+def _cleared_gain_c(problem: LocusProblem, s: complex, n: int) -> complex:
+    """C of ds^n = C dlam at a gain start s, an n-fold pole of G, from the
+    cleared form F = D + lam K N e^{-hs}, regular there: -n! F_lam / D^(n)(s)."""
+    plant = problem.plant
+    num = plant.gain * poly_from_roots(plant.zeros)
+    d = poly_from_roots(plant.poles)
+    for _ in range(n):
+        d = np.polyder(d)
+    f_lam = np.polyval(num, s) * cmath.exp(-plant.delay * s)
+    return -math.factorial(n) * f_lam / np.polyval(d, s)
 
 
 def start_rays(problem: LocusProblem, s0: complex, N: int) -> list[complex]:
-    """Up-ray directions at a starting root of multiplicity N (lam = 0).
-
-    Computed on the polynomial-cleared characteristic form, where the point
-    is a regular order-N root even though G itself is singular there.
-    """
-    plant = problem.plant
-    num = plant.gain * poly_from_roots(plant.zeros)
-    den = poly_from_roots(plant.poles)
+    """Up-ray directions at a starting root of multiplicity N (lam = 0): a
+    delay start is a regular root of f, a gain start takes the cleared C."""
     if problem.kind is LocusKind.GAIN:
-        # F = D + lam * alpha * Num * e^{-hs}
-        f_lam = np.polyval(num, s0) * cmath.exp(-plant.delay * s0)
-        top = den
-    else:
-        # F = D + alpha * Num * e^{-lam s}
-        f_lam = -s0 * np.polyval(num, s0)
-        top = np.polyadd(den, num)
-    d = top
-    for _ in range(N):
-        d = np.polyder(d)
-    C = -math.factorial(N) * f_lam / np.polyval(d, s0)
-    return rays_up(C, N)
+        return rays_up(_cleared_gain_c(problem, s0, N), N)
+    return branch_rays(problem, s0, 0.0, N)
 
 
 def initial_tangent_simple(problem: LocusProblem, s: complex, lam: float) -> np.ndarray:
-    """Unit tangent (Re ds, Im ds, dlam) with dlam > 0 at a simple locus point.
-
-    At gain-case starting points (lam = 0, s a simple pole of G) the
-    polynomial-cleared derivative formula is used.
-    """
-    plant = problem.plant
+    """Unit tangent (Re ds, Im ds, dlam) with dlam > 0 at a simple locus point;
+    at a gain start (lam = 0, a simple pole of G) ds/dlam is the cleared C."""
     if lam == 0.0 and problem.kind is LocusKind.GAIN:
-        num = plant.gain * poly_from_roots(plant.zeros)
-        den = poly_from_roots(plant.poles)
-        dden = np.polyder(den)
-        ds_dlam = -np.polyval(num, s) * cmath.exp(-plant.delay * s) / np.polyval(dden, s)
+        ds = _cleared_gain_c(problem, s, 1)
     else:
-        # on the locus f_s = -u, so ds/dlam = -f_lam / f_s = f_lam / u
-        u = _u_derivatives(problem, s, lam, 0)[0]
-        ds_dlam = f_lambda(problem, s, lam) / u
-    d = np.array([ds_dlam.real, ds_dlam.imag, 1.0])
+        ds = ds_dlam(problem, s, lam)
+    d = np.array([ds.real, ds.imag, 1.0])
     return d / np.linalg.norm(d)

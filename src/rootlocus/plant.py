@@ -293,6 +293,10 @@ class LocusProblem:
         """Exponent coefficient of the dead-time term at locus parameter lam."""
         return self.plant.delay if self.kind is LocusKind.GAIN else lam
 
+    def f_lambda(self, s: complex, lam: float) -> complex:
+        """df/dlam at a root of f: -1/lam on a gain locus, s on a delay locus."""
+        return -1.0 / lam if self.kind is LocusKind.GAIN else complex(s)
+
     def evaluate(
         self, sigma: float, omega: float, lam: float, with_u: bool = True
     ) -> tuple[float, float, complex | None]:

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 from rootlocus.cli import EXIT_OK, main as cli_main
 from rootlocus.continuation import Termination, _clip_solve
-from rootlocus.critical import CriticalKind
+from rootlocus.critical import CriticalKind, boundary_crossings, crossing_direction
 from rootlocus.engine import compute_root_locus
 from rootlocus.errors import ValidationError
 from rootlocus.plant import (
@@ -473,6 +473,41 @@ def test_criterion_6_finite_difference_crossing_directions(
             assert math.copysign(1.0, delta) == want
             checked += 1
     assert checked >= 4
+
+
+def _replaced_crossing_direction(problem, omega, lam):
+    """The two direction rules that ``crossing_direction`` replaced, written
+    out: -sgn phi' on a gain locus and sgn Re(s/u), u = G'/G - lam, on a delay
+    locus.  Each raised below 1e-10 in magnitude."""
+    s0 = problem.sigma0
+    if problem.kind is LocusKind.GAIN:
+        d = -phi_prime(problem.plant, s0, omega)
+    else:
+        u = problem.evaluate(s0, omega, lam)[2] - lam
+        d = (complex(s0, omega) / u).real
+    assert abs(d) >= 1e-10
+    return 1 if d > 0 else -1
+
+
+def test_crossing_direction_matches_the_rules_it_replaced():
+    # one rule, sgn Re ds/dlam, for both locus kinds: on every crossing of the
+    # reference problems and of the criterion-4 stream it gives the direction
+    # the two former rules gave, and the kind the search reports
+    rng = np.random.default_rng(STREAM_SEED)
+    problems = [example1_problem(), example2_problem(), example3_problem(),
+                turning_point_problem()]
+    problems += [_random_problem(rng, LocusKind.GAIN if i % 2 == 0 else LocusKind.DELAY)
+                 for i in range(50)]
+    checked = {LocusKind.GAIN: 0, LocusKind.DELAY: 0}
+    for problem in problems:
+        for cp in boundary_crossings(problem):
+            want = _replaced_crossing_direction(problem, cp.root.imag, cp.lam)
+            assert crossing_direction(problem, cp.root.imag, cp.lam) == want
+            entering = cp.kind is CriticalKind.CROSSING_IN
+            assert entering == (want > 0)
+            checked[problem.kind] += 1
+    # 1403 gain and 113 delay crossings, mirrors included
+    assert checked[LocusKind.GAIN] > 1000 and checked[LocusKind.DELAY] > 100
 
 
 def _scan_zeros(fn, lo, hi, n):

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from rootlocus import continuation
+from rootlocus import cli, continuation
 from rootlocus.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from rootlocus.continuation import Termination
+from rootlocus.errors import NoConvergenceError
 from rootlocus.io import load_result
 
 
@@ -118,6 +119,19 @@ def test_stalled_run_warns_and_exit_code(tmp_path, capsys, monkeypatch, demo):
     problem = result.problem
     for cp in result.critical_points:
         assert cp.root.real >= problem.sigma0 and 0.0 <= cp.lam <= problem.lambda_max
+
+
+def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a RootLocusError out of the engine is reported on stderr and exits 4,
+    # with nothing written
+    def failing(problem):
+        raise NoConvergenceError("branch-point solve did not converge")
+
+    monkeypatch.setattr(cli, "compute_root_locus", failing)
+    problem, out = _write_problem(tmp_path, PROBLEM), tmp_path / "out"
+    assert main(["compute", problem, "--out", str(out)]) == EXIT_NUMERICAL == 4
+    assert capsys.readouterr().err == "error: branch-point solve did not converge\n"
+    assert not out.exists()
 
 
 def test_runs_are_byte_identical(tmp_path):

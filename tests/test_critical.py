@@ -24,7 +24,7 @@ from rootlocus.critical import (
     magnitude_intervals,
     starting_points,
 )
-from rootlocus.errors import PoleZeroProximityError
+from rootlocus.errors import IllPosedCrossingError, PoleZeroProximityError
 from rootlocus.plant import (
     LocusKind,
     LocusProblem,
@@ -261,7 +261,41 @@ def test_boundary_crossings_gain_excluded_by_lambda_max():
 def test_crossing_direction_first_order():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
     # phi' < 0 for all omega, so every crossing enters the region
-    assert crossing_direction(problem, 1.8366) == 1
+    lam = math.exp(big_lambda(problem.plant, -0.5, 1.8366))
+    assert crossing_direction(problem, 1.8366, lam) == 1
+
+
+@pytest.mark.parametrize("kind", [LocusKind.GAIN, LocusKind.DELAY])
+def test_crossing_direction_raises_where_u_vanishes(kind):
+    # G = 1/(s+1), h = 1 at s = -2: G'/G = 1, so u = G'/G - h_eff is 0 with
+    # h_eff = h = 1 (gain) and with h_eff = lam = 1 (delay)
+    problem = LocusProblem(kind, -2.0, 1.5, first_order_plant())
+    with pytest.raises(IllPosedCrossingError, match="grazing"):
+        crossing_direction(problem, 0.0, 1.0)
+
+
+def test_crossing_direction_raises_at_a_grazing_gain_crossing():
+    # at a phase extremum phi' = Re u = 0, so Re ds/dlam = -Re u / (lam |u|^2)
+    # vanishes although u does not
+    problem = example3_problem()
+    plant, s0 = problem.plant, problem.sigma0
+    w = rootfind.phase_extremum_freqs(plant, s0, plant.delay)[0]
+    lam = math.exp(big_lambda(plant, s0, w))
+    assert abs(localmodel._u_derivatives(problem, complex(s0, w), lam, 0)[0]) > 0.1
+    with pytest.raises(IllPosedCrossingError, match="grazing"):
+        crossing_direction(problem, w, lam)
+
+
+def test_crossing_direction_raises_at_a_grazing_delay_crossing():
+    # u = a - lam with a = G'/G: Re(s/u) = Re(s conj(u)) / |u|^2 vanishes at
+    # lam = Re(s conj(a)) / sigma0
+    problem = example1_problem()
+    s = complex(problem.sigma0, 1.0)
+    a = localmodel._u_derivatives(problem, s, 0.0, 0)[0]
+    lam = (s * a.conjugate()).real / s.real
+    assert abs(a - lam) > 0.1
+    with pytest.raises(IllPosedCrossingError, match="grazing"):
+        crossing_direction(problem, 1.0, lam)
 
 
 def test_boundary_crossings_residuals_and_order(example1_result, example3_result):

@@ -13,7 +13,7 @@ from rootlocus.continuation import Termination
 from rootlocus.critical import CriticalKind
 from rootlocus.engine import compute_root_locus
 from rootlocus.io import results_equal
-from rootlocus.plant import LocusKind, LocusProblem, Plant
+from rootlocus.plant import LocusKind, LocusProblem, Plant, eval_char_fn
 
 from conftest import example2_problem, example3_problem, first_order_plant
 
@@ -484,6 +484,36 @@ def test_reference_results_pass_the_benchmark_golden_check(
     for i, (problem, result) in enumerate(zip(workloads.reference_problems(), results)):
         assert workloads.describe(result.problem) == workloads.describe(problem)
         assert checker.failures(i, result) == []
+
+
+@pytest.mark.parametrize(
+    ("workload", "seed"),
+    [("random_delay", seed) for seed in range(1, 13)] + [("random_gain", 1), ("random_gain", 2)],
+)
+def test_jittered_benchmark_plants_pass_the_benchmark_check(monkeypatch, workload, seed):
+    # the benchmark's own output check on the jittered plants of its random
+    # workloads: no warning, every point residual below 1e-4 and |f| < 1e-8 at
+    # every critical point
+    workloads = _perfbench(monkeypatch, "workloads")
+    checker = workloads.Checker(workload)
+    for i, problem in enumerate(workloads.build(workload, seed)):
+        assert checker.failures(i, compute_root_locus(problem)) == [], i
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: when the sigma = 0 refine of an axis event does not "
+    "converge, _imag_axis_events keeps the interpolated guess; on random_delay "
+    "plant 15 at seeds 2 and 14 two events sit at |f| ~ 1.7e-2 near lam 0.129",
+)
+@pytest.mark.parametrize("seed", [2, 14])
+def test_every_axis_event_of_random_delay_plant_15_is_a_root(monkeypatch, seed):
+    problem = _perfbench(monkeypatch, "workloads").build("random_delay", seed)[15]
+    result = compute_root_locus(problem)
+    assert result.imag_axis_events
+    for e in result.imag_axis_events:
+        s = complex(0.0, e.omega)
+        assert abs(eval_char_fn(problem.plant, problem.kind, s, e.lam)) < 1e-8
 
 
 def test_debug_line_counts_traced_and_mirrored_trajectories(caplog):

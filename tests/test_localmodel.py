@@ -9,7 +9,7 @@ import pytest
 from rootlocus.localmodel import (
     branch_rays,
     char_s_derivatives,
-    f_lambda,
+    ds_dlam,
     multiplicity,
     rays_up,
     start_rays,
@@ -43,10 +43,34 @@ def test_f_lambda():
     problem = _first_order_problem()
     lam = 2.0 * math.exp(-3.0)
     # gain case: f = 1 + lam*G*e^{-hs} and lam*G*e^{-hs} = -1 on the locus
-    assert f_lambda(problem, complex(-3.0, 0.0), lam) == pytest.approx(-1.0 / lam)
+    assert problem.f_lambda(complex(-3.0, 0.0), lam) == pytest.approx(-1.0 / lam)
     delay_problem = LocusProblem(LocusKind.DELAY, -5.0, 1.0, first_order_plant(gain=2.0))
     # delay case: df/dlam = -s*G*e^{-lam s} = s on the locus
-    assert f_lambda(delay_problem, complex(-3.0, 0.0), 0.0) == pytest.approx(-3.0)
+    assert delay_problem.f_lambda(complex(-3.0, 0.0), 0.0) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("kind", [LocusKind.GAIN, LocusKind.DELAY])
+def test_ds_dlam_matches_finite_differences(kind):
+    # G = 2/(s+1), h = 1: a real root at s = -3 for lam = e^{-3} (gain) and
+    # the complex one -0.931+3.185j that Newton reaches from -0.6+1.4j at
+    # lam = 0.5 (delay), each followed by Newton to lam +- eps
+    problem = LocusProblem(kind, -5.0, 1.0, first_order_plant(gain=2.0))
+    if kind is LocusKind.GAIN:
+        s, lam = complex(-3.0, 0.0), math.exp(-3.0)
+    else:
+        s, lam = complex(-0.6, 1.4), 0.5
+
+    def root(lam, s):
+        for _ in range(60):
+            f = eval_char_fn(problem.plant, kind, s, lam)
+            fs = (f - 1.0) * (-1.0 / (s + 1.0) - problem.effective_h(lam))
+            s -= f / fs
+        return s
+
+    s = root(lam, s)
+    eps = 1e-6
+    fd = (root(lam + eps, s) - root(lam - eps, s)) / (2 * eps)
+    assert ds_dlam(problem, s, lam) == pytest.approx(fd, rel=1e-7)
 
 
 def test_multiplicity_simple_and_double():

@@ -31,7 +31,7 @@ With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
 command:
 
-    python3 tools/result_digest.py --expect 740d19ba0482891bdeadc82ec76b9076f165d22dfcca10d6d66df1e4abc7aab5
+    python3 tools/result_digest.py --expect 724a4f23ea0ae9a3717a23a702906a16d0ef5e1ad4a1af8472cad981e9285be0
 
 A change meant to move only last bits is checked value by value instead.
 ``--keep DIR`` saves each run's ``result.json`` under ``DIR/<workload>_<seed>_<i>``;
