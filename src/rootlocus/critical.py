@@ -304,16 +304,18 @@ def _phase_fn(plant: Plant, sigma0: float, h: float):
 
 def crossing_direction(problem: LocusProblem, omega: float, lam: float) -> int:
     """Direction of the crossing at sigma0 + j omega, lam: the sign of the
-    root's Re ds/dlam, +1 entering the region, on either locus kind."""
+    root's Re ds/dlam, +1 entering the region, on either locus kind.  It
+    grazes where |Re ds| <= 1e-10 |ds|, a test on the tangent's angle that
+    scaling the plant's gain (and so lam) leaves unchanged."""
     try:
-        d = localmodel.ds_dlam(problem, complex(problem.sigma0, omega), lam).real
+        ds = localmodel.ds_dlam(problem, complex(problem.sigma0, omega), lam)
     except ZeroDivisionError:
-        d = 0.0
-    if abs(d) < _GRAZE_TOL:
+        ds = 0j
+    if abs(ds.real) <= _GRAZE_TOL * abs(ds):
         raise IllPosedCrossingError(
-            f"grazing boundary crossing at omega = {omega}: Re ds/dlam = {d:g}"
+            f"grazing boundary crossing at omega = {omega}: ds/dlam = {ds:g}"
         )
-    return 1 if d > 0 else -1
+    return 1 if ds.real > 0 else -1
 
 
 def _solve_levels(lo: float, hi: float, phase, on_root) -> None:

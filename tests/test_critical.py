@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,16 +275,35 @@ def test_crossing_direction_raises_where_u_vanishes(kind):
         crossing_direction(problem, 0.0, 1.0)
 
 
-def test_crossing_direction_raises_at_a_grazing_gain_crossing():
+@pytest.mark.parametrize("gain", [1.0, 1e-12, 1e12])
+def test_crossing_direction_raises_at_a_grazing_gain_crossing(gain):
     # at a phase extremum phi' = Re u = 0, so Re ds/dlam = -Re u / (lam |u|^2)
-    # vanishes although u does not
-    problem = example3_problem()
+    # vanishes although u does not; the plant's gain scales lam and ds/dlam
+    # but not the angle of the tangent, so every scale grazes
+    base = example3_problem()
+    problem = LocusProblem(
+        base.kind, base.sigma0, base.lambda_max / gain, replace(base.plant, gain=gain)
+    )
     plant, s0 = problem.plant, problem.sigma0
     w = rootfind.phase_extremum_freqs(plant, s0, plant.delay)[0]
     lam = math.exp(big_lambda(plant, s0, w))
     assert abs(localmodel._u_derivatives(problem, complex(s0, w), lam, 0)[0]) > 0.1
     with pytest.raises(IllPosedCrossingError, match="grazing"):
         crossing_direction(problem, w, lam)
+
+
+@pytest.mark.parametrize("gain", [1e-10, 1e10])
+def test_crossing_kinds_do_not_depend_on_the_gain_scale(gain):
+    # G = gain/(s+1) with lambda_max 2/gain is the locus of 1/(s+1) with
+    # lambda_max 2, its parameter divided by gain: the same crossings, with
+    # the same kinds, at lam scaled by 1/gain
+    base = boundary_crossings(_gain_problem(first_order_plant(), -0.5, 2.0))
+    scaled = boundary_crossings(_gain_problem(first_order_plant(gain=gain), -0.5, 2.0 / gain))
+    assert [c.kind for c in scaled] == [c.kind for c in base]
+    assert {c.kind for c in base} == {CriticalKind.CROSSING_IN}
+    for c, b in zip(scaled, base):
+        assert c.root == pytest.approx(b.root, rel=1e-9)
+        assert c.lam * gain == pytest.approx(b.lam, rel=1e-9)
 
 
 def test_crossing_direction_raises_at_a_grazing_delay_crossing():
