@@ -74,19 +74,18 @@ def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResu
 
     starts = critical.starting_points(problem)
     crossings = critical.boundary_crossings(problem)
-    crit_points: list[CriticalPoint] = list(starts) + list(crossings)
 
     trajectories: list[cont.Trajectory] = []
     seeds: list[tuple] = []
 
     bps = critical.branch_points_gain(problem) if problem.kind is LocusKind.GAIN else []
-    crit_points.extend(bps)
     for bp in bps:
         registry.register(bp)
+    pre_registered = len(registry.records)
 
     if problem.kind is LocusKind.GAIN:
         real_trajs, colliders = cont.real_axis_segments(
-            problem, [cp for cp in crit_points if abs(cp.root.imag) < _AXIS_TOL]
+            problem, [cp for cp in starts + crossings + bps if abs(cp.root.imag) < _AXIS_TOL]
         )
         trajectories.extend(real_trajs)
         for bp in colliders:
@@ -124,11 +123,8 @@ def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResu
             traced += 1
             if symmetric and _plain(traj):
                 plain[o.kind, o.lam, o.root] = traj
-            if rec is None:
-                continue
-            if not any(cp is rec.point for cp in crit_points):
-                crit_points.append(rec.point)
-            new.extend(_branch_seeds(problem, rec))
+            if rec is not None:
+                new.extend(_branch_seeds(problem, rec))
         seeds = new
     log.debug(
         "%d trajectories: %d traced, %d mirrored, %d on the real axis",
@@ -151,7 +147,10 @@ def compute_root_locus(problem: LocusProblem, workers: int = 1) -> RootLocusResu
             )
 
     trajectories.sort(key=lambda t: (*t.origin.key(), _first_angle(t)))
-    crit_points = dedup_points(crit_points)
+    # a trace returns the record it creates, so the records past the gain
+    # branch points are the ones the traces found, in order
+    found = [rec.point for rec in registry.records[pre_registered:]]
+    crit_points = dedup_points(starts + crossings + bps + found)
     events, n0 = _imag_axis_events(problem, trajectories)
     stability = _stability_intervals(problem, events, n0)
     return RootLocusResult(
@@ -202,8 +201,6 @@ def _imag_axis_events(
     n0 = 0
     for traj in trajectories:
         pts = traj.points
-        if not pts:
-            continue
         if pts[0].lam < 1e-14 and pts[0].sigma > _AXIS_TOL:
             n0 += 1
         prev_sign = _axis_sign(pts[0].sigma)

@@ -115,10 +115,6 @@ class Plant:
             den *= s - p
         return num / den
 
-    def gain_angle(self) -> float:
-        """Angle of the plant gain; the gain is restricted to real values."""
-        return 0.0 if self.gain > 0 else math.pi
-
 
 def eval_char_fn(plant: Plant, kind: LocusKind, s: complex, lam: float) -> complex:
     """Characteristic function in Cartesian form; residual checks only."""
@@ -211,13 +207,11 @@ def phi_offset(plant: Plant, sigma0: float) -> float:
     return math.pi if abs(wrap_angle(ang - math.pi)) < abs(wrap_angle(ang)) else 0.0
 
 
-def phi_prime(plant: Plant, sigma0: float, omega, h: float | None = None):
+def phi_prime(plant: Plant, sigma0: float, omega, h: float):
     """First derivative of the boundary phase phi with respect to omega.
 
     A float gives a float, an array an array, same bits.
     """
-    if h is None:
-        h = plant.delay
     acc = -h - _zero_like(omega)  # minus: -0.0 at h = 0 stays -0.0
     for z in plant.zeros:
         q = omega - z.imag
@@ -287,7 +281,7 @@ class LocusProblem:
                     )
         # per-plant constants of ``evaluate``
         object.__setattr__(self, "_log_gain", math.log(abs(self.plant.gain)))
-        object.__setattr__(self, "_gain_angle", self.plant.gain_angle())
+        object.__setattr__(self, "_gain_angle", 0.0 if self.plant.gain > 0 else math.pi)
 
     def effective_h(self, lam: float) -> float:
         """Exponent coefficient of the dead-time term at locus parameter lam."""

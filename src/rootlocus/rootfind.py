@@ -174,37 +174,12 @@ def poly_from_roots(roots) -> np.ndarray:
     return acc
 
 
-def _product_and_leave_one_out(factors: list[np.ndarray]):
-    """The product of ``factors`` and, for each i, the product of all but
-    factors[i], as np.convolve chains from a complex unit.
-
-    Every chain multiplies the factors in their order, so the ith
-    leave-one-out product is the prefix before i convolved with the factors
-    after i: the same convolutions in the same order as a chain of its own,
-    with the n prefixes shared by all of them.
-    """
-    prefixes = [np.ones(1, complex)]
-    for f in factors:
-        prefixes.append(np.convolve(prefixes[-1], f))
-    loo = []
-    for i, acc in enumerate(prefixes[:-1]):
-        for f in factors[i + 1:]:
-            acc = np.convolve(acc, f)
-        loo.append(acc)
-    return prefixes[-1], loo
-
-
-def _linear_factors(roots) -> list[np.ndarray]:
-    """The descending factors s - r, as ``poly_from_roots`` multiplies them."""
-    return [np.array([1.0, -r]) for r in roots]
-
-
 def _polished_roots(num: np.ndarray) -> list[complex]:
     """The ``np.roots`` roots of the descending complex polynomial ``num``,
     each after at most five Newton steps.
 
     The polynomial and its derivative are evaluated at all the roots still
-    moving in one array pass of ``np.polyval``'s recurrence, which rounds
+    moving in one ``np.polyval`` call each, whose array recurrence rounds
     each element as its 0-d evaluation does.  Each root divides as a numpy
     scalar and stops on its own at a zero derivative, a non-finite step or a
     step below rounding.
@@ -216,13 +191,8 @@ def _polished_roots(num: np.ndarray) -> list[complex]:
         if not moving:
             break
         at = xs[moving]
-        fx, dfx = np.zeros_like(at), np.zeros_like(at)
-        for pv in num:
-            fx = fx * at + pv
-        for pv in dnum:
-            dfx = dfx * at + pv
         still = []
-        for i, f_i, df_i in zip(moving, fx, dfx):
+        for i, f_i, df_i in zip(moving, np.polyval(num, at), np.polyval(dnum, at)):
             if df_i == 0:
                 continue
             step = f_i / df_i  # divided as numpy scalars, whose rounding the roots keep
@@ -245,13 +215,13 @@ def rational_zeros(plant: Plant, target: str, h: float = 0.0) -> list[complex]:
         num = np.polyadd(poly_from_roots(plant.poles), plant.gain * poly_from_roots(plant.zeros))
     elif target == "gprime_minus_hg":
         # monic numerator and denominator, the gain excluded
-        num_z, loo_z = _product_and_leave_one_out(_linear_factors(plant.zeros))
-        den_p, loo_p = _product_and_leave_one_out(_linear_factors(plant.poles))
+        zs, ps = plant.zeros, plant.poles
+        num_z, den_p = poly_from_roots(zs), poly_from_roots(ps)
         acc = np.array([0.0 + 0.0j])
-        for loo in loo_z:
-            acc = np.polyadd(acc, np.convolve(loo, den_p))
-        for loo in loo_p:
-            acc = np.polysub(acc, np.convolve(loo, num_z))
+        for i in range(len(zs)):
+            acc = np.polyadd(acc, np.convolve(poly_from_roots(zs[:i] + zs[i + 1:]), den_p))
+        for i in range(len(ps)):
+            acc = np.polysub(acc, np.convolve(poly_from_roots(ps[:i] + ps[i + 1:]), num_z))
         num = np.polysub(acc, h * np.convolve(num_z, den_p))
     else:
         raise ValueError(f"unknown rational-zeros target {target!r}")

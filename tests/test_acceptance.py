@@ -481,7 +481,7 @@ def _replaced_crossing_direction(problem, omega, lam):
     locus.  Each raised below 1e-10 in magnitude."""
     s0 = problem.sigma0
     if problem.kind is LocusKind.GAIN:
-        d = -phi_prime(problem.plant, s0, omega)
+        d = -phi_prime(problem.plant, s0, omega, problem.plant.delay)
     else:
         u = problem.evaluate(s0, omega, lam)[2] - lam
         d = (complex(s0, omega) / u).real
@@ -536,11 +536,11 @@ def test_criterion_6_extremum_zero_sets():
         for g in mag:
             assert abs(big_lambda_prime(plant, s0, g)) < 1e-7
         ph = [w for w in phase_extremum_freqs(plant, s0, plant.delay) if w <= w_hi]
-        want_p = _scan_zeros(lambda w: phi_prime(plant, s0, w), 1e-6, w_hi, 200001)
+        want_p = _scan_zeros(lambda w: phi_prime(plant, s0, w, plant.delay), 1e-6, w_hi, 200001)
         for w in want_p:
             assert min(abs(w - g) for g in ph) < 1e-6 if ph else False
         for g in ph:
-            assert abs(phi_prime(plant, s0, g)) < 1e-7
+            assert abs(phi_prime(plant, s0, g, plant.delay)) < 1e-7
 
 
 # --- criterion 7: robustness at turning/branch points -----------------------

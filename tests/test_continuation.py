@@ -313,6 +313,20 @@ def test_failed_halvings_solve_and_register_the_branch_point(monkeypatch):
     assert (traj.points[-1].root, traj.points[-1].lam) == (merge.point.root, merge.point.lam)
 
 
+@pytest.mark.parametrize("index", [17, 21])
+def test_lambda_reversal_with_a_failed_branch_solve_stalls_and_warns(index, monkeypatch):
+    # these stream plants have traces that solve for a branch point at a lam reversal
+    def fail(problem, y):
+        raise NoConvergenceError("forced failure")
+
+    monkeypatch.setattr(continuation, "solve_branch_point", fail)
+    result = compute_root_locus(stream_problem(index))
+    note = "lam reversal detected but branch-point solve failed"
+    stalled = [t for t in result.trajectories if t.termination is Termination.STALLED]
+    assert stalled and all(t.note == note for t in stalled)
+    assert sum(w.endswith(f"stalled: {note}") for w in result.warnings) == len(stalled)
+
+
 def test_lambda_nondecreasing_along_gain_trace():
     problem = _first_order_problem(sigma0=-1.5, lambda_max=5.0)
     cp = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)

@@ -176,6 +176,21 @@ def test_emit_and_load_round_trip(small_result, tmp_path):
         assert a == b, name
 
 
+def test_load_result_names_the_file_of_a_missing_directory(tmp_path):
+    missing = tmp_path / "nowhere"
+    with pytest.raises(ParseError, match=re.escape(str(missing / "result.json"))):
+        load_result(str(missing))
+
+
+def test_load_result_names_the_file_of_a_truncated_result(small_result, tmp_path):
+    emit_results(small_result, str(tmp_path))
+    path = tmp_path / "result.json"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(str(path)) + r":\d+:\d+: "):
+        load_result(str(tmp_path))
+
+
 def test_trajectory_csv_shape(small_result, tmp_path):
     out = tmp_path / "csv"
     emit_results(small_result, str(out))

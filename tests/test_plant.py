@@ -54,7 +54,7 @@ def _ref_log_magnitude(plant, sigma, omega, k, h):
 
 def _ref_phase(plant, sigma, omega, h):
     _ref_check_clear(plant, complex(sigma, omega))
-    acc = plant.gain_angle() - h * omega - math.pi
+    acc = (0.0 if plant.gain > 0 else math.pi) - h * omega - math.pi
     for z in plant.zeros:
         acc += math.atan2(omega - z.imag, sigma - z.real)
     for p in plant.poles:
@@ -256,7 +256,7 @@ def test_phi_first_order():
     plant = first_order_plant()
     # phi(w) = -atan(w/0.5) - w for sigma0 = -0.5, h = 1 (G(sigma0) > 0)
     assert phi(plant, -0.5, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert phi_prime(plant, -0.5, 0.0) == pytest.approx(-3.0)
+    assert phi_prime(plant, -0.5, 0.0, plant.delay) == pytest.approx(-3.0)
     w = 2.3
     assert phi(plant, -0.5, w) == pytest.approx(-math.atan(w / 0.5) - w)
 
@@ -349,12 +349,13 @@ def test_boundary_functions_agree_bitwise_on_floats_and_arrays():
         ws = np.concatenate([ws, rng.uniform(-30.0, 30.0, 200 - len(ws))])
         ref = _ref_boundary(plant, s0, ws)
         for fn in (big_lambda, big_lambda_prime, phi_prime, phi):
-            grid = fn(plant, s0, ws.reshape(10, 20))
+            h = (plant.delay,) if fn is phi_prime else ()
+            grid = fn(plant, s0, ws.reshape(10, 20), *h)
             assert isinstance(grid, np.ndarray) and grid.shape == (10, 20)
             assert grid.ravel().tobytes() == ref[fn].tobytes(), fn.__name__
             for w, from_grid in zip(ws.tolist(), grid.ravel().tolist()):
-                at_float = fn(plant, s0, w)
-                at_float64 = fn(plant, s0, np.float64(w))
+                at_float = fn(plant, s0, w, *h)
+                at_float64 = fn(plant, s0, np.float64(w), *h)
                 assert type(at_float) is float
                 assert isinstance(at_float64, float)
                 assert at_float.hex() == float(at_float64).hex() == from_grid.hex(), (
@@ -369,7 +370,7 @@ def test_boundary_derivatives_match_finite_differences():
         fd_l = (big_lambda(plant, s0, w + step) - big_lambda(plant, s0, w - step)) / (2 * step)
         assert big_lambda_prime(plant, s0, w) == pytest.approx(fd_l, abs=1e-5)
         fd_p = (phi(plant, s0, w + step) - phi(plant, s0, w - step)) / (2 * step)
-        assert phi_prime(plant, s0, w) == pytest.approx(fd_p, abs=1e-5)
+        assert phi_prime(plant, s0, w, plant.delay) == pytest.approx(fd_p, abs=1e-5)
 
 
 def test_evaluate_log_derivative_matches_finite_differences():

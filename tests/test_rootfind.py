@@ -188,7 +188,7 @@ def test_phase_extrema_match_sign_scan():
     problem = example3_problem()
     plant, s0 = problem.plant, problem.sigma0
     got = [w for w in phase_extremum_freqs(plant, s0, plant.delay) if w <= 20.0]
-    want = _sign_scan_zeros(lambda w: phi_prime(plant, s0, w), 1e-6, 20.0)
+    want = _sign_scan_zeros(lambda w: phi_prime(plant, s0, w, plant.delay), 1e-6, 20.0)
     inner = [w for w in got if 1e-6 < w < 20.0]
     assert len(inner) == len(want)
     for g, w in zip(inner, want):
@@ -252,7 +252,8 @@ def test_high_order_extrema_match_a_dense_sign_scan():
         biproper += plant.biproper
         for fn, got in (
             (lambda w: big_lambda_prime(plant, s0, w), magnitude_extremum_freqs(plant, s0)),
-            (lambda w: phi_prime(plant, s0, w), phase_extremum_freqs(plant, s0, plant.delay)),
+            (lambda w: phi_prime(plant, s0, w, plant.delay),
+             phase_extremum_freqs(plant, s0, plant.delay)),
         ):
             w, cells = _scan_cells(fn, high, 200000)
             inside = [x for x in got if x <= high]
@@ -328,7 +329,8 @@ def test_no_extremum_is_an_artifact_at_zero_or_infinity(monkeypatch):
     for plant, s0 in plants:
         for fn, got in (
             (lambda w: big_lambda_prime(plant, s0, w), magnitude_extremum_freqs(plant, s0)),
-            (lambda w: phi_prime(plant, s0, w), phase_extremum_freqs(plant, s0, plant.delay)),
+            (lambda w: phi_prime(plant, s0, w, plant.delay),
+             phase_extremum_freqs(plant, s0, plant.delay)),
         ):
             for x in got:
                 assert x > 1e-6
@@ -411,21 +413,6 @@ def _oracle_complex_polish(num):
     ]
 
 
-def _oracle_product_and_leave_one_out(factors, one):
-    # each leave-one-out product convolved from the unit on its own
-    total = one
-    for f in factors:
-        total = np.convolve(total, f)
-    loo = []
-    for i in range(len(factors)):
-        acc = one
-        for j, f in enumerate(factors):
-            if j != i:
-                acc = np.convolve(acc, f)
-        loo.append(acc)
-    return total, loo
-
-
 def _hex(values):
     out = []
     for v in np.asarray(values).ravel().tolist():
@@ -496,32 +483,3 @@ def test_polished_roots_keep_the_0d_polyval_bits(monkeypatch):
             want = _oracle_complex_polish(num)
         assert _hex(got) == _hex(want)
         assert all(type(x) is complex for x in got)
-
-
-def _plant_factors(rng):
-    values = list(rng.uniform(-4.0, 0.5, int(rng.integers(0, 4))) + 0j)
-    for _ in range(int(rng.integers(0, 4))):
-        v = complex(rng.uniform(-4.0, 1.0), rng.uniform(0.1, 6.0))
-        values += [v, v.conjugate()]
-    rng.shuffle(values)
-    return values
-
-
-def test_leave_one_out_products_keep_the_chain_bits():
-    from conftest import example1_problem, example2_problem, turning_point_problem
-    from test_acceptance import stream_problem
-
-    rng = np.random.default_rng(20261022)
-    sets = [_plant_factors(rng) for _ in range(300)]
-    for problem in (example1_problem(), example2_problem(), example3_problem(),
-                    turning_point_problem(), stream_problem(28)):
-        sets += [list(problem.plant.zeros), list(problem.plant.poles)]
-    for values in sets:
-        linear = rootfind._linear_factors(values)
-        total, loo = rootfind._product_and_leave_one_out(linear)
-        want_total, want_loo = _oracle_product_and_leave_one_out(linear, np.ones(1, complex))
-        assert total.dtype == want_total.dtype
-        assert _hex(total) == _hex(want_total)
-        assert [_hex(p) for p in loo] == [_hex(p) for p in want_loo]
-        # the total of the linear factors is the polynomial poly_from_roots forms
-        assert _hex(total) == _hex(rootfind.poly_from_roots(values))
