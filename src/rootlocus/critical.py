@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from . import localmodel
-from .errors import IllPosedCrossingError, PoleZeroProximityError
+from .errors import IllPosedCrossingError, NoConvergenceError, PoleZeroProximityError
 from .plant import (
     LocusKind,
     LocusProblem,
@@ -34,6 +34,9 @@ _CLUSTER_TOL = 1e-8
 # double root, ~6e-6 for a triple one
 _SCATTER_TOL = 1e-5
 _MULTIPLE_ROOT_RESIDUAL = 1e-12  # |f| at a confirmed multiple start root
+_COARSE_STRIDE = 256  # grid steps per coarse cell of the delay psi' scan
+_MAX_BISECTED = 1 << 16  # cells per level of the psi' bisection before it gives up
+_EPS = float(np.finfo(float).eps)
 
 
 class CriticalKind(Enum):
@@ -340,6 +343,170 @@ def _sign_flips(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((sign[:-1] != 0) & (sign[1:] != 0) & (sign[:-1] != sign[1:]))
 
 
+def _psi_prime(plant: Plant, s0: float, w):
+    """psi' of the delay boundary phase psi(w) = phi_G(w) - lam(w) w.  A float
+    gives a float, an array an array, same bits."""
+    return (
+        phi_prime(plant, s0, w, 0.0) - _delay_lam_prime(plant, s0, w) * w - _delay_lam(plant, s0, w)
+    )
+
+
+def _psi_bounds(plant: Plant, s0: float, a: np.ndarray, b: np.ndarray):
+    """For each cell [a, b] of the arrays: bounds on |psi''| and on
+    |psi''''|, the third derivative of psi', over the cell, and a bound on
+    the rounding error of ``_psi_prime`` anywhere in it.
+
+    With x = s0 - Re v, t = w - Im v and q = x^2 + t^2 for each pole or zero
+    v, psi' sums terms x/q (from phi'), w t/(s0 q) (from lam' w) and
+    ln(q)/(2 s0) (from lam).  Their w-derivatives give, term by term,
+    |psi''| <= sum (min(1, 2|x t|/q) + (|w| + 2|t|)/|s0|)/q.  In terms of
+    u = G'/G at s = s0 + jw, psi' = Re u - (ln|G| - w Im u)/s0 and d/dw is
+    j d/ds, so psi'''' = Im u''' - (4 Im u'' + w Re u''')/s0, and
+    |u^(k)| <= sum k!/q^((k+1)/2) gives
+    |psi''''| <= sum 6/q^2 + (8/q^1.5 + 6|w|/q^2)/|s0|.  Both are taken
+    with the least q and the largest |w| and |t| on the cell.  The rounding
+    of each sum of ``_psi_prime`` is within (count + 10) eps of the sum of
+    its terms' magnitudes; four times that covers libm's last bits."""
+    v = np.array(plant.poles + plant.zeros)
+    x = abs(s0 - v.real)
+    c = v.imag
+    a, b = a[:, None], b[:, None]
+    t_near = np.maximum(np.maximum(a - c, c - b), 0.0)
+    t_far = np.maximum(abs(a - c), abs(b - c))
+    q_near = x * x + t_near * t_near
+    w_far = np.maximum(abs(a), abs(b))
+    r = 1.0 / abs(s0)
+    phi2 = np.minimum(1.0, 2.0 * x * t_far / q_near)
+    second = ((phi2 + (w_far + 2.0 * t_far) * r) / q_near).sum(axis=1)
+    fourth = ((6.0 * (1.0 + w_far * r) / q_near + 8.0 * r / np.sqrt(q_near)) / q_near).sum(axis=1)
+    logs = 1.0 + abs(np.log(q_near)) + abs(np.log(x * x + t_far * t_far))
+    terms = ((x + w_far * t_far * r) / q_near + logs * r).sum(axis=1)
+    scale = terms + (2.0 * abs(plant.delay * s0) + abs(math.log(abs(plant.gain)))) * r
+    return second, fourth, 4.0 * (v.size + 10) * _EPS * scale
+
+
+def _same_sign(*values):
+    """Whether the values (arrays) are all nonzero with one sign, elementwise."""
+    neg = values[0] < 0.0
+    out = values[0] != 0.0
+    for f in values[1:]:
+        out &= (f != 0.0) & ((f < 0.0) == neg)
+    return out
+
+
+def _cleared(a, b, fa, fb, second, err):
+    """Whether psi' (fa at a, fb at b) certainly has no zero on [a, b].
+
+    A zero c of psi' on the cell gives |psi'(a)| <= B (c - a) and |psi'(b)|
+    <= B (b - c), with B >= |psi''| there.  When the computed fa and fb have
+    one sign and |fa + fb| > B (b - a) + 4E, E bounding the rounding of each
+    value, the true psi' exceeds E in size everywhere on the cell: half the
+    excess of its end values over B (b - a).  So it has no zero, and psi'
+    computed at any point of the cell keeps the sign of fa.  The factor
+    1 + 1e-9 covers the rounding of B (b - a) and of the sum."""
+    return _same_sign(fa, fb) & (abs(fa + fb) > (1.0 + 1e-9) * second * (b - a) + 4.0 * err)
+
+
+def _cleared3(width, fa, fm, fb, fourth, err):
+    """Whether psi' (fa, fm, fb at the ends and the midpoint of a cell)
+    certainly has no zero on the cell.
+
+    When the three values have one sign, the quadratic through them is on
+    each half a combination of them whose weight on the far end lies in
+    [-1/8, 0], so in size it is at least min(|fm|, |near end|) less 1/8 of
+    the far end's excess over that.  It differs from psi' by at most
+    max|psi''''| width^3 / (72 sqrt 3), the error of quadratic
+    interpolation, and from the quadratic through the true values by
+    1.25 E.  The factor 1 + 1e-9 covers the rounding of the bound."""
+    same = _same_sign(fa, fm, fb)
+    fa, fm, fb = abs(fa), abs(fm), abs(fb)
+    low = np.minimum(fm, fa)
+    high = np.minimum(fm, fb)
+    least = np.minimum(
+        low - np.maximum(fb - low, 0.0) / 8.0, high - np.maximum(fa - high, 0.0) / 8.0
+    )
+    return same & (least > (1.0 + 1e-9) * fourth * width**3 / 124.0 + 4.0 * err)
+
+
+def _hidden_turns(plant: Plant, s0: float, psi_prime, a, b, fa, fb) -> list[float]:
+    """Turns of psi' inside the cells [a, b] (arrays; psi' is fa, fb at the
+    ends) that ``_cleared`` does not clear and whose end values do not change
+    sign.
+
+    The cells are bisected, every cell of a level in one call of psi', until
+    ``_cleared3`` clears them.  A half whose end values change sign goes to
+    Brent's method: a midpoint value of the other sign than both ends
+    brackets two zeros.  A cell narrower than 1e-12 (1 + |w|) is dropped:
+    two zeros that close move psi by less than B width^2."""
+    turns: list[float] = []
+    while a.size:
+        if a.size > _MAX_BISECTED:
+            raise NoConvergenceError(
+                f"the psi' bisection on [{a[0]}, {b[-1]}] holds {a.size} cells it cannot clear"
+            )
+        m = 0.5 * (a + b)
+        fm = psi_prime(m)
+        _, fourth, err = _psi_bounds(plant, s0, a, b)
+        keep = ~_cleared3(b - a, fa, fm, fb, fourth, err)
+        a, m, b, fa, fm, fb = a[keep], m[keep], b[keep], fa[keep], fm[keep], fb[keep]
+        a, b = np.concatenate((a, m)), np.concatenate((m, b))
+        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+        flip = (fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0))
+        for cell in zip(a[flip], b[flip], fa[flip], fb[flip]):
+            turns.append(bracketed_root(psi_prime, *cell))
+        keep = ~flip & (b - a > 1e-12 * (1.0 + abs(b)))
+        a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
+    return turns
+
+
+def _delay_turns(plant: Plant, s0: float, lmax: float, lo: float, hi: float) -> list[float]:
+    """The zeros of psi' on [lo, hi] where psi turns, in ascending order.
+
+    They are the sign changes of psi' on a uniform grid, each refined by
+    Brent's method, plus zero pairs hidden inside one grid cell.  The grid is
+    partitioned in two levels, and a cell is skipped when ``_cleared``
+    certifies it holds no zero.  Coarse cells span _COARSE_STRIDE grid
+    steps; psi' is evaluated at all the grid points of the coarse cells that
+    do not clear, in one call.  A grid cell in them that neither changes sign
+    nor clears goes to ``_hidden_turns``.  So every sign-change cell of the
+    full grid is found, with the same end values, and the grid's size caps
+    the work, not what the scan can see.
+    """
+
+    def psi_prime(w):
+        return _psi_prime(plant, s0, w)
+
+    n = int(1e4 * (1.0 + lmax * (hi - lo) / (2 * math.pi)))
+    grid = np.linspace(lo, hi, min(max(n, 200), 400000))
+    coarse = np.append(np.arange(0, grid.size - 1, _COARSE_STRIDE), grid.size - 1)
+    ca, cb = grid[coarse[:-1]], grid[coarse[1:]]
+    dc = psi_prime(grid[coarse])
+    second, _, err = _psi_bounds(plant, s0, ca, cb)
+    open_ = ~_cleared(ca, cb, dc[:-1], dc[1:], second, err)
+    # the grid indices of the open coarse cells, both ends included
+    first, last = coarse[:-1][open_], coarse[1:][open_]
+    sizes = last - first + 1
+    idx = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    dp = psi_prime(grid[idx])
+    # a pair of consecutive values inside one coarse cell is a grid cell
+    inner = np.diff(idx) == 1
+    flips = _sign_flips(dp)
+    flips = flips[inner[flips]]
+    turns = [
+        bracketed_root(psi_prime, grid[idx[j]], grid[idx[j + 1]], dp[j], dp[j + 1])
+        for j in flips
+    ]
+    inner[flips] = False
+    # the coarse cell's bounds hold on each of its grid cells; the few that
+    # do not clear with them are bisected
+    j = np.flatnonzero(inner)
+    cell_of = np.repeat(np.arange(sizes.size), sizes)[j]
+    a, b, fa, fb = grid[idx[j]], grid[idx[j + 1]], dp[j], dp[j + 1]
+    keep = ~_cleared(a, b, fa, fb, second[open_][cell_of], err[open_][cell_of])
+    turns += _hidden_turns(plant, s0, psi_prime, a[keep], b[keep], fa[keep], fb[keep])
+    return sorted(turns)
+
+
 def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
     """All boundary crossing roots on Re(s) = sigma0, with their directions.
 
@@ -347,6 +514,12 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
     phase is split into monotone pieces where it turns, and phase =
     (2l+1) pi is solved on every piece.  The two locus kinds differ only in
     the phase, where it turns and lam(w); ``crossing_direction`` serves both.
+    A gain phase turns at the eigenvalue extrema of ``phase_extremum_freqs``.
+    A delay phase psi(w) = phi_G(w) - lam(w) w turns at the zeros of psi'
+    that ``_delay_turns`` finds on a certified partition of its grid: each
+    skipped cell is proven free of zeros by a bound on |psi''|, and a grid
+    cell that cannot be cleared is bisected, so two zeros inside one cell are
+    found too.
     """
     plant = problem.plant
     s0 = problem.sigma0
@@ -373,22 +546,8 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
             # psi: the phase of G alone minus lam(w) * w
             return phase_g(w) - lam_at(w) * w
 
-        def psi_prime(w):
-            return (
-                phi_prime(plant, s0, w, 0.0)
-                - _delay_lam_prime(plant, s0, w) * w
-                - _delay_lam(plant, s0, w)
-            )
-
         def turns(lo, hi):
-            # the sign changes of psi' on a uniform grid, refined
-            n = int(1e4 * (1.0 + lmax * (hi - lo) / (2 * math.pi)))
-            grid = np.linspace(lo, hi, min(max(n, 200), 400000))
-            dp = psi_prime(grid)
-            return [
-                bracketed_root(psi_prime, grid[i], grid[i + 1], dp[i], dp[i + 1])
-                for i in _sign_flips(dp)
-            ]
+            return _delay_turns(plant, s0, lmax, lo, hi)
 
     found: list[CriticalPoint] = []
 

@@ -15,6 +15,9 @@ from rootlocus.critical import (
     CriticalPoint,
     _delay_lam,
     _delay_lam_prime,
+    _delay_turns,
+    _psi_bounds,
+    _psi_prime,
     _sign_flips,
     _phase_fn,
     boundary_crossings,
@@ -445,20 +448,41 @@ def _seeded_delay_problems(count, seed):
     return out
 
 
+def _uniform_scan(problem, lo, hi):
+    """The full uniform psi' grid that the delay turn search partitions, and
+    psi' on every point of it."""
+    plant, s0 = problem.plant, problem.sigma0
+    n = int(1e4 * (1.0 + problem.lambda_max * (hi - lo) / (2 * math.pi)))
+    grid = np.linspace(lo, hi, min(max(n, 200), 400000))
+    dp = (
+        phi_prime(plant, s0, grid, 0.0)
+        - _delay_lam_prime(plant, s0, grid) * grid
+        - _delay_lam(plant, s0, grid)
+    )
+    return grid, dp
+
+
+def _uniform_turns(problem, grid, dp):
+    """The scan the certified partition replaced, kept as its reference:
+    every sign change of psi' (``dp``) on the full grid, refined by Brent's
+    method."""
+
+    def psi_prime(w):
+        return _psi_prime(problem.plant, problem.sigma0, w)
+
+    return [
+        rootfind.bracketed_root(psi_prime, grid[i], grid[i + 1], dp[i], dp[i + 1])
+        for i in _sign_flips(dp)
+    ]
+
+
 def test_sign_flips_match_the_per_index_loop():
     # psi' on the grids that boundary_crossings scans for the delay locus
     flips = []
     for problem in [example1_problem()] + _seeded_delay_problems(11, 1):
         flips.append(0)
-        plant, s0 = problem.plant, problem.sigma0
         for lo, hi in delay_admissible_intervals(problem):
-            n = int(1e4 * (1.0 + problem.lambda_max * (hi - lo) / (2 * math.pi)))
-            grid = np.linspace(lo, hi, min(max(n, 200), 400000))
-            dp = (
-                phi_prime(plant, s0, grid, 0.0)
-                - _delay_lam_prime(plant, s0, grid) * grid
-                - _delay_lam(plant, s0, grid)
-            )
+            grid, dp = _uniform_scan(problem, lo, hi)
             got = _sign_flips(dp)
             assert got.tolist() == _sign_flips_loop(dp)
             flips[-1] += len(got)
@@ -494,4 +518,210 @@ def test_crossing_search_passes_brent_the_end_values_it_holds(monkeypatch):
     for problem in (example1_problem(), example3_problem(), stream_problem(31)):
         boundary_crossings(problem)
     # the phase levels, the admissible-interval clips and the delay psi' turns
-    assert callers == {"_solve_levels", "_admissible_intervals", "boundary_crossings"}
+    assert callers == {"_solve_levels", "_admissible_intervals", "_delay_turns"}
+
+
+def _delay_probe_problems(monkeypatch):
+    """Example 1, eleven seeded delay plants, the jittered random_delay plants
+    of benchmark seeds 1-5 and the first ten high-order delay plants of seeds
+    1000-1029 (lambda_max 1) that the validator accepts."""
+    import importlib
+    import os
+
+    from test_rootfind import high_order_plant
+
+    from rootlocus.errors import ValidationError
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    problems = [example1_problem()] + _seeded_delay_problems(11, 1)
+    for seed in range(1, 6):
+        problems += workloads.build("random_delay", seed)
+    high = []
+    for seed in range(1000, 1030):
+        plant, s0 = high_order_plant(np.random.default_rng(seed))
+        try:
+            high.append(LocusProblem(LocusKind.DELAY, s0, 1.0, plant))
+        except ValidationError:
+            continue
+    return problems + high[:10]
+
+
+def test_delay_turns_equal_the_full_uniform_scan_to_the_bit(monkeypatch):
+    # the certified partition finds every sign-change cell of the full grid,
+    # with the same end values, so Brent's method returns the same floats;
+    # it evaluates psi' at a small share of the grid points
+    problems = _delay_probe_problems(monkeypatch)
+    evaluated = [0]
+
+    def counted(plant, s0, w):
+        evaluated[0] += np.size(w)
+        return _psi_prime(plant, s0, w)
+
+    monkeypatch.setattr(critical, "_psi_prime", counted)
+    turns = points = 0
+    for problem in problems:
+        plant, s0, lmax = problem.plant, problem.sigma0, problem.lambda_max
+        for lo, hi in delay_admissible_intervals(problem):
+            grid, dp = _uniform_scan(problem, lo, hi)
+            want = _uniform_turns(problem, grid, dp)
+            got = _delay_turns(plant, s0, lmax, lo, hi)
+            assert [float(w).hex() for w in got] == [w.hex() for w in want]
+            turns += len(want)
+            points += grid.size
+    assert len(problems) == 147 and turns > 20
+    assert evaluated[0] < 0.02 * points
+
+
+def _psi_derivatives(problem, w):
+    """psi' and its first three derivatives from G'/G and its derivatives at
+    sigma0 + jw.
+
+    d/dw ln G = j u with u = G'/G, so (ln|G|)' = -Im u and arg(G)' = Re u;
+    psi = arg G - w ln|G| / sigma0, and d/dw of u^(k) is j u^(k+1)."""
+    plant, s0 = problem.plant, problem.sigma0
+    s = s0 + 1j * np.asarray(w)
+    u = [0j] * 4  # u and its first three derivatives in s
+    log_g = math.log(abs(plant.gain))
+    for v, sign in [(z, 1.0) for z in plant.zeros] + [(p, -1.0) for p in plant.poles]:
+        d = 1.0 / (s - v)
+        for k, factor in enumerate((1.0, -1.0, 2.0, -6.0)):
+            u[k] = u[k] + sign * factor * d ** (k + 1)
+        log_g = log_g + sign * np.log(abs(s - v))
+    w = np.asarray(w)
+    return (
+        u[0].real - (log_g - w * u[0].imag) / s0,
+        -u[1].imag + (2.0 * u[0].imag + w * u[1].real) / s0,
+        -u[2].real + (3.0 * u[1].real - w * u[2].imag) / s0,
+        u[3].imag - (4.0 * u[2].imag + w * u[3].real) / s0,
+    )
+
+
+def _exact_psi_prime(plant, s0, w):
+    """psi'(w) = Re u - (ln|G| - w Im u)/sigma0 at sigma0 + jw in mpmath, at
+    its working precision."""
+    import mpmath
+
+    s = mpmath.mpc(s0, w)
+    g, u = mpmath.mpf(plant.gain), mpmath.mpc(0)
+    for z in plant.zeros:
+        g, u = g * (s - z), u + 1 / (s - z)
+    for p in plant.poles:
+        g, u = g / (s - p), u - 1 / (s - p)
+    return u.real - (mpmath.log(abs(g)) - w * u.imag) / s0
+
+
+def test_psi_bounds_bound_psi_derivatives_and_rounding(monkeypatch):
+    # on random cells of every admissible interval, 200 points each: the
+    # bounds of _psi_bounds on |psi''| and on the third derivative of psi'
+    # hold against closed forms from G'/G (which central differences of the
+    # next lower closed form confirm), and psi' as computed lies within the
+    # rounding bound of psi' at 40 digits
+    import mpmath
+
+    rng = np.random.default_rng(20261019)
+    cells = 0
+    for problem in _delay_probe_problems(monkeypatch):
+        plant, s0 = problem.plant, problem.sigma0
+        for lo, hi in delay_admissible_intervals(problem):
+            for _ in range(3):
+                width = (hi - lo) * 10.0 ** rng.uniform(-6.0, 0.0)
+                a = rng.uniform(lo, hi - width)
+                w = np.linspace(a, a + width, 200)
+                second, fourth, err = (x[0] for x in _psi_bounds(plant, s0, w[:1], w[-1:]))
+                d1, d2, _, d4 = _psi_derivatives(problem, w)
+                assert d1 == pytest.approx(_psi_prime(plant, s0, w), rel=1e-9, abs=1e-9)
+                assert np.max(abs(d2)) <= second
+                assert np.max(abs(d4)) <= fourth
+                cells += 1
+            x = float(w[rng.integers(0, 200)])
+            step = 1e-5 * (1.0 + x)
+            lower = _psi_derivatives(problem, [x - step, x + step])[:3]
+            upper = _psi_derivatives(problem, x)[1:]
+            for k in range(3):
+                slope = (lower[k][1] - lower[k][0]) / (2.0 * step)
+                assert slope == pytest.approx(upper[k], rel=1e-4, abs=1e-6 * (1.0 + abs(lower[k][0])))
+            with mpmath.workdps(40):
+                exact = _exact_psi_prime(plant, s0, x)
+            assert abs(_psi_prime(plant, s0, x) - exact) <= err
+    assert cells > 400
+
+
+def test_delay_turns_find_two_zeros_inside_one_grid_cell():
+    # a zero at sigma0 - eps + jc and a pole at sigma0 + eps + jc (with their
+    # conjugates) leave |G| on Re s = sigma0 as it was and add a phase spike
+    # 2 eps/(eps^2 + (w - c)^2) to psi', narrower than the grid step; centred
+    # in a cell it turns psi' positive and back inside that cell
+    s0, lmax, eps = -1.0, 0.5, 1e-4
+    base = Plant(zeros=(), poles=(-1e5,), gain=0.99e5, delay=1.0)
+    (lo, hi), = delay_admissible_intervals(LocusProblem(LocusKind.DELAY, s0, lmax, base))
+    grid, _ = _uniform_scan(LocusProblem(LocusKind.DELAY, s0, lmax, base), lo, hi)
+    k = grid.size // 2
+    c = 0.5 * (grid[k] + grid[k + 1])
+    plant = Plant(
+        zeros=(complex(s0 - eps, c), complex(s0 - eps, -c)),
+        poles=(-1e5, complex(s0 + eps, c), complex(s0 + eps, -c)),
+        gain=0.99e5,
+        delay=1.0,
+    )
+    problem = LocusProblem(LocusKind.DELAY, s0, lmax, plant)
+    (lo, hi), = delay_admissible_intervals(problem)
+    grid, dp = _uniform_scan(problem, lo, hi)
+    assert grid[k] < c < grid[k + 1] and dp[k] < 0.0 and dp[k + 1] < 0.0
+    assert _uniform_turns(problem, grid, dp) == []
+    got = _delay_turns(plant, s0, lmax, lo, hi)
+    assert len(got) == 2 and all(grid[k] < w < grid[k + 1] for w in got)
+
+    import mpmath
+
+    with mpmath.workdps(40):
+        for lo_w, hi_w in ((grid[k], c), (c, grid[k + 1])):
+            want = mpmath.findroot(
+                lambda w: _exact_psi_prime(plant, s0, w), (lo_w, hi_w), solver="anderson")
+            assert min(abs(w - float(want)) for w in got) < 1e-9
+
+
+def test_psi_bisection_gives_up_loudly(monkeypatch):
+    # cells that never clear double at each level; past _MAX_BISECTED the
+    # search raises instead of growing without bound
+    from rootlocus.errors import NoConvergenceError
+
+    plant, s0 = first_order_plant(gain=2.0), -0.5
+    monkeypatch.setattr(critical, "_cleared3", lambda width, *rest: np.zeros(width.shape, bool))
+
+    def psi_prime(w):
+        return _psi_prime(plant, s0, w)
+
+    a, b = np.array([2.0]), np.array([3.0])
+    with pytest.raises(NoConvergenceError, match="cannot clear"):
+        critical._hidden_turns(plant, s0, psi_prime, a, b, psi_prime(a), psi_prime(b))
+
+
+def test_cell_certificates_never_clear_a_cell_holding_a_zero():
+    # random cubics on [0, 1] with exact derivative bounds, half of them with
+    # two close roots between two of the three sample points: a cell that
+    # holds a zero is never cleared, by the end-value test with max|f''| or
+    # by the three-value test with max|f'''|; many zero-free cells are
+    rng = np.random.default_rng(20261020)
+    x = np.linspace(0.0, 1.0, 4001)
+    cleared = [0, 0]
+    for k in range(3000):
+        if k % 2:
+            r = rng.uniform(0.0, 0.45)
+            far = rng.uniform(1.0, 3.0) * rng.choice((-1.0, 1.0))
+            c = np.poly([r, r + rng.uniform(0.0, 0.05), far])[::-1] * rng.choice((-1.0, 1.0))
+        else:
+            c = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+        f = np.polyval(c[::-1], x)
+        zero = bool(np.any(np.sign(f[:-1]) != np.sign(f[1:]))) or np.min(abs(f)) < 1e-9
+        second = max(abs(2.0 * c[2]), abs(2.0 * c[2] + 6.0 * c[3]))
+        fourth = abs(6.0 * c[3])  # the third derivative of the cubic
+        fa, fm, fb = (np.array([np.polyval(c[::-1], t)]) for t in (0.0, 0.5, 1.0))
+        err = np.array([1e-15 * np.sum(abs(c))])
+        by_ends = critical._cleared(np.array([0.0]), np.array([1.0]), fa, fb, second, err)[0]
+        by_three = critical._cleared3(np.array([1.0]), fa, fm, fb, fourth, err)[0]
+        assert not (zero and (by_ends or by_three)), c
+        cleared[0] += bool(by_ends)
+        cleared[1] += bool(by_three)
+    assert min(cleared) > 300

@@ -22,7 +22,8 @@ def test_ab_bench_runs_every_workload_in_each_pair_alternating_sides(monkeypatch
         specs = json.load(fh)["end_to_end"]
     calls = []
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed, seconds, trace):
+        assert trace == 0
         calls.append((checkout, workload))
         value = 2.0 if checkout == "base_dir" else 1.0
         metrics = {s["name"]: {"value": value, "unit": s["unit"]} for s in specs}
@@ -37,6 +38,40 @@ def test_ab_bench_runs_every_workload_in_each_pair_alternating_sides(monkeypatch
         lines = ab.report(specs, runs[workload])
         assert len(lines) == len(specs)
         assert all("better in 2/2 pairs" in line for line in lines)
+
+
+def test_ab_bench_traced_report_gives_every_layer_and_matches_crossing_counts(monkeypatch):
+    # with --trace 1 the blocks report the per-layer metrics of both sides;
+    # the crossings found must be equal pair by pair, and a layer whose base
+    # median is 0 (no real-axis work on a delay locus) reads n/a, not an error
+    ab = _ab_bench()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        specs = json.load(fh)["per_layer"]
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        seen.append(trace)
+        change = checkout == "change_dir"
+        metrics = {s["name"]: {"value": 1.0, "unit": s["unit"]} for s in specs}
+        metrics["critical.crossings_ms"]["value"] = 40.0 if change else 50.0
+        metrics["critical.crossings_found"]["value"] = 288
+        metrics["continuation.real_axis_ms"]["value"] = 0.0
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "_run", fake_run)
+    runs = ab.run_pairs({"base": "base_dir", "change": "change_dir"}, ("random_delay",), 2, 1,
+                        1.0, trace=1)["random_delay"]
+    assert seen == [1] * 4
+    lines = ab.report(specs, runs)
+    assert len(lines) == len(specs) + 1
+    moved = [line for line in lines if line.lstrip().startswith("critical.crossings_ms:")]
+    assert len(moved) == 1 and "-20.0%" in moved[0] and "better in 2/2 pairs" in moved[0]
+    real_axis = [line for line in lines if "continuation.real_axis_ms:" in line]
+    assert "n/a" in real_axis[0]
+    assert lines[-1] == "critical.crossings_found: equal on both sides in 2/2 pairs"
+    runs["change"][1]["metrics"]["critical.crossings_found"]["value"] = 286
+    assert ab.report(specs, runs)[-1] == (
+        "critical.crossings_found: equal on both sides in 1/2 pairs; DIFFERS in pairs [2]")
 
 
 def test_result_digest_matches_axis_events_inside_tie_groups(monkeypatch):

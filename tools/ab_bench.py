@@ -16,6 +16,12 @@ side, the change of the medians, the pairs in which the change did better,
 and whether the medians differ by more than the spread between the base's
 quartiles.  Runs whose operations failed are counted and named.  The
 worktree is removed on exit, also after an error or an interrupt.
+
+With ``--trace 1`` the runs are traced (``perfbench/run.py --trace 1``) and
+the blocks give the same lines for every per-layer metric of BENCHMARK.json
+instead, so that a change names the layer that moved.  A count of what the
+engine found (``critical.crossings_found``) must then be equal on both sides
+in every pair; the block says whether it is, and the tool exits 1 if not.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("random_gain", "random_delay", "reference")
+# per-layer counts of results, not of work: a change that keeps the results keeps them
+MATCHED = ("critical.crossings_found",)
 
 
 def _git(*args: str) -> str:
@@ -39,10 +47,10 @@ def _git(*args: str) -> str:
     return out.stdout.strip()
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The JSON summary ``perfbench/run.py`` prints last, run in ``checkout``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -59,9 +67,11 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
-    """One line per end-to-end metric, from the paired run summaries."""
+    """One line per metric of ``specs``, from the paired run summaries, and
+    one per metric of MATCHED among them."""
     lines = []
     pairs = len(runs["base"])
+    width = max(13, *(len(spec["name"]) for spec in specs))
     for spec in specs:
         name, lower = spec["name"], spec["better"] == "lower"
         base = [r["metrics"][name]["value"] for r in runs["base"]]
@@ -70,12 +80,19 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         c1, c2, c3 = _quartiles(change)
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         gain = (b2 - c2) if lower else (c2 - b2)
+        rel = f"{100.0 * (c2 / b2 - 1.0):+.1f}%" if b2 else "n/a"
         lines.append(
-            f"{name:>13}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} "
-            f"[{c1:.6g}, {c3:.6g}] {spec['unit']}  {100.0 * (c2 / b2 - 1.0):+.1f}%  "
+            f"{name:>{width}}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} "
+            f"[{c1:.6g}, {c3:.6g}] {spec['unit']}  {rel}  "
             f"better in {wins}/{pairs} pairs  "
             f"beyond the base quartile spread: {'yes' if gain > b3 - b1 else 'no'}"
         )
+    for name in MATCHED:
+        if any(spec["name"] == name for spec in specs):
+            differ = [i + 1 for i, (b, c) in enumerate(zip(runs["base"], runs["change"]))
+                      if b["metrics"][name]["value"] != c["metrics"][name]["value"]]
+            lines.append(f"{name}: equal on both sides in {pairs - len(differ)}/{pairs} pairs"
+                         + (f"; DIFFERS in pairs {differ}" if differ else ""))
     for side in ("base", "change"):
         failed = [r["failed"] for r in runs[side]]
         if any(failed) or not all(r["correct"] for r in runs[side]):
@@ -84,7 +101,7 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
 
 
 def run_pairs(sides: dict[str, str], workloads, pairs: int, seed: int,
-              seconds: float) -> dict[str, dict[str, list[dict]]]:
+              seconds: float, trace: int = 0) -> dict[str, dict[str, list[dict]]]:
     """Run summaries by workload and side ("base", "change", each a checkout
     directory in ``sides``): in every pair, each workload once per side, the
     side that runs first alternating from pair to pair."""
@@ -93,7 +110,7 @@ def run_pairs(sides: dict[str, str], workloads, pairs: int, seed: int,
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for workload in workloads:
             for side in order:
-                runs[workload][side].append(_run(sides[side], workload, seed, seconds))
+                runs[workload][side].append(_run(sides[side], workload, seed, seconds, trace))
         print(f"pair {pair + 1}/{pairs} done", file=sys.stderr, flush=True)
     return runs
 
@@ -105,12 +122,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: traced runs, reported by per-layer metric")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0.0:
         parser.error("--pairs must be at least 1 and --seconds positive")
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        specs = json.load(fh)["end_to_end"]
+        specs = json.load(fh)["per_layer" if args.trace else "end_to_end"]
     commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     # a SIGTERM unwinds through the finally below, as an interrupt does
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
@@ -119,7 +138,7 @@ def main(argv=None) -> int:
     try:
         _git("worktree", "add", "--detach", worktree, commit)
         runs = run_pairs({"base": worktree, "change": ROOT}, workloads, args.pairs,
-                         args.seed, args.seconds)
+                         args.seed, args.seconds, args.trace)
     finally:
         if os.path.isdir(worktree):
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree],
@@ -129,12 +148,13 @@ def main(argv=None) -> int:
     blocks = []
     for workload in workloads:
         blocks.append("\n".join([
-            f"workload {workload}, seed {args.seed}, {args.seconds:g} s per run, "
-            f"{args.pairs} pairs; base {commit[:12]} ({args.base}), change: this checkout",
+            f"workload {workload}, seed {args.seed}, {args.seconds:g} s per "
+            f"{'traced ' if args.trace else ''}run, {args.pairs} pairs; "
+            f"base {commit[:12]} ({args.base}), change: this checkout",
             *report(specs, runs[workload]),
         ]))
     print("\n\n".join(blocks))
-    return 0
+    return 1 if any("DIFFERS" in block for block in blocks) else 0
 
 
 if __name__ == "__main__":
