@@ -145,15 +145,15 @@ def _located_point(problem: LocusProblem, y, step: float) -> TrajectoryPoint:
     return TrajectoryPoint(sigma, omega, lam, problem.cartesian_residual(sigma, omega, lam), step)
 
 
-def secant(prev: TrajectoryPoint, curr: TrajectoryPoint) -> np.ndarray:
-    """Unit secant direction through the last two corrected points."""
-    d = np.array((curr.sigma - prev.sigma, curr.omega - prev.omega, curr.lam - prev.lam))
-    norm = _norm(d)
+def secant(chord: np.ndarray, norm: float) -> np.ndarray:
+    """Unit secant direction through the last two corrected points, from the
+    chord between them (the later minus the earlier) and its ``_norm``."""
     if norm < 1e-14:
         raise DegenerateError("secant direction degenerated: consecutive points coincide")
-    return d / norm
+    return chord / norm
 
 
+@np.errstate(invalid="raise")
 def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoint, float]:
     """Newton correction of a predicted point onto the locus.
 
@@ -163,7 +163,8 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     below ``_CORRECTOR_TOL`` and its Cartesian residual is at most
     ``_RESIDUAL_MAX``: near lam = 0 an update that small can leave a point
     far off the locus.  The iterate is plain floats; each 3x3
-    system goes to ``dgesv``, whose zero-pivot flag (an invalid operation)
+    system goes to ``dgesv``, whose zero-pivot flag (an invalid operation,
+    made to raise for the whole call by the ``np.errstate`` decorator)
     raises JacobianSingularError, and the arclength row and the update norm
     are ``ddot`` products.  An iterate at lam <= 0 on a gain locus, or on a
     pole or zero, fails with NoConvergenceError, as in the other two solvers.
@@ -177,44 +178,43 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     row[:] = direction
     b, moved = np.empty((2, 3))  # the right-hand side; the iterate minus the prediction
     first = second = 0.0  # norms of the first two Newton updates
-    with np.errstate(invalid="raise"):
-        for it in range(_MAX_NEWTON_ITERS):
-            if gain:
-                if lam <= 0.0:
-                    raise NoConvergenceError("corrector iterate left lam > 0")
-            elif lam < 0.0:
+    for it in range(_MAX_NEWTON_ITERS):
+        if gain:
+            if lam <= 0.0:
+                raise NoConvergenceError("corrector iterate left lam > 0")
+        elif lam < 0.0:
+            lam = 0.0
+        try:
+            (m, p), rows = _mp_jacobian(problem, (sigma, omega, lam))
+        except PoleZeroProximityError as exc:
+            raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
+        (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
+        moved[0], moved[1], moved[2] = sigma - sigma_p, omega - omega_p, lam - lam_p
+        b[0], b[1] = -m, -p
+        try:
+            b[2] = -moved.dot(row)
+            delta = _dgesv(a, b)
+        except FloatingPointError as exc:
+            raise JacobianSingularError("singular corrector Jacobian") from exc
+        d0, d1, d2 = delta.tolist()
+        if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
+            raise JacobianSingularError("corrector update overflowed")
+        sigma, omega, lam = sigma + d0, omega + d1, lam + d2
+        norm = math.sqrt(delta.dot(delta))
+        if it == 0:
+            first = norm
+        elif it == 1:
+            second = norm
+        if norm < _CORRECTOR_TOL:
+            if gain and lam <= 0.0:
+                raise NoConvergenceError("corrector converged outside lam > 0")
+            if not gain and lam < 0.0:
                 lam = 0.0
-            try:
-                (m, p), rows = _mp_jacobian(problem, (sigma, omega, lam))
-            except PoleZeroProximityError as exc:
-                raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
-            (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
-            moved[0], moved[1], moved[2] = sigma - sigma_p, omega - omega_p, lam - lam_p
-            b[0], b[1] = -m, -p
-            try:
-                b[2] = -moved.dot(row)
-                delta = _dgesv(a, b)
-            except FloatingPointError as exc:
-                raise JacobianSingularError("singular corrector Jacobian") from exc
-            d0, d1, d2 = delta.tolist()
-            if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
-                raise JacobianSingularError("corrector update overflowed")
-            sigma, omega, lam = sigma + d0, omega + d1, lam + d2
-            norm = math.sqrt(delta.dot(delta))
-            if it == 0:
-                first = norm
-            elif it == 1:
-                second = norm
-            if norm < _CORRECTOR_TOL:
-                if gain and lam <= 0.0:
-                    raise NoConvergenceError("corrector converged outside lam > 0")
-                if not gain and lam < 0.0:
-                    lam = 0.0
-                pt = _located_point(problem, (sigma, omega, lam), 0.0)
-                if pt.residual <= _RESIDUAL_MAX:
-                    return pt, second / first if it >= 1 else 0.0
-            if it >= 2 and norm > 10.0 * first:
-                raise NoConvergenceError("corrector diverging")
+            pt = _located_point(problem, (sigma, omega, lam), 0.0)
+            if pt.residual <= _RESIDUAL_MAX:
+                return pt, second / first if it >= 1 else 0.0
+        if it >= 2 and norm > 10.0 * first:
+            raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
 
 
@@ -262,6 +262,7 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
     return branch_point(problem, complex(y[0], y[1]), float(y[2]), 2)
 
 
+@np.errstate(invalid="raise")
 def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
     on plain floats with ``dgesv`` and ``ddot``, failing as ``correct`` does."""
@@ -271,36 +272,40 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
     y[k] = float(pin_value)
     gain = problem.kind is LocusKind.GAIN
     a, b, yv = np.empty((2, 2)), np.empty(2), np.empty(3)
-    with np.errstate(invalid="raise"):
-        for _ in range(50):
-            if gain and y[2] <= 0.0:
-                raise NoConvergenceError("clip solve iterate left lam > 0")
-            try:
-                (m, p), (r0, r1) = _mp_jacobian(problem, y)
-            except PoleZeroProximityError as exc:
-                raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
-            a[0, 0], a[0, 1], a[1, 0], a[1, 1] = r0[i], r0[j], r1[i], r1[j]
-            b[0], b[1] = -m, -p
-            try:
-                delta = _dgesv(a, b)
-            except FloatingPointError as exc:
-                raise JacobianSingularError("singular clip Jacobian") from exc
-            d0, d1 = delta.tolist()
-            y[i] += d0
-            y[j] += d1
-            yv[0], yv[1], yv[2] = y
-            if math.sqrt(delta.dot(delta)) < 1e-13 * (1.0 + math.sqrt(yv.dot(yv))):
-                return y
+    for _ in range(50):
+        if gain and y[2] <= 0.0:
+            raise NoConvergenceError("clip solve iterate left lam > 0")
+        try:
+            (m, p), (r0, r1) = _mp_jacobian(problem, y)
+        except PoleZeroProximityError as exc:
+            raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
+        a[0, 0], a[0, 1], a[1, 0], a[1, 1] = r0[i], r0[j], r1[i], r1[j]
+        b[0], b[1] = -m, -p
+        try:
+            delta = _dgesv(a, b)
+        except FloatingPointError as exc:
+            raise JacobianSingularError("singular clip Jacobian") from exc
+        d0, d1 = delta.tolist()
+        y[i] += d0
+        y[j] += d1
+        yv[0], yv[1], yv[2] = y
+        if math.sqrt(delta.dot(delta)) < 1e-13 * (1.0 + math.sqrt(yv.dot(yv))):
+            return y
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
 
 def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
     """Nearest registered branch point within ``radius`` that lies ahead in lam,
     other than the one at the critical point ``skip``."""
+    if not registry.records:
+        return None
+    lam = float(y[2])
+    lam_floor = lam - 1e-12 * (1.0 + abs(lam))
+    y = np.asarray(y, dtype=float)
     for rec in registry.records:
         if rec.point is skip:
             continue
-        if rec.point.lam < y[2] - 1e-12 * (1.0 + abs(y[2])):
+        if rec.point.lam < lam_floor:
             continue
         if _norm(rec.y() - y) < radius:
             return rec
@@ -347,7 +352,7 @@ def trace_trajectory(
             return end(Termination.STALLED, "max_points reached")
         last = points[-1]
         if len(points) >= 2:
-            d = secant(points[-2], last)
+            d = secant(chord, chord_norm)  # the chord of the step that placed ``last``
         halvings = 0
         while True:
             if spawn_ray is not None and len(points) == 1:

@@ -15,7 +15,9 @@ Results are written as one structured JSON file plus per-trajectory CSVs, a
 critical-points CSV and a stability-intervals text file.  All floats are
 serialized with 17 significant digits, and ``load_result`` reads every one
 back as a float, so a loaded result holds the computed values bit for bit
-(-0.0 included) and compares equal to the computed one with ``==``.
+(-0.0 included) and compares equal to the computed one with ``==``.  A
+point's residual is inf where e^M overflows; ``result.json`` writes it as
+``json.dumps`` does, ``Infinity``, and the CSV as ``inf``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ from .plant import LocusKind, LocusProblem, Plant
 _PROBLEM_KEYS = ("plant", "locus")
 _PLANT_KEYS = ("zeros", "poles", "gain", "delay")
 _LOCUS_KEYS = ("kind", "sigma0", "lambda_max")
+
+
+# a point's CSV line, each field with 17 significant digits
+_POINT_CSV = "%.17g,%.17g,%.17g,%.17g"
+# a point's non-finite fields as json.dumps writes them; ".17g" writes the keys
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _fmt(x) -> str:
@@ -112,10 +120,6 @@ def parse_problem(path: str) -> LocusProblem:
     return parse_problem_dict(doc, where=path)
 
 
-def _point_row(pt: TrajectoryPoint) -> list[str]:
-    return [_fmt(pt.sigma), _fmt(pt.omega), _fmt(pt.lam), _fmt(pt.residual)]
-
-
 def _leaf(v, kind=float):
     """``v``, a leaf of ``result.json`` of type ``kind``; TypeError if not."""
     if type(v) is not kind:
@@ -148,7 +152,16 @@ def result_from_dict(doc: dict) -> RootLocusResult:
     problem = parse_problem_dict(doc["problem"], where="result.problem")
     trajectories = []
     for t in doc["trajectories"]:
-        points = [TrajectoryPoint(*map(_leaf, row)) for row in t["points"]]
+        # a row of five floats in one check; any other row leaf by leaf, so
+        # that its error is the one ``_leaf`` or the constructor raises
+        points = [
+            TrajectoryPoint(*row)
+            if type(row) is list and len(row) == 5
+            and type(row[0]) is type(row[1]) is type(row[2]) is type(row[3]) is type(row[4])
+            is float
+            else TrajectoryPoint(*map(_leaf, row))
+            for row in t["points"]
+        ]
         trajectories.append(
             Trajectory(
                 _critical_from_dict(t["origin"]),
@@ -180,21 +193,41 @@ def _arr(items) -> str:
     return "[" + ", ".join(items) + "]"
 
 
+# the fixed tokens of result.json: every kind and termination, and the
+# integers a multiplicity or a direction takes, as json.dumps writes them
+_TOKENS = {v: json.dumps(v.value) for v in (*CriticalKind, *Termination)}
+_TOKENS.update((n, json.dumps(n)) for n in range(-1, 10))
+
+
+def _token(v) -> str:
+    """``json.dumps`` of a kind, a termination or an int, from ``_TOKENS``."""
+    text = _TOKENS.get(v)
+    return text if text is not None else json.dumps(v)
+
+
 def _critical_json(cp: CriticalPoint) -> str:
     return _obj([
-        ("kind", json.dumps(cp.kind.value)),
+        ("kind", _TOKENS[cp.kind]),
         ("sigma", _fmt(cp.root.real)),
         ("omega", _fmt(cp.root.imag)),
         ("lambda", _fmt(cp.lam)),
-        ("multiplicity", json.dumps(cp.multiplicity)),
+        ("multiplicity", _token(cp.multiplicity)),
         ("directions", _arr(f"[{_fmt(d[0])}, {_fmt(d[1])}, {_fmt(d[2])}]"
                             for d in cp.directions)),
     ])
 
 
-def _result_json(result: RootLocusResult, rows: list[list[list[str]]]) -> str:
-    """``result.json``, floats with 17 significant digits; ``rows`` holds each
-    trajectory's formatted point rows."""
+def _point_json(line: str, step: float) -> str:
+    """A point's ``result.json`` row, from its CSV ``line`` and its step."""
+    row = "[%s, %.17g]" % (line.replace(",", ", "), step)
+    if "n" in row:  # inf or nan
+        row = "[" + ", ".join(_NON_FINITE.get(v, v) for v in row[1:-1].split(", ")) + "]"
+    return row
+
+
+def _result_json(result: RootLocusResult, lines: list[list[str]]) -> str:
+    """``result.json``, floats with 17 significant digits; ``lines`` holds each
+    trajectory's point CSV lines."""
     problem, plant = result.problem, result.problem.plant
     problem_json = _obj([
         ("plant", _obj([
@@ -213,17 +246,17 @@ def _result_json(result: RootLocusResult, rows: list[list[list[str]]]) -> str:
         _obj([
             ("id", str(i)),
             ("origin", _critical_json(t.origin)),
-            ("termination", json.dumps(t.termination.value)),
+            ("termination", _TOKENS[t.termination]),
             ("note", json.dumps(t.note)),
             ("points", _arr(
-                f"[{', '.join(row)}, {_fmt(p.step_used)}]" for row, p in zip(traj_rows, t.points)
+                _point_json(line, p.step_used) for line, p in zip(traj_lines, t.points)
             )),
         ])
-        for i, (t, traj_rows) in enumerate(zip(result.trajectories, rows))
+        for i, (t, traj_lines) in enumerate(zip(result.trajectories, lines))
     )
     events = _arr(
         _obj([("lambda", _fmt(e.lam)), ("omega", _fmt(e.omega)),
-              ("direction", json.dumps(e.direction))])
+              ("direction", _token(e.direction))])
         for e in result.imag_axis_events
     )
     return _obj([
@@ -238,15 +271,19 @@ def _result_json(result: RootLocusResult, rows: list[list[list[str]]]) -> str:
     ]) + "\n"
 
 
-def _point_rows(result: RootLocusResult) -> list[list[list[str]]]:
-    """Each trajectory's points as [sigma, omega, lambda, residual] strings."""
-    return [[_point_row(p) for p in t.points] for t in result.trajectories]
+def _point_lines(result: RootLocusResult) -> list[list[str]]:
+    """Each trajectory's points as CSV lines of sigma, omega, lambda, residual."""
+    return [
+        [_POINT_CSV % (p.sigma, p.omega, p.lam, p.residual) for p in t.points]
+        for t in result.trajectories
+    ]
 
 
 def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
     """Write the result files into ``out_dir``; returns the written paths.
 
-    Each point's fields are formatted once, for ``result.json`` and its CSV."""
+    Each point's fields are formatted once, into its CSV line, and its
+    ``result.json`` row is made from that line."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -255,18 +292,19 @@ def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
 
     def write_text(name, text):
         p = path_of(name)
+        data = text.encode("utf-8")  # a binary file skips the text layer's setup
         try:
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(p, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise OSError(f"writing {p}: {exc}") from exc
         written.append(p)
 
-    rows = _point_rows(result)
-    write_text("result.json", _result_json(result, rows))
+    point_lines = _point_lines(result)
+    write_text("result.json", _result_json(result, point_lines))
 
-    for i, traj_rows in enumerate(rows):
-        lines = ["sigma,omega,lambda,residual"] + [",".join(row) for row in traj_rows]
+    for i, traj_lines in enumerate(point_lines):
+        lines = ["sigma,omega,lambda,residual", *traj_lines]
         write_text(f"trajectory_{i:04d}.csv", "\n".join(lines) + "\n")
 
     lines = ["kind,sigma,omega,lambda,multiplicity"]

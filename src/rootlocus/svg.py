@@ -47,9 +47,8 @@ def _auto_window(result: RootLocusResult, upper_half_only: bool):
     sigmas = [result.problem.sigma0]
     omegas = [0.0]
     for t in result.trajectories:
-        for p in t.points:
-            sigmas.append(p.sigma)
-            omegas.append(p.omega)
+        sigmas += [p.sigma for p in t.points]
+        omegas += [p.omega for p in t.points]
     for cp in result.critical_points:
         sigmas.append(cp.root.real)
         omegas.append(cp.root.imag)
@@ -63,13 +62,20 @@ def _auto_window(result: RootLocusResult, upper_half_only: bool):
 
 
 def _polyline_points(frame, pts, upper_half_only):
+    # frame.x and frame.y written out, with the same operations in the same order
+    slo, kx, wlo, ky = frame.slo, frame.kx, frame.wlo, frame.ky
     chunks: list[list[str]] = [[]]
     for p in pts:
-        if upper_half_only and p.omega < -_UPPER_TOL:
-            if chunks[-1]:
-                chunks.append([])
-            continue
-        chunks[-1].append(f"{_c(frame.x(p.sigma))},{_c(frame.y(max(p.omega, 0.0) if upper_half_only else p.omega))}")
+        omega = p.omega
+        if upper_half_only:
+            if omega < -_UPPER_TOL:
+                if chunks[-1]:
+                    chunks.append([])
+                continue
+            omega = max(omega, 0.0)
+        chunks[-1].append(
+            "%.3f,%.3f" % (_MARGIN + (p.sigma - slo) * kx, _HEIGHT - _MARGIN - (omega - wlo) * ky)
+        )
     return [c for c in chunks if len(c) >= 2]
 
 

@@ -225,6 +225,25 @@ def test_stream_plant_31_is_unstable_at_lambda_0_13():
     assert not any(a <= 0.13 <= b for a, b in result.stability_intervals)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 7(e): critical._cap stops its doubling search where "
+    "lam(omega) < -0.05 lambda_max, and on this delay locus lam(omega) rises into "
+    "[0, lambda_max] again past omega = 10; no crossing is found and the whole "
+    "locus reads stable",
+)
+def test_delay_intervals_above_the_cap_frequency_are_kept():
+    plant = Plant(zeros=(), poles=(-1.0,), gain=300.0, delay=1.0)
+    problem = LocusProblem(LocusKind.DELAY, -0.1, 20.0, plant)
+    # an independent Newton solve on the characteristic function: a root pair
+    # sits right of the imaginary axis at lam = 2.878
+    root = _newton_root(problem, 2.878, complex(1.3834, 5.0650))
+    assert root == pytest.approx(complex(1.3833989, 5.0649724), abs=1e-6)
+    assert abs(eval_char_fn(plant, problem.kind, root, 2.878)) < 1e-13
+    result = compute_root_locus(problem)
+    assert not any(a <= 2.878 <= b for a, b in result.stability_intervals)
+
+
 # --- criterion 5: brute-force oracle equivalence at fixed lambda ------------
 
 

@@ -62,17 +62,23 @@ def _first_order_problem(sigma0=-5.0, lambda_max=10.0):
     return LocusProblem(LocusKind.GAIN, sigma0, lambda_max, first_order_plant())
 
 
+def _secant(prev, curr):
+    """The unit secant through two points, from their chord as the tracer forms it."""
+    chord = np.array((curr.sigma - prev.sigma, curr.omega - prev.omega, curr.lam - prev.lam))
+    return secant(chord, _norm(chord))
+
+
 def test_predict_collinear():
     # the predictor steps from the last point along the unit secant
     last = _pt(1, 0, 0)
-    assert last.as_array() + secant(_pt(0, 0, 0), last) * 0.5 == pytest.approx([1.5, 0, 0])
+    assert last.as_array() + _secant(_pt(0, 0, 0), last) * 0.5 == pytest.approx([1.5, 0, 0])
     last = _pt(0, 3, 4)
-    assert last.as_array() + secant(_pt(0, 0, 0), last) * 5.0 == pytest.approx([0, 6, 8])
+    assert last.as_array() + _secant(_pt(0, 0, 0), last) * 5.0 == pytest.approx([0, 6, 8])
 
 
 def test_predict_degenerate():
     with pytest.raises(DegenerateError):
-        secant(_pt(1, 2, 3), _pt(1, 2, 3))
+        _secant(_pt(1, 2, 3), _pt(1, 2, 3))
 
 
 def test_initial_tangent_gain_start():
@@ -555,17 +561,35 @@ def test_solve_singular_raises_without_a_warning(what, monkeypatch):
         "corrector": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
         "clip": [[1.0, 2.0, 0.5], [2.0, 4.0, 0.5]],
     }[what]
-    monkeypatch.setattr(
-        continuation, "_mp_jacobian", lambda problem, y: ((1.0, 1.0), [list(r) for r in rows])
-    )
     problem = _first_order_problem()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(JacobianSingularError, match=f"^singular {what} Jacobian$"):
-            if what == "corrector":
-                correct(problem, (0.5, 0.5, 1.0), np.array([0.0, 1.0, 1.0]))
-            else:
-                _clip_solve(problem, (0.5, 0.5, 1.0), "lam", 1.0)
+    sigma = -1.6
+    lam = math.exp(sigma) * abs(sigma + 1.0)
+    if what == "corrector":
+        def solve(y):
+            return correct(problem, y, np.array([0.0, 1.0, 1.0]))
+        converging, pole = (sigma, 1e-3, lam), (-1.0, 0.0, 0.5)
+    else:
+        def solve(y):
+            return _clip_solve(problem, y, "lam", y[2])
+        converging, pole = (sigma + 0.01, 0.005, lam), (-1.0, 0.0, 0.5)
+    # numpy's error state is the caller's again after every outcome: a
+    # converged solve, a singular Jacobian and an iterate on the pole
+    before = np.geterr()
+    solve(converging)
+    assert np.geterr() == before
+    with pytest.raises(NoConvergenceError, match="hit a pole/zero"):
+        solve(pole)
+    assert np.geterr() == before
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            continuation, "_mp_jacobian",
+            lambda problem, y: ((1.0, 1.0), [list(r) for r in rows]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(JacobianSingularError, match=f"^singular {what} Jacobian$"):
+                solve((0.5, 0.5, 1.0))
+    assert np.geterr() == before
 
 
 def test_norm_equals_numpy_norm_bit_for_bit():
@@ -691,7 +715,7 @@ def traced_steps(example1_result, example2_result, example3_result, turning_poin
             a, b = pairs[k]
             # one step near the one the tracer took, one well past it
             for step in b.step_used * 2.0 ** rng.uniform([-2.0, 3.0], [3.0, 9.0]):
-                out.append((problem, b, secant(a, b), step))
+                out.append((problem, b, _secant(a, b), step))
     return out
 
 

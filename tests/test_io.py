@@ -230,9 +230,10 @@ def test_emit_empty_result(tmp_path):
 
 def _iter_fmt(o):
     """The recursive writer ``result.json`` was first written with: floats
-    with 17 significant digits, everything else through ``json.dumps``."""
+    with 17 significant digits, everything else through ``json.dumps``; a
+    non-finite float as ``json.dumps`` writes it, so that the file parses."""
     if isinstance(o, float):
-        yield format(o, ".17g")
+        yield format(o, ".17g") if math.isfinite(o) else json.dumps(o)
     elif isinstance(o, dict):
         yield "{"
         first = True
@@ -359,9 +360,12 @@ def test_emit_matches_the_recursive_writer_on_an_empty_result(tmp_path):
 
 def test_emit_matches_the_recursive_writer_on_escapes_and_negative_zero(small_result, tmp_path):
     traj = small_result.trajectories[0]
+    # the extremes of the single-format writer: a subnormal, the largest
+    # float and the inf residual of an overflowing e^M
+    extreme = TrajectoryPoint(-0.0, 5e-324, 1.7976931348623157e308, math.inf, 0.25)
     odd = Trajectory(
         traj.origin,
-        [TrajectoryPoint(-0.0, 0.0, 0.5, -0.0, -0.0)] + traj.points[1:],
+        [TrajectoryPoint(-0.0, 0.0, 0.5, -0.0, -0.0), extreme] + traj.points[1:],
         Termination.STALLED,
         'stalled at "s" = C:\\path, λ ≈ 1e-3 \u2603\n',
     )
@@ -373,6 +377,9 @@ def test_emit_matches_the_recursive_writer_on_escapes_and_negative_zero(small_re
     _assert_emitted_like_reference(result, tmp_path / "odd")
     text = (tmp_path / "odd" / "result.json").read_text(encoding="utf-8")
     assert "[-0, 0, 0.5, -0, -0]" in text
+    assert "[-0, 4.9406564584124654e-324, 1.7976931348623157e+308, Infinity, 0.25]" in text
+    csv = (tmp_path / "odd" / "trajectory_0000.csv").read_text(encoding="utf-8")
+    assert "\n-0,4.9406564584124654e-324,1.7976931348623157e+308,inf\n" in csv
     assert "\\u03bb" in text and '\\"s\\"' in text and "C:\\\\path" in text
 
 
@@ -436,11 +443,17 @@ def _set(path, value):
             "TypeError: expected a float, got '0.5'",
         ),
         (
+            _set(["trajectories", 0, "points", 1], [0.5, 0.5, 0.5, 0.5]),
+            "TypeError: TrajectoryPoint.__init__() missing 1 required positional argument: "
+            "'step_used'",
+        ),
+        (
             _set(["critical_points", 0, "multiplicity"], 2.5),
             "ValueError: expected an integer, got 2.5",
         ),
     ],
-    ids=["number_warning", "number_note", "string_in_point_row", "fractional_multiplicity"],
+    ids=["number_warning", "number_note", "string_in_point_row", "four_field_point_row",
+         "fractional_multiplicity"],
 )
 def test_load_result_checks_leaf_types(small_result, tmp_path, edit, error):
     emit_results(small_result, str(tmp_path))

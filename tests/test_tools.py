@@ -109,3 +109,42 @@ def test_result_digest_matches_axis_events_inside_tie_groups(monkeypatch):
                 result([(0.5, 0.0, 1), (math.nextafter(1.0, 2.0), 2.0, 1)]))
     assert changes.reordered == 0
     assert changes.ulps["axis events"] == 1
+
+
+def test_result_digest_prints_the_svg_digest_of_every_run(monkeypatch, capsys):
+    # beside each locus digest the tool prints the sha256 over the runs' SVGs,
+    # rendered as the reference workload renders them, and one over all runs;
+    # the total stays the digest of the emitted files and the result
+    import hashlib
+    import sys
+
+    from rootlocus import compute_root_locus, render_svg
+    from rootlocus.plant import LocusKind, LocusProblem
+
+    from conftest import example1_problem, first_order_plant
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", os.path.join(ROOT, "tools", "result_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    # example 1 is conjugate symmetric with points below the axis; the one-pole plant's
+    # real-axis segment is its only trajectory
+    problems = [example1_problem(), LocusProblem(LocusKind.GAIN, -3.0, 2.0, first_order_plant())]
+    monkeypatch.setattr(digest.workloads, "build", lambda workload, seed: problems)
+    monkeypatch.setattr(sys, "argv", ["result_digest.py"])
+    assert digest.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    svgs = []
+    for problem in problems:
+        result = compute_root_locus(problem)
+        upper = problem.plant.conjugate_symmetric
+        svgs.append(hashlib.sha256(render_svg(result, None, upper_half_only=upper).encode()))
+    part = hashlib.sha256(b"".join(h.digest() for h in svgs)).hexdigest()
+    pair_lines = [line for line in lines if " runs): " in line]
+    assert len(pair_lines) == 5  # reference at one seed, the random workloads at two
+    assert all(line.endswith(f"  svg {part}") for line in pair_lines)
+    total = hashlib.sha256(b"".join(h.digest() for h in svgs) * 5).hexdigest()
+    assert f"svg {total}" in lines
+    assert "10 runs, 10 read back exactly" in lines

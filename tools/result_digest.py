@@ -20,7 +20,10 @@ Beside the total it prints a "locus" digest over the same runs that leaves
 out two things: the emitted bytes, and the points of the real-axis segments
 (the trajectories of a gain locus whose every omega is exactly 0.0), whose
 samples the closed form lam(sigma) places.  A change to how those samples
-are placed or written keeps the locus digest.
+are placed or written keeps the locus digest.  Beside that it prints an
+"svg" digest over the SVG of each run, ``render_svg(result, None,
+upper_half_only=plant.conjugate_symmetric)`` as the reference workload of
+the benchmark renders it; neither side digest enters the total.
 
 Each run is also read back: ``load_result`` on the written directory must
 give a result equal (``==``) to the computed one, with every float a float
@@ -65,7 +68,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from rootlocus import compute_root_locus, emit_results, load_result  # noqa: E402
+from rootlocus import compute_root_locus, emit_results, load_result, render_svg  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -131,6 +134,13 @@ def round_trip_error(result, work_dir: str) -> str | None:
         if isinstance(want, float) and not (type(got) is float and got.hex() == want.hex()):
             return f"loaded {got!r} for the computed {want.hex()}"
     return None
+
+
+def svg_digest(result) -> bytes:
+    """sha256 of the SVG of ``result`` as the benchmark's reference workload
+    renders it: auto window, upper half only for a conjugate-symmetric plant."""
+    upper = result.problem.plant.conjugate_symmetric
+    return hashlib.sha256(render_svg(result, None, upper_half_only=upper).encode()).digest()
 
 
 def digest_run(problem, work_dir: str):
@@ -264,7 +274,7 @@ def main() -> int:
                         help="report what moved against the results saved under DIR")
     args = parser.parse_args()
     report: list[str] = []
-    total, locus = hashlib.sha256(), hashlib.sha256()
+    total, locus, svg = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     runs = 0
     errors = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -272,7 +282,7 @@ def main() -> int:
             for workload in WORKLOADS:
                 if workload == "reference" and seed != SEEDS[0]:
                     continue  # the reference problems do not depend on the seed
-                part, locus_part = hashlib.sha256(), hashlib.sha256()
+                part, locus_part, svg_part = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
                 problems = workloads.build(workload, seed)
                 changes = Changes()
                 for i, problem in enumerate(problems):
@@ -291,16 +301,20 @@ def main() -> int:
                     total.update(run)
                     locus_part.update(run_locus)
                     locus.update(run_locus)
+                    run_svg = svg_digest(result)
+                    svg_part.update(run_svg)
+                    svg.update(run_svg)
                 runs += len(problems)
                 print(
                     f"{workload} seed {seed} ({len(problems)} runs): {part.hexdigest()}"
-                    f"  locus {locus_part.hexdigest()}"
+                    f"  locus {locus_part.hexdigest()}  svg {svg_part.hexdigest()}"
                 )
                 if args.against is not None:
                     report += [f"{workload} seed {seed} against {args.against}:"]
                     report += changes.report(len(problems))
     print(f"{runs} runs, {runs - len(errors)} read back exactly")
     print(f"locus {locus.hexdigest()}")
+    print(f"svg {svg.hexdigest()}")
     print(total.hexdigest())
     for line in report:
         print(line)
