@@ -21,7 +21,7 @@ import sys
 
 from .engine import compute_root_locus
 from .errors import ParseError, RootLocusError, ValidationError
-from .io import emit_results, parse_problem
+from .io import _write_file, emit_results, parse_problem
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -103,8 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             window = tuple(args.window) if args.window else None
             doc = render_svg(result, window=window, upper_half_only=window is None)
             path = os.path.join(args.out, "rootlocus.svg")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(doc)
+            _write_file(path, doc.encode("utf-8"))
             written.append(path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

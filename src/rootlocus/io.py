@@ -17,7 +17,8 @@ serialized with 17 significant digits, and ``load_result`` reads every one
 back as a float, so a loaded result holds the computed values bit for bit
 (-0.0 included) and compares equal to the computed one with ``==``.  A
 point's residual is inf where e^M overflows; ``result.json`` writes it as
-``json.dumps`` does, ``Infinity``, and the CSV as ``inf``.
+``json.dumps`` does, ``Infinity``, and the CSV as ``inf``.  A file that
+exists is rewritten in place and cut to its new length.
 """
 
 from __future__ import annotations
@@ -279,6 +280,27 @@ def _point_lines(result: RootLocusResult) -> list[list[str]]:
     ]
 
 
+def _keep_contents(path, flags):
+    """``open``'s opener for "wb" without O_TRUNC: the flags "wb" passes are
+    O_WRONLY | O_CREAT | O_TRUNC, with O_BINARY on Windows and close-on-exec;
+    a new file gets mode 0o666 (less the umask) as under "wb", where
+    ``os.open`` alone would give 0o777."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` in place: over any bytes the file holds, then
+    cut it to ``len(data)``.  Truncating a file that holds data to zero first
+    frees its blocks and, on ext4, starts writeback when it is closed; a
+    rewrite of the same few blocks does neither.  Nothing is fsynced."""
+    try:
+        with open(path, "wb", opener=_keep_contents) as fh:
+            fh.write(data)
+            fh.truncate()
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
+
+
 def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
     """Write the result files into ``out_dir``; returns the written paths.
 
@@ -287,17 +309,9 @@ def emit_results(result: RootLocusResult, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    def path_of(name):
-        return os.path.join(out_dir, name)
-
     def write_text(name, text):
-        p = path_of(name)
-        data = text.encode("utf-8")  # a binary file skips the text layer's setup
-        try:
-            with open(p, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise OSError(f"writing {p}: {exc}") from exc
+        p = os.path.join(out_dir, name)
+        _write_file(p, text.encode("utf-8"))  # bytes skip the text layer's setup
         written.append(p)
 
     point_lines = _point_lines(result)

@@ -424,7 +424,7 @@ def test_real_double_pole_plants_match_the_oracle_or_warn():
     # a real multiple start, whose complex up rays must be traced.  A run
     # either reports warnings or matches the oracle at three lam; one of the
     # ten stalls off its double pole (|C| = 4.4 on ds^2 = C dlam), whose first
-    # step is placed without the 1/|C| scaling (ROADMAP item 1)
+    # step is placed without the 1/|C| scaling (ROADMAP item 12)
     rng = np.random.default_rng(3)
     accepted = warned = 0
     while accepted < 10:

@@ -143,6 +143,15 @@ def test_runs_are_byte_identical(tmp_path):
     assert names1 == sorted(os.listdir(out2))
     for name in names1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    # a third run rewrites the first run's files in place; lengthened first,
+    # each must be cut back to the bytes of the fresh directory
+    for name in names1:
+        with open(out1 / name, "ab") as fh:
+            fh.write(b"stale tail\n")
+    assert main(["compute", problem, "--out", str(out1), "--svg"]) == EXIT_OK
+    assert sorted(os.listdir(out1)) == names1
+    for name in names1:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_log_env_var(tmp_path, capsys, monkeypatch):

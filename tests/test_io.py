@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -350,6 +351,52 @@ def _assert_emitted_like_reference(result, out):
 )
 def test_emit_matches_the_recursive_writer_on_reference_results(name, request, tmp_path):
     _assert_emitted_like_reference(request.getfixturevalue(name), tmp_path / name)
+
+
+def test_emit_over_earlier_results_matches_the_recursive_writer(request, tmp_path):
+    # each result is written over the one before, so that files both shrink
+    # and grow; every file an emit names must then hold only its own bytes
+    out = tmp_path / "out"
+    sizes = {}
+    shrank = grew = 0
+    for name in ["example3_result", "turning_point_result", "example2_result",
+                 "example1_result"]:
+        result = request.getfixturevalue(name)
+        _assert_emitted_like_reference(result, out)
+        for f in ["result.json", *_reference_files(result)]:
+            before, sizes[f] = sizes.get(f), (out / f).stat().st_size
+            shrank += before is not None and sizes[f] < before
+            grew += before is not None and sizes[f] > before
+        if name == "turning_point_result":
+            # example 3's trajectories beyond the turning point's 8 stay (ROADMAP item 15)
+            stale = set(os.listdir(out)) - {"result.json", *_reference_files(result)}
+            assert len(stale) == 51 and all(f.startswith("trajectory_") for f in stale)
+    assert shrank and grew
+
+
+def test_written_files_get_the_mode_of_open_wb(small_result, tmp_path):
+    # a new file gets 0o666 less the umask, as under open(p, "wb"); a file
+    # that exists keeps its mode
+    probe = tmp_path / "probe"
+    with open(probe, "wb"):
+        pass
+    out = tmp_path / "out"
+    written = emit_results(small_result, str(out))
+    want = stat.S_IMODE(probe.stat().st_mode)
+    assert all(stat.S_IMODE(os.stat(p).st_mode) == want for p in written)
+    path = out / "result.json"
+    text = path.read_bytes()
+    path.write_bytes(text + b"stale tail")
+    path.chmod(0o600)
+    emit_results(small_result, str(out))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_bytes() == text
+
+
+def test_emit_names_a_result_path_it_cannot_write(small_result, tmp_path):
+    (tmp_path / "result.json").mkdir()
+    with pytest.raises(OSError, match=re.escape(f"writing {tmp_path / 'result.json'}: ")):
+        emit_results(small_result, str(tmp_path))
 
 
 def test_emit_matches_the_recursive_writer_on_an_empty_result(tmp_path):

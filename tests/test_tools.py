@@ -148,3 +148,44 @@ def test_result_digest_prints_the_svg_digest_of_every_run(monkeypatch, capsys):
     total = hashlib.sha256(b"".join(h.digest() for h in svgs) * 5).hexdigest()
     assert f"svg {total}" in lines
     assert "10 runs, 10 read back exactly" in lines
+
+
+def test_result_digest_rewrites_every_run_in_place(monkeypatch, capsys):
+    # each run is written again over the previous run's files and must match
+    # its fresh write; a writer that does not cut a longer file is caught
+    # (example 1 and the one-pole plant each have files longer than the other's)
+    import sys
+
+    from rootlocus import io as rl_io
+    from rootlocus.plant import LocusKind, LocusProblem
+
+    from conftest import example1_problem, first_order_plant
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", os.path.join(ROOT, "tools", "result_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    problems = [example1_problem(), LocusProblem(LocusKind.GAIN, -3.0, 2.0, first_order_plant())]
+    monkeypatch.setattr(digest.workloads, "build", lambda workload, seed: problems)
+    monkeypatch.setattr(sys, "argv", ["result_digest.py"])
+    assert digest.main() == 0
+    out = capsys.readouterr()
+    assert "10 rewritten in place exactly" in out.out.splitlines()
+    total = out.out.splitlines()[-1]
+
+    def uncut(path, data):
+        with open(path, "r+b" if os.path.exists(path) else "wb") as fh:
+            fh.write(data)
+
+    monkeypatch.setattr(rl_io, "_write_file", uncut)
+    assert digest.main() == 1
+    out = capsys.readouterr()
+    # the fresh writes, and so the total, are unchanged; only the first run,
+    # written into an empty directory, is rewritten exactly
+    assert out.out.splitlines()[-1] == total
+    assert "1 rewritten in place exactly" in out.out.splitlines()
+    rewrites = [line for line in out.err.splitlines() if line.startswith("REWRITE: ")]
+    assert len(rewrites) == 9
+    assert all(line.endswith(" rewritten in place differs from its fresh write")
+               for line in rewrites)

@@ -30,6 +30,12 @@ give a result equal (``==``) to the computed one, with every float a float
 of the computed bits (-0.0 included).  A run that does not is named, and
 the tool exits 1.
 
+Each run is also written a second time, into one directory that every run
+before it was written into, so that its files are rewritten in place over
+the previous run's (the first run's, into an empty directory).  Every file
+``emit_results`` names there must hold the bytes of the fresh write; the
+tool prints how many runs did, and names any that did not and exits 1.
+
 With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
 command:
@@ -162,6 +168,17 @@ def digest_run(problem, work_dir: str):
     return h.digest(), locus.digest(), error, result
 
 
+def rewrite_error(result, fresh_dir: str, reused_dir: str) -> str | None:
+    """Which file of ``result`` written over the files in ``reused_dir``
+    differs from its fresh write in ``fresh_dir``, or None."""
+    for path in emit_results(result, reused_dir):
+        name = os.path.basename(path)
+        with open(path, "rb") as a, open(os.path.join(fresh_dir, name), "rb") as b:
+            if a.read() != b.read():
+                return f"{name} rewritten in place differs from its fresh write"
+    return None
+
+
 def _ordinal(x: float) -> int:
     """Integers in the order of the floats, one apart for adjacent floats."""
     n = struct.unpack("<q", struct.pack("<d", x))[0]
@@ -276,8 +293,9 @@ def main() -> int:
     report: list[str] = []
     total, locus, svg = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     runs = 0
-    errors = []
+    errors, rewrites = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        reused_dir = os.path.join(tmp, "rewritten")
         for seed in SEEDS:
             for workload in WORKLOADS:
                 if workload == "reference" and seed != SEEDS[0]:
@@ -291,6 +309,9 @@ def main() -> int:
                     run, run_locus, error, result = digest_run(problem, work_dir)
                     if error is not None:
                         errors.append(f"{workload} seed {seed} problem {i}: {error}")
+                    error = rewrite_error(result, work_dir, reused_dir)
+                    if error is not None:
+                        rewrites.append(f"{workload} seed {seed} problem {i}: {error}")
                     if args.keep is not None:
                         os.makedirs(os.path.join(args.keep, name), exist_ok=True)
                         shutil.copy(os.path.join(work_dir, "result.json"),
@@ -313,6 +334,7 @@ def main() -> int:
                     report += [f"{workload} seed {seed} against {args.against}:"]
                     report += changes.report(len(problems))
     print(f"{runs} runs, {runs - len(errors)} read back exactly")
+    print(f"{runs - len(rewrites)} rewritten in place exactly")
     print(f"locus {locus.hexdigest()}")
     print(f"svg {svg.hexdigest()}")
     print(total.hexdigest())
@@ -320,7 +342,9 @@ def main() -> int:
         print(line)
     for error in errors:
         print(f"ROUND TRIP: {error}", file=sys.stderr)
-    status = 1 if errors else 0
+    for error in rewrites:
+        print(f"REWRITE: {error}", file=sys.stderr)
+    status = 1 if errors or rewrites else 0
     if args.expect is not None:
         print(f"expected {args.expect}")
         if total.hexdigest() != args.expect.strip().lower():
