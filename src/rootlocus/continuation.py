@@ -8,8 +8,14 @@ Newton contraction rate.
 The corrector, the clip solve and the tracer's per-step arithmetic run on
 plain floats.  numpy keeps only the calls whose rounding sets the bits of
 the traced locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and
-BLAS ``ddot`` for every 3-vector dot product and norm (a Python sum of
-products rounds apart from it now and then).
+BLAS ``ddot`` for every dot product and norm whose value is kept (a Python
+sum of products rounds apart from it now and then): the first two update
+norms of ``correct``, which set the contraction rate and so the step, the
+arclength row, the chord norm of the secant and the tangents.  A norm or a
+cosine that only meets a threshold is summed in plain floats instead, and
+the ``ddot`` expression is evaluated only when the float lies within
+``_band`` of the threshold, where the two could fall on either side of it:
+so every decision is the one ``ddot`` makes.
 """
 
 from __future__ import annotations
@@ -51,6 +57,23 @@ _MAX_NEWTON_ITERS = 25
 _H_MIN = 1e-9
 _H_MAX = 1.0
 _MAX_POINTS = 100000
+# relative half-width of the band around a threshold inside which a comparison
+# summed in plain floats defers to ``ddot``; the two differ by a few ulps
+_BAND = 1e-12
+
+
+def _band(t: float) -> tuple[float, float]:
+    """The edges (lo, hi) of the band around the threshold ``t`` >= 0: a norm
+    or a cosine summed in plain floats that is below lo, or above hi, lies on
+    the same side of ``t`` as its ``ddot`` value.  The 1e-150 covers squares
+    that round as subnormals; past 1e130 (vectors near overflow, where one sum
+    of squares can overflow and the other not) every comparison defers."""
+    if t > 1e130:
+        return -math.inf, math.inf
+    return t * (1.0 - _BAND) - 1e-150, t * (1.0 + _BAND) + 1e-150
+
+
+_TURN_LO, _TURN_HI = _band(0.9)  # the curvature guard's cosine threshold
 
 
 def _h0(problem: LocusProblem) -> float:
@@ -95,8 +118,10 @@ class _BranchRecord:
     rays: list[complex]  # up rays no trajectory has been spawned along yet
 
     def __post_init__(self):
-        # built once: _branch_proximity reads it at every accepted step
-        self._y = np.array([self.point.root.real, self.point.root.imag, self.point.lam])
+        # built once: _branch_proximity reads them at every accepted step
+        root = self.point.root
+        self._yt = (root.real, root.imag, self.point.lam)
+        self._y = np.array(self._yt)
 
     def y(self) -> np.ndarray:
         """(sigma, omega, lam) of the branch point; callers do not mutate it."""
@@ -165,9 +190,12 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     far off the locus.  The iterate is plain floats; each 3x3
     system goes to ``dgesv``, whose zero-pivot flag (an invalid operation,
     made to raise for the whole call by the ``np.errstate`` decorator)
-    raises JacobianSingularError, and the arclength row and the update norm
-    are ``ddot`` products.  An iterate at lam <= 0 on a gain locus, or on a
-    pole or zero, fails with NoConvergenceError, as in the other two solvers.
+    raises JacobianSingularError.  The arclength row and the first two update
+    norms are ``ddot`` products; the first row is -0.0, the negated ``ddot``
+    of the zero offset of a prediction that is still the iterate, and later
+    norms, which only meet thresholds, are decided on floats within
+    ``_band``.  An iterate at lam <= 0 on a gain locus, or on a pole or
+    zero, fails with NoConvergenceError, as in the other two solvers.
     """
     sigma_p, omega_p, lam_p = map(float, predicted)
     sigma, omega, lam = sigma_p, omega_p, lam_p
@@ -189,10 +217,15 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
         (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
-        moved[0], moved[1], moved[2] = sigma - sigma_p, omega - omega_p, lam - lam_p
         b[0], b[1] = -m, -p
-        try:
+        if it == 0 and lam == lam_p:
+            # the iterate is the prediction: ddot gives +0.0 for the zero
+            # offset against the finite unit direction
+            b[2] = -0.0
+        else:
+            moved[0], moved[1], moved[2] = sigma - sigma_p, omega - omega_p, lam - lam_p
             b[2] = -moved.dot(row)
+        try:
             delta = _dgesv(a, b)
         except FloatingPointError as exc:
             raise JacobianSingularError("singular corrector Jacobian") from exc
@@ -200,12 +233,20 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
         if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
             raise JacobianSingularError("corrector update overflowed")
         sigma, omega, lam = sigma + d0, omega + d1, lam + d2
-        norm = math.sqrt(delta.dot(delta))
-        if it == 0:
-            first = norm
-        elif it == 1:
-            second = norm
-        if norm < _CORRECTOR_TOL:
+        if it < 2:
+            norm = math.sqrt(delta.dot(delta))
+            if it == 0:
+                first = norm
+            else:
+                second = norm
+            converged = norm < _CORRECTOR_TOL
+        else:
+            if it == 2:
+                tol_lo, tol_hi = _band(_CORRECTOR_TOL)
+                div_lo, div_hi = _band(10.0 * first)
+            norm = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+            converged = norm < tol_lo or (norm <= tol_hi and _norm(delta) < _CORRECTOR_TOL)
+        if converged:
             if gain and lam <= 0.0:
                 raise NoConvergenceError("corrector converged outside lam > 0")
             if not gain and lam < 0.0:
@@ -213,7 +254,7 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
             pt = _located_point(problem, (sigma, omega, lam), 0.0)
             if pt.residual <= _RESIDUAL_MAX:
                 return pt, second / first if it >= 1 else 0.0
-        if it >= 2 and norm > 10.0 * first:
+        if it >= 2 and (norm > div_hi or (norm >= div_lo and _norm(delta) > 10.0 * first)):
             raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
 
@@ -265,13 +306,14 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
 @np.errstate(invalid="raise")
 def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
-    on plain floats with ``dgesv`` and ``ddot``, failing as ``correct`` does."""
+    on plain floats with ``dgesv``, failing as ``correct`` does; its
+    convergence test is decided on floats within ``_band``, as ``ddot`` does."""
     y = list(map(float, y_guess))
     # the free coordinates i, j and the pinned one
     i, j, k = (0, 1, 2) if pin == "lam" else (1, 2, 0)
     y[k] = float(pin_value)
     gain = problem.kind is LocusKind.GAIN
-    a, b, yv = np.empty((2, 2)), np.empty(2), np.empty(3)
+    a, b = np.empty((2, 2)), np.empty(2)
     for _ in range(50):
         if gain and y[2] <= 0.0:
             raise NoConvergenceError("clip solve iterate left lam > 0")
@@ -288,26 +330,33 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
         d0, d1 = delta.tolist()
         y[i] += d0
         y[j] += d1
-        yv[0], yv[1], yv[2] = y
-        if math.sqrt(delta.dot(delta)) < 1e-13 * (1.0 + math.sqrt(yv.dot(yv))):
+        y0, y1, y2 = y
+        lo, hi = _band(1e-13 * (1.0 + math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)))
+        norm = math.sqrt(d0 * d0 + d1 * d1)
+        if norm < lo or (norm <= hi and _norm(delta) < 1e-13 * (1.0 + _norm(np.array(y)))):
             return y
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
 
 def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
-    """Nearest registered branch point within ``radius`` that lies ahead in lam,
-    other than the one at the critical point ``skip``."""
+    """First registered branch point within ``radius`` of y = (sigma, omega,
+    lam) that lies ahead in lam, other than the one at the critical point
+    ``skip``; the distance is decided on floats within ``_band``, as the
+    ``_norm`` of the difference decides it."""
     if not registry.records:
         return None
-    lam = float(y[2])
+    sigma, omega, lam = y
     lam_floor = lam - 1e-12 * (1.0 + abs(lam))
-    y = np.asarray(y, dtype=float)
+    lo, hi = _band(radius)
     for rec in registry.records:
         if rec.point is skip:
             continue
         if rec.point.lam < lam_floor:
             continue
-        if _norm(rec.y() - y) < radius:
+        r0, r1, r2 = rec._yt
+        e0, e1, e2 = r0 - sigma, r1 - omega, r2 - lam
+        dist = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
+        if dist < lo or (dist <= hi and _norm(rec.y() - np.array(y, dtype=float)) < radius):
             return rec
     return None
 
@@ -360,6 +409,7 @@ def trace_trajectory(
                 # model; tangent extrapolation has the wrong parameter scaling
                 y_pred, d = branch_spawn_prediction(origin, spawn_ray, h)
                 d = d / _norm(d)
+                d0, d1, d2 = d.tolist()
             else:
                 d0, d1, d2 = d.tolist()
                 y_pred = (last.sigma + d0 * h, last.omega + d1 * h, last.lam + d2 * h)
@@ -371,7 +421,9 @@ def trace_trajectory(
                 if halvings <= 6:
                     continue
                 # repeated failure: branch point nearby, or a genuine stall
-                rec = _branch_proximity(registry, last.as_array(), 50.0 * h + 1e-6, skip)
+                rec = _branch_proximity(
+                    registry, (last.sigma, last.omega, last.lam), 50.0 * h + 1e-6, skip
+                )
                 if rec is not None:
                     return merged(rec)
                 try:
@@ -390,7 +442,10 @@ def trace_trajectory(
             chord = np.array((c0, c1, c2))
             chord_norm = _norm(chord)
             if chord_norm > 0 and h > _H_MIN * 1.01:
-                refused = float(chord.dot(d)) / chord_norm < 0.9
+                cos = (c0 * d0 + c1 * d1 + c2 * d2) / chord_norm
+                refused = cos < _TURN_LO or (
+                    cos <= _TURN_HI and float(chord.dot(d)) / chord_norm < 0.9
+                )
                 # midpoint-on-locus check catches skipped loops; invalid near a
                 # multiple point, where the parameter grows superlinearly
                 if not refused and len(points) >= 3:

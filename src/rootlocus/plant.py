@@ -226,6 +226,15 @@ def phi_prime(plant: Plant, sigma0: float, omega, h: float):
     return acc
 
 
+def _check_clear(sigma: float, omega: float, tol: float, v: complex, word: str) -> None:
+    """Raise as ``LocusProblem.evaluate`` does when s = sigma + j omega lies
+    within ``tol`` of the pole or zero ``v``: abs(s - v) of the complex
+    difference (math.hypot rounds apart from it now and then)."""
+    s = complex(sigma, omega)
+    if abs(s - v) < tol:
+        raise PoleZeroProximityError(f"point {s} is within {tol:g} of {word} {v}")
+
+
 @dataclass(frozen=True)
 class LocusProblem:
     """A root-locus computation request: plant, locus kind, region and bound."""
@@ -279,9 +288,12 @@ class LocusProblem:
                         f"region only for lambda_max < max(0, ln|G(inf)|/|sigma0|) = "
                         f"{bound:.6g}; got {self.lambda_max}"
                     )
-        # per-plant constants of ``evaluate``
+        # per-plant constants of ``evaluate`` and ``mp``; ``mp`` walks the
+        # zeros and poles as (Re v, Im v, v), the same floats ``s - v`` takes
         object.__setattr__(self, "_log_gain", math.log(abs(self.plant.gain)))
         object.__setattr__(self, "_gain_angle", 0.0 if self.plant.gain > 0 else math.pi)
+        for name, values in (("_zero_parts", self.plant.zeros), ("_pole_parts", self.plant.poles)):
+            object.__setattr__(self, name, tuple((v.real, v.imag, v) for v in values))
 
     def effective_h(self, lam: float) -> float:
         """Exponent coefficient of the dead-time term at locus parameter lam."""
@@ -291,16 +303,14 @@ class LocusProblem:
         """df/dlam at a root of f: -1/lam on a gain locus, s on a delay locus."""
         return -1.0 / lam if self.kind is LocusKind.GAIN else complex(s)
 
-    def evaluate(
-        self, sigma: float, omega: float, lam: float, with_u: bool = True
-    ) -> tuple[float, float, complex | None]:
+    def evaluate(self, sigma: float, omega: float, lam: float) -> tuple[float, float, complex]:
         """(M, P, G'/G) at sigma + j omega in one pass over the zeros, then the poles.
 
         M = ln|k G(s) e^{-h s}| and P, the phase of G e^{-h s} relative to pi
-        wrapped to (-pi, pi], are the corrector residuals of ``mp``; k and h
-        are lam > 0 and the dead time (gain locus) or 1 and lam (delay locus).
-        ``with_u`` false skips the G'/G sum, which then reads None: the pass
-        of ``mp``.  Raises PoleZeroProximityError within 1e-9 (1 + |s|) of a
+        wrapped to (-pi, pi], are the corrector residuals; k and h are lam > 0
+        and the dead time (gain locus) or 1 and lam (delay locus).  ``mp`` is
+        the same pass without G'/G, in plain floats: its M and P carry the
+        same bits.  Raises PoleZeroProximityError within 1e-9 (1 + |s|) of a
         pole or zero.
         """
         plant = self.plant
@@ -312,7 +322,7 @@ class LocusProblem:
         log, atan2 = math.log, math.atan2
         m = self._log_gain + log(k) - h * sigma
         p = self._gain_angle - h * omega - math.pi
-        u = 0.0 + 0.0j if with_u else None
+        u = 0.0 + 0.0j
         # x ** 2 (libm pow), not x * x: the two round apart now and then, and
         # the traced locus is kept bit-stable
         for z in plant.zeros:
@@ -323,8 +333,7 @@ class LocusProblem:
                 raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
             m += 0.5 * log(q)
             p += atan2(y, x)
-            if with_u:
-                u += 1.0 / d
+            u += 1.0 / d
         for z in plant.poles:
             d = s - z
             x, y = d.real, d.imag
@@ -333,13 +342,42 @@ class LocusProblem:
                 raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {z}")
             m -= 0.5 * log(q)
             p -= atan2(y, x)
-            if with_u:
-                u -= 1.0 / d
+            u -= 1.0 / d
         return m, wrap_angle(p), u
 
     def mp(self, sigma: float, omega: float, lam: float) -> tuple[float, float]:
-        """Corrector residual pair (M, P) at a point of the locus equation."""
-        return self.evaluate(sigma, omega, lam, False)[:2]
+        """Corrector residual pair (M, P) at a point of the locus equation.
+
+        The (M, P) of ``evaluate``, bit for bit and with the same
+        PoleZeroProximityError, from plain floats: s - v is (sigma - Re v,
+        omega - Im v), as complex subtraction forms it, and no complex number
+        is made unless the proximity prefilter fires.  ``cartesian_residual``
+        enters here.
+        """
+        sigma, omega = float(sigma), float(omega)  # as complex(sigma, omega) takes them
+        k, h = (lam, self.plant.delay) if self.kind is LocusKind.GAIN else (1.0, lam)
+        tol = 1e-9 * (1.0 + abs(complex(sigma, omega)))
+        near = tol * tol * (1.0 + 1e-12)
+        log, atan2 = math.log, math.atan2
+        m = self._log_gain + log(k) - h * sigma
+        p = self._gain_angle - h * omega - math.pi
+        for vr, vi, v in self._zero_parts:
+            x = sigma - vr
+            y = omega - vi
+            q = x ** 2 + y ** 2
+            if q < near:
+                _check_clear(sigma, omega, tol, v, "zero")
+            m += 0.5 * log(q)
+            p += atan2(y, x)
+        for vr, vi, v in self._pole_parts:
+            x = sigma - vr
+            y = omega - vi
+            q = x ** 2 + y ** 2
+            if q < near:
+                _check_clear(sigma, omega, tol, v, "pole")
+            m -= 0.5 * log(q)
+            p -= atan2(y, x)
+        return m, wrap_angle(p)
 
     def cartesian_residual(self, sigma: float, omega: float, lam: float) -> float:
         """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|);

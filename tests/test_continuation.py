@@ -757,3 +757,237 @@ def test_clip_solve_iterates_at_lam_0_or_on_a_pole_fail_to_converge(traced_steps
                 pass
     assert causes["clip solve iterate left lam > 0"] > 0
     assert causes["clip solve iterate hit a pole/zero"] > 0
+
+
+# --- comparisons decided on floats: a norm, a cosine or a distance that only
+# meets a threshold is summed in plain floats, and the ddot expression it
+# stands for decides within a 1e-12 relative band of the threshold.  Seeded
+# vectors 1e-15, 1e-12 and 1e-9 (relative) below and above each threshold,
+# and within an ulp of it, where a float sum and ddot most often disagree,
+# must get the decision of the ddot expression.
+
+_OFFSETS = [0.0] + [sign * rel for rel in (2.0**-52, 1e-15, 1e-12, 1e-9) for sign in (-1.0, 1.0)]
+
+
+def _unit(rng, n=3):
+    v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def test_zero_offset_dotted_with_a_direction_is_plus_zero():
+    # the first arclength row of correct is written as -0.0, the negated ddot
+    # of the all-zero offset of an iterate that is still the prediction
+    rng = np.random.default_rng(2701)
+    moved = np.empty((2, 3))[1]  # a row of a 2x3 array, as in correct
+    moved[:] = 0.0
+    rows = [np.array([-1.0, -2.0, -3.0]), np.array([-0.0, -0.0, -1.0])]
+    for _ in range(2000):
+        row = rng.standard_normal(3) * 10.0 ** rng.uniform(-30.0, 30.0, size=3)
+        unit = _unit(rng)
+        k = rng.integers(3)
+        row[k], unit[k] = -abs(row[k]), -abs(unit[k])
+        rows += [row, -np.abs(row), unit]
+    for row in rows:
+        assert np.signbit(row).any()
+        for zeros in (np.zeros(3), moved):
+            got = zeros.dot(row)
+            assert got == 0.0 and not math.copysign(1.0, got) < 0.0
+
+
+def test_first_arclength_row_is_the_negated_ddot_of_the_offset(monkeypatch):
+    # the first system's arclength entry: -0.0 while the iterate is the
+    # prediction, and the negated ddot of the offset where a delay-locus
+    # prediction at lam < 0 was moved onto lam = 0
+    rng = np.random.default_rng(2708)
+    rows = []
+
+    def solve(a, b):
+        rows.append(b.copy())
+        raise FloatingPointError("first system only")
+
+    monkeypatch.setattr(continuation, "_dgesv", solve)
+    gain, delay = _first_order_problem(), LocusProblem(LocusKind.DELAY, -5.0, 1.0,
+                                                       first_order_plant(gain=2.0))
+    for _ in range(200):
+        direction = _unit(rng)
+        direction[rng.integers(3)] *= -1.0
+        for problem, lam in ((gain, 0.3), (delay, 0.3), (delay, -0.01)):
+            predicted = (-0.5 + rng.uniform(-0.1, 0.1), rng.uniform(0.1, 2.0), lam)
+            with pytest.raises(JacobianSingularError):
+                correct(problem, predicted, direction)
+            moved = np.array([*predicted[:2], max(lam, 0.0)]) - np.array(predicted)
+            want = -moved.dot(direction)
+            assert rows[-1][2].hex() == want.hex()
+            if lam > 0.0:
+                assert rows[-1][2].hex() == "-0x0.0p+0"
+
+
+def _scripted_correct(monkeypatch, updates):
+    """How ``correct`` ends when its Newton updates are ``updates`` in turn:
+    "converged", or the text of its error.  After the last update the
+    system reads as singular, so an unconverged call ends with that."""
+    script = [np.array(u) for u in updates]
+
+    def solve(a, b):
+        if not script:
+            raise FloatingPointError("end of script")
+        return script.pop(0)
+
+    monkeypatch.setattr(continuation, "_dgesv", solve)
+    monkeypatch.setattr(continuation, "_mp_jacobian",
+                        lambda problem, y: ((0.0, 0.0), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    monkeypatch.setattr(continuation, "_located_point",
+                        lambda problem, y, step: TrajectoryPoint(*y, 0.0, step))
+    try:
+        correct(_first_order_problem(), (0.5, 0.5, 100.0), np.array([0.0, 0.0, 1.0]))
+    except RootLocusError as exc:
+        return str(exc)
+    return "converged"
+
+
+def test_correct_decides_convergence_as_ddot_does(monkeypatch):
+    # the third update's norm against _CORRECTOR_TOL; the first two norms
+    # are ddot products themselves
+    rng = np.random.default_rng(2702)
+    tol = continuation._CORRECTOR_TOL
+    seen = Counter()
+    for eps in _OFFSETS * 40:
+        third = _unit(rng) * (tol * (1.0 + eps))
+        got = _scripted_correct(monkeypatch, [_unit(rng), 0.5 * _unit(rng), third])
+        want = math.sqrt(third.dot(third)) < tol
+        assert got == ("converged" if want else "singular corrector Jacobian")
+        if abs(eps) == 1e-9:
+            assert want is (eps < 0.0)
+        seen[got] += 1
+    assert len(seen) == 2
+
+
+def test_correct_decides_divergence_as_ddot_does(monkeypatch):
+    # the third update's norm against 10x the first update's ddot norm
+    rng = np.random.default_rng(2703)
+    seen = Counter()
+    for eps in _OFFSETS * 40:
+        first = _unit(rng) * 10.0 ** rng.uniform(-4.0, 0.0)
+        limit = 10.0 * math.sqrt(first.dot(first))
+        third = _unit(rng) * (limit * (1.0 + eps))
+        got = _scripted_correct(monkeypatch, [first, first, third])
+        want = math.sqrt(third.dot(third)) > limit
+        assert got == ("corrector diverging" if want else "singular corrector Jacobian")
+        if abs(eps) == 1e-9:
+            assert want is (eps > 0.0)
+        seen[got] += 1
+    assert len(seen) == 2
+
+
+def test_clip_solve_decides_convergence_as_ddot_does(monkeypatch):
+    # the update's norm against 1e-13 (1 + |y|) of the updated iterate
+    rng = np.random.default_rng(2704)
+    monkeypatch.setattr(continuation, "_mp_jacobian",
+                        lambda problem, y: ((0.0, 0.0), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    problem = _first_order_problem()
+    seen = Counter()
+    for eps in _OFFSETS * 40:
+        guess = rng.standard_normal(3) * 10.0 ** rng.uniform(-2.0, 2.0, size=3)
+        guess[2] = abs(guess[2]) + 0.1
+        pin = "lam" if rng.random() < 0.5 else "sigma"
+        free = [0, 1] if pin == "lam" else [1, 2]
+        u = _unit(rng, 2)
+        delta = np.zeros(2)
+        for _ in range(4):  # the threshold moves with the iterate the update makes
+            y = guess.tolist()
+            y[free[0]] += delta[0]
+            y[free[1]] += delta[1]
+            yv = np.array(y)
+            limit = 1e-13 * (1.0 + math.sqrt(yv.dot(yv)))
+            delta = u * (limit * (1.0 + eps))
+        y = guess.tolist()
+        y[free[0]] += delta[0]
+        y[free[1]] += delta[1]
+        yv = np.array(y)
+        want = math.sqrt(delta.dot(delta)) < 1e-13 * (1.0 + math.sqrt(yv.dot(yv)))
+        script = [delta]
+
+        def solve(a, b):
+            if not script:
+                raise FloatingPointError("end of script")
+            return script.pop(0)
+
+        monkeypatch.setattr(continuation, "_dgesv", solve)
+        try:
+            got = _clip_solve(problem, guess.tolist(), pin, guess[2 if pin == "lam" else 0])
+        except JacobianSingularError:
+            got = None
+        assert (got is not None) is want
+        if got is not None:
+            assert got == y
+        if abs(eps) == 1e-9:
+            assert want is (eps < 0.0)
+        seen[want] += 1
+    assert len(seen) == 2
+
+
+def test_turn_guard_decides_as_ddot_does(monkeypatch):
+    # the first step's chord against its direction: refused when the cosine
+    # is below 0.9, and then retried at half the step
+    rng = np.random.default_rng(2705)
+    problem = LocusProblem(LocusKind.GAIN, -10.0, 1e-300, first_order_plant())
+    origin = CriticalPoint(CriticalKind.START, 0j, 0.0)
+    seen = Counter()
+    for eps in _OFFSETS * 40:
+        d = _unit(rng)
+        d[2] = abs(d[2])
+        monkeypatch.setattr(continuation.localmodel, "initial_tangent_simple",
+                            lambda problem, s, lam, d=d: d)
+        calls = []
+
+        def fake_correct(problem, predicted, direction, eps=eps):
+            calls.append(direction)
+            if len(calls) > 1:  # along the direction: never refused
+                return TrajectoryPoint(*predicted, 0.0, 0.0), 0.0
+            while True:
+                e = rng.standard_normal(3)
+                e -= e.dot(direction) * direction
+                e /= np.linalg.norm(e)
+                cos = 0.9 * (1.0 + eps)
+                chord = 10.0 ** rng.uniform(-3.0, 0.0) * (
+                    cos * direction + math.sqrt(1.0 - cos * cos) * e)
+                if chord[2] > 0.0:  # lam past lambda_max: the trace ends there
+                    break
+            calls.append(chord)
+            return TrajectoryPoint(*chord.tolist(), 0.0, 0.0), 0.0
+
+        monkeypatch.setattr(continuation, "correct", fake_correct)
+
+        def no_clip(*args):
+            raise NoConvergenceError("not clipped")
+
+        monkeypatch.setattr(continuation, "_clip_solve", no_clip)
+        traj, _ = trace_trajectory(problem, origin, BranchRegistry())
+        assert traj.termination is Termination.LAMBDA_MAX_REACHED
+        direction, chord = calls[:2]
+        want = float(chord.dot(direction)) / _norm(chord) < 0.9
+        assert (len(calls) == 3) is want
+        if abs(eps) == 1e-9:
+            assert want is (eps < 0.0)
+        seen[want] += 1
+    assert len(seen) == 2
+
+
+def test_branch_proximity_decides_the_radius_as_ddot_does():
+    rng = np.random.default_rng(2706)
+    seen = Counter()
+    for eps in _OFFSETS * 400:
+        root = complex(*rng.uniform(-0.1, 0.1, size=2))
+        bp = CriticalPoint(CriticalKind.BRANCH, root, 0.5, 2, [np.array([0.0, 1.0, 0.0])])
+        registry = BranchRegistry()
+        rec = registry.register(bp)
+        radius = rng.uniform(0.05, 1.0)
+        u = _unit(rng)
+        u[2] = abs(u[2])  # the branch point lies ahead in lam
+        y = tuple((rec.y() - radius * (1.0 + eps) * u).tolist())
+        want = _norm(rec.y() - np.array(y)) < radius
+        assert (_branch_proximity(registry, y, radius, None) is rec) is want
+        if abs(eps) == 1e-9:
+            assert want is (eps < 0.0)
+        seen[want] += 1
+    assert len(seen) == 2

@@ -139,12 +139,12 @@ def test_benchmark_tracer_patches_current_names(monkeypatch):
     # or deleting one of them, or a call that bypasses one, breaks the traced
     # benchmark and must fail here.  Its counts must equal what wrappers
     # installed beneath it see: the Jacobians made inside correct and the
-    # evaluate passes that skip G'/G
+    # residual-only passes, each of which enters through LocusProblem.mp
     tracing = _perfbench(monkeypatch, "tracing")
     problem = example3_problem(lambda_max=1.0)
     seen = {"newton": 0, "residual": 0, "in_correct": 0}
     correct, jacobian = continuation.correct, continuation._mp_jacobian
-    evaluate = LocusProblem.evaluate
+    mp = LocusProblem.mp
 
     def counted_correct(*args):
         seen["in_correct"] += 1
@@ -157,13 +157,13 @@ def test_benchmark_tracer_patches_current_names(monkeypatch):
         seen["newton"] += seen["in_correct"] > 0
         return jacobian(problem, y)
 
-    def counted_evaluate(self, sigma, omega, lam, with_u=True):
-        seen["residual"] += not with_u
-        return evaluate(self, sigma, omega, lam, with_u)
+    def counted_mp(self, sigma, omega, lam):
+        seen["residual"] += 1
+        return mp(self, sigma, omega, lam)
 
     monkeypatch.setattr(continuation, "correct", counted_correct)
     monkeypatch.setattr(continuation, "_mp_jacobian", counted_jacobian)
-    monkeypatch.setattr(LocusProblem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(LocusProblem, "mp", counted_mp)
     untraced = engine.compute_root_locus
     tracer = tracing.Tracer()
     with tracer.installed():

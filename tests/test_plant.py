@@ -217,6 +217,54 @@ def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
                 )
 
 
+def _outcome_hex(fn, *args):
+    """The floats ``fn(*args)`` returns, in hex, or its proximity error's text."""
+    try:
+        return _hex(fn(*args))
+    except PoleZeroProximityError as exc:
+        return str(exc)
+
+
+def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
+    # mp is its own loop over (Re v, Im v) floats; near each pole and zero of
+    # the reference plants and of the seed-1 random_gain and random_delay
+    # plants it keeps the bits of evaluate's M and P, and within the proximity
+    # tolerance it raises with evaluate's text
+    import importlib
+    import os
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    problems = (_REFERENCE_PROBLEMS + workloads.build("random_gain", 1)
+                + workloads.build("random_delay", 1))
+    rng = np.random.default_rng(2707)
+    raised = checked = 0
+    for problem in problems:
+        for v in problem.plant.zeros + problem.plant.poles:
+            e = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            tol = 1e-9 * (1.0 + abs(v))
+            for _ in range(3):  # the radius where |s - v| = 1e-9 (1 + |s|) along e
+                tol = 1e-9 * (1.0 + abs(v + tol * e))
+            # inside the tolerance, within ulps of its edge, near it, and
+            # further out, up to 1e-2 away
+            radii = tol * np.concatenate([
+                10.0 ** rng.uniform(-3.0, 0.0, size=4),
+                1.0 + np.arange(-3, 4) * 2.0**-52,
+                1.0 + rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(-15.0, -6.0, size=6),
+                10.0 ** rng.uniform(0.0, 7.0, size=6),
+            ])
+            for r in radii:
+                s = v + r * e
+                sigma, omega = s.real, s.imag
+                lam = rng.uniform(0.01, 2.0) * problem.lambda_max
+                want = _outcome_hex(lambda *y: problem.evaluate(*y)[:2], sigma, omega, lam)
+                assert _outcome_hex(problem.mp, sigma, omega, lam) == want
+                raised += isinstance(want, str)
+                checked += 1
+    assert 0 < raised < checked
+
+
 def test_evaluate_log_magnitude_first_order():
     # G = 1/(s+1): at s = j with k = 1, h = 1 the log magnitude is -ln(sqrt(2))
     problem = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant())

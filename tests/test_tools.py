@@ -38,6 +38,48 @@ def test_ab_bench_runs_every_workload_in_each_pair_alternating_sides(monkeypatch
         lines = ab.report(specs, runs[workload])
         assert len(lines) == len(specs)
         assert all("better in 2/2 pairs" in line for line in lines)
+        assert all(line.endswith(f"within its bound ({s['bound']:.0%})")
+                   for line, s in zip(lines, specs))
+
+
+def test_ab_bench_flags_a_metric_worse_than_its_bound_and_exits_1(monkeypatch):
+    # suite_s 25% worse is over its 20% bound; setup_s 20% worse is within its
+    # 25% bound; every other metric is unchanged
+    ab = _ab_bench()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        specs = json.load(fh)["end_to_end"]
+    bounds = {s["name"]: s["bound"] for s in specs}
+    assert (bounds["suite_s"], bounds["setup_s"]) == (0.2, 0.25)
+
+    def paired_runs(worse):
+        def fake_run(checkout, workload, seed, seconds, trace):
+            change = checkout == "change_dir"
+            metrics = {s["name"]: {"value": worse.get(s["name"], 2.0) if change else 2.0,
+                                   "unit": s["unit"]} for s in specs}
+            return {"correct": True, "failed": 0, "metrics": metrics}
+
+        monkeypatch.setattr(ab, "_run", fake_run)
+        return ab.run_pairs({"base": "base_dir", "change": "change_dir"}, ("reference",), 2,
+                            7, 1.0)["reference"]
+
+    over = paired_runs({"suite_s": 2.5, "setup_s": 2.4})
+    lines = {line.split(":")[0].strip(): line for line in ab.report(specs, over)}
+    assert lines["suite_s"].endswith("+25.0%  better in 0/2 pairs  beyond the base quartile "
+                                     "spread: no  WORSE THAN ITS BOUND (20%)")
+    assert lines["setup_s"].endswith("+20.0%  better in 0/2 pairs  beyond the base quartile "
+                                     "spread: no  within its bound (25%)")
+    assert sum(ab.OVER_BOUND in line for line in lines.values()) == 1
+    under = paired_runs({"setup_s": 2.4})
+    assert not any(ab.OVER_BOUND in line for line in ab.report(specs, under))
+
+    # the whole tool, without git or a benchmark run: it exits 1 over a bound
+    monkeypatch.setattr(ab, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(ab.subprocess, "run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(ab.signal, "signal", lambda *args: None)
+    for runs, code in ((over, 1), (under, 0)):
+        monkeypatch.setattr(ab, "run_pairs", lambda sides, workloads, *args, runs=runs: {
+            w: runs for w in workloads})
+        assert ab.main(["--base", "HEAD", "--workload", "reference", "--pairs", "2"]) == code
 
 
 def test_ab_bench_traced_report_gives_every_layer_and_matches_crossing_counts(monkeypatch):

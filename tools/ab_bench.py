@@ -13,13 +13,16 @@ pair, one after the other, and prints one report block per workload, so that
 "no metric worse on any workload" is one command.  For every end-to-end
 metric of BENCHMARK.json a block gives the median and quartiles of each
 side, the change of the medians, the pairs in which the change did better,
-and whether the medians differ by more than the spread between the base's
-quartiles.  Runs whose operations failed are counted and named.  The
+whether the medians differ by more than the spread between the base's
+quartiles, and whether the change's median is worse than the base's by more
+than the metric's ``bound`` (a fraction of the base's median); the tool
+exits 1 if one is.  Runs whose operations failed are counted and named.  The
 worktree is removed on exit, also after an error or an interrupt.
 
 With ``--trace 1`` the runs are traced (``perfbench/run.py --trace 1``) and
 the blocks give the same lines for every per-layer metric of BENCHMARK.json
-instead, so that a change names the layer that moved.  A count of what the
+instead, so that a change names the layer that moved.  Per-layer metrics
+have no bound.  A count of what the
 engine found (``critical.crossings_found``) must then be equal on both sides
 in every pair; the block says whether it is, and the tool exits 1 if not.
 """
@@ -40,6 +43,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("random_gain", "random_delay", "reference")
 # per-layer counts of results, not of work: a change that keeps the results keeps them
 MATCHED = ("critical.crossings_found",)
+# what a report line holds when a check fails; main exits 1 on either
+DIFFERS, OVER_BOUND = "DIFFERS", "WORSE THAN ITS BOUND"
 
 
 def _git(*args: str) -> str:
@@ -81,18 +86,22 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         gain = (b2 - c2) if lower else (c2 - b2)
         rel = f"{100.0 * (c2 / b2 - 1.0):+.1f}%" if b2 else "n/a"
-        lines.append(
+        line = (
             f"{name:>{width}}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} "
             f"[{c1:.6g}, {c3:.6g}] {spec['unit']}  {rel}  "
             f"better in {wins}/{pairs} pairs  "
             f"beyond the base quartile spread: {'yes' if gain > b3 - b1 else 'no'}"
         )
+        if "bound" in spec:
+            over = -gain > spec["bound"] * abs(b2)
+            line += f"  {OVER_BOUND if over else 'within its bound'} ({spec['bound']:.0%})"
+        lines.append(line)
     for name in MATCHED:
         if any(spec["name"] == name for spec in specs):
             differ = [i + 1 for i, (b, c) in enumerate(zip(runs["base"], runs["change"]))
                       if b["metrics"][name]["value"] != c["metrics"][name]["value"]]
             lines.append(f"{name}: equal on both sides in {pairs - len(differ)}/{pairs} pairs"
-                         + (f"; DIFFERS in pairs {differ}" if differ else ""))
+                         + (f"; {DIFFERS} in pairs {differ}" if differ else ""))
     for side in ("base", "change"):
         failed = [r["failed"] for r in runs[side]]
         if any(failed) or not all(r["correct"] for r in runs[side]):
@@ -154,7 +163,7 @@ def main(argv=None) -> int:
             *report(specs, runs[workload]),
         ]))
     print("\n\n".join(blocks))
-    return 1 if any("DIFFERS" in block for block in blocks) else 0
+    return 1 if any(flag in block for block in blocks for flag in (DIFFERS, OVER_BOUND)) else 0
 
 
 if __name__ == "__main__":
