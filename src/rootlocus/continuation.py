@@ -6,10 +6,16 @@ linearized arclength constraint, and adaptive step control driven by the
 Newton contraction rate.
 
 The corrector, the clip solve and the tracer's per-step arithmetic run on
-plain floats.  numpy keeps only the calls whose rounding sets the bits of
-the traced locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and
-BLAS ``ddot`` for every dot product and norm whose value is kept (a Python
-sum of products rounds apart from it now and then): the first two update
+plain floats.  ``_mp_jacobian`` gives the residuals and the Jacobian rows
+[[a, -b, c0], [b, a, c1]] of one plant pass flat, as (M, P, a, b, c0, c1);
+the corrector writes its 3x3 system, right-hand side and arclength offset
+through a memoryview into one 15-float buffer, and the clip solve its 2x2
+system into one of 6.  The secant is three float divisions of the chord by
+its norm, the bits of numpy's ``chord / norm``, passed on as a tuple.
+numpy keeps only the calls whose rounding sets the bits of the traced
+locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and BLAS
+``ddot`` for every dot product and norm whose value is kept (a Python sum
+of products rounds apart from it now and then): the first two update
 norms of ``correct``, which set the contraction rate and so the step, the
 arclength row, the chord norm of the secant and the tangents.  A norm or a
 cosine that only meets a threshold is summed in plain floats instead, and
@@ -151,17 +157,15 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _mp_jacobian(problem: LocusProblem, y) -> tuple[tuple[float, float], list]:
-    """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows,
-    from one ``evaluate`` pass."""
+def _mp_jacobian(problem: LocusProblem, y) -> tuple[float, float, float, float, float, float]:
+    """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows
+    [[a, -b, c0], [b, a, c1]], as the flat (M, P, a, b, c0, c1), from one
+    ``evaluate`` pass."""
     sigma, omega, lam = y
     m, p, u = problem.evaluate(sigma, omega, lam)
-    b = u.imag
     if problem.kind is LocusKind.GAIN:
-        a = u.real - problem.plant.delay
-        return (m, p), [[a, -b, 1.0 / lam], [b, a, 0.0]]
-    a = u.real - lam
-    return (m, p), [[a, -b, -sigma], [b, a, -omega]]
+        return m, p, u.real - problem.plant.delay, u.imag, 1.0 / lam, 0.0
+    return m, p, u.real - lam, u.imag, -sigma, -omega
 
 
 def _located_point(problem: LocusProblem, y, step: float) -> TrajectoryPoint:
@@ -170,12 +174,13 @@ def _located_point(problem: LocusProblem, y, step: float) -> TrajectoryPoint:
     return TrajectoryPoint(sigma, omega, lam, problem.cartesian_residual(sigma, omega, lam), step)
 
 
-def secant(chord: np.ndarray, norm: float) -> np.ndarray:
+def secant(c0: float, c1: float, c2: float, norm: float) -> tuple[float, float, float]:
     """Unit secant direction through the last two corrected points, from the
-    chord between them (the later minus the earlier) and its ``_norm``."""
+    chord (c0, c1, c2) between them (the later minus the earlier) and its
+    ``_norm``: the bits of numpy's ``chord / norm``, one IEEE division each."""
     if norm < 1e-14:
         raise DegenerateError("secant direction degenerated: consecutive points coincide")
-    return chord / norm
+    return c0 / norm, c1 / norm, c2 / norm
 
 
 @np.errstate(invalid="raise")
@@ -188,7 +193,8 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     below ``_CORRECTOR_TOL`` and its Cartesian residual is at most
     ``_RESIDUAL_MAX``: near lam = 0 an update that small can leave a point
     far off the locus.  The iterate is plain floats; each 3x3
-    system goes to ``dgesv``, whose zero-pivot flag (an invalid operation,
+    system is written through a memoryview into one buffer and goes, as
+    views of it, to ``dgesv``, whose zero-pivot flag (an invalid operation,
     made to raise for the whole call by the ``np.errstate`` decorator)
     raises JacobianSingularError.  The arclength row and the first two update
     norms are ``ddot`` products; the first row is -0.0, the negated ``ddot``
@@ -201,10 +207,12 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     sigma, omega, lam = sigma_p, omega_p, lam_p
     gain = problem.kind is LocusKind.GAIN
     isfinite = math.isfinite
-    a = np.empty((3, 3))
-    row = a[2]  # the direction row, set once
-    row[:] = direction
-    b, moved = np.empty((2, 3))  # the right-hand side; the iterate minus the prediction
+    # the matrix, the right-hand side and the iterate minus the prediction
+    buf = np.empty(15)
+    a, b, moved = buf[:9].reshape(3, 3), buf[9:12], buf[12:]
+    row = buf[6:9]  # the direction row, set once
+    w = memoryview(buf)
+    w[6], w[7], w[8] = direction
     first = second = 0.0  # norms of the first two Newton updates
     for it in range(_MAX_NEWTON_ITERS):
         if gain:
@@ -213,18 +221,17 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
         elif lam < 0.0:
             lam = 0.0
         try:
-            (m, p), rows = _mp_jacobian(problem, (sigma, omega, lam))
+            m, p, ja, jb, c0, c1 = _mp_jacobian(problem, (sigma, omega, lam))
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
-        (a[0, 0], a[0, 1], a[0, 2]), (a[1, 0], a[1, 1], a[1, 2]) = rows
-        b[0], b[1] = -m, -p
+        w[0], w[1], w[2], w[3], w[4], w[5], w[9], w[10] = ja, -jb, c0, jb, ja, c1, -m, -p
         if it == 0 and lam == lam_p:
             # the iterate is the prediction: ddot gives +0.0 for the zero
             # offset against the finite unit direction
-            b[2] = -0.0
+            w[11] = -0.0
         else:
-            moved[0], moved[1], moved[2] = sigma - sigma_p, omega - omega_p, lam - lam_p
-            b[2] = -moved.dot(row)
+            w[12], w[13], w[14] = sigma - sigma_p, omega - omega_p, lam - lam_p
+            w[11] = -moved.dot(row)
         try:
             delta = _dgesv(a, b)
         except FloatingPointError as exc:
@@ -280,14 +287,15 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
         if gain and y[2] <= 0.0:
             raise NoConvergenceError("branch solve iterate left lam > 0")
         try:
-            (m, p), rows = _mp_jacobian(problem, y.tolist())
+            m, p, ja, jb, c0, c1 = _mp_jacobian(problem, y.tolist())
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"branch solve iterate hit a pole/zero: {exc}") from exc
-        # rows[k][0] are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
+        # ja and jb are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
         du = localmodel._u_derivatives(problem, complex(y[0], y[1]), y[2], 1)[1]
         dl = 0.0 if gain else -1.0
-        f = np.array([m, p, rows[0][0], rows[1][0]])
-        jac = np.array(rows + [[du.real, -du.imag, dl], [du.imag, du.real, 0.0]])
+        f = np.array([m, p, ja, jb])
+        jac = np.array([[ja, -jb, c0], [jb, ja, c1],
+                        [du.real, -du.imag, dl], [du.imag, du.real, 0.0]])
         delta, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         y = y + delta
         if gain:
@@ -310,19 +318,27 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
     convergence test is decided on floats within ``_band``, as ``ddot`` does."""
     y = list(map(float, y_guess))
     # the free coordinates i, j and the pinned one
-    i, j, k = (0, 1, 2) if pin == "lam" else (1, 2, 0)
+    on_lam = pin == "lam"
+    i, j, k = (0, 1, 2) if on_lam else (1, 2, 0)
     y[k] = float(pin_value)
     gain = problem.kind is LocusKind.GAIN
-    a, b = np.empty((2, 2)), np.empty(2)
+    # the 2x2 matrix and the right-hand side
+    buf = np.empty(6)
+    a, b = buf[:4].reshape(2, 2), buf[4:]
+    w = memoryview(buf)
     for _ in range(50):
         if gain and y[2] <= 0.0:
             raise NoConvergenceError("clip solve iterate left lam > 0")
         try:
-            (m, p), (r0, r1) = _mp_jacobian(problem, y)
+            m, p, ja, jb, c0, c1 = _mp_jacobian(problem, y)
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
-        a[0, 0], a[0, 1], a[1, 0], a[1, 1] = r0[i], r0[j], r1[i], r1[j]
-        b[0], b[1] = -m, -p
+        # columns i, j of the rows [[ja, -jb, c0], [jb, ja, c1]]
+        if on_lam:
+            w[0], w[1], w[2], w[3] = ja, -jb, jb, ja
+        else:
+            w[0], w[1], w[2], w[3] = -jb, c0, ja, c1
+        w[4], w[5] = -m, -p
         try:
             delta = _dgesv(a, b)
         except FloatingPointError as exc:
@@ -387,6 +403,7 @@ def trace_trajectory(
     if spawn_ray is None:
         d = localmodel.initial_tangent_simple(problem, origin.root, origin.lam)
         d = d / _norm(d)
+        d0, d1, d2 = d.tolist()
 
     def end(termination: Termination, note: str = ""):
         return Trajectory(origin, points, termination, note), None
@@ -401,7 +418,8 @@ def trace_trajectory(
             return end(Termination.STALLED, "max_points reached")
         last = points[-1]
         if len(points) >= 2:
-            d = secant(chord, chord_norm)  # the chord of the step that placed ``last``
+            # the chord of the step that placed ``last``
+            d = d0, d1, d2 = secant(c0, c1, c2, chord_norm)
         halvings = 0
         while True:
             if spawn_ray is not None and len(points) == 1:
@@ -411,7 +429,6 @@ def trace_trajectory(
                 d = d / _norm(d)
                 d0, d1, d2 = d.tolist()
             else:
-                d0, d1, d2 = d.tolist()
                 y_pred = (last.sigma + d0 * h, last.omega + d1 * h, last.lam + d2 * h)
             try:
                 pt, kappa = correct(problem, y_pred, d)
@@ -444,7 +461,7 @@ def trace_trajectory(
             if chord_norm > 0 and h > _H_MIN * 1.01:
                 cos = (c0 * d0 + c1 * d1 + c2 * d2) / chord_norm
                 refused = cos < _TURN_LO or (
-                    cos <= _TURN_HI and float(chord.dot(d)) / chord_norm < 0.9
+                    cos <= _TURN_HI and float(chord.dot(np.array(d))) / chord_norm < 0.9
                 )
                 # midpoint-on-locus check catches skipped loops; invalid near a
                 # multiple point, where the parameter grows superlinearly

@@ -179,7 +179,7 @@ def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
         if s.real < problem.sigma0:
             continue
         try:
-            m, p_res, _ = problem.evaluate(s.real, s.imag, 1.0)
+            m, p_res = problem.mp(s.real, s.imag, 1.0)
         except PoleZeroProximityError:
             continue
         # lam = e^{h sigma}/|G(s)|: the magnitude condition inverted at s

@@ -183,8 +183,8 @@ def _mirror(twin: cont.Trajectory, origin: CriticalPoint) -> cont.Trajectory:
 
 def _first_angle(t: cont.Trajectory) -> float:
     if len(t.points) >= 2:
-        d = t.points[1].as_array() - t.points[0].as_array()
-        return round(math.atan2(d[1], d[0]), 12)
+        a, b = t.points[0], t.points[1]
+        return round(math.atan2(b.omega - a.omega, b.sigma - a.sigma), 12)
     return 0.0
 
 
@@ -218,7 +218,11 @@ def _imag_axis_events(
                 prev_sign = sign
                 continue
             frac = a.sigma / (a.sigma - b.sigma)
-            guess = a.as_array() + frac * (b.as_array() - a.as_array())
+            guess = (
+                a.sigma + frac * (b.sigma - a.sigma),
+                a.omega + frac * (b.omega - a.omega),
+                a.lam + frac * (b.lam - a.lam),
+            )
             try:
                 y = cont._clip_solve(problem, guess, "sigma", 0.0)
                 events.append(ImagAxisEvent(float(y[2]), float(y[1]), sign))

@@ -29,7 +29,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+    """Wrap an angle to (-pi, pi].  ``LocusProblem.evaluate`` and ``mp``
+    inline these lines."""
     y = math.remainder(x, _TWO_PI)
     if y <= -math.pi:
         y += _TWO_PI
@@ -288,8 +289,9 @@ class LocusProblem:
                         f"region only for lambda_max < max(0, ln|G(inf)|/|sigma0|) = "
                         f"{bound:.6g}; got {self.lambda_max}"
                     )
-        # per-plant constants of ``evaluate`` and ``mp``; ``mp`` walks the
+        # per-problem constants of ``evaluate`` and ``mp``; ``mp`` walks the
         # zeros and poles as (Re v, Im v, v), the same floats ``s - v`` takes
+        object.__setattr__(self, "_gain", self.kind is LocusKind.GAIN)
         object.__setattr__(self, "_log_gain", math.log(abs(self.plant.gain)))
         object.__setattr__(self, "_gain_angle", 0.0 if self.plant.gain > 0 else math.pi)
         for name, values in (("_zero_parts", self.plant.zeros), ("_pole_parts", self.plant.poles)):
@@ -307,25 +309,31 @@ class LocusProblem:
         """(M, P, G'/G) at sigma + j omega in one pass over the zeros, then the poles.
 
         M = ln|k G(s) e^{-h s}| and P, the phase of G e^{-h s} relative to pi
-        wrapped to (-pi, pi], are the corrector residuals; k and h are lam > 0
-        and the dead time (gain locus) or 1 and lam (delay locus).  ``mp`` is
-        the same pass without G'/G, in plain floats: its M and P carry the
-        same bits.  Raises PoleZeroProximityError within 1e-9 (1 + |s|) of a
-        pole or zero.
+        wrapped to (-pi, pi] as ``wrap_angle`` wraps it, are the corrector
+        residuals; k and h are lam > 0 and the dead time (gain locus) or 1 and
+        lam (delay locus), whose ln k = +0.0 is left out: ln|gain| + 0.0 is
+        ln|gain|, bit for bit.
+        ``mp`` is the same pass without G'/G, in plain floats: its M and P
+        carry the same bits.  Raises PoleZeroProximityError within
+        1e-9 (1 + |s|) of a pole or zero.
         """
-        plant = self.plant
-        k, h = (lam, plant.delay) if self.kind is LocusKind.GAIN else (1.0, lam)
         s = complex(sigma, omega)
         tol = 1e-9 * (1.0 + abs(s))
         # abs(d) < tol implies q < near whatever the rounding: abs(d) runs only then
         near = tol * tol * (1.0 + 1e-12)
         log, atan2 = math.log, math.atan2
-        m = self._log_gain + log(k) - h * sigma
+        if self._gain:
+            h = self.plant.delay
+            m = self._log_gain + log(lam) - h * sigma
+        else:
+            h = lam
+            m = self._log_gain - h * sigma
         p = self._gain_angle - h * omega - math.pi
         u = 0.0 + 0.0j
         # x ** 2 (libm pow), not x * x: the two round apart now and then, and
-        # the traced locus is kept bit-stable
-        for z in plant.zeros:
+        # the traced locus is kept bit-stable.  (1 + 0j) / d is the quotient
+        # 1.0 / d takes after converting 1.0 to complex
+        for z in self.plant.zeros:
             d = s - z
             x, y = d.real, d.imag
             q = x ** 2 + y ** 2
@@ -333,8 +341,8 @@ class LocusProblem:
                 raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
             m += 0.5 * log(q)
             p += atan2(y, x)
-            u += 1.0 / d
-        for z in plant.poles:
+            u += (1 + 0j) / d
+        for z in self.plant.poles:
             d = s - z
             x, y = d.real, d.imag
             q = x ** 2 + y ** 2
@@ -342,8 +350,11 @@ class LocusProblem:
                 raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {z}")
             m -= 0.5 * log(q)
             p -= atan2(y, x)
-            u -= 1.0 / d
-        return m, wrap_angle(p), u
+            u -= (1 + 0j) / d
+        p = math.remainder(p, _TWO_PI)
+        if p <= -math.pi:
+            p += _TWO_PI
+        return m, p, u
 
     def mp(self, sigma: float, omega: float, lam: float) -> tuple[float, float]:
         """Corrector residual pair (M, P) at a point of the locus equation.
@@ -355,11 +366,15 @@ class LocusProblem:
         enters here.
         """
         sigma, omega = float(sigma), float(omega)  # as complex(sigma, omega) takes them
-        k, h = (lam, self.plant.delay) if self.kind is LocusKind.GAIN else (1.0, lam)
         tol = 1e-9 * (1.0 + abs(complex(sigma, omega)))
         near = tol * tol * (1.0 + 1e-12)
         log, atan2 = math.log, math.atan2
-        m = self._log_gain + log(k) - h * sigma
+        if self._gain:
+            h = self.plant.delay
+            m = self._log_gain + log(lam) - h * sigma
+        else:
+            h = lam
+            m = self._log_gain - h * sigma
         p = self._gain_angle - h * omega - math.pi
         for vr, vi, v in self._zero_parts:
             x = sigma - vr
@@ -377,7 +392,10 @@ class LocusProblem:
                 _check_clear(sigma, omega, tol, v, "pole")
             m -= 0.5 * log(q)
             p -= atan2(y, x)
-        return m, wrap_angle(p)
+        p = math.remainder(p, _TWO_PI)
+        if p <= -math.pi:
+            p += _TWO_PI
+        return m, p
 
     def cartesian_residual(self, sigma: float, omega: float, lam: float) -> float:
         """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|);

@@ -63,9 +63,10 @@ def _first_order_problem(sigma0=-5.0, lambda_max=10.0):
 
 
 def _secant(prev, curr):
-    """The unit secant through two points, from their chord as the tracer forms it."""
-    chord = np.array((curr.sigma - prev.sigma, curr.omega - prev.omega, curr.lam - prev.lam))
-    return secant(chord, _norm(chord))
+    """The unit secant through two points, from their chord as the tracer forms
+    it, as an array."""
+    chord = (curr.sigma - prev.sigma, curr.omega - prev.omega, curr.lam - prev.lam)
+    return np.array(secant(*chord, _norm(np.array(chord))))
 
 
 def test_predict_collinear():
@@ -79,6 +80,26 @@ def test_predict_collinear():
 def test_predict_degenerate():
     with pytest.raises(DegenerateError):
         _secant(_pt(1, 2, 3), _pt(1, 2, 3))
+
+
+def test_secant_keeps_the_bits_of_numpy_chord_over_norm():
+    # the tracer's secant is three float divisions by the ddot chord norm:
+    # IEEE division, as numpy divides an array by a float, from chords of
+    # 1e-150 to 1e150; below a norm of 1e-14 it still raises
+    rng = np.random.default_rng(2801)
+    for _ in range(20000):
+        chord = rng.standard_normal(3) * 10.0 ** rng.uniform(-150.0, 150.0, size=3)
+        norm = _norm(chord)
+        if norm < 1e-14:
+            continue
+        got = secant(*chord.tolist(), norm)
+        assert [v.hex() for v in got] == [float(v).hex() for v in chord / norm]
+        assert all(type(v) is float for v in got)
+    for norm in (0.0, 1e-300, 1e-15, np.nextafter(1e-14, 0.0)):
+        chord = _unit(rng) * norm
+        with pytest.raises(DegenerateError, match="consecutive points coincide"):
+            secant(*chord.tolist(), norm)
+    assert secant(1e-14, 0.0, 0.0, 1e-14) == (1.0, 0.0, 0.0)
 
 
 def test_initial_tangent_gain_start():
@@ -140,7 +161,8 @@ def test_mp_jacobian_matches_central_differences(problem):
     step = 1e-6
     for y in ([-0.7, 1.3, 0.8], [0.4, -2.2, 2.5], [-2.9, 5.1, 0.3]):
         y = np.array(y)
-        (m, p), rows = _mp_jacobian(problem, y)
+        m, p, a, b, c0, c1 = _mp_jacobian(problem, y)
+        rows = [[a, -b, c0], [b, a, c1]]
         assert (m, p) == problem.mp(*y)
         for j in range(3):
             e = np.zeros(3)
@@ -555,11 +577,12 @@ def test_solve_equals_numpy_solve_bit_for_bit(n):
 
 @pytest.mark.parametrize("what", ["corrector", "clip"])
 def test_solve_singular_raises_without_a_warning(what, monkeypatch):
-    # Jacobian rows that are singular (with the direction row, for the
-    # corrector; in the two free columns, for the clip solve)
-    rows = {
-        "corrector": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
-        "clip": [[1.0, 2.0, 0.5], [2.0, 4.0, 0.5]],
+    # Jacobian rows [[a, -b, c0], [b, a, c1]] that are singular (with the
+    # direction row (0, 1, 1), for the corrector; in the two free columns,
+    # for the clip solve)
+    a, b, c0, c1 = {
+        "corrector": (1.0, 0.0, 3.0, 1.0),
+        "clip": (0.0, 0.0, 0.5, 0.5),
     }[what]
     problem = _first_order_problem()
     sigma = -1.6
@@ -583,7 +606,7 @@ def test_solve_singular_raises_without_a_warning(what, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(
             continuation, "_mp_jacobian",
-            lambda problem, y: ((1.0, 1.0), [list(r) for r in rows]),
+            lambda problem, y: (1.0, 1.0, a, b, c0, c1),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -634,10 +657,10 @@ def _array_correct(problem, predicted, direction):
         if not gain and y[2] < 0.0:
             y[2] = 0.0
         try:
-            (m, p), rows = _mp_jacobian(problem, y.tolist())
+            m, p, a, b, c0, c1 = _mp_jacobian(problem, y.tolist())
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"corrector iterate hit a pole/zero: {exc}") from exc
-        rows.append(direction)
+        rows = [[a, -b, c0], [b, a, c1], direction]
         delta = _array_solve(rows, [-m, -p, -float(np.dot(y - yp, direction))], "corrector")
         if not all(map(math.isfinite, delta.tolist())):
             raise JacobianSingularError("corrector update overflowed")
@@ -670,10 +693,10 @@ def _array_clip_solve(problem, y_guess, pin, pin_value):
         if problem.kind is LocusKind.GAIN and y[2] <= 0.0:
             raise NoConvergenceError("clip solve iterate left lam > 0")
         try:
-            (m, p), rows = _mp_jacobian(problem, y.tolist())
+            m, p, a, b, c0, c1 = _mp_jacobian(problem, y.tolist())
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
-        jac = [[row[i] for i in free] for row in rows]
+        jac = [[row[i] for i in free] for row in ([a, -b, c0], [b, a, c1])]
         delta = _array_solve(jac, [-m, -p], "clip")
         y[free] += delta
         if _norm(delta) < 1e-13 * (1.0 + _norm(y)):
@@ -835,7 +858,7 @@ def _scripted_correct(monkeypatch, updates):
 
     monkeypatch.setattr(continuation, "_dgesv", solve)
     monkeypatch.setattr(continuation, "_mp_jacobian",
-                        lambda problem, y: ((0.0, 0.0), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+                        lambda problem, y: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
     monkeypatch.setattr(continuation, "_located_point",
                         lambda problem, y, step: TrajectoryPoint(*y, 0.0, step))
     try:
@@ -883,7 +906,7 @@ def test_clip_solve_decides_convergence_as_ddot_does(monkeypatch):
     # the update's norm against 1e-13 (1 + |y|) of the updated iterate
     rng = np.random.default_rng(2704)
     monkeypatch.setattr(continuation, "_mp_jacobian",
-                        lambda problem, y: ((0.0, 0.0), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+                        lambda problem, y: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
     problem = _first_order_problem()
     seen = Counter()
     for eps in _OFFSETS * 40:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -263,6 +264,147 @@ def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
                 raised += isinstance(want, str)
                 checked += 1
     assert 0 < raised < checked
+
+
+# --- a frozen copy of evaluate and of the corrector's Jacobian as they were
+# before both branched on LocusProblem._gain, wrapped P inline and returned
+# the Jacobian flat: the reference they must keep the bits of
+
+
+def _frozen_evaluate(problem, sigma, omega, lam):
+    plant = problem.plant
+    k, h = (lam, plant.delay) if problem.kind is LocusKind.GAIN else (1.0, lam)
+    s = complex(sigma, omega)
+    tol = 1e-9 * (1.0 + abs(s))
+    near = tol * tol * (1.0 + 1e-12)
+    log, atan2 = math.log, math.atan2
+    m = math.log(abs(plant.gain)) + log(k) - h * sigma
+    p = (0.0 if plant.gain > 0 else math.pi) - h * omega - math.pi
+    u = 0.0 + 0.0j
+    for z in plant.zeros:
+        d = s - z
+        x, y = d.real, d.imag
+        q = x ** 2 + y ** 2
+        if q < near and abs(d) < tol:
+            raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
+        m += 0.5 * log(q)
+        p += atan2(y, x)
+        u += 1.0 / d
+    for z in plant.poles:
+        d = s - z
+        x, y = d.real, d.imag
+        q = x ** 2 + y ** 2
+        if q < near and abs(d) < tol:
+            raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {z}")
+        m -= 0.5 * log(q)
+        p -= atan2(y, x)
+        u -= 1.0 / d
+    return m, wrap_angle(p), u
+
+
+def _frozen_mp_jacobian(problem, y):
+    sigma, omega, lam = y
+    m, p, u = _frozen_evaluate(problem, sigma, omega, lam)
+    b = u.imag
+    if problem.kind is LocusKind.GAIN:
+        a = u.real - problem.plant.delay
+        return (m, p), [[a, -b, 1.0 / lam], [b, a, 0.0]]
+    a = u.real - lam
+    return (m, p), [[a, -b, -sigma], [b, a, -omega]]
+
+
+def _wrap_edges(problem, sigma, lam, rng):
+    """omega within a few ulps of the points on the line Re(s) = sigma where
+    the frozen P wraps from near pi to near -pi, found by bisection to
+    adjacent floats from sign changes of P on a seeded grid."""
+    def phase(w):
+        try:
+            return _frozen_evaluate(problem, sigma, w, lam)[1]
+        except PoleZeroProximityError:
+            return 0.0
+    grid = np.sort(rng.uniform(-12.0, 12.0, size=200)).tolist()
+    out = []
+    for lo, hi in zip(grid, grid[1:]):
+        p_lo, p_hi = phase(lo), phase(hi)
+        if abs(p_lo - p_hi) < 4.0:  # no wrap between them
+            continue
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if (phase(mid) > 0.0) == (p_lo > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        out += [lo + k * (hi - lo) for k in range(-3, 5)]
+    return out
+
+
+def _evaluate_points(problem, rng):
+    """Seeded (sigma, omega) points: spread, on the wrap of P at +-pi, with
+    signed-zero parts of s - v, and just inside and outside the proximity
+    tolerance of every pole and zero."""
+    plant = problem.plant
+    pts = [(rng.uniform(-6.0, 6.0), rng.uniform(-12.0, 12.0)) for _ in range(40)]
+    for sigma in rng.uniform(-3.0, 3.0, size=3):
+        pts += [(sigma, w) for w in _wrap_edges(problem, sigma, 0.5 * problem.lambda_max, rng)]
+    for v in plant.zeros + plant.poles:
+        t = rng.uniform(1e-3, 1.0)
+        pts += [(v.real, v.imag + t), (v.real, v.imag - t), (v.real + t, v.imag),
+                (v.real - t, v.imag), (v.real, v.imag)]
+        if v.imag == 0.0:  # omega = -0.0 makes y = -0.0: atan2 gives -pi, not pi
+            pts += [(v.real - t, -0.0), (v.real + t, -0.0), (v.real, -0.0)]
+        if v.real == 0.0:  # sigma = -0.0 makes x = -0.0
+            pts += [(-0.0, v.imag + t), (-0.0, v.imag - t)]
+        e = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        tol = 1e-9 * (1.0 + abs(v))
+        for _ in range(3):  # the radius where |s - v| = 1e-9 (1 + |s|) along e
+            tol = 1e-9 * (1.0 + abs(v + tol * e))
+        for r in tol * (1.0 + np.arange(-3, 4) * 2.0**-52):
+            s = v + r * e
+            pts.append((s.real, s.imag))
+    return pts
+
+
+def test_evaluate_mp_and_the_jacobian_keep_the_frozen_evaluate_bits(monkeypatch):
+    import importlib
+    import os
+
+    from rootlocus.continuation import _mp_jacobian
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    problems = ([p for base in _REFERENCE_PROBLEMS for p in _both_kinds(base)]
+                + workloads.build("random_gain", 1) + workloads.build("random_delay", 1))
+    rng = np.random.default_rng(2802)
+
+    def outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except PoleZeroProximityError as exc:
+            return str(exc)
+        return [v.hex() for x in out for v in ((x.real, x.imag) if type(x) is complex else (x,))]
+
+    seen = Counter()
+    for problem in problems:
+        for sigma, omega in _evaluate_points(problem, rng):
+            lam = rng.uniform(0.01, 2.0) * problem.lambda_max
+            want = outcome(_frozen_evaluate, problem, sigma, omega, lam)
+            assert outcome(problem.evaluate, sigma, omega, lam) == want
+            assert outcome(problem.mp, sigma, omega, lam) == (
+                want if isinstance(want, str) else want[:2])
+            if isinstance(want, str):
+                seen["raised"] += 1
+                continue
+            (m, p), rows = _frozen_mp_jacobian(problem, (sigma, omega, lam))
+            m_, p_, a, b, c0, c1 = _mp_jacobian(problem, (sigma, omega, lam))
+            assert _hex([m_, p_, a, -b, c0, b, a, c1]) == _hex([m, p, *rows[0], *rows[1]])
+            p = float.fromhex(want[1])
+            seen["near +pi" if p > math.pi - 1e-9 else "near -pi" if p < 1e-9 - math.pi
+                 else "other"] += 1
+            seen["-0.0"] += any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (sigma, omega))
+    assert min(seen[k] for k in ("raised", "near +pi", "near -pi", "-0.0")) > 10, seen
 
 
 def test_evaluate_log_magnitude_first_order():

@@ -116,6 +116,55 @@ def test_ab_bench_traced_report_gives_every_layer_and_matches_crossing_counts(mo
         "critical.crossings_found: equal on both sides in 1/2 pairs; DIFFERS in pairs [2]")
 
 
+def test_ab_bench_traced_blocks_name_every_work_count_that_differs(monkeypatch, capsys):
+    # with --trace 1 each block ends with one line on the work counts of
+    # perfbench/tracing.EXACT: in how many pairs all of them are equal, and
+    # each one that differs with its pairs; the exit code does not change
+    import importlib
+
+    ab = _ab_bench()
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    assert ab.exact_counts() == importlib.import_module("tracing").EXACT
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    specs = bench["per_layer"] + bench["end_to_end"]
+
+    def paired_runs(unequal):
+        # pair k of each side; the change's counts in ``unequal`` are off in their pairs
+        def side(change, pair):
+            metrics = {s["name"]: {"value": 10.0, "unit": s["unit"]} for s in specs}
+            for name, pairs in unequal.items():
+                if change and pair in pairs:
+                    metrics[name]["value"] = 11.0
+            return {"correct": True, "failed": 0, "metrics": metrics}
+
+        return {"base": [side(False, k) for k in (1, 2, 3)],
+                "change": [side(True, k) for k in (1, 2, 3)]}
+
+    runs = paired_runs({"plant.mp_calls": (2, 3), "rootfind.calls": (3,)})
+    assert ab.exact_counts_line(runs, ab.exact_counts()) == (
+        "work counts of tracing.EXACT: all equal on both sides in 1/3 pairs; unequal: "
+        "plant.mp_calls in pairs [2, 3], rootfind.calls in pairs [3]")
+    assert ab.exact_counts_line(paired_runs({}), ab.exact_counts()) == (
+        "work counts of tracing.EXACT: all equal on both sides in 3/3 pairs")
+
+    # the whole tool: the line ends each traced block, and differing work
+    # counts leave the exit code 0; an untraced block has no such line
+    monkeypatch.setattr(ab, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(ab.subprocess, "run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(ab.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(ab, "run_pairs", lambda sides, workloads, *args: {
+        w: runs for w in workloads})
+    assert ab.main(["--base", "HEAD", "--workload", "all", "--pairs", "3", "--trace", "1"]) == 0
+    blocks = capsys.readouterr().out.strip().split("\n\n")
+    assert len(blocks) == len(ab.WORKLOADS)
+    for block in blocks:
+        assert block.splitlines()[-1].startswith(
+            "work counts of tracing.EXACT: all equal on both sides in 1/3 pairs; unequal: ")
+    assert ab.main(["--base", "HEAD", "--workload", "reference", "--pairs", "3"]) == 0
+    assert "tracing.EXACT" not in capsys.readouterr().out
+
+
 def test_result_digest_matches_axis_events_inside_tie_groups(monkeypatch):
     # a conjugate event pair whose lam tie to the last bits may come back in
     # the other order: it is matched by (direction, omega), counted as one

@@ -25,11 +25,17 @@ instead, so that a change names the layer that moved.  Per-layer metrics
 have no bound.  A count of what the
 engine found (``critical.crossings_found``) must then be equal on both sides
 in every pair; the block says whether it is, and the tool exits 1 if not.
+Each block also ends with one line saying in how many pairs every work count
+of ``EXACT`` in ``perfbench/tracing.py`` (Newton iterations, corrector calls,
+residual passes, ...) was equal on both sides, naming each count that was
+not and the pairs where it was not.  A change may do more or less work on
+purpose, so that line does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -71,6 +77,36 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def exact_counts() -> tuple[str, ...]:
+    """The work counts ``perfbench/tracing.py`` holds to repeat exactly from
+    one pass to the next (its ``EXACT``), read without importing it."""
+    with open(os.path.join(ROOT, "perfbench", "tracing.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "EXACT" for t in node.targets):
+            return tuple(ast.literal_eval(node.value))
+    raise RuntimeError("perfbench/tracing.py defines no EXACT")
+
+
+def _unequal_pairs(runs: dict[str, list[dict]], name: str) -> list[int]:
+    """The pairs, counted from 1, in which the two sides' ``name`` differ."""
+    return [i + 1 for i, (b, c) in enumerate(zip(runs["base"], runs["change"]))
+            if b["metrics"][name]["value"] != c["metrics"][name]["value"]]
+
+
+def exact_counts_line(runs: dict[str, list[dict]], names) -> str:
+    """In how many pairs every count of ``names`` is equal on both sides, and
+    each count that is not, with its pairs."""
+    unequal = {name: pairs for name in names if (pairs := _unequal_pairs(runs, name))}
+    pairs = len(runs["base"])
+    equal = pairs - len(set().union(*unequal.values()))
+    line = f"work counts of tracing.EXACT: all equal on both sides in {equal}/{pairs} pairs"
+    if unequal:
+        line += "; unequal: " + ", ".join(f"{n} in pairs {p}" for n, p in unequal.items())
+    return line
+
+
 def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per metric of ``specs``, from the paired run summaries, and
     one per metric of MATCHED among them."""
@@ -98,8 +134,7 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         lines.append(line)
     for name in MATCHED:
         if any(spec["name"] == name for spec in specs):
-            differ = [i + 1 for i, (b, c) in enumerate(zip(runs["base"], runs["change"]))
-                      if b["metrics"][name]["value"] != c["metrics"][name]["value"]]
+            differ = _unequal_pairs(runs, name)
             lines.append(f"{name}: equal on both sides in {pairs - len(differ)}/{pairs} pairs"
                          + (f"; {DIFFERS} in pairs {differ}" if differ else ""))
     for side in ("base", "change"):
@@ -154,6 +189,7 @@ def main(argv=None) -> int:
                            capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
+    exact = exact_counts() if args.trace else ()
     blocks = []
     for workload in workloads:
         blocks.append("\n".join([
@@ -161,6 +197,7 @@ def main(argv=None) -> int:
             f"{'traced ' if args.trace else ''}run, {args.pairs} pairs; "
             f"base {commit[:12]} ({args.base}), change: this checkout",
             *report(specs, runs[workload]),
+            *([exact_counts_line(runs[workload], exact)] if exact else []),
         ]))
     print("\n\n".join(blocks))
     return 1 if any(flag in block for block in blocks for flag in (DIFFERS, OVER_BOUND)) else 0
