@@ -17,11 +17,10 @@ locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and BLAS
 ``ddot`` for every dot product and norm whose value is kept (a Python sum
 of products rounds apart from it now and then): the first two update
 norms of ``correct``, which set the contraction rate and so the step, the
-arclength row, the chord norm of the secant and the tangents.  A norm or a
-cosine that only meets a threshold is summed in plain floats instead, and
-the ``ddot`` expression is evaluated only when the float lies within
-``_band`` of the threshold, where the two could fall on either side of it:
-so every decision is the one ``ddot`` makes.
+arclength row, the chord norm of the secant and the tangents.  A norm, a
+cosine or a distance that only meets a threshold is summed in plain floats
+and decided on that float: the thresholds are heuristic tolerances, and
+which rounding of the sum meets them has no numerical meaning.
 """
 
 from __future__ import annotations
@@ -63,23 +62,6 @@ _MAX_NEWTON_ITERS = 25
 _H_MIN = 1e-9
 _H_MAX = 1.0
 _MAX_POINTS = 100000
-# relative half-width of the band around a threshold inside which a comparison
-# summed in plain floats defers to ``ddot``; the two differ by a few ulps
-_BAND = 1e-12
-
-
-def _band(t: float) -> tuple[float, float]:
-    """The edges (lo, hi) of the band around the threshold ``t`` >= 0: a norm
-    or a cosine summed in plain floats that is below lo, or above hi, lies on
-    the same side of ``t`` as its ``ddot`` value.  The 1e-150 covers squares
-    that round as subnormals; past 1e130 (vectors near overflow, where one sum
-    of squares can overflow and the other not) every comparison defers."""
-    if t > 1e130:
-        return -math.inf, math.inf
-    return t * (1.0 - _BAND) - 1e-150, t * (1.0 + _BAND) + 1e-150
-
-
-_TURN_LO, _TURN_HI = _band(0.9)  # the curvature guard's cosine threshold
 
 
 def _h0(problem: LocusProblem) -> float:
@@ -124,14 +106,9 @@ class _BranchRecord:
     rays: list[complex]  # up rays no trajectory has been spawned along yet
 
     def __post_init__(self):
-        # built once: _branch_proximity reads them at every accepted step
+        # built once: _branch_proximity reads it at every accepted step
         root = self.point.root
         self._yt = (root.real, root.imag, self.point.lam)
-        self._y = np.array(self._yt)
-
-    def y(self) -> np.ndarray:
-        """(sigma, omega, lam) of the branch point; callers do not mutate it."""
-        return self._y
 
 
 class BranchRegistry:
@@ -199,9 +176,9 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     raises JacobianSingularError.  The arclength row and the first two update
     norms are ``ddot`` products; the first row is -0.0, the negated ``ddot``
     of the zero offset of a prediction that is still the iterate, and later
-    norms, which only meet thresholds, are decided on floats within
-    ``_band``.  An iterate at lam <= 0 on a gain locus, or on a pole or
-    zero, fails with NoConvergenceError, as in the other two solvers.
+    norms, which only meet thresholds, are plain float sums.  An iterate at
+    lam <= 0 on a gain locus, or on a pole or zero, fails with
+    NoConvergenceError, as in the other two solvers.
     """
     sigma_p, omega_p, lam_p = map(float, predicted)
     sigma, omega, lam = sigma_p, omega_p, lam_p
@@ -240,20 +217,13 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
         if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
             raise JacobianSingularError("corrector update overflowed")
         sigma, omega, lam = sigma + d0, omega + d1, lam + d2
-        if it < 2:
-            norm = math.sqrt(delta.dot(delta))
-            if it == 0:
-                first = norm
-            else:
-                second = norm
-            converged = norm < _CORRECTOR_TOL
-        else:
-            if it == 2:
-                tol_lo, tol_hi = _band(_CORRECTOR_TOL)
-                div_lo, div_hi = _band(10.0 * first)
+        if it >= 2:
             norm = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-            converged = norm < tol_lo or (norm <= tol_hi and _norm(delta) < _CORRECTOR_TOL)
-        if converged:
+        elif it == 0:
+            norm = first = math.sqrt(delta.dot(delta))
+        else:
+            norm = second = math.sqrt(delta.dot(delta))
+        if norm < _CORRECTOR_TOL:
             if gain and lam <= 0.0:
                 raise NoConvergenceError("corrector converged outside lam > 0")
             if not gain and lam < 0.0:
@@ -261,7 +231,7 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
             pt = _located_point(problem, (sigma, omega, lam), 0.0)
             if pt.residual <= _RESIDUAL_MAX:
                 return pt, second / first if it >= 1 else 0.0
-        if it >= 2 and (norm > div_hi or (norm >= div_lo and _norm(delta) > 10.0 * first)):
+        if it >= 2 and norm > 10.0 * first:
             raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
 
@@ -314,8 +284,7 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
 @np.errstate(invalid="raise")
 def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
-    on plain floats with ``dgesv``, failing as ``correct`` does; its
-    convergence test is decided on floats within ``_band``, as ``ddot`` does."""
+    on plain floats with ``dgesv``, failing as ``correct`` does."""
     y = list(map(float, y_guess))
     # the free coordinates i, j and the pinned one
     on_lam = pin == "lam"
@@ -347,9 +316,7 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
         y[i] += d0
         y[j] += d1
         y0, y1, y2 = y
-        lo, hi = _band(1e-13 * (1.0 + math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)))
-        norm = math.sqrt(d0 * d0 + d1 * d1)
-        if norm < lo or (norm <= hi and _norm(delta) < 1e-13 * (1.0 + _norm(np.array(y)))):
+        if math.sqrt(d0 * d0 + d1 * d1) < 1e-13 * (1.0 + math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)):
             return y
     raise NoConvergenceError(f"clip solve with pinned {pin} did not converge")
 
@@ -357,13 +324,11 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
 def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
     """First registered branch point within ``radius`` of y = (sigma, omega,
     lam) that lies ahead in lam, other than the one at the critical point
-    ``skip``; the distance is decided on floats within ``_band``, as the
-    ``_norm`` of the difference decides it."""
+    ``skip``."""
     if not registry.records:
         return None
     sigma, omega, lam = y
     lam_floor = lam - 1e-12 * (1.0 + abs(lam))
-    lo, hi = _band(radius)
     for rec in registry.records:
         if rec.point is skip:
             continue
@@ -371,8 +336,7 @@ def _branch_proximity(registry, y, radius: float, skip) -> _BranchRecord | None:
             continue
         r0, r1, r2 = rec._yt
         e0, e1, e2 = r0 - sigma, r1 - omega, r2 - lam
-        dist = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
-        if dist < lo or (dist <= hi and _norm(rec.y() - np.array(y, dtype=float)) < radius):
+        if math.sqrt(e0 * e0 + e1 * e1 + e2 * e2) < radius:
             return rec
     return None
 
@@ -456,13 +420,9 @@ def trace_trajectory(
             # curvature guard: sharp turns mean the predictor skipped locus
             # structure (tight loops, nearby branch points); refine the step
             c0, c1, c2 = pt.sigma - last.sigma, pt.omega - last.omega, pt.lam - last.lam
-            chord = np.array((c0, c1, c2))
-            chord_norm = _norm(chord)
+            chord_norm = _norm(np.array((c0, c1, c2)))
             if chord_norm > 0 and h > _H_MIN * 1.01:
-                cos = (c0 * d0 + c1 * d1 + c2 * d2) / chord_norm
-                refused = cos < _TURN_LO or (
-                    cos <= _TURN_HI and float(chord.dot(np.array(d))) / chord_norm < 0.9
-                )
+                refused = (c0 * d0 + c1 * d1 + c2 * d2) / chord_norm < 0.9
                 # midpoint-on-locus check catches skipped loops; invalid near a
                 # multiple point, where the parameter grows superlinearly
                 if not refused and len(points) >= 3:
@@ -525,11 +485,13 @@ def trace_trajectory(
 
 
 def _truncate_at_branch(points: list[TrajectoryPoint], rec: _BranchRecord) -> int:
-    """Index from which traced points lie past the branch point (to be dropped)."""
-    y_bp = rec.y()
+    """Index from which traced points lie past the branch point (to be
+    dropped): the first point at the least float distance from it, never 0."""
+    r0, r1, r2 = rec._yt
     best_i, best_d = len(points), math.inf
     for i, p in enumerate(points):
-        dist = _norm(p.as_array() - y_bp)
+        e0, e1, e2 = p.sigma - r0, p.omega - r1, p.lam - r2
+        dist = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
         if dist < best_d:
             best_i, best_d = i, dist
     return max(best_i, 1)

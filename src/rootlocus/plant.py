@@ -228,9 +228,11 @@ def phi_prime(plant: Plant, sigma0: float, omega, h: float):
 
 
 def _check_clear(sigma: float, omega: float, tol: float, v: complex, word: str) -> None:
-    """Raise as ``LocusProblem.evaluate`` does when s = sigma + j omega lies
-    within ``tol`` of the pole or zero ``v``: abs(s - v) of the complex
-    difference (math.hypot rounds apart from it now and then)."""
+    """Raise PoleZeroProximityError when s = sigma + j omega lies within
+    ``tol`` of the pole or zero ``v`` (``word``): abs(s - v) of the complex
+    difference (math.hypot rounds apart from it now and then).  ``evaluate``
+    and ``mp`` call it where q = |s - v|^2 passes their ``q < near``
+    prefilter."""
     s = complex(sigma, omega)
     if abs(s - v) < tol:
         raise PoleZeroProximityError(f"point {s} is within {tol:g} of {word} {v}")
@@ -314,12 +316,13 @@ class LocusProblem:
         lam (delay locus), whose ln k = +0.0 is left out: ln|gain| + 0.0 is
         ln|gain|, bit for bit.
         ``mp`` is the same pass without G'/G, in plain floats: its M and P
-        carry the same bits.  Raises PoleZeroProximityError within
-        1e-9 (1 + |s|) of a pole or zero.
+        carry the same bits.  Raises PoleZeroProximityError, through
+        ``_check_clear``, within 1e-9 (1 + |s|) of a pole or zero.
         """
         s = complex(sigma, omega)
         tol = 1e-9 * (1.0 + abs(s))
-        # abs(d) < tol implies q < near whatever the rounding: abs(d) runs only then
+        # abs(d) < tol implies q < near whatever the rounding: _check_clear
+        # runs only then
         near = tol * tol * (1.0 + 1e-12)
         log, atan2 = math.log, math.atan2
         if self._gain:
@@ -337,8 +340,8 @@ class LocusProblem:
             d = s - z
             x, y = d.real, d.imag
             q = x ** 2 + y ** 2
-            if q < near and abs(d) < tol:
-                raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
+            if q < near:
+                _check_clear(sigma, omega, tol, z, "zero")
             m += 0.5 * log(q)
             p += atan2(y, x)
             u += (1 + 0j) / d
@@ -346,8 +349,8 @@ class LocusProblem:
             d = s - z
             x, y = d.real, d.imag
             q = x ** 2 + y ** 2
-            if q < near and abs(d) < tol:
-                raise PoleZeroProximityError(f"point {s} is within {tol:g} of pole {z}")
+            if q < near:
+                _check_clear(sigma, omega, tol, z, "pole")
             m -= 0.5 * log(q)
             p -= atan2(y, x)
             u -= (1 + 0j) / d

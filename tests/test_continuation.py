@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import warnings
 from collections import Counter
 
@@ -23,6 +24,7 @@ from rootlocus.continuation import (
     _mp_jacobian,
     _norm,
     _real_axis_samples,
+    _truncate_at_branch,
     branch_spawn_prediction,
     correct,
     real_axis_segments,
@@ -293,7 +295,7 @@ def test_branch_proximity_skips_only_the_record_of_the_origin_itself():
     bp = branch_points_gain(problem)[0]
     registry = BranchRegistry()
     rec = registry.register(bp)
-    y = rec.y()
+    y = rec._yt
     assert _branch_proximity(registry, y, 1e-9, bp) is None
     start = CriticalPoint(CriticalKind.START, complex(-1.0, 0.0), 0.0)
     for skip in (start, copy.copy(bp), None):
@@ -782,14 +784,9 @@ def test_clip_solve_iterates_at_lam_0_or_on_a_pole_fail_to_converge(traced_steps
     assert causes["clip solve iterate hit a pole/zero"] > 0
 
 
-# --- comparisons decided on floats: a norm, a cosine or a distance that only
-# meets a threshold is summed in plain floats, and the ddot expression it
-# stands for decides within a 1e-12 relative band of the threshold.  Seeded
-# vectors 1e-15, 1e-12 and 1e-9 (relative) below and above each threshold,
-# and within an ulp of it, where a float sum and ddot most often disagree,
-# must get the decision of the ddot expression.
-
-_OFFSETS = [0.0] + [sign * rel for rel in (2.0**-52, 1e-15, 1e-12, 1e-9) for sign in (-1.0, 1.0)]
+# --- the kept ddot values and the thresholds: the arclength row is a ddot
+# product, and a norm, a cosine or a distance that only meets a threshold is
+# decided on the plain float sum the code forms.
 
 
 def _unit(rng, n=3):
@@ -868,67 +865,34 @@ def _scripted_correct(monkeypatch, updates):
     return "converged"
 
 
-def test_correct_decides_convergence_as_ddot_does(monkeypatch):
-    # the third update's norm against _CORRECTOR_TOL; the first two norms
-    # are ddot products themselves
-    rng = np.random.default_rng(2702)
-    tol = continuation._CORRECTOR_TOL
-    seen = Counter()
-    for eps in _OFFSETS * 40:
-        third = _unit(rng) * (tol * (1.0 + eps))
-        got = _scripted_correct(monkeypatch, [_unit(rng), 0.5 * _unit(rng), third])
-        want = math.sqrt(third.dot(third)) < tol
-        assert got == ("converged" if want else "singular corrector Jacobian")
-        if abs(eps) == 1e-9:
-            assert want is (eps < 0.0)
-        seen[got] += 1
-    assert len(seen) == 2
+def _correct_convergence(monkeypatch):
+    # from the third update on, its norm against _CORRECTOR_TOL
+    def decides(x):
+        got = _scripted_correct(monkeypatch, [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [x, 0.0, 0.0]])
+        assert got in ("converged", "singular corrector Jacobian")
+        return got == "converged"
+
+    return continuation._CORRECTOR_TOL, operator.lt, decides
 
 
-def test_correct_decides_divergence_as_ddot_does(monkeypatch):
-    # the third update's norm against 10x the first update's ddot norm
-    rng = np.random.default_rng(2703)
-    seen = Counter()
-    for eps in _OFFSETS * 40:
-        first = _unit(rng) * 10.0 ** rng.uniform(-4.0, 0.0)
-        limit = 10.0 * math.sqrt(first.dot(first))
-        third = _unit(rng) * (limit * (1.0 + eps))
-        got = _scripted_correct(monkeypatch, [first, first, third])
-        want = math.sqrt(third.dot(third)) > limit
-        assert got == ("corrector diverging" if want else "singular corrector Jacobian")
-        if abs(eps) == 1e-9:
-            assert want is (eps > 0.0)
-        seen[got] += 1
-    assert len(seen) == 2
+def _correct_divergence(monkeypatch):
+    # from the third update on, its norm against 10x the first update's norm
+    def decides(x):
+        got = _scripted_correct(monkeypatch, [[0.3, 0.0, 0.0], [0.3, 0.0, 0.0], [x, 0.0, 0.0]])
+        assert got in ("corrector diverging", "singular corrector Jacobian")
+        return got == "corrector diverging"
+
+    return 10.0 * 0.3, operator.gt, decides
 
 
-def test_clip_solve_decides_convergence_as_ddot_does(monkeypatch):
+def _clip_solve_convergence(monkeypatch):
     # the update's norm against 1e-13 (1 + |y|) of the updated iterate
-    rng = np.random.default_rng(2704)
+    # y = (x, 0, 1), whose norm rounds to 1.0
     monkeypatch.setattr(continuation, "_mp_jacobian",
                         lambda problem, y: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-    problem = _first_order_problem()
-    seen = Counter()
-    for eps in _OFFSETS * 40:
-        guess = rng.standard_normal(3) * 10.0 ** rng.uniform(-2.0, 2.0, size=3)
-        guess[2] = abs(guess[2]) + 0.1
-        pin = "lam" if rng.random() < 0.5 else "sigma"
-        free = [0, 1] if pin == "lam" else [1, 2]
-        u = _unit(rng, 2)
-        delta = np.zeros(2)
-        for _ in range(4):  # the threshold moves with the iterate the update makes
-            y = guess.tolist()
-            y[free[0]] += delta[0]
-            y[free[1]] += delta[1]
-            yv = np.array(y)
-            limit = 1e-13 * (1.0 + math.sqrt(yv.dot(yv)))
-            delta = u * (limit * (1.0 + eps))
-        y = guess.tolist()
-        y[free[0]] += delta[0]
-        y[free[1]] += delta[1]
-        yv = np.array(y)
-        want = math.sqrt(delta.dot(delta)) < 1e-13 * (1.0 + math.sqrt(yv.dot(yv)))
-        script = [delta]
+
+    def decides(x):
+        script = [np.array([x, 0.0])]
 
         def solve(a, b):
             if not script:
@@ -937,80 +901,98 @@ def test_clip_solve_decides_convergence_as_ddot_does(monkeypatch):
 
         monkeypatch.setattr(continuation, "_dgesv", solve)
         try:
-            got = _clip_solve(problem, guess.tolist(), pin, guess[2 if pin == "lam" else 0])
+            got = _clip_solve(_first_order_problem(), [0.0, 0.0, 1.0], "lam", 1.0)
         except JacobianSingularError:
-            got = None
-        assert (got is not None) is want
-        if got is not None:
-            assert got == y
-        if abs(eps) == 1e-9:
-            assert want is (eps < 0.0)
-        seen[want] += 1
-    assert len(seen) == 2
+            return False
+        assert got == [x, 0.0, 1.0]
+        return True
+
+    return 1e-13 * (1.0 + 1.0), operator.lt, decides
 
 
-def test_turn_guard_decides_as_ddot_does(monkeypatch):
-    # the first step's chord against its direction: refused when the cosine
-    # is below 0.9, and then retried at half the step
-    rng = np.random.default_rng(2705)
+def _chord_at_cosine(cos):
+    """A chord (1, 0, c2) whose cosine with (0, 0, 1), c2 over its ``_norm``,
+    is ``cos`` as the turn guard rounds it."""
+    c2 = cos / math.sqrt(1.0 - cos * cos)
+    for _ in range(100):
+        got = c2 / _norm(np.array([1.0, 0.0, c2]))
+        if got == cos:
+            return 1.0, 0.0, c2
+        c2 = float(np.nextafter(c2, math.inf if got < cos else -math.inf))
+    raise AssertionError(f"no chord has the cosine {cos!r}")
+
+
+def _turn_guard(monkeypatch):
+    # the first step's chord against its direction (0, 0, 1): refused when
+    # the cosine is below 0.9, and then retried at half the step
     problem = LocusProblem(LocusKind.GAIN, -10.0, 1e-300, first_order_plant())
     origin = CriticalPoint(CriticalKind.START, 0j, 0.0)
-    seen = Counter()
-    for eps in _OFFSETS * 40:
-        d = _unit(rng)
-        d[2] = abs(d[2])
-        monkeypatch.setattr(continuation.localmodel, "initial_tangent_simple",
-                            lambda problem, s, lam, d=d: d)
+    monkeypatch.setattr(continuation.localmodel, "initial_tangent_simple",
+                        lambda problem, s, lam: np.array([0.0, 0.0, 1.0]))
+
+    def no_clip(*args):
+        raise NoConvergenceError("not clipped")
+
+    monkeypatch.setattr(continuation, "_clip_solve", no_clip)
+
+    def decides(x):
+        chord = _chord_at_cosine(x)
         calls = []
 
-        def fake_correct(problem, predicted, direction, eps=eps):
-            calls.append(direction)
-            if len(calls) > 1:  # along the direction: never refused
-                return TrajectoryPoint(*predicted, 0.0, 0.0), 0.0
-            while True:
-                e = rng.standard_normal(3)
-                e -= e.dot(direction) * direction
-                e /= np.linalg.norm(e)
-                cos = 0.9 * (1.0 + eps)
-                chord = 10.0 ** rng.uniform(-3.0, 0.0) * (
-                    cos * direction + math.sqrt(1.0 - cos * cos) * e)
-                if chord[2] > 0.0:  # lam past lambda_max: the trace ends there
-                    break
-            calls.append(chord)
-            return TrajectoryPoint(*chord.tolist(), 0.0, 0.0), 0.0
+        def fake_correct(problem, predicted, direction):
+            # the first step lands on the chord, a retry on its prediction
+            calls.append(predicted)
+            return TrajectoryPoint(*(chord if len(calls) == 1 else predicted), 0.0, 0.0), 0.0
 
         monkeypatch.setattr(continuation, "correct", fake_correct)
-
-        def no_clip(*args):
-            raise NoConvergenceError("not clipped")
-
-        monkeypatch.setattr(continuation, "_clip_solve", no_clip)
         traj, _ = trace_trajectory(problem, origin, BranchRegistry())
-        assert traj.termination is Termination.LAMBDA_MAX_REACHED
-        direction, chord = calls[:2]
-        want = float(chord.dot(direction)) / _norm(chord) < 0.9
-        assert (len(calls) == 3) is want
-        if abs(eps) == 1e-9:
-            assert want is (eps < 0.0)
-        seen[want] += 1
-    assert len(seen) == 2
+        assert traj.termination is Termination.LAMBDA_MAX_REACHED  # lam past lambda_max
+        return len(calls) == 2
+
+    return 0.9, operator.lt, decides
 
 
-def test_branch_proximity_decides_the_radius_as_ddot_does():
-    rng = np.random.default_rng(2706)
-    seen = Counter()
-    for eps in _OFFSETS * 400:
-        root = complex(*rng.uniform(-0.1, 0.1, size=2))
-        bp = CriticalPoint(CriticalKind.BRANCH, root, 0.5, 2, [np.array([0.0, 1.0, 0.0])])
-        registry = BranchRegistry()
-        rec = registry.register(bp)
-        radius = rng.uniform(0.05, 1.0)
-        u = _unit(rng)
-        u[2] = abs(u[2])  # the branch point lies ahead in lam
-        y = tuple((rec.y() - radius * (1.0 + eps) * u).tolist())
-        want = _norm(rec.y() - np.array(y)) < radius
-        assert (_branch_proximity(registry, y, radius, None) is rec) is want
-        if abs(eps) == 1e-9:
-            assert want is (eps < 0.0)
-        seen[want] += 1
-    assert len(seen) == 2
+def _branch_proximity_radius(monkeypatch):
+    # the distance to a branch point ahead in lam against the radius; y lies
+    # x below it in lam, and for x within a few ulps of 0.25 both 0.375 - x
+    # and 0.375 - (0.375 - x) = x are exact
+    bp = CriticalPoint(CriticalKind.BRANCH, complex(-0.5, 0.25), 0.375, 2)
+    registry = BranchRegistry()
+    rec = registry.register(bp)
+
+    def decides(x):
+        return _branch_proximity(registry, (-0.5, 0.25, 0.375 - x), 0.25, None) is rec
+
+    return 0.25, operator.lt, decides
+
+
+@pytest.mark.parametrize("edge", [
+    pytest.param(_correct_convergence, id="correct_convergence"),
+    pytest.param(_correct_divergence, id="correct_divergence"),
+    pytest.param(_clip_solve_convergence, id="clip_solve_convergence"),
+    pytest.param(_turn_guard, id="turn_guard"),
+    pytest.param(_branch_proximity_radius, id="branch_proximity"),
+])
+def test_each_threshold_is_a_strict_comparison_of_its_float(monkeypatch, edge):
+    # the real function, with the compared float 1 ulp below the threshold,
+    # on it and 1 ulp above: the decision is the strict comparison the code
+    # states, so a float on the threshold decides as one on the other side
+    threshold, compare, decides = edge(monkeypatch)
+    below, above = np.nextafter(threshold, (0.0, math.inf))
+    for x in (float(below), threshold, float(above)):
+        assert math.sqrt(x * x) == x  # so the norm of (x, 0, 0) is x
+        assert decides(x) is compare(x, threshold)
+
+
+def test_truncate_at_branch_cuts_after_the_nearest_point():
+    # the index of the traced point nearest the branch point (-2, 0, 1), the
+    # first of two at the same distance, and never 0: the origin is kept
+    rec = BranchRegistry().register(CriticalPoint(CriticalKind.BRANCH, complex(-2.0, 0.0), 1.0, 2))
+    origin, far = _pt(-1.0, 0.0, 0.0), _pt(-1.5, 0.0, 0.5)
+    nearest, past = _pt(-2.0, 0.25, 1.0), _pt(-2.5, 0.0, 1.5)
+    tie = _pt(-2.25, 0.0, 1.0)  # 0.25 away, as ``nearest`` is
+    assert _truncate_at_branch([origin, far, nearest, past], rec) == 2
+    assert _truncate_at_branch([origin, far, past, nearest, tie], rec) == 3
+    assert _truncate_at_branch([origin, tie, nearest], rec) == 1
+    assert _truncate_at_branch([_pt(-2.0, 0.0, 1.0), far, nearest], rec) == 1
+    assert _truncate_at_branch([origin], rec) == 1
