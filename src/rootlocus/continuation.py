@@ -7,11 +7,15 @@ Newton contraction rate.
 
 The corrector, the clip solve and the tracer's per-step arithmetic run on
 plain floats.  ``_mp_jacobian`` gives the residuals and the Jacobian rows
-[[a, -b, c0], [b, a, c1]] of one plant pass flat, as (M, P, a, b, c0, c1);
-the corrector writes its 3x3 system, right-hand side and arclength offset
-through a memoryview into one 15-float buffer, and the clip solve its 2x2
-system into one of 6.  The secant is three float divisions of the chord by
-its norm, the bits of numpy's ``chord / norm``, passed on as a tuple.
+[[a, -b, c0], [b, a, c1]] of one plant pass flat, as (M, P, a, b, c0, c1).
+A ``NewtonWorkspace``, made once per trace (and once for the engine's
+sigma = 0 refines), holds the memory of every Newton system: one float
+buffer, written through one memoryview, with the corrector's 3x3 system,
+right-hand side and arclength offset, the clip solve's 2x2 system, a
+``dgesv`` output for each and the tracer's chord.  ``correct`` and
+``_clip_solve`` take it and allocate nothing per call.  The secant is three
+float divisions of the chord by its norm, the bits of numpy's
+``chord / norm``, passed on as a tuple.
 numpy keeps only the calls whose rounding sets the bits of the traced
 locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and BLAS
 ``ddot`` for every dot product and norm whose value is kept (a Python sum
@@ -134,13 +138,37 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+class NewtonWorkspace:
+    """The memory of the Newton systems of one trace, made once and handed to
+    every ``correct`` and ``_clip_solve`` call of it.
+
+    One 29-float buffer and its memoryview ``w``: the corrector's 3x3 matrix
+    ``a3`` (w[0:9]; its last row, ``row``, the direction), right-hand side
+    ``b3`` (w[9:12]), iterate minus prediction ``moved`` (w[12:15]) and
+    ``dgesv`` output ``x3`` (w[15:18]); the tracer's chord (w[18:21]); the
+    clip solve's 2x2 matrix ``a2`` (w[21:25]), right-hand side ``b2``
+    (w[25:27]) and output ``x2`` (w[27:29]).  A call writes every slot it
+    reads before it reads it, so one call leaves nothing for the next, also
+    when it fails.
+    """
+
+    __slots__ = ("w", "a3", "row", "b3", "moved", "x3", "chord", "a2", "b2", "x2")
+
+    def __init__(self):
+        buf = np.empty(29)
+        self.w = memoryview(buf)
+        self.a3, self.row = buf[:9].reshape(3, 3), buf[6:9]
+        self.b3, self.moved, self.x3, self.chord = buf[9:12], buf[12:15], buf[15:18], buf[18:21]
+        self.a2, self.b2, self.x2 = buf[21:25].reshape(2, 2), buf[25:27], buf[27:29]
+
+
 def _mp_jacobian(problem: LocusProblem, y) -> tuple[float, float, float, float, float, float]:
     """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows
     [[a, -b, c0], [b, a, c1]], as the flat (M, P, a, b, c0, c1), from one
     ``evaluate`` pass."""
     sigma, omega, lam = y
     m, p, u = problem.evaluate(sigma, omega, lam)
-    if problem.kind is LocusKind.GAIN:
+    if problem._gain:
         return m, p, u.real - problem.plant.delay, u.imag, 1.0 / lam, 0.0
     return m, p, u.real - lam, u.imag, -sigma, -omega
 
@@ -161,7 +189,9 @@ def secant(c0: float, c1: float, c2: float, norm: float) -> tuple[float, float, 
 
 
 @np.errstate(invalid="raise")
-def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoint, float]:
+def correct(
+    problem: LocusProblem, predicted, direction, ws: NewtonWorkspace
+) -> tuple[TrajectoryPoint, float]:
     """Newton correction of a predicted point onto the locus.
 
     Solves M = 0, P = 0 and the arclength plane constraint; returns the
@@ -169,26 +199,23 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
     of the first two Newton updates.  A point is accepted once an update is
     below ``_CORRECTOR_TOL`` and its Cartesian residual is at most
     ``_RESIDUAL_MAX``: near lam = 0 an update that small can leave a point
-    far off the locus.  The iterate is plain floats; each 3x3
-    system is written through a memoryview into one buffer and goes, as
-    views of it, to ``dgesv``, whose zero-pivot flag (an invalid operation,
-    made to raise for the whole call by the ``np.errstate`` decorator)
-    raises JacobianSingularError.  The arclength row and the first two update
-    norms are ``ddot`` products; the first row is -0.0, the negated ``ddot``
-    of the zero offset of a prediction that is still the iterate, and later
-    norms, which only meet thresholds, are plain float sums.  An iterate at
-    lam <= 0 on a gain locus, or on a pole or zero, fails with
-    NoConvergenceError, as in the other two solvers.
+    far off the locus.  The iterate is plain floats; each 3x3 system is
+    written through the memoryview of the workspace ``ws`` and goes, as views
+    of it, to ``dgesv``, which writes the update into ``ws.x3``; its
+    zero-pivot flag (an invalid operation, made to raise for the whole call
+    by the ``np.errstate`` decorator) raises JacobianSingularError.  The
+    arclength row and the first two update norms are ``ddot`` products; the
+    first row is -0.0, the negated ``ddot`` of the zero offset of a
+    prediction that is still the iterate, and later norms, which only meet
+    thresholds, are plain float sums.  An iterate at lam <= 0 on a gain
+    locus, or on a pole or zero, fails with NoConvergenceError, as in the
+    other two solvers.
     """
     sigma_p, omega_p, lam_p = map(float, predicted)
     sigma, omega, lam = sigma_p, omega_p, lam_p
-    gain = problem.kind is LocusKind.GAIN
+    gain = problem._gain
     isfinite = math.isfinite
-    # the matrix, the right-hand side and the iterate minus the prediction
-    buf = np.empty(15)
-    a, b, moved = buf[:9].reshape(3, 3), buf[9:12], buf[12:]
-    row = buf[6:9]  # the direction row, set once
-    w = memoryview(buf)
+    w, a, b, moved, row, x = ws.w, ws.a3, ws.b3, ws.moved, ws.row, ws.x3
     w[6], w[7], w[8] = direction
     first = second = 0.0  # norms of the first two Newton updates
     for it in range(_MAX_NEWTON_ITERS):
@@ -210,27 +237,28 @@ def correct(problem: LocusProblem, predicted, direction) -> tuple[TrajectoryPoin
             w[12], w[13], w[14] = sigma - sigma_p, omega - omega_p, lam - lam_p
             w[11] = -moved.dot(row)
         try:
-            delta = _dgesv(a, b)
+            _dgesv(a, b, out=x)
         except FloatingPointError as exc:
             raise JacobianSingularError("singular corrector Jacobian") from exc
-        d0, d1, d2 = delta.tolist()
+        d0, d1, d2 = w[15], w[16], w[17]
         if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
             raise JacobianSingularError("corrector update overflowed")
         sigma, omega, lam = sigma + d0, omega + d1, lam + d2
         if it >= 2:
             norm = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         elif it == 0:
-            norm = first = math.sqrt(delta.dot(delta))
+            norm = first = math.sqrt(x.dot(x))
         else:
-            norm = second = math.sqrt(delta.dot(delta))
+            norm = second = math.sqrt(x.dot(x))
         if norm < _CORRECTOR_TOL:
             if gain and lam <= 0.0:
                 raise NoConvergenceError("corrector converged outside lam > 0")
             if not gain and lam < 0.0:
                 lam = 0.0
-            pt = _located_point(problem, (sigma, omega, lam), 0.0)
-            if pt.residual <= _RESIDUAL_MAX:
-                return pt, second / first if it >= 1 else 0.0
+            res = problem.cartesian_residual(sigma, omega, lam)
+            if res <= _RESIDUAL_MAX:
+                return (TrajectoryPoint(sigma, omega, lam, res, 0.0),
+                        second / first if it >= 1 else 0.0)
         if it >= 2 and norm > 10.0 * first:
             raise NoConvergenceError("corrector diverging")
     raise NoConvergenceError(f"corrector did not converge in {_MAX_NEWTON_ITERS} iterations")
@@ -270,7 +298,11 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
         y = y + delta
         if gain:
             y[2] = max(y[2], 1e-300)
-        if _norm(delta) < 1e-12 * (1.0 + _norm(y)):
+        d0, d1, d2 = delta.tolist()
+        y0, y1, y2 = y.tolist()
+        if math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) < 1e-12 * (
+            1.0 + math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+        ):
             break
     else:
         raise NoConvergenceError("branch-point solve did not converge")
@@ -282,19 +314,19 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
 
 
 @np.errstate(invalid="raise")
-def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
+def _clip_solve(
+    problem: LocusProblem, y_guess, pin: str, pin_value: float, ws: NewtonWorkspace
+) -> list[float]:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
-    on plain floats with ``dgesv``, failing as ``correct`` does."""
+    on plain floats with ``dgesv`` in the workspace ``ws``, failing as
+    ``correct`` does."""
     y = list(map(float, y_guess))
     # the free coordinates i, j and the pinned one
     on_lam = pin == "lam"
     i, j, k = (0, 1, 2) if on_lam else (1, 2, 0)
     y[k] = float(pin_value)
-    gain = problem.kind is LocusKind.GAIN
-    # the 2x2 matrix and the right-hand side
-    buf = np.empty(6)
-    a, b = buf[:4].reshape(2, 2), buf[4:]
-    w = memoryview(buf)
+    gain = problem._gain
+    w, a, b, x = ws.w, ws.a2, ws.b2, ws.x2
     for _ in range(50):
         if gain and y[2] <= 0.0:
             raise NoConvergenceError("clip solve iterate left lam > 0")
@@ -304,15 +336,15 @@ def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> l
             raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
         # columns i, j of the rows [[ja, -jb, c0], [jb, ja, c1]]
         if on_lam:
-            w[0], w[1], w[2], w[3] = ja, -jb, jb, ja
+            w[21], w[22], w[23], w[24] = ja, -jb, jb, ja
         else:
-            w[0], w[1], w[2], w[3] = -jb, c0, ja, c1
-        w[4], w[5] = -m, -p
+            w[21], w[22], w[23], w[24] = -jb, c0, ja, c1
+        w[25], w[26] = -m, -p
         try:
-            delta = _dgesv(a, b)
+            _dgesv(a, b, out=x)
         except FloatingPointError as exc:
             raise JacobianSingularError("singular clip Jacobian") from exc
-        d0, d1 = delta.tolist()
+        d0, d1 = w[27], w[28]
         y[i] += d0
         y[j] += d1
         y0, y1, y2 = y
@@ -364,6 +396,8 @@ def trace_trajectory(
     points = [TrajectoryPoint(*y0, res0, 0.0)]
     h = _h0(problem)
     skip = origin  # origin shielding, for the first three steps
+    ws = NewtonWorkspace()
+    w, chord = ws.w, ws.chord
     if spawn_ray is None:
         d = localmodel.initial_tangent_simple(problem, origin.root, origin.lam)
         d = d / _norm(d)
@@ -395,7 +429,7 @@ def trace_trajectory(
             else:
                 y_pred = (last.sigma + d0 * h, last.omega + d1 * h, last.lam + d2 * h)
             try:
-                pt, kappa = correct(problem, y_pred, d)
+                pt, kappa = correct(problem, y_pred, d, ws)
             except (NoConvergenceError, JacobianSingularError) as exc:
                 halvings += 1
                 h = max(h / 2.0, _H_MIN)
@@ -420,7 +454,8 @@ def trace_trajectory(
             # curvature guard: sharp turns mean the predictor skipped locus
             # structure (tight loops, nearby branch points); refine the step
             c0, c1, c2 = pt.sigma - last.sigma, pt.omega - last.omega, pt.lam - last.lam
-            chord_norm = _norm(np.array((c0, c1, c2)))
+            w[18], w[19], w[20] = c0, c1, c2
+            chord_norm = math.sqrt(chord.dot(chord))
             if chord_norm > 0 and h > _H_MIN * 1.01:
                 refused = (c0 * d0 + c1 * d1 + c2 * d2) / chord_norm < 0.9
                 # midpoint-on-locus check catches skipped loops; invalid near a
@@ -447,14 +482,14 @@ def trace_trajectory(
         # clip against the lam upper bound and the region boundary
         if pt.lam > problem.lambda_max:
             try:
-                y_end = _clip_solve(problem, y, "lam", problem.lambda_max)
+                y_end = _clip_solve(problem, y, "lam", problem.lambda_max, ws)
                 points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
             return end(Termination.LAMBDA_MAX_REACHED)
         if pt.sigma < problem.sigma0:
             try:
-                y_end = _clip_solve(problem, y, "sigma", problem.sigma0)
+                y_end = _clip_solve(problem, y, "sigma", problem.sigma0, ws)
                 if 0.0 <= y_end[2] <= problem.lambda_max:
                     points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):

@@ -199,6 +199,7 @@ def _imag_axis_events(
     """
     events: list[ImagAxisEvent] = []
     n0 = 0
+    ws = cont.NewtonWorkspace()  # for every sigma = 0 refine
     for traj in trajectories:
         pts = traj.points
         if pts[0].lam < 1e-14 and pts[0].sigma > _AXIS_TOL:
@@ -224,7 +225,7 @@ def _imag_axis_events(
                 a.lam + frac * (b.lam - a.lam),
             )
             try:
-                y = cont._clip_solve(problem, guess, "sigma", 0.0)
+                y = cont._clip_solve(problem, guess, "sigma", 0.0, ws)
                 events.append(ImagAxisEvent(float(y[2]), float(y[1]), sign))
             except (NoConvergenceError, JacobianSingularError):
                 events.append(ImagAxisEvent(float(guess[2]), float(guess[1]), sign))

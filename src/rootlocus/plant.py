@@ -291,7 +291,7 @@ class LocusProblem:
                         f"region only for lambda_max < max(0, ln|G(inf)|/|sigma0|) = "
                         f"{bound:.6g}; got {self.lambda_max}"
                     )
-        # per-problem constants of ``evaluate`` and ``mp``; ``mp`` walks the
+        # per-problem constants of ``evaluate`` and ``mp``; both walk the
         # zeros and poles as (Re v, Im v, v), the same floats ``s - v`` takes
         object.__setattr__(self, "_gain", self.kind is LocusKind.GAIN)
         object.__setattr__(self, "_log_gain", math.log(abs(self.plant.gain)))
@@ -319,9 +319,10 @@ class LocusProblem:
         carry the same bits.  Raises PoleZeroProximityError, through
         ``_check_clear``, within 1e-9 (1 + |s|) of a pole or zero.
         """
+        sigma, omega = float(sigma), float(omega)  # as complex(sigma, omega) takes them
         s = complex(sigma, omega)
         tol = 1e-9 * (1.0 + abs(s))
-        # abs(d) < tol implies q < near whatever the rounding: _check_clear
+        # abs(s - v) < tol implies q < near whatever the rounding: _check_clear
         # runs only then
         near = tol * tol * (1.0 + 1e-12)
         log, atan2 = math.log, math.atan2
@@ -334,26 +335,27 @@ class LocusProblem:
         p = self._gain_angle - h * omega - math.pi
         u = 0.0 + 0.0j
         # x ** 2 (libm pow), not x * x: the two round apart now and then, and
-        # the traced locus is kept bit-stable.  (1 + 0j) / d is the quotient
-        # 1.0 / d takes after converting 1.0 to complex
-        for z in self.plant.zeros:
-            d = s - z
-            x, y = d.real, d.imag
+        # the traced locus is kept bit-stable.  x and y are the parts of s - v,
+        # which is formed only for G'/G.  (1 + 0j) / (s - v) is the quotient
+        # 1.0 / (s - v) takes after converting 1.0 to complex
+        for vr, vi, v in self._zero_parts:
+            x = sigma - vr
+            y = omega - vi
             q = x ** 2 + y ** 2
             if q < near:
-                _check_clear(sigma, omega, tol, z, "zero")
+                _check_clear(sigma, omega, tol, v, "zero")
             m += 0.5 * log(q)
             p += atan2(y, x)
-            u += (1 + 0j) / d
-        for z in self.plant.poles:
-            d = s - z
-            x, y = d.real, d.imag
+            u += (1 + 0j) / (s - v)
+        for vr, vi, v in self._pole_parts:
+            x = sigma - vr
+            y = omega - vi
             q = x ** 2 + y ** 2
             if q < near:
-                _check_clear(sigma, omega, tol, z, "pole")
+                _check_clear(sigma, omega, tol, v, "pole")
             m -= 0.5 * log(q)
             p -= atan2(y, x)
-            u -= (1 + 0j) / d
+            u -= (1 + 0j) / (s - v)
         p = math.remainder(p, _TWO_PI)
         if p <= -math.pi:
             p += _TWO_PI

@@ -15,6 +15,7 @@ from rootlocus.continuation import (
     _MERGE_TOL,
     _REAL_AXIS_LOG_TOL,
     BranchRegistry,
+    NewtonWorkspace,
     Termination,
     TrajectoryPoint,
     _branch_proximity,
@@ -132,7 +133,7 @@ def test_correct_on_trajectory():
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
     direction = np.array([-1.0, 0.0, 0.0])
-    pt, kappa = correct(problem, np.array([sigma, 0.0, lam]), direction)
+    pt, kappa = correct(problem, np.array([sigma, 0.0, lam]), direction, NewtonWorkspace())
     assert pt.sigma == pytest.approx(sigma, abs=1e-10)
     assert pt.omega == pytest.approx(0.0, abs=1e-10)
     assert pt.lam == pytest.approx(lam, abs=1e-10)
@@ -145,7 +146,7 @@ def test_correct_perturbed_converges():
     lam = math.exp(sigma) * abs(sigma + 1.0)
     predicted = np.array([sigma, 1e-3, lam])
     direction = np.array([-1.0, 0.0, 0.0])
-    pt, kappa = correct(problem, predicted, direction)
+    pt, kappa = correct(problem, predicted, direction, NewtonWorkspace())
     assert pt.residual < 1e-8
     assert kappa < 0.5
     assert abs(pt.omega) < 1e-8
@@ -154,7 +155,7 @@ def test_correct_perturbed_converges():
 def test_correct_at_pole_fails():
     problem = _first_order_problem()
     with pytest.raises(NoConvergenceError):
-        correct(problem, np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]))
+        correct(problem, np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]), NewtonWorkspace())
 
 
 @pytest.mark.parametrize("problem", [example3_problem(), example1_problem()],
@@ -375,7 +376,7 @@ def test_secant_approaches_analytic_tangent():
     chords = []
     for step in (1e-2, 1e-3):
         pred = base + tangent * step
-        pt, _ = correct(problem, pred, tangent)
+        pt, _ = correct(problem, pred, tangent, NewtonWorkspace())
         chord = pt.as_array() - base
         chords.append(chord / np.linalg.norm(chord))
     assert np.linalg.norm(chords[1] - tangent) < 1e-3
@@ -386,7 +387,7 @@ def test_clip_solve_pinned_lambda():
     problem = _first_order_problem(sigma0=-5.0, lambda_max=5.0)
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
-    y = _clip_solve(problem, np.array([sigma + 0.01, 0.005, lam]), "lam", lam)
+    y = _clip_solve(problem, np.array([sigma + 0.01, 0.005, lam]), "lam", lam, NewtonWorkspace())
     assert y[0] == pytest.approx(sigma, abs=1e-10)
     assert y[1] == pytest.approx(0.0, abs=1e-10)
     assert y[2] == lam
@@ -591,11 +592,11 @@ def test_solve_singular_raises_without_a_warning(what, monkeypatch):
     lam = math.exp(sigma) * abs(sigma + 1.0)
     if what == "corrector":
         def solve(y):
-            return correct(problem, y, np.array([0.0, 1.0, 1.0]))
+            return correct(problem, y, np.array([0.0, 1.0, 1.0]), NewtonWorkspace())
         converging, pole = (sigma, 1e-3, lam), (-1.0, 0.0, 0.5)
     else:
         def solve(y):
-            return _clip_solve(problem, y, "lam", y[2])
+            return _clip_solve(problem, y, "lam", y[2], NewtonWorkspace())
         converging, pole = (sigma + 0.01, 0.005, lam), (-1.0, 0.0, 0.5)
     # numpy's error state is the caller's again after every outcome: a
     # converged solve, a singular Jacobian and an iterate on the pole
@@ -631,7 +632,8 @@ def test_correct_returns_plain_floats():
     problem = _first_order_problem()
     sigma = -1.6
     lam = math.exp(sigma) * abs(sigma + 1.0)
-    pt, _ = correct(problem, np.array([sigma, 1e-3, lam]), np.array([-1.0, 0.0, 0.0]))
+    pt, _ = correct(problem, np.array([sigma, 1e-3, lam]), np.array([-1.0, 0.0, 0.0]),
+                    NewtonWorkspace())
     assert all(type(v) is float for v in (pt.sigma, pt.omega, pt.lam, pt.residual))
 
 
@@ -748,7 +750,7 @@ def test_float_corrector_keeps_the_array_corrector_bits(traced_steps):
     kinds = set()
     for problem, last, d, h in traced_steps:
         predicted = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
-        got = _outcome(correct, problem, predicted, d)
+        got = _outcome(correct, problem, predicted, d, NewtonWorkspace())
         want = _outcome(_array_correct, problem, np.array(predicted), d)
         assert got == want
         kinds.add(got[0] if isinstance(got, tuple) else "point")
@@ -760,10 +762,51 @@ def test_float_clip_solve_keeps_the_array_clip_solve_bits(traced_steps):
     for problem, last, d, h in traced_steps:
         guess = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
         for pin, value in (("lam", last.lam), ("sigma", last.sigma), ("sigma", 0.0)):
-            got = _outcome(_clip_solve, problem, guess, pin, value)
+            got = _outcome(_clip_solve, problem, guess, pin, value, NewtonWorkspace())
             assert got == _outcome(_array_clip_solve, problem, np.array(guess), pin, value)
             converged += isinstance(got, list)
     assert converged > len(traced_steps)
+
+
+def _failed_singular(solve, rows, monkeypatch):
+    """A workspace, filled with NaN, on which ``solve(ws)`` has just failed
+    on the singular Jacobian ``rows``."""
+    ws = NewtonWorkspace()
+    ws.w[:] = memoryview(np.full(len(ws.w), math.nan))
+    with monkeypatch.context() as patch:
+        patch.setattr(continuation, "_mp_jacobian", lambda problem, y: rows)
+        with pytest.raises(JacobianSingularError):
+            solve(ws)
+    return ws
+
+
+def test_a_reused_workspace_leaks_nothing_into_the_next_call(traced_steps, monkeypatch):
+    # every corrector and clip solve of the traced steps runs on one shared
+    # workspace, right after the call before it, and keeps the bits of a call
+    # on a fresh workspace.  The first call on it follows a singular Jacobian,
+    # and later ones follow calls that failed partway through
+    problem = traced_steps[0][0]
+    shared = _failed_singular(  # singular with the direction (0, 1, 1)
+        lambda ws: correct(problem, (0.5, 0.5, 1.0), (0.0, 1.0, 1.0), ws),
+        (1.0, 1.0, 1.0, 0.0, 3.0, 1.0), monkeypatch)
+    causes = Counter()
+    for problem, last, d, h in traced_steps:
+        predicted = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
+        got = _outcome(correct, problem, predicted, d, shared)
+        assert got == _outcome(correct, problem, predicted, d, NewtonWorkspace())
+        causes[got[1] if isinstance(got, tuple) else "point"] += 1
+    assert causes["point"] and causes["corrector diverging"]
+    shared = _failed_singular(
+        lambda ws: _clip_solve(problem, (0.5, 0.5, 1.0), "lam", 1.0, ws),
+        (1.0, 1.0, 0.0, 0.0, 0.5, 0.5), monkeypatch)
+    causes = Counter()
+    for problem, last, d, h in traced_steps:
+        guess = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
+        for pin, value in (("lam", last.lam), ("sigma", last.sigma), ("sigma", 0.0)):
+            got = _outcome(_clip_solve, problem, guess, pin, value, shared)
+            assert got == _outcome(_clip_solve, problem, guess, pin, value, NewtonWorkspace())
+            causes[got[1].split(":")[0] if isinstance(got, tuple) else "point"] += 1
+    assert causes["point"] and causes["clip solve with pinned sigma did not converge"]
 
 
 def test_clip_solve_iterates_at_lam_0_or_on_a_pole_fail_to_converge(traced_steps):
@@ -775,7 +818,7 @@ def test_clip_solve_iterates_at_lam_0_or_on_a_pole_fail_to_converge(traced_steps
         guess = (last.sigma + d[0] * h, last.omega + d[1] * h, last.lam + d[2] * h)
         for pin, value in (("lam", last.lam), ("sigma", last.sigma), ("sigma", 0.0)):
             try:
-                _clip_solve(problem, guess, pin, value)
+                _clip_solve(problem, guess, pin, value, NewtonWorkspace())
             except NoConvergenceError as exc:
                 causes[str(exc).split(":")[0]] += 1
             except JacobianSingularError:
@@ -821,7 +864,7 @@ def test_first_arclength_row_is_the_negated_ddot_of_the_offset(monkeypatch):
     rng = np.random.default_rng(2708)
     rows = []
 
-    def solve(a, b):
+    def solve(a, b, out):
         rows.append(b.copy())
         raise FloatingPointError("first system only")
 
@@ -834,7 +877,7 @@ def test_first_arclength_row_is_the_negated_ddot_of_the_offset(monkeypatch):
         for problem, lam in ((gain, 0.3), (delay, 0.3), (delay, -0.01)):
             predicted = (-0.5 + rng.uniform(-0.1, 0.1), rng.uniform(0.1, 2.0), lam)
             with pytest.raises(JacobianSingularError):
-                correct(problem, predicted, direction)
+                correct(problem, predicted, direction, NewtonWorkspace())
             moved = np.array([*predicted[:2], max(lam, 0.0)]) - np.array(predicted)
             want = -moved.dot(direction)
             assert rows[-1][2].hex() == want.hex()
@@ -848,18 +891,20 @@ def _scripted_correct(monkeypatch, updates):
     system reads as singular, so an unconverged call ends with that."""
     script = [np.array(u) for u in updates]
 
-    def solve(a, b):
+    def solve(a, b, out):
         if not script:
             raise FloatingPointError("end of script")
-        return script.pop(0)
+        out[:] = script.pop(0)
+        return out
 
     monkeypatch.setattr(continuation, "_dgesv", solve)
     monkeypatch.setattr(continuation, "_mp_jacobian",
                         lambda problem, y: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-    monkeypatch.setattr(continuation, "_located_point",
-                        lambda problem, y, step: TrajectoryPoint(*y, 0.0, step))
+    monkeypatch.setattr(LocusProblem, "cartesian_residual",
+                        lambda problem, sigma, omega, lam: 0.0)
     try:
-        correct(_first_order_problem(), (0.5, 0.5, 100.0), np.array([0.0, 0.0, 1.0]))
+        correct(_first_order_problem(), (0.5, 0.5, 100.0), np.array([0.0, 0.0, 1.0]),
+                NewtonWorkspace())
     except RootLocusError as exc:
         return str(exc)
     return "converged"
@@ -894,14 +939,16 @@ def _clip_solve_convergence(monkeypatch):
     def decides(x):
         script = [np.array([x, 0.0])]
 
-        def solve(a, b):
+        def solve(a, b, out):
             if not script:
                 raise FloatingPointError("end of script")
-            return script.pop(0)
+            out[:] = script.pop(0)
+            return out
 
         monkeypatch.setattr(continuation, "_dgesv", solve)
         try:
-            got = _clip_solve(_first_order_problem(), [0.0, 0.0, 1.0], "lam", 1.0)
+            got = _clip_solve(_first_order_problem(), [0.0, 0.0, 1.0], "lam", 1.0,
+                              NewtonWorkspace())
         except JacobianSingularError:
             return False
         assert got == [x, 0.0, 1.0]
@@ -939,7 +986,7 @@ def _turn_guard(monkeypatch):
         chord = _chord_at_cosine(x)
         calls = []
 
-        def fake_correct(problem, predicted, direction):
+        def fake_correct(problem, predicted, direction, ws):
             # the first step lands on the chord, a retry on its prediction
             calls.append(predicted)
             return TrajectoryPoint(*(chord if len(calls) == 1 else predicted), 0.0, 0.0), 0.0
@@ -966,12 +1013,39 @@ def _branch_proximity_radius(monkeypatch):
     return 0.25, operator.lt, decides
 
 
+def _branch_solve_convergence(monkeypatch):
+    # the Gauss-Newton update's norm against 1e-12 (1 + |y|) of the updated
+    # iterate y = (x, 0, 1), whose norm rounds to 1.0; a converged solve ends
+    # in ``branch_point``, an unconverged one reads the next update as none
+    problem = _first_order_problem()
+    monkeypatch.setattr(continuation, "branch_point", lambda problem, s, lam, n: (s, lam))
+
+    def decides(x):
+        script = [np.array([x, 0.0, 0.0])]
+
+        def lstsq(a, b, rcond):
+            if not script:
+                raise NoConvergenceError("end of script")
+            return script.pop(0), None, None, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        try:
+            got = solve_branch_point(problem, np.array([0.0, 0.0, 1.0]))
+        except NoConvergenceError:
+            return False
+        assert got == (complex(x, 0.0), 1.0)
+        return True
+
+    return 1e-12 * (1.0 + 1.0), operator.lt, decides
+
+
 @pytest.mark.parametrize("edge", [
     pytest.param(_correct_convergence, id="correct_convergence"),
     pytest.param(_correct_divergence, id="correct_divergence"),
     pytest.param(_clip_solve_convergence, id="clip_solve_convergence"),
     pytest.param(_turn_guard, id="turn_guard"),
     pytest.param(_branch_proximity_radius, id="branch_proximity"),
+    pytest.param(_branch_solve_convergence, id="branch_solve"),
 ])
 def test_each_threshold_is_a_strict_comparison_of_its_float(monkeypatch, edge):
     # the real function, with the compared float 1 ulp below the threshold,

@@ -5,6 +5,7 @@ import importlib
 import logging
 import math
 import os
+from collections import Counter
 
 import pytest
 
@@ -177,6 +178,42 @@ def test_benchmark_tracer_patches_current_names(monkeypatch):
     assert results_equal(traced, compute_root_locus(problem))
 
 
+def test_every_plant_pass_of_the_corrector_enters_through_the_jacobian(monkeypatch):
+    # the benchmark counts a Newton iteration per _mp_jacobian call made
+    # inside correct (perfbench/tracing.py, copied here): a corrector that
+    # made its plant pass another way would zero that count unseen
+    stack = []
+    seen = Counter()
+    correct, jacobian = continuation.correct, continuation._mp_jacobian
+    evaluate = LocusProblem.evaluate
+
+    def entered(name, fn):
+        def wrapper(*args):
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return wrapper
+
+    def counted_jacobian(problem, y):
+        seen["newton"] += "correct" in stack
+        return entered("jacobian", jacobian)(problem, y)
+
+    def counted_evaluate(self, sigma, omega, lam):
+        if "correct" in stack:
+            seen["evaluate"] += 1
+            seen["via_jacobian"] += stack[-1] == "jacobian"
+        return evaluate(self, sigma, omega, lam)
+
+    monkeypatch.setattr(continuation, "correct", entered("correct", correct))
+    monkeypatch.setattr(continuation, "_mp_jacobian", counted_jacobian)
+    monkeypatch.setattr(LocusProblem, "evaluate", counted_evaluate)
+    result = compute_root_locus(example3_problem())
+    assert result.trajectories
+    assert seen["evaluate"] == seen["via_jacobian"] == seen["newton"] > 0
+
+
 def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
     # the first prediction off a double pole is placed on its ray at the
     # distance h0 = 1e-2 * (1 + |sigma0|) of the first step
@@ -253,7 +290,7 @@ def test_delay_locus_from_a_double_start_root():
     for traj in trajs:
         a, b = next((a, b) for a, b in zip(traj.points, traj.points[1:]) if a.lam <= 0.3 <= b.lam)
         guess = a.as_array() + (0.3 - a.lam) / (b.lam - a.lam) * (b.as_array() - a.as_array())
-        y = continuation._clip_solve(problem, guess, "lam", 0.3)
+        y = continuation._clip_solve(problem, guess, "lam", 0.3, continuation.NewtonWorkspace())
         roots.append(complex(y[0], y[1]))
     roots.sort(key=lambda r: r.imag)
     want = [complex(-0.80960550, -0.54251225), complex(-0.80960550, 0.54251225)]
