@@ -479,8 +479,13 @@ def trace_trajectory(
         pt.step_used = h
         y = (pt.sigma, pt.omega, pt.lam)
 
-        # clip against the lam upper bound and the region boundary
-        if pt.lam > problem.lambda_max:
+        # clip against the lam upper bound and the region boundary, on sigma0
+        # first when the chord from ``last`` reaches it before lambda_max
+        if pt.lam > problem.lambda_max and not (
+            pt.sigma < problem.sigma0
+            and (problem.sigma0 - last.sigma) * (pt.lam - last.lam)
+            > (problem.lambda_max - last.lam) * (pt.sigma - last.sigma)
+        ):
             try:
                 y_end = _clip_solve(problem, y, "lam", problem.lambda_max, ws)
                 points.append(_located_point(problem, y_end, h))

@@ -1,7 +1,14 @@
-"""Critical points of the root locus: starts, branch points, boundary crossings."""
+"""Critical points of the root locus: starts, branch points, boundary crossings.
+
+A crossing search runs on one ``BoundaryLine``, which holds its abscissa and
+each pole's and zero's data on it, and evaluates Lambda, the phase, the delay
+lam(w) and psi' from them.
+"""
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -10,16 +17,7 @@ import numpy as np
 
 from . import localmodel
 from .errors import IllPosedCrossingError, NoConvergenceError, PoleZeroProximityError
-from .plant import (
-    LocusKind,
-    LocusProblem,
-    Plant,
-    _phi1,
-    big_lambda,
-    big_lambda_prime,
-    phi_offset,
-    phi_prime,
-)
+from .plant import LocusKind, LocusProblem, Plant, wrap_angle
 from .rootfind import (
     bracketed_root,
     magnitude_extremum_freqs,
@@ -193,47 +191,148 @@ def branch_points_gain(problem: LocusProblem) -> list[CriticalPoint]:
     return out
 
 
-def _cap(problem: LocusProblem, extrema: list[float], beyond) -> float:
+class BoundaryLine:
+    """The line Re s = a that one crossing search scans, with the data of each
+    node (pole or zero) formed once.
+
+    For every pole, then every zero v it holds the floats (Im v,
+    (a - Re v)**2, a - Re v), and the constants h a, h a - ln|k| and the
+    phase offset angle(G(a)) in {0, pi}.  The boundary functions take a float
+    or an array w down one path: a float stays a Python float and only np.log
+    / np.arctan go through numpy, whose results agree bit for bit on scalars
+    and arrays (math.log and math.atan do not).  The w term t is squared as
+    t * t, as numpy squares an array.  A search builds its own line, and the
+    line keeps no cache.  A pole or zero on the line raises ValueError, with
+    the tolerance of ``LocusProblem``'s check of sigma0.
+    """
+
+    def __init__(self, plant: Plant, abscissa: float):
+        a = float(abscissa)
+        tol = 1e-9 * (1.0 + abs(a))
+        for v in plant.poles + plant.zeros:
+            if abs(v.real - a) < tol:
+                raise ValueError(f"pole or zero {v} lies on the line Re(s) = {a}")
+        self.plant = plant
+        self.abscissa = a
+        self.poles = tuple((v.imag, (a - v.real) ** 2, a - v.real) for v in plant.poles)
+        self.zeros = tuple((v.imag, (a - v.real) ** 2, a - v.real) for v in plant.zeros)
+        self.ha = plant.delay * a
+        self.log_gain = math.log(abs(plant.gain))
+        self.lam0 = self.ha - self.log_gain  # Lambda less its node terms
+        ang = cmath.phase(plant.transfer(complex(a, 0.0)))
+        self.offset = math.pi if abs(wrap_angle(ang - math.pi)) < abs(wrap_angle(ang)) else 0.0
+        nodes = self.poles + self.zeros
+        self.node_im = np.array([v[0] for v in nodes])  # the node arrays of _psi_bounds
+        self.node_dist = abs(np.array([v[2] for v in nodes]))
+
+    def _sums(self, w, slopes: bool):
+        """Lambda(w) and, with ``slopes``, Lambda'(w) and phi'(w) of G alone,
+        from one q = (w - Im v)^2 + (a - Re v)^2 per node: Lambda and Lambda'
+        add the poles' terms, then subtract the zeros'; phi' adds the zeros'
+        (a - Re v)/q, then subtracts the poles'.  0.0 * w gives Lambda the
+        shape of an array w on a plant without nodes."""
+        lam = self.lam0 + 0.0 * w
+        lam_p, phi_p, pole_phi = 0.0, -0.0, []
+        for vi, x2, x in self.poles:
+            t = w - vi
+            q = t * t
+            q += x2
+            lam += 0.5 * np.log(q)
+            if slopes:
+                lam_p += t / q
+                pole_phi.append(x / q)
+        for vi, x2, x in self.zeros:
+            t = w - vi
+            q = t * t
+            q += x2
+            lam -= 0.5 * np.log(q)
+            if slopes:
+                lam_p -= t / q
+                phi_p += x / q
+        for y in pole_phi:
+            phi_p -= y
+        return lam, lam_p, phi_p
+
+    def big_lambda(self, w):
+        """Lambda(w) = h a - ln|G(a + jw)|: exp(Lambda(w)) is the gain at which
+        a characteristic root can sit at a + jw."""
+        return _plain(self._sums(w, False)[0])
+
+    def phase(self, w, h: float):
+        """The continuous (unwrapped) phase of G e^{-hs} at a + jw: no modular
+        reduction, and angle(G(a)) in {0, pi} at w = 0.  ``h=0`` gives the
+        phase of G alone."""
+        acc = -h * w
+        for vi, _, x in self.zeros:
+            acc += np.arctan((w - vi) / x)
+        for vi, _, x in self.poles:
+            acc -= np.arctan((w - vi) / x)
+        # at w = 0 the terms of a conjugate pair cancel exactly only when the
+        # pair is summed back to back; the sum is 0 in any listing order
+        acc *= w != 0
+        return _plain(acc) + self.offset
+
+    def delay_lam(self, w):
+        """The delay lam(w) = ln|G(a + jw)|/a at which the magnitude condition
+        holds at a + jw."""
+        return (self.ha - self.big_lambda(w)) / self.abscissa
+
+    def psi(self, w):
+        """The delay boundary phase psi(w) = phi_G(w) - lam(w) w."""
+        return self.phase(w, 0.0) - self.delay_lam(w) * w
+
+    def psi_prime(self, w):
+        """psi'(w) = phi_G'(w) - lam'(w) w - lam(w), lam' = -Lambda'/a, from
+        one node pass."""
+        lam, lam_p, phi_p = self._sums(w, True)
+        a = self.abscissa
+        return _plain(phi_p - (-lam_p / a) * w - (self.ha - lam) / a)
+
+
+def _plain(acc):
+    """``acc`` with a numpy scalar turned into a Python float of the same bits."""
+    return acc if isinstance(acc, np.ndarray) else float(acc)
+
+
+def _cap(line: BoundaryLine, extrema: list[float], value, beyond) -> float:
     """First frequency of a doubling sequence past every plant modulus and
-    every magnitude extremum at which ``beyond(w)`` holds: from there on the
-    locus parameter stays out of range."""
-    plant = problem.plant
+    every magnitude extremum at which ``beyond(value(w))`` holds: from there
+    on the locus parameter stays out of range."""
+    plant = line.plant
     mods = [abs(v) for v in plant.poles + plant.zeros]
     w = 10.0 * max([1.0] + mods)
     if extrema:
         w = max(w, 1.1 * extrema[-1] + 1.0)
     for _ in range(200):
-        if beyond(w):
+        if beyond(value(w)):
             return w
         w *= 2.0
     return w
 
 
 def _admissible_intervals(
-    problem: LocusProblem, value, bounds: list[tuple[float, bool]], beyond
+    line: BoundaryLine, value, bounds: list[tuple[float, bool]], beyond
 ) -> list[tuple[float, float]]:
-    """Maximal boundary-frequency intervals where ``value(plant, sigma0, w)``
-    satisfies every ``(bound, keep_below)`` pair: at most ``bound`` when
+    """Maximal boundary-frequency intervals where ``value(w)`` satisfies
+    every ``(bound, keep_below)`` pair: at most ``bound`` when
     ``keep_below``, at least ``bound`` otherwise.
 
     ``value`` is monotone between the magnitude extrema, so each piece
     between consecutive extrema is clipped against each bound by one
     bracketed root; ``beyond`` places the cap of the scan (see ``_cap``).
+    ``value`` is evaluated once per distinct w: adjacent pieces, both bounds
+    and the cap share knots, and a clip's root is where Brent's method
+    evaluated it last.
     """
-    plant = problem.plant
-    s0 = problem.sigma0
-    extrema = magnitude_extremum_freqs(plant, s0)
-    cap = _cap(problem, extrema, beyond)
+    value = functools.cache(value)
+    extrema = magnitude_extremum_freqs(line.plant, line.abscissa)
+    cap = _cap(line, extrema, value, beyond)
     knots = [0.0] + [w for w in extrema if 1e-12 < w < cap] + [cap]
     pieces: list[tuple[float, float]] = []
     for lo, hi in zip(knots[:-1], knots[1:]):
         seg_lo, seg_hi = lo, hi
         for bound, keep_below in bounds:
-
-            def shifted(w):
-                return value(plant, s0, w) - bound
-
-            f_lo, f_hi = shifted(seg_lo), shifted(seg_hi)
+            f_lo, f_hi = value(seg_lo) - bound, value(seg_hi) - bound
             ok_lo = f_lo <= 0.0 if keep_below else f_lo >= 0.0
             ok_hi = f_hi <= 0.0 if keep_below else f_hi >= 0.0
             if ok_lo and ok_hi:
@@ -241,7 +340,7 @@ def _admissible_intervals(
             if not ok_lo and not ok_hi:
                 seg_lo, seg_hi = None, None
                 break
-            w_star = bracketed_root(shifted, seg_lo, seg_hi, f_lo, f_hi)
+            w_star = bracketed_root(lambda w: value(w) - bound, seg_lo, seg_hi, f_lo, f_hi)
             if ok_lo:
                 seg_hi = w_star
             else:
@@ -251,72 +350,45 @@ def _admissible_intervals(
     return _merge_touching(pieces)
 
 
-def magnitude_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
-    """Maximal boundary-frequency intervals where exp(big_lambda) <= lambda_max."""
+def magnitude_intervals(problem: LocusProblem, line: BoundaryLine) -> list[tuple[float, float]]:
+    """Maximal boundary-frequency intervals where exp(Lambda) <= lambda_max."""
     assert problem.kind is LocusKind.GAIN
-    plant = problem.plant
     ln_max = math.log(problem.lambda_max)
-    if plant.biproper:
-        lam_inf = plant.delay * problem.sigma0 - math.log(abs(plant.gain))
-        target = ln_max + min(2.0, 0.5 * (lam_inf - ln_max))
+    if problem.plant.biproper:
+        # Lambda tends to h a - ln|k| as w grows
+        target = ln_max + min(2.0, 0.5 * (line.lam0 - ln_max))
     else:
         target = ln_max + 2.0
-
-    def beyond(w):
-        return big_lambda(plant, problem.sigma0, w) > target
-
-    return _admissible_intervals(problem, big_lambda, [(ln_max, True)], beyond)
+    return _admissible_intervals(
+        line, line.big_lambda, [(ln_max, True)], lambda v: v > target
+    )
 
 
-def _delay_lam(plant: Plant, s0: float, w):
-    """Delay value at which the boundary magnitude condition holds at s0 + jw."""
-    lam = plant.delay * s0 - big_lambda(plant, s0, w)  # = ln|G(s0+jw)|
-    return lam / s0
-
-
-def _delay_lam_prime(plant: Plant, s0: float, w):
-    return -big_lambda_prime(plant, s0, w) / s0
-
-
-def delay_admissible_intervals(problem: LocusProblem) -> list[tuple[float, float]]:
+def delay_admissible_intervals(
+    problem: LocusProblem, line: BoundaryLine
+) -> list[tuple[float, float]]:
     """Boundary-frequency intervals where the delay value lies in [0, lambda_max]."""
     lmax = problem.lambda_max
-
-    def beyond(w):
-        lam = _delay_lam(problem.plant, problem.sigma0, w)
-        return lam > 1.05 * lmax or lam < -0.05 * lmax
-
-    return _admissible_intervals(problem, _delay_lam, [(lmax, True), (0.0, False)], beyond)
-
-
-def _phase_fn(plant: Plant, sigma0: float, h: float):
-    """The continuous (unwrapped) boundary phase of G e^{-hs} on Re(s) =
-    sigma0, as a function of w, with the constant offset ``phi_offset``
-    computed once.
-
-    No modular reduction is applied; the phase at w = 0 is angle(G(sigma0))
-    in {0, pi}.  ``h=0`` gives the unwrapped phase of G alone.  A float gives
-    a float, an array an array, same bits."""
-    offset = phi_offset(plant, sigma0)
-
-    def phase(w):
-        return _phi1(plant, sigma0, w, h) + offset
-
-    return phase
+    return _admissible_intervals(
+        line,
+        line.delay_lam,
+        [(lmax, True), (0.0, False)],
+        lambda lam: lam > 1.05 * lmax or lam < -0.05 * lmax,
+    )
 
 
-def crossing_direction(problem: LocusProblem, omega: float, lam: float) -> int:
-    """Direction of the crossing at sigma0 + j omega, lam: the sign of the
-    root's Re ds/dlam, +1 entering the region, on either locus kind.  It
-    grazes where |Re ds| <= 1e-10 |ds|, a test on the tangent's angle that
+def crossing_direction(problem: LocusProblem, root: complex, lam: float) -> int:
+    """Direction of the crossing at the boundary root ``root``, lam: the sign
+    of the root's Re ds/dlam, +1 entering the region, on either locus kind.
+    It grazes where |Re ds| <= 1e-10 |ds|, a test on the tangent's angle that
     scaling the plant's gain (and so lam) leaves unchanged."""
     try:
-        ds = localmodel.ds_dlam(problem, complex(problem.sigma0, omega), lam)
+        ds = localmodel.ds_dlam(problem, root, lam)
     except ZeroDivisionError:
         ds = 0j
     if abs(ds.real) <= _GRAZE_TOL * abs(ds):
         raise IllPosedCrossingError(
-            f"grazing boundary crossing at omega = {omega}: ds/dlam = {ds:g}"
+            f"grazing boundary crossing at {root}: ds/dlam = {ds:g}"
         )
     return 1 if ds.real > 0 else -1
 
@@ -343,18 +415,10 @@ def _sign_flips(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((sign[:-1] != 0) & (sign[1:] != 0) & (sign[:-1] != sign[1:]))
 
 
-def _psi_prime(plant: Plant, s0: float, w):
-    """psi' of the delay boundary phase psi(w) = phi_G(w) - lam(w) w.  A float
-    gives a float, an array an array, same bits."""
-    return (
-        phi_prime(plant, s0, w, 0.0) - _delay_lam_prime(plant, s0, w) * w - _delay_lam(plant, s0, w)
-    )
-
-
-def _psi_bounds(plant: Plant, s0: float, a: np.ndarray, b: np.ndarray):
+def _psi_bounds(line: BoundaryLine, a: np.ndarray, b: np.ndarray):
     """For each cell [a, b] of the arrays: bounds on |psi''| and on
     |psi''''|, the third derivative of psi', over the cell, and a bound on
-    the rounding error of ``_psi_prime`` anywhere in it.
+    the rounding error of ``BoundaryLine.psi_prime`` anywhere in it.
 
     With x = s0 - Re v, t = w - Im v and q = x^2 + t^2 for each pole or zero
     v, psi' sums terms x/q (from phi'), w t/(s0 q) (from lam' w) and
@@ -365,24 +429,22 @@ def _psi_bounds(plant: Plant, s0: float, a: np.ndarray, b: np.ndarray):
     |u^(k)| <= sum k!/q^((k+1)/2) gives
     |psi''''| <= sum 6/q^2 + (8/q^1.5 + 6|w|/q^2)/|s0|.  Both are taken
     with the least q and the largest |w| and |t| on the cell.  The rounding
-    of each sum of ``_psi_prime`` is within (count + 10) eps of the sum of
+    of each sum of ``psi_prime`` is within (count + 10) eps of the sum of
     its terms' magnitudes; four times that covers libm's last bits."""
-    v = np.array(plant.poles + plant.zeros)
-    x = abs(s0 - v.real)
-    c = v.imag
+    x, c = line.node_dist, line.node_im
     a, b = a[:, None], b[:, None]
     t_near = np.maximum(np.maximum(a - c, c - b), 0.0)
     t_far = np.maximum(abs(a - c), abs(b - c))
     q_near = x * x + t_near * t_near
     w_far = np.maximum(abs(a), abs(b))
-    r = 1.0 / abs(s0)
+    r = 1.0 / abs(line.abscissa)
     phi2 = np.minimum(1.0, 2.0 * x * t_far / q_near)
     second = ((phi2 + (w_far + 2.0 * t_far) * r) / q_near).sum(axis=1)
     fourth = ((6.0 * (1.0 + w_far * r) / q_near + 8.0 * r / np.sqrt(q_near)) / q_near).sum(axis=1)
     logs = 1.0 + abs(np.log(q_near)) + abs(np.log(x * x + t_far * t_far))
     terms = ((x + w_far * t_far * r) / q_near + logs * r).sum(axis=1)
-    scale = terms + (2.0 * abs(plant.delay * s0) + abs(math.log(abs(plant.gain)))) * r
-    return second, fourth, 4.0 * (v.size + 10) * _EPS * scale
+    scale = terms + (2.0 * abs(line.ha) + abs(line.log_gain)) * r
+    return second, fourth, 4.0 * (x.size + 10) * _EPS * scale
 
 
 def _same_sign(*values):
@@ -428,7 +490,7 @@ def _cleared3(width, fa, fm, fb, fourth, err):
     return same & (least > (1.0 + 1e-9) * fourth * width**3 / 124.0 + 4.0 * err)
 
 
-def _hidden_turns(plant: Plant, s0: float, psi_prime, a, b, fa, fb) -> list[float]:
+def _hidden_turns(line: BoundaryLine, a, b, fa, fb) -> list[float]:
     """Turns of psi' inside the cells [a, b] (arrays; psi' is fa, fb at the
     ends) that ``_cleared`` does not clear and whose end values do not change
     sign.
@@ -445,70 +507,82 @@ def _hidden_turns(plant: Plant, s0: float, psi_prime, a, b, fa, fb) -> list[floa
                 f"the psi' bisection on [{a[0]}, {b[-1]}] holds {a.size} cells it cannot clear"
             )
         m = 0.5 * (a + b)
-        fm = psi_prime(m)
-        _, fourth, err = _psi_bounds(plant, s0, a, b)
+        fm = line.psi_prime(m)
+        _, fourth, err = _psi_bounds(line, a, b)
         keep = ~_cleared3(b - a, fa, fm, fb, fourth, err)
         a, m, b, fa, fm, fb = a[keep], m[keep], b[keep], fa[keep], fm[keep], fb[keep]
         a, b = np.concatenate((a, m)), np.concatenate((m, b))
         fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
         flip = (fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0))
         for cell in zip(a[flip], b[flip], fa[flip], fb[flip]):
-            turns.append(bracketed_root(psi_prime, *cell))
+            turns.append(bracketed_root(line.psi_prime, *cell))
         keep = ~flip & (b - a > 1e-12 * (1.0 + abs(b)))
         a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
     return turns
 
 
-def _delay_turns(plant: Plant, s0: float, lmax: float, lo: float, hi: float) -> list[float]:
+def _grid_points(lo: float, hi: float, n: int, idx: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, n)[idx]``, formed only at the indices ``idx``:
+    i step + lo, or (i / (n - 1)) (hi - lo) + lo where the step rounds to
+    0.0, and hi at the last index, the floats np.linspace forms."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    w = idx * step + lo if step else idx / (n - 1) * delta + lo
+    w[idx == n - 1] = hi
+    return w
+
+
+def _delay_turns(line: BoundaryLine, lmax: float, lo: float, hi: float) -> list[float]:
     """The zeros of psi' on [lo, hi] where psi turns, in ascending order.
 
     They are the sign changes of psi' on a uniform grid, each refined by
     Brent's method, plus zero pairs hidden inside one grid cell.  The grid is
     partitioned in two levels, and a cell is skipped when ``_cleared``
     certifies it holds no zero.  Coarse cells span _COARSE_STRIDE grid
-    steps; psi' is evaluated at all the grid points of the coarse cells that
-    do not clear, in one call.  A grid cell in them that neither changes sign
+    steps; psi' is evaluated at the coarse points, and at all the grid
+    points of the coarse cells that do not clear, in one call; only those
+    grid points are formed.  A grid cell in them that neither changes sign
     nor clears goes to ``_hidden_turns``.  So every sign-change cell of the
     full grid is found, with the same end values, and the grid's size caps
     the work, not what the scan can see.
     """
-
-    def psi_prime(w):
-        return _psi_prime(plant, s0, w)
-
     n = int(1e4 * (1.0 + lmax * (hi - lo) / (2 * math.pi)))
-    grid = np.linspace(lo, hi, min(max(n, 200), 400000))
-    coarse = np.append(np.arange(0, grid.size - 1, _COARSE_STRIDE), grid.size - 1)
-    ca, cb = grid[coarse[:-1]], grid[coarse[1:]]
-    dc = psi_prime(grid[coarse])
-    second, _, err = _psi_bounds(plant, s0, ca, cb)
+    n = min(max(n, 200), 400000)
+    coarse = np.append(np.arange(0, n - 1, _COARSE_STRIDE), n - 1)
+    wc = _grid_points(lo, hi, n, coarse)
+    ca, cb = wc[:-1], wc[1:]
+    dc = line.psi_prime(wc)
+    second, _, err = _psi_bounds(line, ca, cb)
     open_ = ~_cleared(ca, cb, dc[:-1], dc[1:], second, err)
+    if not open_.any():  # every coarse cell is free of zeros, as on most intervals
+        return []
     # the grid indices of the open coarse cells, both ends included
     first, last = coarse[:-1][open_], coarse[1:][open_]
     sizes = last - first + 1
     idx = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-    dp = psi_prime(grid[idx])
+    wi = _grid_points(lo, hi, n, idx)
+    dp = line.psi_prime(wi)
     # a pair of consecutive values inside one coarse cell is a grid cell
     inner = np.diff(idx) == 1
     flips = _sign_flips(dp)
     flips = flips[inner[flips]]
-    turns = [
-        bracketed_root(psi_prime, grid[idx[j]], grid[idx[j + 1]], dp[j], dp[j + 1])
-        for j in flips
-    ]
+    turns = [bracketed_root(line.psi_prime, wi[j], wi[j + 1], dp[j], dp[j + 1]) for j in flips]
     inner[flips] = False
     # the coarse cell's bounds hold on each of its grid cells; the few that
     # do not clear with them are bisected
     j = np.flatnonzero(inner)
     cell_of = np.repeat(np.arange(sizes.size), sizes)[j]
-    a, b, fa, fb = grid[idx[j]], grid[idx[j + 1]], dp[j], dp[j + 1]
+    a, b, fa, fb = wi[j], wi[j + 1], dp[j], dp[j + 1]
     keep = ~_cleared(a, b, fa, fb, second[open_][cell_of], err[open_][cell_of])
-    turns += _hidden_turns(plant, s0, psi_prime, a[keep], b[keep], fa[keep], fb[keep])
+    turns += _hidden_turns(line, a[keep], b[keep], fa[keep], fb[keep])
     return sorted(turns)
 
 
-def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
-    """All boundary crossing roots on Re(s) = sigma0, with their directions.
+def boundary_crossings(
+    problem: LocusProblem, line: BoundaryLine | None = None
+) -> list[CriticalPoint]:
+    """All boundary crossing roots on the line Re(s) = a, with their
+    directions; the line defaults to the region's boundary, a = sigma0.
 
     On each interval where the locus parameter lam(w) is in range, the
     phase is split into monotone pieces where it turns, and phase =
@@ -519,35 +593,35 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
     that ``_delay_turns`` finds on a certified partition of its grid: each
     skipped cell is proven free of zeros by a bound on |psi''|, and a grid
     cell that cannot be cleared is bisected, so two zeros inside one cell are
-    found too.
+    found too.  The delay lam(w) divides by a, so a delay search on a = 0
+    raises ValueError.
     """
-    plant = problem.plant
-    s0 = problem.sigma0
+    if line is None:
+        line = BoundaryLine(problem.plant, problem.sigma0)
+    a = line.abscissa
     lmax = problem.lambda_max
     if problem.kind is LocusKind.GAIN:
-        intervals = magnitude_intervals(problem)
-        phase = _phase_fn(plant, s0, plant.delay)
-        splits = phase_extremum_freqs(plant, s0, plant.delay)
+        h = problem.plant.delay
+        intervals = magnitude_intervals(problem, line)
+        splits = phase_extremum_freqs(problem.plant, a, h)
+
+        def phase(w):
+            return line.phase(w, h)
 
         def turns(lo, hi):
             return [w for w in splits if lo < w < hi]
 
         def lam_at(w):
-            return math.exp(big_lambda(plant, s0, w))
+            return math.exp(line.big_lambda(w))
 
     else:
-        intervals = delay_admissible_intervals(problem)
-        phase_g = _phase_fn(plant, s0, 0.0)
-
-        def lam_at(w):
-            return _delay_lam(plant, s0, w)
-
-        def phase(w):
-            # psi: the phase of G alone minus lam(w) * w
-            return phase_g(w) - lam_at(w) * w
+        if a == 0.0:
+            raise ValueError("a delay crossing search needs a nonzero abscissa")
+        intervals = delay_admissible_intervals(problem, line)
+        phase, lam_at = line.psi, line.delay_lam
 
         def turns(lo, hi):
-            return _delay_turns(plant, s0, lmax, lo, hi)
+            return _delay_turns(line, lmax, lo, hi)
 
     found: list[CriticalPoint] = []
 
@@ -556,13 +630,14 @@ def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
         if not (-1e-12 <= lam <= lmax * (1.0 + 1e-12)):
             return
         lam = min(max(lam, 0.0), lmax)
-        entering = crossing_direction(problem, w, lam) > 0
+        root = complex(a, w)
+        entering = crossing_direction(problem, root, lam) > 0
         kind = CriticalKind.CROSSING_IN if entering else CriticalKind.CROSSING_OUT
-        found.append(CriticalPoint(kind, complex(s0, w), lam))
+        found.append(CriticalPoint(kind, root, lam))
 
     for lo, hi in intervals:
         knots = [lo] + turns(lo, hi) + [hi]
-        for a, b in zip(knots[:-1], knots[1:]):
-            if b - a > 1e-14 * (1.0 + abs(b)):
-                _solve_levels(a, b, phase, on_root)
+        for left, right in zip(knots[:-1], knots[1:]):
+            if right - left > 1e-14 * (1.0 + abs(right)):
+                _solve_levels(left, right, phase, on_root)
     return dedup_points(_with_mirrors(found))

@@ -6,7 +6,8 @@ The characteristic function of the closed loop is
     f(s, lam) = 1 + G(s) * exp(-lam*s)         (delay locus)
 
 All solving happens on the log decomposition (M, P) of ``k*G(s)*exp(-h*s)``;
-the Cartesian form is only used for residual checks.
+the Cartesian form is only used for residual checks.  The same view on a
+boundary line Re(s) = a, as functions of omega, is ``critical.BoundaryLine``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .errors import PoleZeroProximityError, ValidationError
 
@@ -126,107 +125,6 @@ def eval_char_fn(plant: Plant, kind: LocusKind, s: complex, lam: float) -> compl
     return 1.0 + g * cmath.exp(-lam * s)
 
 
-# The boundary functions below take a float or an array omega down the same
-# lines: a float stays a Python float and only np.log / np.arctan go through
-# numpy, whose results agree bit for bit on scalars and arrays (math.log and
-# math.atan do not).  The omega term t is squared as t * t, as numpy squares
-# an array; ** 2 on a float calls libm pow, which rounds apart now and then.
-# The in-place operators spare a grid pass its temporaries (the delay psi'
-# scan evaluates Lambda, Lambda' and phi' on up to 4e5 points) and simply
-# rebind a float.
-
-
-def _zero_like(omega):
-    """+0.0 in the shape of ``omega``: a float for a float, an array for an array."""
-    return 0.0 * abs(omega)
-
-
-def _plain(acc):
-    """``acc`` with a numpy scalar turned into a Python float of the same bits."""
-    return acc if isinstance(acc, np.ndarray) else float(acc)
-
-
-def big_lambda(plant: Plant, sigma0: float, omega):
-    """Boundary log-magnitude h*sigma0 - ln|G(sigma0 + j omega)|.
-
-    exp(big_lambda(omega)) is the gain at which a characteristic root can sit
-    at sigma0 + j omega.  A float gives a float, an array an array, same bits.
-    """
-    acc = plant.delay * sigma0 - math.log(abs(plant.gain)) + _zero_like(omega)
-    for p in plant.poles:
-        q = omega - p.imag
-        q *= q
-        q += (sigma0 - p.real) ** 2
-        acc += 0.5 * np.log(q)
-    for z in plant.zeros:
-        q = omega - z.imag
-        q *= q
-        q += (sigma0 - z.real) ** 2
-        acc -= 0.5 * np.log(q)
-    return _plain(acc)
-
-
-def big_lambda_prime(plant: Plant, sigma0: float, omega):
-    """First derivative of ``big_lambda`` with respect to omega (h-free).
-
-    A float gives a float, an array an array, same bits.
-    """
-    acc = _zero_like(omega)
-    for p in plant.poles:
-        t = omega - p.imag
-        q = t * t
-        q += (sigma0 - p.real) ** 2
-        t /= q
-        acc += t
-    for z in plant.zeros:
-        t = omega - z.imag
-        q = t * t
-        q += (sigma0 - z.real) ** 2
-        t /= q
-        acc -= t
-    return acc
-
-
-def _phi1(plant: Plant, sigma0: float, omega, h: float):
-    """The boundary phase phi of G e^{-hs} on Re(s) = sigma0 without its
-    constant offset ``phi_offset``; exactly 0 at omega = 0.  A float gives a
-    float, an array an array, same bits."""
-    acc = -h * omega
-    for z in plant.zeros:
-        acc += np.arctan((omega - z.imag) / (sigma0 - z.real))
-    for p in plant.poles:
-        acc -= np.arctan((omega - p.imag) / (sigma0 - p.real))
-    # at omega = 0 the terms of a conjugate pair cancel exactly only when the
-    # pair is summed back to back; the sum is 0 in any listing order
-    acc *= omega != 0
-    return _plain(acc)
-
-
-def phi_offset(plant: Plant, sigma0: float) -> float:
-    """Phase offset in {0, pi}: angle(G(sigma0)), the phase at omega = 0."""
-    ang = cmath.phase(plant.transfer(complex(sigma0, 0.0)))
-    return math.pi if abs(wrap_angle(ang - math.pi)) < abs(wrap_angle(ang)) else 0.0
-
-
-def phi_prime(plant: Plant, sigma0: float, omega, h: float):
-    """First derivative of the boundary phase phi with respect to omega.
-
-    A float gives a float, an array an array, same bits.
-    """
-    acc = -h - _zero_like(omega)  # minus: -0.0 at h = 0 stays -0.0
-    for z in plant.zeros:
-        q = omega - z.imag
-        q *= q
-        q += (sigma0 - z.real) ** 2
-        acc += (sigma0 - z.real) / q
-    for p in plant.poles:
-        q = omega - p.imag
-        q *= q
-        q += (sigma0 - p.real) ** 2
-        acc -= (sigma0 - p.real) / q
-    return acc
-
-
 def _check_clear(sigma: float, omega: float, tol: float, v: complex, word: str) -> None:
     """Raise PoleZeroProximityError when s = sigma + j omega lies within
     ``tol`` of the pole or zero ``v`` (``word``): abs(s - v) of the complex
@@ -264,7 +162,7 @@ class LocusProblem:
                 "crossing search scans only omega >= 0 and mirrors what it finds"
             )
         # the proximity tolerance of transfer at s = sigma0, where the crossing
-        # search evaluates G (phi_offset)
+        # search evaluates G (the phase offset of ``critical.BoundaryLine``)
         tol = 1e-9 * (1.0 + abs(self.sigma0))
         for word, values in (("pole", self.plant.poles), ("zero", self.plant.zeros)):
             for v in values:

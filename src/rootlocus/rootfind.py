@@ -26,6 +26,10 @@ _BRENT_MAXITER = 200
 _MOMENT_TOL = 1e-12
 
 
+def _nan_error(x: float) -> NoConvergenceError:
+    return NoConvergenceError(f"Brent's method: f is NaN at x = {x!r}")
+
+
 def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
     """A root of f on [lo, hi] by Brent's method; a zero end is returned as is.
 
@@ -36,16 +40,13 @@ def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
     f or a run that does not converge raises ``NoConvergenceError``; ends
     whose values have the same sign raise ``BracketError``.
     """
-
-    def value(x, fx=None):
-        fx = float(f(x) if fx is None else fx)
-        if fx != fx:
-            raise NoConvergenceError(f"Brent's method: f is NaN at x = {x!r}")
-        return fx
-
     xpre, xcur = float(lo), float(hi)
-    fpre = value(xpre, f_lo)
-    fcur = value(xcur, f_hi)
+    fpre = float(f(xpre) if f_lo is None else f_lo)
+    if fpre != fpre:
+        raise _nan_error(xpre)
+    fcur = float(f(xcur) if f_hi is None else f_hi)
+    if fcur != fcur:
+        raise _nan_error(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -91,7 +92,9 @@ def bracketed_root(f, lo: float, hi: float, f_lo=None, f_hi=None) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_error(xcur)
     raise NoConvergenceError(
         f"Brent's method did not converge in {_BRENT_MAXITER} iterations; last x = {xcur!r}"
     )
@@ -125,7 +128,8 @@ def _boundary_nodes(plant: Plant, sigma0: float) -> tuple[np.ndarray, np.ndarray
 
 
 def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
-    """Positive zeros of ``big_lambda_prime``, ascending.
+    """Positive zeros of Lambda', the w-derivative of
+    ``critical.BoundaryLine.big_lambda``, ascending.
 
     f = Lambda'/w = sum_k r_k/(y - y_k), y = w^2, y_k = c_k^2 (nonzero: no
     pole or zero lies on the boundary), r_k = s_k, has no constant.  Its
@@ -160,8 +164,10 @@ def magnitude_extremum_freqs(plant: Plant, sigma0: float) -> list[float]:
 
 
 def phase_extremum_freqs(plant: Plant, sigma0: float, h: float) -> list[float]:
-    """Positive zeros of ``phi_prime``, ascending: phi' = -h + sum of simple
-    poles in w^2 (see ``_boundary_nodes``), whose constant -h is nonzero."""
+    """Positive zeros of phi', the w-derivative of the boundary phase of
+    G e^{-hs} (``critical.BoundaryLine.phase``), ascending: phi' = -h + sum
+    of simple poles in w^2 (see ``_boundary_nodes``), whose constant -h is
+    nonzero."""
     c, sign = _boundary_nodes(plant, sigma0)
     return _pole_sum_zeros(-h, c * c, 1j * sign * c)
 

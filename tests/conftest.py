@@ -7,6 +7,30 @@ from rootlocus.engine import compute_root_locus
 from rootlocus.plant import LocusKind, LocusProblem, Plant
 
 
+def big_lambda_prime(plant, sigma0, w):
+    """dLambda/dw on Re s = sigma0 (Lambda = h sigma0 - ln|G|): the poles'
+    (w - Im v)/|s - v|^2 less the zeros'.  A reference for the extremum
+    scans; a float gives a numpy float."""
+    w = np.asarray(w, dtype=float)
+    acc = np.zeros(w.shape)
+    for v, sign in [(p, 1.0) for p in plant.poles] + [(z, -1.0) for z in plant.zeros]:
+        t = w - v.imag
+        acc = acc + sign * t / (t * t + (sigma0 - v.real) ** 2)
+    return acc[()]
+
+
+def phi_prime(plant, sigma0, w, h):
+    """d/dw of the phase of G e^{-hs} on Re s = sigma0: -h plus the zeros'
+    (sigma0 - Re v)/|s - v|^2 less the poles'.  A reference for the extremum
+    scans; a float gives a numpy float."""
+    w = np.asarray(w, dtype=float)
+    acc = np.full(w.shape, -h)
+    for v, sign in [(z, 1.0) for z in plant.zeros] + [(p, -1.0) for p in plant.poles]:
+        t, x = w - v.imag, sigma0 - v.real
+        acc = acc + sign * x / (t * t + x ** 2)
+    return acc[()]
+
+
 def first_order_plant(gain=1.0, delay=1.0):
     """G = gain/(s+1) with dead time."""
     return Plant(zeros=(), poles=(-1.0,), gain=gain, delay=delay)

@@ -16,22 +16,17 @@ from rootlocus.cli import EXIT_OK, main as cli_main
 from rootlocus.continuation import NewtonWorkspace, Termination, _clip_solve
 from rootlocus.critical import CriticalKind, boundary_crossings, crossing_direction
 from rootlocus.engine import compute_root_locus
-from rootlocus.errors import ValidationError
-from rootlocus.plant import (
-    LocusKind,
-    LocusProblem,
-    Plant,
-    big_lambda_prime,
-    eval_char_fn,
-    phi_prime,
-)
+from rootlocus.errors import JacobianSingularError, NoConvergenceError, ValidationError
+from rootlocus.plant import LocusKind, LocusProblem, Plant, eval_char_fn
 from rootlocus.rootfind import magnitude_extremum_freqs, phase_extremum_freqs
 
 from conftest import (
+    big_lambda_prime,
     example1_problem,
     example2_problem,
     example3_problem,
     first_order_plant,
+    phi_prime,
     turning_point_problem,
 )
 
@@ -160,7 +155,7 @@ def _random_problem(rng, kind, strictly_proper=False):
             lam_max = rng.uniform(0.2, 2.0)
         try:
             return LocusProblem(kind, SIGMA0, lam_max, plant)
-        except Exception:
+        except ValidationError:
             continue
 
 
@@ -204,6 +199,20 @@ def test_criterion_4_random_plant_residuals():
         problem = _random_problem(rng, kind)
         result = compute_root_locus(problem)
         _assert_result_residuals(result)
+
+
+def test_criterion_4_stream_is_the_benchmark_stream(monkeypatch):
+    # the generator redraws a plant on ValidationError only, as the
+    # benchmark's copy does; the 50 plants it draws are the benchmark's
+    import importlib
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = np.random.default_rng(STREAM_SEED)
+    stream = [_random_problem(rng, LocusKind.GAIN if i % 2 == 0 else LocusKind.DELAY)
+              for i in range(50)]
+    assert workloads.stream_digest(stream) == workloads.STREAM_DIGEST
 
 
 @pytest.mark.xfail(
@@ -372,7 +381,7 @@ def _traced_roots(problem, result, lam):
                 guess = a.as_array() + frac * (b.as_array() - a.as_array())
             try:
                 y = _clip_solve(problem, guess, "lam", lam, ws)
-            except Exception:
+            except (NoConvergenceError, JacobianSingularError):
                 continue
             if y[0] < problem.sigma0 - 1e-9:
                 continue
@@ -522,7 +531,7 @@ def test_crossing_direction_matches_the_rules_it_replaced():
     for problem in problems:
         for cp in boundary_crossings(problem):
             want = _replaced_crossing_direction(problem, cp.root.imag, cp.lam)
-            assert crossing_direction(problem, cp.root.imag, cp.lam) == want
+            assert crossing_direction(problem, cp.root, cp.lam) == want
             entering = cp.kind is CriticalKind.CROSSING_IN
             assert entering == (want > 0)
             checked[problem.kind] += 1

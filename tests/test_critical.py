@@ -11,15 +11,13 @@ from scipy.optimize import brentq
 from rootlocus import critical, localmodel, rootfind
 
 from rootlocus.critical import (
+    BoundaryLine,
     CriticalKind,
     CriticalPoint,
-    _delay_lam,
-    _delay_lam_prime,
     _delay_turns,
+    _grid_points,
     _psi_bounds,
-    _psi_prime,
     _sign_flips,
-    _phase_fn,
     boundary_crossings,
     branch_points_gain,
     crossing_direction,
@@ -29,17 +27,7 @@ from rootlocus.critical import (
     starting_points,
 )
 from rootlocus.errors import IllPosedCrossingError, PoleZeroProximityError
-from rootlocus.plant import (
-    LocusKind,
-    LocusProblem,
-    Plant,
-    _phi1,
-    big_lambda,
-    eval_char_fn,
-    phi_offset,
-    phi_prime,
-    wrap_angle,
-)
+from rootlocus.plant import LocusKind, LocusProblem, Plant, eval_char_fn, wrap_angle
 
 from conftest import (
     example1_problem,
@@ -51,6 +39,11 @@ from conftest import (
 
 def _gain_problem(plant, sigma0, lambda_max):
     return LocusProblem(LocusKind.GAIN, sigma0, lambda_max, plant)
+
+
+def _line(problem):
+    """The line of the problem's region boundary, as ``boundary_crossings`` builds it."""
+    return BoundaryLine(problem.plant, problem.sigma0)
 
 
 def test_starting_points_gain():
@@ -121,7 +114,7 @@ def test_branch_points_discarded_above_lambda_max():
 
 def test_magnitude_intervals_first_order():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
-    intervals = magnitude_intervals(problem)
+    intervals = magnitude_intervals(problem, _line(problem))
     assert len(intervals) == 1
     lo, hi = intervals[0]
     assert lo == pytest.approx(0.0, abs=1e-12)
@@ -134,19 +127,19 @@ def test_magnitude_intervals_first_order():
 def test_magnitude_intervals_empty_when_lambda_max_tiny():
     problem = _gain_problem(first_order_plant(), -0.5, 0.05)
     # min Lambda = Lambda(0) = -0.5 + ln 0.5, e^{that} = 0.3033 > 0.05
-    assert magnitude_intervals(problem) == []
+    assert magnitude_intervals(problem, _line(problem)) == []
 
 
-def test_phase_fn_equals_phi_at_the_interval_ends():
+def test_line_phase_equals_phi_at_the_interval_ends():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
-    (lo, hi), = magnitude_intervals(problem)
-    phase = _phase_fn(problem.plant, -0.5, problem.plant.delay)
-    # the phase offset is computed once; the values keep the bits of the
-    # offset-free phase plus the offset
-    plant = problem.plant
+    line, h = _line(problem), problem.plant.delay
+    (lo, hi), = magnitude_intervals(problem, line)
+    # the phase offset angle(G(-0.5)) = 0 is formed once, with the line;
+    # phi(w) = -atan(w/0.5) - w
+    assert line.offset == 0.0
     for w in (lo, hi):
-        assert phase(w) == _phi1(plant, -0.5, w, plant.delay) + phi_offset(plant, -0.5)
-    assert phase(hi) < phase(lo)  # phi' < 0 everywhere here
+        assert line.phase(w, h) == pytest.approx(-math.atan(2.0 * w) - w)
+    assert line.phase(hi, h) < line.phase(lo, h)  # phi' < 0 everywhere here
 
 
 def test_boundary_crossings_gain_first_order():
@@ -265,8 +258,8 @@ def test_boundary_crossings_gain_excluded_by_lambda_max():
 def test_crossing_direction_first_order():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
     # phi' < 0 for all omega, so every crossing enters the region
-    lam = math.exp(big_lambda(problem.plant, -0.5, 1.8366))
-    assert crossing_direction(problem, 1.8366, lam) == 1
+    lam = math.exp(_line(problem).big_lambda(1.8366))
+    assert crossing_direction(problem, complex(-0.5, 1.8366), lam) == 1
 
 
 @pytest.mark.parametrize("kind", [LocusKind.GAIN, LocusKind.DELAY])
@@ -275,7 +268,7 @@ def test_crossing_direction_raises_where_u_vanishes(kind):
     # h_eff = h = 1 (gain) and with h_eff = lam = 1 (delay)
     problem = LocusProblem(kind, -2.0, 1.5, first_order_plant())
     with pytest.raises(IllPosedCrossingError, match="grazing"):
-        crossing_direction(problem, 0.0, 1.0)
+        crossing_direction(problem, complex(-2.0, 0.0), 1.0)
 
 
 @pytest.mark.parametrize("gain", [1.0, 1e-12, 1e12])
@@ -289,10 +282,10 @@ def test_crossing_direction_raises_at_a_grazing_gain_crossing(gain):
     )
     plant, s0 = problem.plant, problem.sigma0
     w = rootfind.phase_extremum_freqs(plant, s0, plant.delay)[0]
-    lam = math.exp(big_lambda(plant, s0, w))
+    lam = math.exp(_line(problem).big_lambda(w))
     assert abs(localmodel._u_derivatives(problem, complex(s0, w), lam, 0)[0]) > 0.1
     with pytest.raises(IllPosedCrossingError, match="grazing"):
-        crossing_direction(problem, w, lam)
+        crossing_direction(problem, complex(s0, w), lam)
 
 
 @pytest.mark.parametrize("gain", [1e-10, 1e10])
@@ -318,7 +311,7 @@ def test_crossing_direction_raises_at_a_grazing_delay_crossing():
     lam = (s * a.conjugate()).real / s.real
     assert abs(a - lam) > 0.1
     with pytest.raises(IllPosedCrossingError, match="grazing"):
-        crossing_direction(problem, 1.0, lam)
+        crossing_direction(problem, s, lam)
 
 
 def test_boundary_crossings_residuals_and_order(example1_result, example3_result):
@@ -373,18 +366,18 @@ def test_high_order_gain_plant_keeps_every_crossing():
 def test_delay_lambda_at_zero():
     plant = first_order_plant(gain=2.0)
     problem = LocusProblem(LocusKind.DELAY, -4.0, 1.0, plant)
-    from rootlocus.critical import _delay_lam
+    line = _line(problem)
 
     # |G(-4)| = 2/3 < 1 so lam(0) = ln(2/3)/(-4) > 0
-    assert _delay_lam(plant, -4.0, 0.0) == pytest.approx(math.log(2.0 / 3.0) / -4.0)
-    assert _delay_lam(plant, -4.0, 0.0) == pytest.approx(0.10137, abs=1e-5)
+    assert line.delay_lam(0.0) == pytest.approx(math.log(2.0 / 3.0) / -4.0)
+    assert line.delay_lam(0.0) == pytest.approx(0.10137, abs=1e-5)
 
 
 def test_delay_admissible_intervals_clip_both_sides_closed_form():
     # G = 2/(s+1) on sigma0 = -0.5: lam(w) = ln((0.25 + w^2)/4) rises from
     # lam(0) < 0, so the interval starts where lam = 0 and ends where lam = 1
     problem = LocusProblem(LocusKind.DELAY, -0.5, 1.0, first_order_plant(gain=2.0))
-    (lo, hi), = delay_admissible_intervals(problem)
+    (lo, hi), = delay_admissible_intervals(problem, _line(problem))
     assert lo == pytest.approx(math.sqrt(3.75), abs=1e-9)
     assert hi == pytest.approx(math.sqrt(4.0 * math.e - 0.25), abs=1e-9)
 
@@ -451,25 +444,16 @@ def _seeded_delay_problems(count, seed):
 def _uniform_scan(problem, lo, hi):
     """The full uniform psi' grid that the delay turn search partitions, and
     psi' on every point of it."""
-    plant, s0 = problem.plant, problem.sigma0
     n = int(1e4 * (1.0 + problem.lambda_max * (hi - lo) / (2 * math.pi)))
     grid = np.linspace(lo, hi, min(max(n, 200), 400000))
-    dp = (
-        phi_prime(plant, s0, grid, 0.0)
-        - _delay_lam_prime(plant, s0, grid) * grid
-        - _delay_lam(plant, s0, grid)
-    )
-    return grid, dp
+    return grid, _line(problem).psi_prime(grid)
 
 
 def _uniform_turns(problem, grid, dp):
     """The scan the certified partition replaced, kept as its reference:
     every sign change of psi' (``dp``) on the full grid, refined by Brent's
     method."""
-
-    def psi_prime(w):
-        return _psi_prime(problem.plant, problem.sigma0, w)
-
+    psi_prime = _line(problem).psi_prime
     return [
         rootfind.bracketed_root(psi_prime, grid[i], grid[i + 1], dp[i], dp[i + 1])
         for i in _sign_flips(dp)
@@ -481,7 +465,7 @@ def test_sign_flips_match_the_per_index_loop():
     flips = []
     for problem in [example1_problem()] + _seeded_delay_problems(11, 1):
         flips.append(0)
-        for lo, hi in delay_admissible_intervals(problem):
+        for lo, hi in delay_admissible_intervals(problem, _line(problem)):
             grid, dp = _uniform_scan(problem, lo, hi)
             got = _sign_flips(dp)
             assert got.tolist() == _sign_flips_loop(dp)
@@ -517,8 +501,9 @@ def test_crossing_search_passes_brent_the_end_values_it_holds(monkeypatch):
     monkeypatch.setattr(critical, "bracketed_root", checked)
     for problem in (example1_problem(), example3_problem(), stream_problem(31)):
         boundary_crossings(problem)
-    # the phase levels, the admissible-interval clips and the delay psi' turns
-    assert callers == {"_solve_levels", "_admissible_intervals", "_delay_turns"}
+    # the phase levels, the admissible-interval clips and the delay psi' turns,
+    # whose f is the line's psi'
+    assert callers == {"_solve_levels", "_admissible_intervals", "BoundaryLine"}
 
 
 def _delay_probe_problems(monkeypatch):
@@ -555,18 +540,21 @@ def test_delay_turns_equal_the_full_uniform_scan_to_the_bit(monkeypatch):
     problems = _delay_probe_problems(monkeypatch)
     evaluated = [0]
 
-    def counted(plant, s0, w):
-        evaluated[0] += np.size(w)
-        return _psi_prime(plant, s0, w)
+    psi_prime = BoundaryLine.psi_prime
 
-    monkeypatch.setattr(critical, "_psi_prime", counted)
+    def counted(line, w):
+        evaluated[0] += np.size(w)
+        return psi_prime(line, w)
+
     turns = points = 0
     for problem in problems:
-        plant, s0, lmax = problem.plant, problem.sigma0, problem.lambda_max
-        for lo, hi in delay_admissible_intervals(problem):
+        line = _line(problem)
+        for lo, hi in delay_admissible_intervals(problem, line):
             grid, dp = _uniform_scan(problem, lo, hi)
             want = _uniform_turns(problem, grid, dp)
-            got = _delay_turns(plant, s0, lmax, lo, hi)
+            with monkeypatch.context() as m:
+                m.setattr(BoundaryLine, "psi_prime", counted)
+                got = _delay_turns(line, problem.lambda_max, lo, hi)
             assert [float(w).hex() for w in got] == [w.hex() for w in want]
             turns += len(want)
             points += grid.size
@@ -624,14 +612,15 @@ def test_psi_bounds_bound_psi_derivatives_and_rounding(monkeypatch):
     cells = 0
     for problem in _delay_probe_problems(monkeypatch):
         plant, s0 = problem.plant, problem.sigma0
-        for lo, hi in delay_admissible_intervals(problem):
+        line = _line(problem)
+        for lo, hi in delay_admissible_intervals(problem, line):
             for _ in range(3):
                 width = (hi - lo) * 10.0 ** rng.uniform(-6.0, 0.0)
                 a = rng.uniform(lo, hi - width)
                 w = np.linspace(a, a + width, 200)
-                second, fourth, err = (x[0] for x in _psi_bounds(plant, s0, w[:1], w[-1:]))
+                second, fourth, err = (x[0] for x in _psi_bounds(line, w[:1], w[-1:]))
                 d1, d2, _, d4 = _psi_derivatives(problem, w)
-                assert d1 == pytest.approx(_psi_prime(plant, s0, w), rel=1e-9, abs=1e-9)
+                assert d1 == pytest.approx(line.psi_prime(w), rel=1e-9, abs=1e-9)
                 assert np.max(abs(d2)) <= second
                 assert np.max(abs(d4)) <= fourth
                 cells += 1
@@ -644,7 +633,7 @@ def test_psi_bounds_bound_psi_derivatives_and_rounding(monkeypatch):
                 assert slope == pytest.approx(upper[k], rel=1e-4, abs=1e-6 * (1.0 + abs(lower[k][0])))
             with mpmath.workdps(40):
                 exact = _exact_psi_prime(plant, s0, x)
-            assert abs(_psi_prime(plant, s0, x) - exact) <= err
+            assert abs(line.psi_prime(x) - exact) <= err
     assert cells > 400
 
 
@@ -655,8 +644,9 @@ def test_delay_turns_find_two_zeros_inside_one_grid_cell():
     # in a cell it turns psi' positive and back inside that cell
     s0, lmax, eps = -1.0, 0.5, 1e-4
     base = Plant(zeros=(), poles=(-1e5,), gain=0.99e5, delay=1.0)
-    (lo, hi), = delay_admissible_intervals(LocusProblem(LocusKind.DELAY, s0, lmax, base))
-    grid, _ = _uniform_scan(LocusProblem(LocusKind.DELAY, s0, lmax, base), lo, hi)
+    base_problem = LocusProblem(LocusKind.DELAY, s0, lmax, base)
+    (lo, hi), = delay_admissible_intervals(base_problem, _line(base_problem))
+    grid, _ = _uniform_scan(base_problem, lo, hi)
     k = grid.size // 2
     c = 0.5 * (grid[k] + grid[k + 1])
     plant = Plant(
@@ -666,11 +656,12 @@ def test_delay_turns_find_two_zeros_inside_one_grid_cell():
         delay=1.0,
     )
     problem = LocusProblem(LocusKind.DELAY, s0, lmax, plant)
-    (lo, hi), = delay_admissible_intervals(problem)
+    line = _line(problem)
+    (lo, hi), = delay_admissible_intervals(problem, line)
     grid, dp = _uniform_scan(problem, lo, hi)
     assert grid[k] < c < grid[k + 1] and dp[k] < 0.0 and dp[k + 1] < 0.0
     assert _uniform_turns(problem, grid, dp) == []
-    got = _delay_turns(plant, s0, lmax, lo, hi)
+    got = _delay_turns(line, lmax, lo, hi)
     assert len(got) == 2 and all(grid[k] < w < grid[k + 1] for w in got)
 
     import mpmath
@@ -687,15 +678,11 @@ def test_psi_bisection_gives_up_loudly(monkeypatch):
     # search raises instead of growing without bound
     from rootlocus.errors import NoConvergenceError
 
-    plant, s0 = first_order_plant(gain=2.0), -0.5
+    line = BoundaryLine(first_order_plant(gain=2.0), -0.5)
     monkeypatch.setattr(critical, "_cleared3", lambda width, *rest: np.zeros(width.shape, bool))
-
-    def psi_prime(w):
-        return _psi_prime(plant, s0, w)
-
     a, b = np.array([2.0]), np.array([3.0])
     with pytest.raises(NoConvergenceError, match="cannot clear"):
-        critical._hidden_turns(plant, s0, psi_prime, a, b, psi_prime(a), psi_prime(b))
+        critical._hidden_turns(line, a, b, line.psi_prime(a), line.psi_prime(b))
 
 
 def test_cell_certificates_never_clear_a_cell_holding_a_zero():
@@ -725,3 +712,77 @@ def test_cell_certificates_never_clear_a_cell_holding_a_zero():
         cleared[0] += bool(by_ends)
         cleared[1] += bool(by_three)
     assert min(cleared) > 300
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0.37, 12.9, 200), (1.5, 9411.25, 400000), (0.0, 5e-324, 200)])
+def test_grid_points_equal_linspace_to_the_bit(lo, hi, n):
+    # the delay scan forms only the grid points it reads; they are the floats
+    # of np.linspace, at the last index too, and in its branch for a step
+    # that rounds to 0.0
+    full = np.linspace(lo, hi, n)
+    rng = np.random.default_rng(n)
+    idx = np.concatenate([[0, 1, n - 2, n - 1], rng.integers(0, n, 500)])
+    assert _grid_points(lo, hi, n, idx).tobytes() == full[idx].tobytes()
+    assert _grid_points(lo, hi, n, np.arange(n)).tobytes() == full.tobytes()
+    if hi - lo < 1e-300:
+        assert (hi - lo) / (n - 1) == 0.0 and full[-1] == hi
+
+
+def test_line_psi_prime_matches_a_central_difference_of_psi():
+    from test_rootfind import high_order_plant
+
+    from rootlocus.errors import ValidationError
+
+    problems = [example1_problem()]
+    seed = 1000
+    while len(problems) < 6:
+        plant, s0 = high_order_plant(np.random.default_rng(seed))
+        seed += 1
+        try:
+            problems.append(LocusProblem(LocusKind.DELAY, s0, 1.0, plant))
+        except ValidationError:
+            continue
+    for problem in problems:
+        line = _line(problem)
+        for w in np.linspace(0.05, 30.0, 41).tolist():
+            step = 1e-6 * (1.0 + w)
+            fd = (line.psi(w + step) - line.psi(w - step)) / (2.0 * step)
+            assert line.psi_prime(w) == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+def test_line_rejects_a_pole_or_zero_on_its_abscissa():
+    plant = Plant(zeros=(complex(-0.5, 2.0), complex(-0.5, -2.0)), poles=(-1.0, -3.0, -4.0),
+                  gain=1.0, delay=1.0)
+    for a in (-1.0, -0.5, -0.5 + 1e-10, -1.0 - 1e-10):
+        with pytest.raises(ValueError, match="lies on the line"):
+            BoundaryLine(plant, a)
+    BoundaryLine(plant, -0.5 + 1e-8)  # beyond the validator's tolerance
+
+
+def test_delay_search_at_abscissa_0_raises():
+    # lam(w) = ln|G(jw)|/a divides by the abscissa
+    problem = LocusProblem(LocusKind.DELAY, -0.5, 1.0, first_order_plant(gain=2.0))
+    with pytest.raises(ValueError, match="nonzero abscissa"):
+        boundary_crossings(problem, BoundaryLine(problem.plant, 0.0))
+
+
+@pytest.mark.parametrize("lambda_max", [5.0, 50.0])
+def test_gain_search_at_abscissa_0_gives_the_imag_axis_events(lambda_max):
+    # the boundary crossings on Re s = 0 are the engine's imaginary-axis
+    # events, read from the traced trajectories: the same (lam, omega,
+    # direction) multiset, within 1e-9
+    from rootlocus.engine import compute_root_locus
+
+    problem = example3_problem(lambda_max)
+    events = compute_root_locus(problem).imag_axis_events
+    found = boundary_crossings(problem, BoundaryLine(problem.plant, 0.0))
+    assert len(found) == len(events) >= 4
+    assert all(cp.root.real == 0.0 for cp in found)
+    left = [(cp.lam, cp.root.imag, 1 if cp.kind is CriticalKind.CROSSING_IN else -1)
+            for cp in found]
+    for ev in events:
+        near = [c for c in left if abs(c[0] - ev.lam) < 1e-9 and abs(c[1] - ev.omega) < 1e-9
+                and c[2] == ev.direction]
+        assert len(near) == 1, ev
+        left.remove(near[0])
+    assert left == []

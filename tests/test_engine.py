@@ -7,6 +7,7 @@ import math
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rootlocus import continuation, critical, engine, localmodel
@@ -212,6 +213,27 @@ def test_every_plant_pass_of_the_corrector_enters_through_the_jacobian(monkeypat
     result = compute_root_locus(example3_problem())
     assert result.trajectories
     assert seen["evaluate"] == seen["via_jacobian"] == seen["newton"] > 0
+
+
+def test_a_step_past_sigma0_before_lambda_max_ends_on_sigma0():
+    # high-order delay plant 1009 (25 poles, 22 zeros, sigma0 -0.77116): one
+    # step of the pair from CROSSING_IN -0.771 +- 19.718j crosses sigma0 and
+    # then lambda_max 1 along its chord; the trace ends at the registered
+    # CROSSING_OUT at lam 0.97907, on sigma0, not at lambda_max outside the
+    # region
+    from test_rootfind import high_order_plant
+
+    plant, s0 = high_order_plant(np.random.default_rng(1009))
+    assert (len(plant.poles), len(plant.zeros), round(s0, 5)) == (25, 22, -0.77116)
+    problem = LocusProblem(LocusKind.DELAY, s0, 1.0, plant)
+    result = compute_root_locus(problem)
+    assert result.warnings == []
+    assert all(p.sigma >= s0 - 1e-9 for t in result.trajectories for p in t.points)
+    ends = [t.points[-1] for t in result.trajectories if t.termination is Termination.LEFT_REGION
+            and abs(t.points[-1].lam - 0.97907) < 1e-5]
+    assert len(ends) == 2
+    assert sorted(e.omega for e in ends) == pytest.approx([-18.99478, 18.99478], abs=1e-5)
+    assert all(e.sigma == s0 for e in ends)
 
 
 def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():

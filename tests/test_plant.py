@@ -7,25 +7,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rootlocus.critical import _phase_fn
+from rootlocus.critical import BoundaryLine
 from rootlocus.errors import PoleZeroProximityError, ValidationError
-from rootlocus.plant import (
-    LocusKind,
-    LocusProblem,
-    Plant,
-    big_lambda,
-    big_lambda_prime,
-    eval_char_fn,
-    phi_offset,
-    phi_prime,
-    wrap_angle,
-)
+from rootlocus.plant import LocusKind, LocusProblem, Plant, eval_char_fn, wrap_angle
 
 from conftest import (
+    big_lambda_prime,
     example1_problem,
     example2_problem,
     example3_problem,
     first_order_plant,
+    phi_prime,
     turning_point_problem,
 )
 
@@ -429,6 +421,11 @@ def test_eval_char_fn_analytic_root():
     assert abs(val) < 1e-14
 
 
+def big_lambda(plant, sigma0, omega):
+    """Lambda on Re s = sigma0, as the crossing search computes it."""
+    return BoundaryLine(plant, sigma0).big_lambda(omega)
+
+
 def test_big_lambda_first_order():
     plant = first_order_plant()
     # Lambda(w) = h*sigma0 - ln|G(sigma0+jw)| = -0.5 + 0.5*ln(0.25+w^2)
@@ -439,7 +436,7 @@ def test_big_lambda_first_order():
 
 def phi(plant, sigma0, omega):
     """The boundary phase of G e^{-hs}, as the crossing search computes it."""
-    return _phase_fn(plant, sigma0, plant.delay)(omega)
+    return BoundaryLine(plant, sigma0).phase(omega, plant.delay)
 
 
 def test_phi_first_order():
@@ -501,11 +498,12 @@ _STREAM_PLANT_47 = Plant(
 
 
 def _ref_boundary(plant, s0, w):
-    """big_lambda, big_lambda_prime, phi_prime and phi on an array w, one
-    vectorized expression per term, in the order the engine sums them."""
+    """Lambda, psi' and phi on an array w, one vectorized expression per
+    term, in the order the engine sums them: Lambda and Lambda' over the
+    poles, then the zeros; phi and phi' over the zeros, then the poles."""
     h = plant.delay
     lam = np.full(w.shape, h * s0 - math.log(abs(plant.gain)))
-    lam_p, phase_p, phase = np.zeros(w.shape), np.full(w.shape, -h), -h * w
+    lam_p, phase_p, phase = np.zeros(w.shape), np.full(w.shape, -0.0), -h * w
     for v, sign in [(p, 1.0) for p in plant.poles] + [(z, -1.0) for z in plant.zeros]:
         d2 = (s0 - v.real) ** 2 + (w - v.imag) ** 2
         lam += sign * 0.5 * np.log(d2)
@@ -514,13 +512,16 @@ def _ref_boundary(plant, s0, w):
         d2 = (s0 - v.real) ** 2 + (w - v.imag) ** 2
         phase_p += sign * (s0 - v.real) / d2
         phase += sign * np.arctan((w - v.imag) / (s0 - v.real))
-    phase += phi_offset(plant, s0)
-    return {big_lambda: lam, big_lambda_prime: lam_p, phi_prime: phase_p, phi: phase}
+    psi_p = phase_p - (-lam_p / s0) * w - (h * s0 - lam) / s0
+    # angle(G(s0)) in {0, pi}
+    phase += math.pi if plant.transfer(complex(s0, 0.0)).real < 0.0 else 0.0
+    return {"big_lambda": lam, "psi_prime": psi_p, "phi": phase}
 
 
 def test_boundary_functions_agree_bitwise_on_floats_and_arrays():
-    # the crossing search calls these at a float inside Brent's method and on
-    # a grid for the delay psi' scan: both must compute the same bits
+    # the crossing search calls the line's functions at a float inside
+    # Brent's method and psi' on a grid for the delay scan: both must compute
+    # the same bits
     cases = [
         (example1_problem().plant, -1.0),
         (example3_problem().plant, -3.5),
@@ -538,18 +539,23 @@ def test_boundary_functions_agree_bitwise_on_floats_and_arrays():
         ws = [0.0, 1.0, -2.5, 5.69216345063724] + apart[:96]
         ws = np.concatenate([ws, rng.uniform(-30.0, 30.0, 200 - len(ws))])
         ref = _ref_boundary(plant, s0, ws)
-        for fn in (big_lambda, big_lambda_prime, phi_prime, phi):
-            h = (plant.delay,) if fn is phi_prime else ()
-            grid = fn(plant, s0, ws.reshape(10, 20), *h)
+        line = BoundaryLine(plant, s0)
+        h = plant.delay
+        for name, fn in (
+            ("big_lambda", line.big_lambda),
+            ("psi_prime", line.psi_prime),
+            ("phi", lambda w: line.phase(w, h)),
+        ):
+            grid = fn(ws.reshape(10, 20))
             assert isinstance(grid, np.ndarray) and grid.shape == (10, 20)
-            assert grid.ravel().tobytes() == ref[fn].tobytes(), fn.__name__
+            assert grid.ravel().tobytes() == ref[name].tobytes(), name
             for w, from_grid in zip(ws.tolist(), grid.ravel().tolist()):
-                at_float = fn(plant, s0, w, *h)
-                at_float64 = fn(plant, s0, np.float64(w), *h)
+                at_float = fn(w)
+                at_float64 = fn(np.float64(w))
                 assert type(at_float) is float
                 assert isinstance(at_float64, float)
                 assert at_float.hex() == float(at_float64).hex() == from_grid.hex(), (
-                    fn.__name__, plant, w)
+                    name, plant, w)
 
 
 def test_boundary_derivatives_match_finite_differences():

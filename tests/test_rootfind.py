@@ -11,7 +11,7 @@ from rootlocus import rootfind
 from rootlocus.critical import CriticalKind
 from rootlocus.engine import compute_root_locus
 from rootlocus.errors import BracketError, NoConvergenceError
-from rootlocus.plant import LocusKind, LocusProblem, Plant, big_lambda_prime, phi_prime
+from rootlocus.plant import LocusKind, LocusProblem, Plant
 from rootlocus.rootfind import (
     bracketed_root,
     magnitude_extremum_freqs,
@@ -19,7 +19,7 @@ from rootlocus.rootfind import (
     rational_zeros,
 )
 
-from conftest import example3_problem, first_order_plant
+from conftest import big_lambda_prime, example3_problem, first_order_plant, phi_prime
 
 
 def test_bracketed_root_cube_root():
