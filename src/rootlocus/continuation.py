@@ -479,27 +479,25 @@ def trace_trajectory(
         pt.step_used = h
         y = (pt.sigma, pt.omega, pt.lam)
 
-        # clip against the lam upper bound and the region boundary, on sigma0
-        # first when the chord from ``last`` reaches it before lambda_max
-        if pt.lam > problem.lambda_max and not (
-            pt.sigma < problem.sigma0
-            and (problem.sigma0 - last.sigma) * (pt.lam - last.lam)
-            > (problem.lambda_max - last.lam) * (pt.sigma - last.sigma)
-        ):
+        # clip against the region boundary, then the lam upper bound: a step
+        # past both ends on sigma0 when the curve meets it within lambda_max
+        lmax = problem.lambda_max
+        if pt.sigma < problem.sigma0:
             try:
-                y_end = _clip_solve(problem, y, "lam", problem.lambda_max, ws)
+                y_end = _clip_solve(problem, y, "sigma", problem.sigma0, ws)
+            except (NoConvergenceError, JacobianSingularError):
+                y_end = None
+            if pt.lam <= lmax or (y_end is not None and y_end[2] <= lmax):
+                if y_end is not None and 0.0 <= y_end[2] <= lmax:
+                    points.append(_located_point(problem, y_end, h))
+                return end(Termination.LEFT_REGION)
+        if pt.lam > lmax:
+            try:
+                y_end = _clip_solve(problem, y, "lam", lmax, ws)
                 points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass
             return end(Termination.LAMBDA_MAX_REACHED)
-        if pt.sigma < problem.sigma0:
-            try:
-                y_end = _clip_solve(problem, y, "sigma", problem.sigma0, ws)
-                if 0.0 <= y_end[2] <= problem.lambda_max:
-                    points.append(_located_point(problem, y_end, h))
-            except (NoConvergenceError, JacobianSingularError):
-                pass
-            return end(Termination.LEFT_REGION)
 
         # lam reversal: the continuation ran straight through an even branch point
         drop = last.lam - pt.lam

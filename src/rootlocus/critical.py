@@ -202,16 +202,12 @@ class BoundaryLine:
     / np.arctan go through numpy, whose results agree bit for bit on scalars
     and arrays (math.log and math.atan do not).  The w term t is squared as
     t * t, as numpy squares an array.  A search builds its own line, and the
-    line keeps no cache.  A pole or zero on the line raises ValueError, with
-    the tolerance of ``LocusProblem``'s check of sigma0.
+    line keeps no cache.  No pole or zero may lie on the line; ``LocusProblem``
+    checks that for sigma0.
     """
 
     def __init__(self, plant: Plant, abscissa: float):
         a = float(abscissa)
-        tol = 1e-9 * (1.0 + abs(a))
-        for v in plant.poles + plant.zeros:
-            if abs(v.real - a) < tol:
-                raise ValueError(f"pole or zero {v} lies on the line Re(s) = {a}")
         self.plant = plant
         self.abscissa = a
         self.poles = tuple((v.imag, (a - v.real) ** 2, a - v.real) for v in plant.poles)
@@ -377,18 +373,18 @@ def delay_admissible_intervals(
     )
 
 
-def crossing_direction(problem: LocusProblem, root: complex, lam: float) -> int:
-    """Direction of the crossing at the boundary root ``root``, lam: the sign
-    of the root's Re ds/dlam, +1 entering the region, on either locus kind.
-    It grazes where |Re ds| <= 1e-10 |ds|, a test on the tangent's angle that
+def crossing_direction(problem: LocusProblem, omega: float, lam: float) -> int:
+    """Direction of the crossing at sigma0 + j omega, lam: the sign of the
+    root's Re ds/dlam, +1 entering the region, on either locus kind.  It
+    grazes where |Re ds| <= 1e-10 |ds|, a test on the tangent's angle that
     scaling the plant's gain (and so lam) leaves unchanged."""
     try:
-        ds = localmodel.ds_dlam(problem, root, lam)
+        ds = localmodel.ds_dlam(problem, complex(problem.sigma0, omega), lam)
     except ZeroDivisionError:
         ds = 0j
     if abs(ds.real) <= _GRAZE_TOL * abs(ds):
         raise IllPosedCrossingError(
-            f"grazing boundary crossing at {root}: ds/dlam = {ds:g}"
+            f"grazing boundary crossing at omega = {omega}: ds/dlam = {ds:g}"
         )
     return 1 if ds.real > 0 else -1
 
@@ -578,11 +574,9 @@ def _delay_turns(line: BoundaryLine, lmax: float, lo: float, hi: float) -> list[
     return sorted(turns)
 
 
-def boundary_crossings(
-    problem: LocusProblem, line: BoundaryLine | None = None
-) -> list[CriticalPoint]:
-    """All boundary crossing roots on the line Re(s) = a, with their
-    directions; the line defaults to the region's boundary, a = sigma0.
+def boundary_crossings(problem: LocusProblem) -> list[CriticalPoint]:
+    """All boundary crossing roots on the region's boundary Re(s) = sigma0,
+    with their directions, found on one ``BoundaryLine``.
 
     On each interval where the locus parameter lam(w) is in range, the
     phase is split into monotone pieces where it turns, and phase =
@@ -593,11 +587,9 @@ def boundary_crossings(
     that ``_delay_turns`` finds on a certified partition of its grid: each
     skipped cell is proven free of zeros by a bound on |psi''|, and a grid
     cell that cannot be cleared is bisected, so two zeros inside one cell are
-    found too.  The delay lam(w) divides by a, so a delay search on a = 0
-    raises ValueError.
+    found too.
     """
-    if line is None:
-        line = BoundaryLine(problem.plant, problem.sigma0)
+    line = BoundaryLine(problem.plant, problem.sigma0)
     a = line.abscissa
     lmax = problem.lambda_max
     if problem.kind is LocusKind.GAIN:
@@ -615,8 +607,6 @@ def boundary_crossings(
             return math.exp(line.big_lambda(w))
 
     else:
-        if a == 0.0:
-            raise ValueError("a delay crossing search needs a nonzero abscissa")
         intervals = delay_admissible_intervals(problem, line)
         phase, lam_at = line.psi, line.delay_lam
 
@@ -630,10 +620,9 @@ def boundary_crossings(
         if not (-1e-12 <= lam <= lmax * (1.0 + 1e-12)):
             return
         lam = min(max(lam, 0.0), lmax)
-        root = complex(a, w)
-        entering = crossing_direction(problem, root, lam) > 0
+        entering = crossing_direction(problem, w, lam) > 0
         kind = CriticalKind.CROSSING_IN if entering else CriticalKind.CROSSING_OUT
-        found.append(CriticalPoint(kind, root, lam))
+        found.append(CriticalPoint(kind, complex(a, w), lam))
 
     for lo, hi in intervals:
         knots = [lo] + turns(lo, hi) + [hi]

@@ -531,7 +531,7 @@ def test_crossing_direction_matches_the_rules_it_replaced():
     for problem in problems:
         for cp in boundary_crossings(problem):
             want = _replaced_crossing_direction(problem, cp.root.imag, cp.lam)
-            assert crossing_direction(problem, cp.root, cp.lam) == want
+            assert crossing_direction(problem, cp.root.imag, cp.lam) == want
             entering = cp.kind is CriticalKind.CROSSING_IN
             assert entering == (want > 0)
             checked[problem.kind] += 1

@@ -259,7 +259,7 @@ def test_crossing_direction_first_order():
     problem = _gain_problem(first_order_plant(), -0.5, 2.0)
     # phi' < 0 for all omega, so every crossing enters the region
     lam = math.exp(_line(problem).big_lambda(1.8366))
-    assert crossing_direction(problem, complex(-0.5, 1.8366), lam) == 1
+    assert crossing_direction(problem, 1.8366, lam) == 1
 
 
 @pytest.mark.parametrize("kind", [LocusKind.GAIN, LocusKind.DELAY])
@@ -268,7 +268,7 @@ def test_crossing_direction_raises_where_u_vanishes(kind):
     # h_eff = h = 1 (gain) and with h_eff = lam = 1 (delay)
     problem = LocusProblem(kind, -2.0, 1.5, first_order_plant())
     with pytest.raises(IllPosedCrossingError, match="grazing"):
-        crossing_direction(problem, complex(-2.0, 0.0), 1.0)
+        crossing_direction(problem, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("gain", [1.0, 1e-12, 1e12])
@@ -285,7 +285,7 @@ def test_crossing_direction_raises_at_a_grazing_gain_crossing(gain):
     lam = math.exp(_line(problem).big_lambda(w))
     assert abs(localmodel._u_derivatives(problem, complex(s0, w), lam, 0)[0]) > 0.1
     with pytest.raises(IllPosedCrossingError, match="grazing"):
-        crossing_direction(problem, complex(s0, w), lam)
+        crossing_direction(problem, w, lam)
 
 
 @pytest.mark.parametrize("gain", [1e-10, 1e10])
@@ -311,7 +311,7 @@ def test_crossing_direction_raises_at_a_grazing_delay_crossing():
     lam = (s * a.conjugate()).real / s.real
     assert abs(a - lam) > 0.1
     with pytest.raises(IllPosedCrossingError, match="grazing"):
-        crossing_direction(problem, s, lam)
+        crossing_direction(problem, 1.0, lam)
 
 
 def test_boundary_crossings_residuals_and_order(example1_result, example3_result):
@@ -748,41 +748,3 @@ def test_line_psi_prime_matches_a_central_difference_of_psi():
             step = 1e-6 * (1.0 + w)
             fd = (line.psi(w + step) - line.psi(w - step)) / (2.0 * step)
             assert line.psi_prime(w) == pytest.approx(fd, rel=1e-5, abs=1e-5)
-
-
-def test_line_rejects_a_pole_or_zero_on_its_abscissa():
-    plant = Plant(zeros=(complex(-0.5, 2.0), complex(-0.5, -2.0)), poles=(-1.0, -3.0, -4.0),
-                  gain=1.0, delay=1.0)
-    for a in (-1.0, -0.5, -0.5 + 1e-10, -1.0 - 1e-10):
-        with pytest.raises(ValueError, match="lies on the line"):
-            BoundaryLine(plant, a)
-    BoundaryLine(plant, -0.5 + 1e-8)  # beyond the validator's tolerance
-
-
-def test_delay_search_at_abscissa_0_raises():
-    # lam(w) = ln|G(jw)|/a divides by the abscissa
-    problem = LocusProblem(LocusKind.DELAY, -0.5, 1.0, first_order_plant(gain=2.0))
-    with pytest.raises(ValueError, match="nonzero abscissa"):
-        boundary_crossings(problem, BoundaryLine(problem.plant, 0.0))
-
-
-@pytest.mark.parametrize("lambda_max", [5.0, 50.0])
-def test_gain_search_at_abscissa_0_gives_the_imag_axis_events(lambda_max):
-    # the boundary crossings on Re s = 0 are the engine's imaginary-axis
-    # events, read from the traced trajectories: the same (lam, omega,
-    # direction) multiset, within 1e-9
-    from rootlocus.engine import compute_root_locus
-
-    problem = example3_problem(lambda_max)
-    events = compute_root_locus(problem).imag_axis_events
-    found = boundary_crossings(problem, BoundaryLine(problem.plant, 0.0))
-    assert len(found) == len(events) >= 4
-    assert all(cp.root.real == 0.0 for cp in found)
-    left = [(cp.lam, cp.root.imag, 1 if cp.kind is CriticalKind.CROSSING_IN else -1)
-            for cp in found]
-    for ev in events:
-        near = [c for c in left if abs(c[0] - ev.lam) < 1e-9 and abs(c[1] - ev.omega) < 1e-9
-                and c[2] == ev.direction]
-        assert len(near) == 1, ev
-        left.remove(near[0])
-    assert left == []

@@ -215,25 +215,40 @@ def test_every_plant_pass_of_the_corrector_enters_through_the_jacobian(monkeypat
     assert seen["evaluate"] == seen["via_jacobian"] == seen["newton"] > 0
 
 
-def test_a_step_past_sigma0_before_lambda_max_ends_on_sigma0():
+@pytest.mark.parametrize(
+    "lambda_max, termination, end_lam, end_omega",
+    [
+        (1.0, Termination.LEFT_REGION, 0.97907, 18.99478),
+        (0.978, Termination.LAMBDA_MAX_REACHED, 0.978, 18.99738),
+    ],
+)
+def test_a_step_past_sigma0_and_lambda_max_ends_where_the_curve_meets_one_first(
+    lambda_max, termination, end_lam, end_omega
+):
     # high-order delay plant 1009 (25 poles, 22 zeros, sigma0 -0.77116): one
-    # step of the pair from CROSSING_IN -0.771 +- 19.718j crosses sigma0 and
-    # then lambda_max 1 along its chord; the trace ends at the registered
-    # CROSSING_OUT at lam 0.97907, on sigma0, not at lambda_max outside the
-    # region
+    # step of the pair from CROSSING_IN -0.771 +- 19.718j ends past both
+    # sigma0 and lambda_max.  The curve meets sigma0 at the registered
+    # CROSSING_OUT, lam 0.97907; the step's chord meets it at lam 0.9758.
+    # With lambda_max 1 the trace ends on sigma0, not at lambda_max outside
+    # the region; with lambda_max 0.978, between the two, it ends at
+    # lambda_max just inside the region, not on sigma0 past lambda_max with
+    # no end point
     from test_rootfind import high_order_plant
 
     plant, s0 = high_order_plant(np.random.default_rng(1009))
     assert (len(plant.poles), len(plant.zeros), round(s0, 5)) == (25, 22, -0.77116)
-    problem = LocusProblem(LocusKind.DELAY, s0, 1.0, plant)
+    problem = LocusProblem(LocusKind.DELAY, s0, lambda_max, plant)
     result = compute_root_locus(problem)
     assert result.warnings == []
     assert all(p.sigma >= s0 - 1e-9 for t in result.trajectories for p in t.points)
-    ends = [t.points[-1] for t in result.trajectories if t.termination is Termination.LEFT_REGION
-            and abs(t.points[-1].lam - 0.97907) < 1e-5]
+    ends = [t.points[-1] for t in result.trajectories if t.termination is termination
+            and abs(t.points[-1].lam - end_lam) < 1e-5 and abs(t.points[-1].omega) > 18.0]
     assert len(ends) == 2
-    assert sorted(e.omega for e in ends) == pytest.approx([-18.99478, 18.99478], abs=1e-5)
-    assert all(e.sigma == s0 for e in ends)
+    assert sorted(e.omega for e in ends) == pytest.approx([-end_omega, end_omega], abs=1e-5)
+    if termination is Termination.LEFT_REGION:
+        assert all(e.sigma == s0 for e in ends)
+    else:
+        assert all(e.lam == lambda_max and e.sigma > s0 for e in ends)
 
 
 def test_first_step_off_a_multiple_start_root_uses_the_configured_h0():
