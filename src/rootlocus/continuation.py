@@ -6,8 +6,8 @@ linearized arclength constraint, and adaptive step control driven by the
 Newton contraction rate.
 
 The corrector, the clip solve and the tracer's per-step arithmetic run on
-plain floats.  ``_mp_jacobian`` gives the residuals and the Jacobian rows
-[[a, -b, c0], [b, a, c1]] of one plant pass flat, as (M, P, a, b, c0, c1).
+plain floats.  ``_mp_jacobian`` gives the residuals of ``LocusProblem.mp`` and
+the Jacobian rows [[a, -b, c0], [b, a, c1]] flat, as (M, P, a, b, c0, c1).
 A ``NewtonWorkspace``, made once per trace (and once for the engine's
 sigma = 0 refines), holds the memory of every Newton system: one float
 buffer, written through one memoryview, with the corrector's 3x3 system,
@@ -164,10 +164,11 @@ class NewtonWorkspace:
 
 def _mp_jacobian(problem: LocusProblem, y) -> tuple[float, float, float, float, float, float]:
     """Residual (M, P) at y = (sigma, omega, lam) and its two Jacobian rows
-    [[a, -b, c0], [b, a, c1]], as the flat (M, P, a, b, c0, c1), from one
-    ``evaluate`` pass."""
+    [[a, -b, c0], [b, a, c1]], as the flat (M, P, a, b, c0, c1): ``mp``, which
+    checks proximity, then a + jb = G'/G - h_eff from ``log_derivative``."""
     sigma, omega, lam = y
-    m, p, u = problem.evaluate(sigma, omega, lam)
+    m, p = problem.mp(sigma, omega, lam)
+    u = problem.log_derivative(complex(sigma, omega))
     if problem._gain:
         return m, p, u.real - problem.plant.delay, u.imag, 1.0 / lam, 0.0
     return m, p, u.real - lam, u.imag, -sigma, -omega
@@ -614,7 +615,7 @@ def real_axis_segments(
 
     def dlog_lam(x: float) -> float:
         # d(log lam)/dx = h - G'/G
-        return h - problem.evaluate(x, 0.0, 1.0)[2].real
+        return h - problem.log_derivative(complex(x, 0.0)).real
 
     knots = sorted(set([s0, cap, *at, *real_zeros]))
     # the locus covers the knot intervals where G < 0.  A lam maximum above

@@ -411,10 +411,11 @@ def _sign_flips(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((sign[:-1] != 0) & (sign[1:] != 0) & (sign[:-1] != sign[1:]))
 
 
-def _psi_bounds(line: BoundaryLine, a: np.ndarray, b: np.ndarray):
-    """For each cell [a, b] of the arrays: bounds on |psi''| and on
-    |psi''''|, the third derivative of psi', over the cell, and a bound on
-    the rounding error of ``BoundaryLine.psi_prime`` anywhere in it.
+def _psi_bounds(line: BoundaryLine, a: np.ndarray, b: np.ndarray, order: int):
+    """For each cell [a, b] of the arrays: a bound on |psi''| (``order`` 2)
+    or on |psi''''|, the third derivative of psi' (``order`` 4), over the
+    cell, and a bound on the rounding error of ``BoundaryLine.psi_prime``
+    anywhere in it.
 
     With x = s0 - Re v, t = w - Im v and q = x^2 + t^2 for each pole or zero
     v, psi' sums terms x/q (from phi'), w t/(s0 q) (from lam' w) and
@@ -434,13 +435,14 @@ def _psi_bounds(line: BoundaryLine, a: np.ndarray, b: np.ndarray):
     q_near = x * x + t_near * t_near
     w_far = np.maximum(abs(a), abs(b))
     r = 1.0 / abs(line.abscissa)
-    phi2 = np.minimum(1.0, 2.0 * x * t_far / q_near)
-    second = ((phi2 + (w_far + 2.0 * t_far) * r) / q_near).sum(axis=1)
-    fourth = ((6.0 * (1.0 + w_far * r) / q_near + 8.0 * r / np.sqrt(q_near)) / q_near).sum(axis=1)
+    if order == 2:
+        bound = np.minimum(1.0, 2.0 * x * t_far / q_near) + (w_far + 2.0 * t_far) * r
+    else:
+        bound = 6.0 * (1.0 + w_far * r) / q_near + 8.0 * r / np.sqrt(q_near)
     logs = 1.0 + abs(np.log(q_near)) + abs(np.log(x * x + t_far * t_far))
     terms = ((x + w_far * t_far * r) / q_near + logs * r).sum(axis=1)
     scale = terms + (2.0 * abs(line.ha) + abs(line.log_gain)) * r
-    return second, fourth, 4.0 * (x.size + 10) * _EPS * scale
+    return (bound / q_near).sum(axis=1), 4.0 * (x.size + 10) * _EPS * scale
 
 
 def _same_sign(*values):
@@ -504,7 +506,7 @@ def _hidden_turns(line: BoundaryLine, a, b, fa, fb) -> list[float]:
             )
         m = 0.5 * (a + b)
         fm = line.psi_prime(m)
-        _, fourth, err = _psi_bounds(line, a, b)
+        fourth, err = _psi_bounds(line, a, b, 4)
         keep = ~_cleared3(b - a, fa, fm, fb, fourth, err)
         a, m, b, fa, fm, fb = a[keep], m[keep], b[keep], fa[keep], fm[keep], fb[keep]
         a, b = np.concatenate((a, m)), np.concatenate((m, b))
@@ -548,7 +550,7 @@ def _delay_turns(line: BoundaryLine, lmax: float, lo: float, hi: float) -> list[
     wc = _grid_points(lo, hi, n, coarse)
     ca, cb = wc[:-1], wc[1:]
     dc = line.psi_prime(wc)
-    second, _, err = _psi_bounds(line, ca, cb)
+    second, err = _psi_bounds(line, ca, cb, 2)
     open_ = ~_cleared(ca, cb, dc[:-1], dc[1:], second, err)
     if not open_.any():  # every coarse cell is free of zeros, as on most intervals
         return []

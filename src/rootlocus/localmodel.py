@@ -35,18 +35,16 @@ _POLISH_ITERS = 8
 
 
 def _u_derivatives(problem: LocusProblem, s: complex, lam: float, kmax: int) -> list[complex]:
-    """Derivatives of u(s) = G'(s)/G(s) - h_eff, orders 0..kmax."""
-    heff = problem.effective_h(lam)
-    out = []
-    for i in range(kmax + 1):
+    """Derivatives of u(s) = G'(s)/G(s) - h_eff, orders 0..kmax; order 0
+    takes G'/G from ``LocusProblem.log_derivative``."""
+    out = [problem.log_derivative(s) - problem.effective_h(lam)]
+    for i in range(1, kmax + 1):
         acc = 0.0 + 0.0j
         for z in problem.plant.zeros:
             acc += 1.0 / (s - z) ** (i + 1)
         for p in problem.plant.poles:
             acc -= 1.0 / (s - p) ** (i + 1)
         acc *= (-1.0) ** i * math.factorial(i)
-        if i == 0:
-            acc -= heff
         out.append(acc)
     return out
 

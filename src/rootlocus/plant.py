@@ -28,8 +28,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to (-pi, pi].  ``LocusProblem.evaluate`` and ``mp``
-    inline these lines."""
+    """Wrap an angle to (-pi, pi].  ``LocusProblem.mp`` inlines these lines."""
     y = math.remainder(x, _TWO_PI)
     if y <= -math.pi:
         y += _TWO_PI
@@ -128,9 +127,9 @@ def eval_char_fn(plant: Plant, kind: LocusKind, s: complex, lam: float) -> compl
 def _check_clear(sigma: float, omega: float, tol: float, v: complex, word: str) -> None:
     """Raise PoleZeroProximityError when s = sigma + j omega lies within
     ``tol`` of the pole or zero ``v`` (``word``): abs(s - v) of the complex
-    difference (math.hypot rounds apart from it now and then).  ``evaluate``
-    and ``mp`` call it where q = |s - v|^2 passes their ``q < near``
-    prefilter."""
+    difference (math.hypot rounds apart from it now and then).  ``mp`` calls
+    it where q = |s - v|^2 passes its ``q < near`` prefilter, which
+    abs(s - v) < tol implies whatever the rounding."""
     s = complex(sigma, omega)
     if abs(s - v) < tol:
         raise PoleZeroProximityError(f"point {s} is within {tol:g} of {word} {v}")
@@ -189,8 +188,8 @@ class LocusProblem:
                         f"region only for lambda_max < max(0, ln|G(inf)|/|sigma0|) = "
                         f"{bound:.6g}; got {self.lambda_max}"
                     )
-        # per-problem constants of ``evaluate`` and ``mp``; both walk the
-        # zeros and poles as (Re v, Im v, v), the same floats ``s - v`` takes
+        # per-problem constants of ``mp``, which walks the zeros and poles as
+        # (Re v, Im v, v), the same floats ``s - v`` takes
         object.__setattr__(self, "_gain", self.kind is LocusKind.GAIN)
         object.__setattr__(self, "_log_gain", math.log(abs(self.plant.gain)))
         object.__setattr__(self, "_gain_angle", 0.0 if self.plant.gain > 0 else math.pi)
@@ -205,69 +204,16 @@ class LocusProblem:
         """df/dlam at a root of f: -1/lam on a gain locus, s on a delay locus."""
         return -1.0 / lam if self.kind is LocusKind.GAIN else complex(s)
 
-    def evaluate(self, sigma: float, omega: float, lam: float) -> tuple[float, float, complex]:
-        """(M, P, G'/G) at sigma + j omega in one pass over the zeros, then the poles.
-
-        M = ln|k G(s) e^{-h s}| and P, the phase of G e^{-h s} relative to pi
-        wrapped to (-pi, pi] as ``wrap_angle`` wraps it, are the corrector
-        residuals; k and h are lam > 0 and the dead time (gain locus) or 1 and
-        lam (delay locus), whose ln k = +0.0 is left out: ln|gain| + 0.0 is
-        ln|gain|, bit for bit.
-        ``mp`` is the same pass without G'/G, in plain floats: its M and P
-        carry the same bits.  Raises PoleZeroProximityError, through
-        ``_check_clear``, within 1e-9 (1 + |s|) of a pole or zero.
-        """
-        sigma, omega = float(sigma), float(omega)  # as complex(sigma, omega) takes them
-        s = complex(sigma, omega)
-        tol = 1e-9 * (1.0 + abs(s))
-        # abs(s - v) < tol implies q < near whatever the rounding: _check_clear
-        # runs only then
-        near = tol * tol * (1.0 + 1e-12)
-        log, atan2 = math.log, math.atan2
-        if self._gain:
-            h = self.plant.delay
-            m = self._log_gain + log(lam) - h * sigma
-        else:
-            h = lam
-            m = self._log_gain - h * sigma
-        p = self._gain_angle - h * omega - math.pi
-        u = 0.0 + 0.0j
-        # x ** 2 (libm pow), not x * x: the two round apart now and then, and
-        # the traced locus is kept bit-stable.  x and y are the parts of s - v,
-        # which is formed only for G'/G.  (1 + 0j) / (s - v) is the quotient
-        # 1.0 / (s - v) takes after converting 1.0 to complex
-        for vr, vi, v in self._zero_parts:
-            x = sigma - vr
-            y = omega - vi
-            q = x ** 2 + y ** 2
-            if q < near:
-                _check_clear(sigma, omega, tol, v, "zero")
-            m += 0.5 * log(q)
-            p += atan2(y, x)
-            u += (1 + 0j) / (s - v)
-        for vr, vi, v in self._pole_parts:
-            x = sigma - vr
-            y = omega - vi
-            q = x ** 2 + y ** 2
-            if q < near:
-                _check_clear(sigma, omega, tol, v, "pole")
-            m -= 0.5 * log(q)
-            p -= atan2(y, x)
-            u -= (1 + 0j) / (s - v)
-        p = math.remainder(p, _TWO_PI)
-        if p <= -math.pi:
-            p += _TWO_PI
-        return m, p, u
-
     def mp(self, sigma: float, omega: float, lam: float) -> tuple[float, float]:
-        """Corrector residual pair (M, P) at a point of the locus equation.
-
-        The (M, P) of ``evaluate``, bit for bit and with the same
-        PoleZeroProximityError, from plain floats: s - v is (sigma - Re v,
-        omega - Im v), as complex subtraction forms it, and no complex number
-        is made unless the proximity prefilter fires.  ``cartesian_residual``
-        enters here.
-        """
+        """Corrector residuals (M, P) at s = sigma + j omega, in one pass over
+        the zeros, then the poles, on plain floats: s - v is (sigma - Re v,
+        omega - Im v), as complex subtraction forms it.  M = ln|k G(s) e^{-hs}|
+        and P, the phase of G e^{-hs} relative to pi, wrapped as ``wrap_angle``
+        wraps it; k, h are lam > 0 and the dead time (gain locus) or 1 and lam
+        (delay locus), whose ln k = +0.0 is left out.  Raises
+        PoleZeroProximityError, through ``_check_clear``, within 1e-9 (1 + |s|)
+        of a pole or zero.  ``cartesian_residual`` and the corrector's
+        ``_mp_jacobian`` enter here."""
         sigma, omega = float(sigma), float(omega)  # as complex(sigma, omega) takes them
         tol = 1e-9 * (1.0 + abs(complex(sigma, omega)))
         near = tol * tol * (1.0 + 1e-12)
@@ -279,6 +225,8 @@ class LocusProblem:
             h = lam
             m = self._log_gain - h * sigma
         p = self._gain_angle - h * omega - math.pi
+        # x ** 2 (libm pow), not x * x: the two round apart now and then, and
+        # the traced locus is kept bit-stable
         for vr, vi, v in self._zero_parts:
             x = sigma - vr
             y = omega - vi
@@ -299,6 +247,17 @@ class LocusProblem:
         if p <= -math.pi:
             p += _TWO_PI
         return m, p
+
+    def log_derivative(self, s: complex) -> complex:
+        """G'(s)/G(s): (1 + 0j)/(s - v), the quotient 1.0/(s - v) takes, summed
+        over the zeros, then less over the poles.  No proximity check: a caller
+        near a pole or zero takes ``mp`` at s first, which raises there."""
+        u = 0.0 + 0.0j
+        for v in self.plant.zeros:
+            u += (1 + 0j) / (s - v)
+        for v in self.plant.poles:
+            u -= (1 + 0j) / (s - v)
+        return u
 
     def cartesian_residual(self, sigma: float, omega: float, lam: float) -> float:
         """|f(s, lam)| computed stably from the log form (equals |1 - e^{M+jP}|);

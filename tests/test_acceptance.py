@@ -512,7 +512,7 @@ def _replaced_crossing_direction(problem, omega, lam):
     if problem.kind is LocusKind.GAIN:
         d = -phi_prime(problem.plant, s0, omega, problem.plant.delay)
     else:
-        u = problem.evaluate(s0, omega, lam)[2] - lam
+        u = problem.log_derivative(complex(s0, omega)) - lam
         d = (complex(s0, omega) / u).real
     assert abs(d) >= 1e-10
     return 1 if d > 0 else -1

@@ -246,7 +246,7 @@ def test_branch_points_gain_skips_a_candidate_at_a_pole():
     at_pole = [s for s in candidates if abs(s + 0.5) < 1e-9]
     assert at_pole
     with pytest.raises(PoleZeroProximityError):
-        problem.evaluate(at_pole[0].real, at_pole[0].imag, 1.0)
+        problem.mp(at_pole[0].real, at_pole[0].imag, 1.0)
     assert all(abs(bp.root + 0.5) > 1e-6 for bp in branch_points_gain(problem))
 
 
@@ -602,10 +602,10 @@ def _exact_psi_prime(plant, s0, w):
 
 def test_psi_bounds_bound_psi_derivatives_and_rounding(monkeypatch):
     # on random cells of every admissible interval, 200 points each: the
-    # bounds of _psi_bounds on |psi''| and on the third derivative of psi'
-    # hold against closed forms from G'/G (which central differences of the
-    # next lower closed form confirm), and psi' as computed lies within the
-    # rounding bound of psi' at 40 digits
+    # bounds of _psi_bounds on |psi''| (order 2) and on the third derivative
+    # of psi' (order 4) hold against closed forms from G'/G (which central
+    # differences of the next lower closed form confirm), and psi' as
+    # computed lies within the rounding bound of psi' at 40 digits
     import mpmath
 
     rng = np.random.default_rng(20261019)
@@ -618,7 +618,9 @@ def test_psi_bounds_bound_psi_derivatives_and_rounding(monkeypatch):
                 width = (hi - lo) * 10.0 ** rng.uniform(-6.0, 0.0)
                 a = rng.uniform(lo, hi - width)
                 w = np.linspace(a, a + width, 200)
-                second, fourth, err = (x[0] for x in _psi_bounds(line, w[:1], w[-1:]))
+                second, err = (x[0] for x in _psi_bounds(line, w[:1], w[-1:], 2))
+                fourth, err4 = (x[0] for x in _psi_bounds(line, w[:1], w[-1:], 4))
+                assert err4 == err  # either order forms the one rounding bound
                 d1, d2, _, d4 = _psi_derivatives(problem, w)
                 assert d1 == pytest.approx(line.psi_prime(w), rel=1e-9, abs=1e-9)
                 assert np.max(abs(d2)) <= second

@@ -182,11 +182,12 @@ def test_benchmark_tracer_patches_current_names(monkeypatch):
 def test_every_plant_pass_of_the_corrector_enters_through_the_jacobian(monkeypatch):
     # the benchmark counts a Newton iteration per _mp_jacobian call made
     # inside correct (perfbench/tracing.py, copied here): a corrector that
-    # made its plant pass another way would zero that count unseen
+    # made its plant pass another way would zero that count unseen.  Inside
+    # correct, each mp and G'/G pass is entered through the Jacobian, but for
+    # the mp of the residual check of a converged point
     stack = []
     seen = Counter()
     correct, jacobian = continuation.correct, continuation._mp_jacobian
-    evaluate = LocusProblem.evaluate
 
     def entered(name, fn):
         def wrapper(*args):
@@ -201,18 +202,26 @@ def test_every_plant_pass_of_the_corrector_enters_through_the_jacobian(monkeypat
         seen["newton"] += "correct" in stack
         return entered("jacobian", jacobian)(problem, y)
 
-    def counted_evaluate(self, sigma, omega, lam):
-        if "correct" in stack:
-            seen["evaluate"] += 1
-            seen["via_jacobian"] += stack[-1] == "jacobian"
-        return evaluate(self, sigma, omega, lam)
+    def counted(name, fn):
+        def wrapper(*args):
+            if "correct" in stack:
+                seen[name] += 1
+                seen[f"{name} via {stack[-1]}"] += 1
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(continuation, "correct", entered("correct", correct))
     monkeypatch.setattr(continuation, "_mp_jacobian", counted_jacobian)
-    monkeypatch.setattr(LocusProblem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(LocusProblem, "mp", counted("mp", LocusProblem.mp))
+    monkeypatch.setattr(LocusProblem, "log_derivative",
+                        counted("log_derivative", LocusProblem.log_derivative))
+    monkeypatch.setattr(LocusProblem, "cartesian_residual",
+                        entered("residual", LocusProblem.cartesian_residual))
     result = compute_root_locus(example3_problem())
     assert result.trajectories
-    assert seen["evaluate"] == seen["via_jacobian"] == seen["newton"] > 0
+    assert seen["mp via jacobian"] == seen["newton"] > 0
+    assert seen["mp"] == seen["newton"] + seen["mp via residual"]
+    assert seen["log_derivative"] == seen["log_derivative via jacobian"] == seen["newton"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rootlocus.continuation import _mp_jacobian
 from rootlocus.critical import BoundaryLine
 from rootlocus.errors import PoleZeroProximityError, ValidationError
 from rootlocus.plant import LocusKind, LocusProblem, Plant, eval_char_fn, wrap_angle
@@ -22,7 +23,8 @@ from conftest import (
 )
 
 
-# --- reference implementation: one loop per quantity, as evaluate must match -
+# --- reference implementation: one loop per quantity, as the plant passes
+# must match
 
 
 def _ref_check_clear(plant, s):
@@ -75,6 +77,13 @@ def _ref_evaluate(problem, sigma, omega, lam):
     )
 
 
+def _evaluate(problem, sigma, omega, lam):
+    """(M, P, G'/G) of the engine's plant passes at sigma + j omega: ``mp``,
+    then ``log_derivative``, in the order ``_mp_jacobian`` takes them."""
+    m, p = problem.mp(sigma, omega, lam)
+    return m, p, problem.log_derivative(complex(sigma, omega))
+
+
 def _both_kinds(problem):
     return [
         LocusProblem(kind, problem.sigma0, problem.lambda_max, problem.plant)
@@ -117,12 +126,12 @@ def test_evaluate_equals_reference_loops_exactly():
                 sigma = rng.uniform(-4.0, 6.0)
                 omega = rng.uniform(-10.0, 10.0)
                 lam = rng.uniform(0.01, 6.0)
-                assert problem.evaluate(sigma, omega, lam) == _ref_evaluate(
+                assert _evaluate(problem, sigma, omega, lam) == _ref_evaluate(
                     problem, sigma, omega, lam
                 )
                 # the corrector also passes numpy scalars
                 y = np.array([sigma, omega, lam])
-                assert problem.evaluate(y[0], y[1], y[2]) == _ref_evaluate(
+                assert _evaluate(problem, y[0], y[1], y[2]) == _ref_evaluate(
                     problem, y[0], y[1], y[2]
                 )
                 assert problem.mp(sigma, omega, lam) == _ref_evaluate(
@@ -133,15 +142,15 @@ def test_evaluate_equals_reference_loops_exactly():
 def test_evaluate_raises_near_zero_and_pole():
     problem = example3_problem()
     with pytest.raises(PoleZeroProximityError, match="zero"):
-        problem.evaluate(5.0, 5.0 + 1e-12, 1.0)
+        _mp_jacobian(problem, (5.0, 5.0 + 1e-12, 1.0))
     with pytest.raises(PoleZeroProximityError, match="pole"):
-        problem.evaluate(-1.0 + 1e-12, 0.0, 1.0)
+        _mp_jacobian(problem, (-1.0 + 1e-12, 0.0, 1.0))
 
 
 def _tolerance_edge_walk():
     """(word, sigma, omega, inside) at |s - v| = tol (1 + k ulp), k in -8..8,
     around a zero and a pole of example 1 (zeros 0, 0; poles +-2j, +-4j);
-    ``inside`` is abs(s - v) < tol = 1e-9 (1 + |s|), where evaluate raises."""
+    ``inside`` is abs(s - v) < tol = 1e-9 (1 + |s|), where mp raises."""
     for v, word, angles in (
         (0j, "zero", np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)),
         (2j, "pole", [0.0, math.pi]),  # omega near 2 is too coarse off the axis
@@ -160,8 +169,8 @@ def _tolerance_edge_walk():
 
 @pytest.mark.parametrize("kind", list(LocusKind))
 def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
-    # evaluate takes abs(s - v) only when x**2 + y**2 < tol**2 (1 + 1e-12);
-    # at the tolerance edge it must raise exactly where abs(s - v) < tol
+    # mp takes abs(s - v) only when x**2 + y**2 < tol**2 (1 + 1e-12); at the
+    # tolerance edge it must raise exactly where abs(s - v) < tol
     base = example1_problem()
     problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
     lam = 0.5
@@ -170,9 +179,9 @@ def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
         seen.add((word, inside))
         if inside:
             with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
-                problem.evaluate(sigma, omega, lam)
+                _evaluate(problem, sigma, omega, lam)
         else:
-            assert problem.evaluate(sigma, omega, lam) == _ref_evaluate(
+            assert _evaluate(problem, sigma, omega, lam) == _ref_evaluate(
                 problem, sigma, omega, lam
             )
     assert seen == {(w, i) for w in ("zero", "pole") for i in (True, False)}
@@ -183,8 +192,9 @@ def _hex(values):
 
 
 def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
-    # mp skips the G'/G sum of evaluate; M and P keep every bit, -0.0 too,
-    # and it raises at exactly the tolerance-edge points where evaluate does
+    # mp is the frozen evaluate without its G'/G sum; M and P keep every bit,
+    # -0.0 too, and it raises at exactly the tolerance-edge points where the
+    # reference loops do
     from test_acceptance import stream_problem
 
     rng = np.random.default_rng(20261019)
@@ -195,7 +205,7 @@ def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
                 # every fourth point on the real axis, where P can be -0.0
                 omega = 0.0 if i % 4 == 0 else rng.uniform(-10.0, 10.0)
                 lam = rng.uniform(0.01, 6.0)
-                want = _hex(problem.evaluate(sigma, omega, lam)[:2])
+                want = _hex(_frozen_evaluate(problem, sigma, omega, lam)[:2])
                 assert _hex(problem.mp(sigma, omega, lam)) == want
     base = example1_problem()
     for kind in LocusKind:
@@ -206,7 +216,7 @@ def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
                     problem.mp(sigma, omega, 0.5)
             else:
                 assert _hex(problem.mp(sigma, omega, 0.5)) == _hex(
-                    problem.evaluate(sigma, omega, 0.5)[:2]
+                    _frozen_evaluate(problem, sigma, omega, 0.5)[:2]
                 )
 
 
@@ -221,8 +231,8 @@ def _outcome_hex(fn, *args):
 def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
     # mp is its own loop over (Re v, Im v) floats; near each pole and zero of
     # the reference plants and of the seed-1 random_gain and random_delay
-    # plants it keeps the bits of evaluate's M and P, and within the proximity
-    # tolerance it raises with evaluate's text
+    # plants it keeps the bits of the frozen evaluate's M and P, and within
+    # the proximity tolerance it raises with its text
     import importlib
     import os
 
@@ -251,16 +261,18 @@ def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
                 s = v + r * e
                 sigma, omega = s.real, s.imag
                 lam = rng.uniform(0.01, 2.0) * problem.lambda_max
-                want = _outcome_hex(lambda *y: problem.evaluate(*y)[:2], sigma, omega, lam)
+                want = _outcome_hex(lambda *y: _frozen_evaluate(problem, *y)[:2],
+                                    sigma, omega, lam)
                 assert _outcome_hex(problem.mp, sigma, omega, lam) == want
                 raised += isinstance(want, str)
                 checked += 1
     assert 0 < raised < checked
 
 
-# --- a frozen copy of evaluate and of the corrector's Jacobian as they were
-# before both branched on LocusProblem._gain, wrapped P inline and returned
-# the Jacobian flat: the reference they must keep the bits of
+# --- a frozen copy of the former one-pass evaluate of (M, P, G'/G) and of the
+# corrector's Jacobian as they were before they branched on
+# LocusProblem._gain, wrapped P inline, returned the Jacobian flat and split
+# into mp and log_derivative: the reference they must keep the bits of
 
 
 def _frozen_evaluate(problem, sigma, omega, lam):
@@ -362,8 +374,6 @@ def test_evaluate_mp_and_the_jacobian_keep_the_frozen_evaluate_bits(monkeypatch)
     import importlib
     import os
 
-    from rootlocus.continuation import _mp_jacobian
-
     monkeypatch.syspath_prepend(
         os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
     workloads = importlib.import_module("workloads")
@@ -383,10 +393,13 @@ def test_evaluate_mp_and_the_jacobian_keep_the_frozen_evaluate_bits(monkeypatch)
         for sigma, omega in _evaluate_points(problem, rng):
             lam = rng.uniform(0.01, 2.0) * problem.lambda_max
             want = outcome(_frozen_evaluate, problem, sigma, omega, lam)
-            assert outcome(problem.evaluate, sigma, omega, lam) == want
+            assert outcome(_evaluate, problem, sigma, omega, lam) == want
             assert outcome(problem.mp, sigma, omega, lam) == (
                 want if isinstance(want, str) else want[:2])
             if isinstance(want, str):
+                # mp's proximity error, not a ZeroDivisionError of the G'/G
+                # sum at s = v: the Jacobian takes mp first
+                assert outcome(_mp_jacobian, problem, (sigma, omega, lam)) == want
                 seen["raised"] += 1
                 continue
             (m, p), rows = _frozen_mp_jacobian(problem, (sigma, omega, lam))
@@ -402,16 +415,16 @@ def test_evaluate_mp_and_the_jacobian_keep_the_frozen_evaluate_bits(monkeypatch)
 def test_evaluate_log_magnitude_first_order():
     # G = 1/(s+1): at s = j with k = 1, h = 1 the log magnitude is -ln(sqrt(2))
     problem = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant())
-    m, _, _ = problem.evaluate(0.0, 1.0, 1.0)
+    m, _ = problem.mp(0.0, 1.0, 1.0)
     assert m == pytest.approx(-0.5 * math.log(2.0))
 
 
 def test_evaluate_phase_first_order():
     problem = LocusProblem(LocusKind.GAIN, -0.5, 1.0, first_order_plant())
     # at s = j: pi + angle(G e^{-s}) = pi - atan(1) - 1
-    assert problem.evaluate(0.0, 1.0, 1.0)[1] == pytest.approx(math.pi - math.atan(1.0) - 1.0)
+    assert problem.mp(0.0, 1.0, 1.0)[1] == pytest.approx(math.pi - math.atan(1.0) - 1.0)
     # at s = -2: G(-2) = -1 and e^{2} > 0, so the root condition holds exactly
-    assert problem.evaluate(-2.0, 0.0, 1.0)[1] == pytest.approx(0.0, abs=1e-12)
+    assert problem.mp(-2.0, 0.0, 1.0)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_char_fn_analytic_root():
@@ -577,7 +590,7 @@ def test_evaluate_log_derivative_matches_finite_differences():
     fd = (
         cmath.log(plant.transfer(s + step)) - cmath.log(plant.transfer(s - step))
     ) / (2 * step)
-    assert abs(problem.evaluate(s.real, s.imag, 1.0)[2] - fd) < 1e-5
+    assert abs(problem.log_derivative(s) - fd) < 1e-5
 
 
 def test_cartesian_and_log_forms_agree():

@@ -280,3 +280,31 @@ def test_result_digest_rewrites_every_run_in_place(monkeypatch, capsys):
     assert len(rewrites) == 9
     assert all(line.endswith(" rewritten in place differs from its fresh write")
                for line in rewrites)
+
+
+def test_result_digest_expect_passes_only_on_the_total(monkeypatch, capsys):
+    # --expect exits 0 on the total digest, given in upper case with spaces
+    # around it, and 1 on any other, printing the expected line either way
+    import sys
+
+    from rootlocus.plant import LocusKind, LocusProblem
+
+    from conftest import first_order_plant
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", os.path.join(ROOT, "tools", "result_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    problems = [LocusProblem(LocusKind.GAIN, -3.0, 2.0, first_order_plant())]
+    monkeypatch.setattr(digest.workloads, "build", lambda workload, seed: problems)
+    monkeypatch.setattr(sys, "argv", ["result_digest.py"])
+    assert digest.main() == 0
+    total = capsys.readouterr().out.splitlines()[-1]
+    flipped = total[:-1] + ("0" if total[-1] != "0" else "1")
+    for given, status in ((f"  {total.upper()} ", 0), (flipped, 1), (total[:-1], 1)):
+        monkeypatch.setattr(sys, "argv", ["result_digest.py", "--expect", given])
+        assert digest.main() == status
+        out = capsys.readouterr()
+        assert f"expected {given}" in out.out.splitlines()
+        assert ("MISMATCH" in out.err.splitlines()) == bool(status)
