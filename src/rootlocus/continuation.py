@@ -290,7 +290,7 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
         except PoleZeroProximityError as exc:
             raise NoConvergenceError(f"branch solve iterate hit a pole/zero: {exc}") from exc
         # ja and jb are Re and Im of u = G'/G - h_eff; u'(s) gives the derivative rows
-        du = localmodel._u_derivatives(problem, complex(y[0], y[1]), y[2], 1)[1]
+        du = localmodel._u_derivative(problem, complex(y[0], y[1]), 1)
         dl = 0.0 if gain else -1.0
         f = np.array([m, p, ja, jb])
         jac = np.array([[ja, -jb, c0], [jb, ja, c1],

@@ -34,18 +34,24 @@ _MULT_REL = 1e-6
 _POLISH_ITERS = 8
 
 
+def _u_derivative(problem: LocusProblem, s: complex, k: int) -> complex:
+    """The order-k derivative of u(s) = G'(s)/G(s) - h_eff, k >= 1, where h_eff
+    drops out: (-1)^k k! times the sum of 1/(s - v)^(k+1) over the zeros, less
+    over the poles."""
+    acc = 0.0 + 0.0j
+    for z in problem.plant.zeros:
+        acc += 1.0 / (s - z) ** (k + 1)
+    for p in problem.plant.poles:
+        acc -= 1.0 / (s - p) ** (k + 1)
+    return acc * ((-1.0) ** k * math.factorial(k))
+
+
 def _u_derivatives(problem: LocusProblem, s: complex, lam: float, kmax: int) -> list[complex]:
     """Derivatives of u(s) = G'(s)/G(s) - h_eff, orders 0..kmax; order 0
     takes G'/G from ``LocusProblem.log_derivative``."""
     out = [problem.log_derivative(s) - problem.effective_h(lam)]
-    for i in range(1, kmax + 1):
-        acc = 0.0 + 0.0j
-        for z in problem.plant.zeros:
-            acc += 1.0 / (s - z) ** (i + 1)
-        for p in problem.plant.poles:
-            acc -= 1.0 / (s - p) ** (i + 1)
-        acc *= (-1.0) ** i * math.factorial(i)
-        out.append(acc)
+    for k in range(1, kmax + 1):
+        out.append(_u_derivative(problem, s, k))
     return out
 
 

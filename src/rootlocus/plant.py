@@ -207,7 +207,8 @@ class LocusProblem:
     def mp(self, sigma: float, omega: float, lam: float) -> tuple[float, float]:
         """Corrector residuals (M, P) at s = sigma + j omega, in one pass over
         the zeros, then the poles, on plain floats: s - v is (sigma - Re v,
-        omega - Im v), as complex subtraction forms it.  M = ln|k G(s) e^{-hs}|
+        omega - Im v), as complex subtraction forms it, and |s - v|^2 as
+        q = x * x + y * y, two correctly rounded products.  M = ln|k G(s) e^{-hs}|
         and P, the phase of G e^{-hs} relative to pi, wrapped as ``wrap_angle``
         wraps it; k, h are lam > 0 and the dead time (gain locus) or 1 and lam
         (delay locus), whose ln k = +0.0 is left out.  Raises
@@ -225,12 +226,10 @@ class LocusProblem:
             h = lam
             m = self._log_gain - h * sigma
         p = self._gain_angle - h * omega - math.pi
-        # x ** 2 (libm pow), not x * x: the two round apart now and then, and
-        # the traced locus is kept bit-stable
         for vr, vi, v in self._zero_parts:
             x = sigma - vr
             y = omega - vi
-            q = x ** 2 + y ** 2
+            q = x * x + y * y
             if q < near:
                 _check_clear(sigma, omega, tol, v, "zero")
             m += 0.5 * log(q)
@@ -238,7 +237,7 @@ class LocusProblem:
         for vr, vi, v in self._pole_parts:
             x = sigma - vr
             y = omega - vi
-            q = x ** 2 + y ** 2
+            q = x * x + y * y
             if q < near:
                 _check_clear(sigma, omega, tol, v, "pole")
             m -= 0.5 * log(q)

@@ -228,6 +228,52 @@ def test_solve_branch_point_two_pole_plant():
             solve_branch_point(outside, np.array([sb + 0.02, 0.01, lam_b * 1.05]))
 
 
+def test_branch_solve_takes_one_log_derivative_pass_per_jacobian(monkeypatch):
+    # each Gauss-Newton iteration takes G'/G once, in _mp_jacobian; u'(s)
+    # for the derivative rows forms no order-0 pass beside it.  The closing
+    # branch_point classification is not counted
+    import importlib
+    import os
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    counts = Counter()
+    inside = [False]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += inside[0]
+            return fn(*args)
+        return wrapper
+
+    def scoped(fn, flag):
+        def wrapper(*args):
+            counts["solves"] += flag
+            outer, inside[0] = inside[0], flag
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = outer
+        return wrapper
+
+    monkeypatch.setattr(LocusProblem, "log_derivative",
+                        counted("log_derivative", LocusProblem.log_derivative))
+    monkeypatch.setattr(continuation, "_mp_jacobian",
+                        counted("_mp_jacobian", continuation._mp_jacobian))
+    monkeypatch.setattr(continuation, "branch_point", scoped(continuation.branch_point, False))
+    solve = scoped(continuation.solve_branch_point, True)
+    monkeypatch.setattr(continuation, "solve_branch_point", solve)
+    for problem in workloads.build("random_delay", 7):
+        compute_root_locus(problem)
+    plant = Plant(zeros=(), poles=(-1.0, -2.0), gain=1.0, delay=1.0)
+    sb = (-5 + math.sqrt(5)) / 2
+    lam_b = math.exp(sb) / abs(plant.transfer(sb))
+    solve(LocusProblem(LocusKind.GAIN, -5.0, 10.0, plant),
+          np.array([sb + 0.02, 0.01, lam_b * 1.05]))
+    assert counts["log_derivative"] == counts["_mp_jacobian"] > counts["solves"] > 1
+
+
 def test_branch_spawn_prediction_parameter_scaling():
     cp = CriticalPoint(CriticalKind.BRANCH, complex(-2.0, 0.0), 0.1, multiplicity=2)
     y, d = branch_spawn_prediction(cp, 1j, 0.01)

@@ -4,6 +4,7 @@ import cmath
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,8 +24,12 @@ from conftest import (
 )
 
 
-# --- reference implementation: one loop per quantity, as the plant passes
-# must match
+# --- reference implementation: one loop per quantity.  The plant passes must
+# match its P and G'/G exactly, and its M, a 40-digit sum of the terms of M,
+# to _M_TOL (1 + the sum of the terms' magnitudes): within that the rounding
+# of each term and of the sum is free
+
+_M_TOL = 4.0 * 2.0**-52
 
 
 def _ref_check_clear(plant, s):
@@ -37,14 +42,22 @@ def _ref_check_clear(plant, s):
             raise PoleZeroProximityError(f"point {s} is within {tol:g} of zero {z}")
 
 
-def _ref_log_magnitude(plant, sigma, omega, k, h):
+def _ref_log_magnitude(problem, sigma, omega, lam):
+    """(M, scale) in 40-digit mpmath: M = ln|k G(s) e^{-hs}| at lam on
+    ``problem``'s locus, summed from its terms over the float differences
+    sigma - Re v, omega - Im v that the plant pass forms, and scale the sum of
+    the terms' magnitudes."""
+    plant = problem.plant
+    k = lam if problem.kind is LocusKind.GAIN else 1.0
+    h = problem.effective_h(lam)
     _ref_check_clear(plant, complex(sigma, omega))
-    acc = math.log(abs(plant.gain)) + math.log(k) - h * sigma
-    for z in plant.zeros:
-        acc += 0.5 * math.log((sigma - z.real) ** 2 + (omega - z.imag) ** 2)
-    for p in plant.poles:
-        acc -= 0.5 * math.log((sigma - p.real) ** 2 + (omega - p.imag) ** 2)
-    return acc
+    with mpmath.workdps(40):
+        terms = [mpmath.log(abs(plant.gain)), mpmath.log(k), -mpmath.mpf(h) * sigma]
+        for sign, nodes in ((1, plant.zeros), (-1, plant.poles)):
+            for v in nodes:
+                x, y = mpmath.mpf(sigma - v.real), mpmath.mpf(omega - v.imag)
+                terms.append(sign * mpmath.log(x * x + y * y) / 2)
+        return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
 
 
 def _ref_phase(plant, sigma, omega, h):
@@ -68,13 +81,27 @@ def _ref_log_derivative(plant, s):
 
 
 def _ref_evaluate(problem, sigma, omega, lam):
-    plant = problem.plant
-    k, h = (lam, plant.delay) if problem.kind is LocusKind.GAIN else (1.0, lam)
+    """((M, scale), P, G'/G) of the reference loops."""
+    h = problem.effective_h(lam)
     return (
-        _ref_log_magnitude(plant, sigma, omega, k, h),
-        _ref_phase(plant, sigma, omega, h),
-        _ref_log_derivative(plant, complex(sigma, omega)),
+        _ref_log_magnitude(problem, sigma, omega, lam),
+        _ref_phase(problem.plant, sigma, omega, h),
+        _ref_log_derivative(problem.plant, complex(sigma, omega)),
     )
+
+
+def _assert_m_close(m, ref):
+    """M as computed within _M_TOL (1 + scale) of the reference (M, scale)."""
+    want, scale = ref
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(m) - want)
+        assert err <= _M_TOL * (1 + scale), (m, float(want), float(err / (1 + scale)))
+
+
+def _assert_matches_reference(got, want):
+    """(M, P, G'/G) of the plant passes against ``_ref_evaluate``'s."""
+    _assert_m_close(got[0], want[0])
+    assert got[1:] == want[1:]
 
 
 def _evaluate(problem, sigma, omega, lam):
@@ -118,7 +145,7 @@ def test_transfer_raises_near_pole():
         plant.transfer(complex(-1.0, 1e-12))
 
 
-def test_evaluate_equals_reference_loops_exactly():
+def test_evaluate_matches_the_reference_loops():
     rng = np.random.default_rng(20261017)
     for base in _REFERENCE_PROBLEMS:
         for problem in _both_kinds(base):
@@ -126,17 +153,11 @@ def test_evaluate_equals_reference_loops_exactly():
                 sigma = rng.uniform(-4.0, 6.0)
                 omega = rng.uniform(-10.0, 10.0)
                 lam = rng.uniform(0.01, 6.0)
-                assert _evaluate(problem, sigma, omega, lam) == _ref_evaluate(
-                    problem, sigma, omega, lam
-                )
+                want = _ref_evaluate(problem, sigma, omega, lam)
+                _assert_matches_reference(_evaluate(problem, sigma, omega, lam), want)
                 # the corrector also passes numpy scalars
                 y = np.array([sigma, omega, lam])
-                assert _evaluate(problem, y[0], y[1], y[2]) == _ref_evaluate(
-                    problem, y[0], y[1], y[2]
-                )
-                assert problem.mp(sigma, omega, lam) == _ref_evaluate(
-                    problem, sigma, omega, lam
-                )[:2]
+                _assert_matches_reference(_evaluate(problem, y[0], y[1], y[2]), want)
 
 
 def test_evaluate_raises_near_zero_and_pole():
@@ -169,8 +190,8 @@ def _tolerance_edge_walk():
 
 @pytest.mark.parametrize("kind", list(LocusKind))
 def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
-    # mp takes abs(s - v) only when x**2 + y**2 < tol**2 (1 + 1e-12); at the
-    # tolerance edge it must raise exactly where abs(s - v) < tol
+    # mp takes abs(s - v) only when x * x + y * y < tol**2 (1 + 1e-12); at
+    # the tolerance edge it must raise exactly where abs(s - v) < tol
     base = example1_problem()
     problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
     lam = 0.5
@@ -181,8 +202,8 @@ def test_evaluate_proximity_prefilter_at_the_tolerance_edge(kind):
             with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
                 _evaluate(problem, sigma, omega, lam)
         else:
-            assert _evaluate(problem, sigma, omega, lam) == _ref_evaluate(
-                problem, sigma, omega, lam
+            _assert_matches_reference(
+                _evaluate(problem, sigma, omega, lam), _ref_evaluate(problem, sigma, omega, lam)
             )
     assert seen == {(w, i) for w in ("zero", "pole") for i in (True, False)}
 
@@ -191,10 +212,18 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
-    # mp is the frozen evaluate without its G'/G sum; M and P keep every bit,
-    # -0.0 too, and it raises at exactly the tolerance-edge points where the
-    # reference loops do
+def _assert_mp_keeps_the_frozen_phase(problem, sigma, omega, lam):
+    """mp's P has the bits of the frozen evaluate's, -0.0 too, and its M is
+    within the tolerance of the 40-digit sum."""
+    m, p = problem.mp(sigma, omega, lam)
+    assert _hex([p]) == _hex([_frozen_evaluate(problem, sigma, omega, lam)[1]])
+    _assert_m_close(m, _ref_log_magnitude(problem, sigma, omega, lam))
+
+
+def test_mp_keeps_the_frozen_evaluate_phase_and_its_m_to_4_eps():
+    # mp is the frozen evaluate without its G'/G sum: P keeps every bit, M is
+    # within _M_TOL of the 40-digit sum, and it raises at exactly the
+    # tolerance-edge points where the reference loops do
     from test_acceptance import stream_problem
 
     rng = np.random.default_rng(20261019)
@@ -205,8 +234,7 @@ def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
                 # every fourth point on the real axis, where P can be -0.0
                 omega = 0.0 if i % 4 == 0 else rng.uniform(-10.0, 10.0)
                 lam = rng.uniform(0.01, 6.0)
-                want = _hex(_frozen_evaluate(problem, sigma, omega, lam)[:2])
-                assert _hex(problem.mp(sigma, omega, lam)) == want
+                _assert_mp_keeps_the_frozen_phase(problem, sigma, omega, lam)
     base = example1_problem()
     for kind in LocusKind:
         problem = LocusProblem(kind, base.sigma0, base.lambda_max, base.plant)
@@ -215,24 +243,24 @@ def test_mp_is_evaluate_without_the_log_derivative_bit_for_bit():
                 with pytest.raises(PoleZeroProximityError, match=f"of {word} "):
                     problem.mp(sigma, omega, 0.5)
             else:
-                assert _hex(problem.mp(sigma, omega, 0.5)) == _hex(
-                    _frozen_evaluate(problem, sigma, omega, 0.5)[:2]
-                )
+                _assert_mp_keeps_the_frozen_phase(problem, sigma, omega, 0.5)
 
 
-def _outcome_hex(fn, *args):
-    """The floats ``fn(*args)`` returns, in hex, or its proximity error's text."""
+def _proximity_text(fn, *args):
+    """The text of the proximity error ``fn(*args)`` raises, or None."""
     try:
-        return _hex(fn(*args))
+        fn(*args)
     except PoleZeroProximityError as exc:
         return str(exc)
+    return None
 
 
-def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
+def test_mp_near_every_pole_and_zero_keeps_the_frozen_phase_and_raises(monkeypatch):
     # mp is its own loop over (Re v, Im v) floats; near each pole and zero of
     # the reference plants and of the seed-1 random_gain and random_delay
-    # plants it keeps the bits of the frozen evaluate's M and P, and within
-    # the proximity tolerance it raises with its text
+    # plants it keeps the bits of the frozen evaluate's P and its M is within
+    # _M_TOL of the 40-digit sum, and within the proximity tolerance it raises
+    # with the frozen evaluate's text
     import importlib
     import os
 
@@ -249,22 +277,23 @@ def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
             tol = 1e-9 * (1.0 + abs(v))
             for _ in range(3):  # the radius where |s - v| = 1e-9 (1 + |s|) along e
                 tol = 1e-9 * (1.0 + abs(v + tol * e))
-            # inside the tolerance, within ulps of its edge, near it, and
-            # further out, up to 1e-2 away
-            radii = tol * np.concatenate([
+            # inside the tolerance, within ulps of its edge, near it, further
+            # out up to 1e-2 away, and 1e-8 to 1 away
+            radii = np.concatenate([tol * np.concatenate([
                 10.0 ** rng.uniform(-3.0, 0.0, size=4),
                 1.0 + np.arange(-3, 4) * 2.0**-52,
                 1.0 + rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(-15.0, -6.0, size=6),
                 10.0 ** rng.uniform(0.0, 7.0, size=6),
-            ])
+            ]), 10.0 ** rng.uniform(-8.0, 0.0, size=6)])
             for r in radii:
                 s = v + r * e
                 sigma, omega = s.real, s.imag
                 lam = rng.uniform(0.01, 2.0) * problem.lambda_max
-                want = _outcome_hex(lambda *y: _frozen_evaluate(problem, *y)[:2],
-                                    sigma, omega, lam)
-                assert _outcome_hex(problem.mp, sigma, omega, lam) == want
-                raised += isinstance(want, str)
+                want = _proximity_text(_frozen_evaluate, problem, sigma, omega, lam)
+                assert _proximity_text(problem.mp, sigma, omega, lam) == want
+                if want is None:
+                    _assert_mp_keeps_the_frozen_phase(problem, sigma, omega, lam)
+                raised += want is not None
                 checked += 1
     assert 0 < raised < checked
 
@@ -272,7 +301,9 @@ def test_mp_equals_evaluate_near_every_pole_and_zero(monkeypatch):
 # --- a frozen copy of the former one-pass evaluate of (M, P, G'/G) and of the
 # corrector's Jacobian as they were before they branched on
 # LocusProblem._gain, wrapped P inline, returned the Jacobian flat and split
-# into mp and log_derivative: the reference they must keep the bits of
+# into mp and log_derivative: the reference whose P, G'/G, Jacobian rows and
+# proximity errors they must keep the bits of.  Its M, summed over
+# pow-rounded squares, is not compared; M is checked against the 40-digit sum
 
 
 def _frozen_evaluate(problem, sigma, omega, lam):
@@ -370,7 +401,7 @@ def _evaluate_points(problem, rng):
     return pts
 
 
-def test_evaluate_mp_and_the_jacobian_keep_the_frozen_evaluate_bits(monkeypatch):
+def test_evaluate_mp_and_the_jacobian_keep_the_frozen_phase_and_jacobian_bits(monkeypatch):
     import importlib
     import os
 
@@ -393,18 +424,24 @@ def test_evaluate_mp_and_the_jacobian_keep_the_frozen_evaluate_bits(monkeypatch)
         for sigma, omega in _evaluate_points(problem, rng):
             lam = rng.uniform(0.01, 2.0) * problem.lambda_max
             want = outcome(_frozen_evaluate, problem, sigma, omega, lam)
-            assert outcome(_evaluate, problem, sigma, omega, lam) == want
-            assert outcome(problem.mp, sigma, omega, lam) == (
-                want if isinstance(want, str) else want[:2])
+            got = outcome(_evaluate, problem, sigma, omega, lam)
             if isinstance(want, str):
+                assert got == want
+                assert outcome(problem.mp, sigma, omega, lam) == want
                 # mp's proximity error, not a ZeroDivisionError of the G'/G
                 # sum at s = v: the Jacobian takes mp first
                 assert outcome(_mp_jacobian, problem, (sigma, omega, lam)) == want
                 seen["raised"] += 1
                 continue
-            (m, p), rows = _frozen_mp_jacobian(problem, (sigma, omega, lam))
+            # P and G'/G keep the frozen bits, M is within the tolerance, and
+            # mp and the Jacobian take the M of the same pass
+            assert got[1:] == want[1:]
+            _assert_m_close(float.fromhex(got[0]), _ref_log_magnitude(problem, sigma, omega, lam))
+            assert outcome(problem.mp, sigma, omega, lam) == got[:2]
+            (_, p), rows = _frozen_mp_jacobian(problem, (sigma, omega, lam))
             m_, p_, a, b, c0, c1 = _mp_jacobian(problem, (sigma, omega, lam))
-            assert _hex([m_, p_, a, -b, c0, b, a, c1]) == _hex([m, p, *rows[0], *rows[1]])
+            assert _hex([m_]) == got[:1]
+            assert _hex([p_, a, -b, c0, b, a, c1]) == _hex([p, *rows[0], *rows[1]])
             p = float.fromhex(want[1])
             seen["near +pi" if p > math.pi - 1e-9 else "near -pi" if p < 1e-9 - math.pi
                  else "other"] += 1
