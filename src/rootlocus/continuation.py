@@ -8,16 +8,17 @@ Newton contraction rate.
 The corrector, the clip solve and the tracer's per-step arithmetic run on
 plain floats.  ``_mp_jacobian`` gives the residuals of ``LocusProblem.mp`` and
 the Jacobian rows [[a, -b, c0], [b, a, c1]] flat, as (M, P, a, b, c0, c1).
-A ``NewtonWorkspace``, made once per trace (and once for the engine's
-sigma = 0 refines), holds the memory of every Newton system: one float
-buffer, written through one memoryview, with the corrector's 3x3 system,
-right-hand side and arclength offset, the clip solve's 2x2 system, a
-``dgesv`` output for each and the tracer's chord.  ``correct`` and
-``_clip_solve`` take it and allocate nothing per call.  The secant is three
-float divisions of the chord by its norm, the bits of numpy's
-``chord / norm``, passed on as a tuple.
+The clip solve, a 2x2 Newton step with lam or sigma pinned, takes each
+update by Cramer's rule on the two free columns of those rows, with no
+buffer and no numpy call.  A ``NewtonWorkspace``, made once per trace,
+holds the memory of the corrector's 3x3 system: one float buffer, written
+through one memoryview, with its matrix, right-hand side, arclength offset
+and ``dgesv`` output, and the tracer's chord.  ``correct`` takes it and
+allocates nothing per call.  The secant is three float divisions of the
+chord by its norm, the bits of numpy's ``chord / norm``, passed on as a
+tuple.
 numpy keeps only the calls whose rounding sets the bits of the traced
-locus: the LAPACK ``dgesv`` gufunc for the Newton systems, and BLAS
+locus: the LAPACK ``dgesv`` gufunc for the corrector's systems, and BLAS
 ``ddot`` for every dot product and norm whose value is kept (a Python sum
 of products rounds apart from it now and then): the first two update
 norms of ``correct``, which set the contraction rate and so the step, the
@@ -139,27 +140,24 @@ def _norm(x: np.ndarray) -> float:
 
 
 class NewtonWorkspace:
-    """The memory of the Newton systems of one trace, made once and handed to
-    every ``correct`` and ``_clip_solve`` call of it.
+    """The memory of the corrector's Newton systems and the tracer's chord
+    within one trace, made once and handed to every ``correct`` call of it.
 
-    One 29-float buffer and its memoryview ``w``: the corrector's 3x3 matrix
+    One 21-float buffer and its memoryview ``w``: the corrector's 3x3 matrix
     ``a3`` (w[0:9]; its last row, ``row``, the direction), right-hand side
     ``b3`` (w[9:12]), iterate minus prediction ``moved`` (w[12:15]) and
-    ``dgesv`` output ``x3`` (w[15:18]); the tracer's chord (w[18:21]); the
-    clip solve's 2x2 matrix ``a2`` (w[21:25]), right-hand side ``b2``
-    (w[25:27]) and output ``x2`` (w[27:29]).  A call writes every slot it
-    reads before it reads it, so one call leaves nothing for the next, also
-    when it fails.
+    ``dgesv`` output ``x3`` (w[15:18]); the tracer's chord (w[18:21]).  A
+    call writes every slot it reads before it reads it, so one call leaves
+    nothing for the next, also when it fails.
     """
 
-    __slots__ = ("w", "a3", "row", "b3", "moved", "x3", "chord", "a2", "b2", "x2")
+    __slots__ = ("w", "a3", "row", "b3", "moved", "x3", "chord")
 
     def __init__(self):
-        buf = np.empty(29)
+        buf = np.empty(21)
         self.w = memoryview(buf)
         self.a3, self.row = buf[:9].reshape(3, 3), buf[6:9]
         self.b3, self.moved, self.x3, self.chord = buf[9:12], buf[12:15], buf[15:18], buf[18:21]
-        self.a2, self.b2, self.x2 = buf[21:25].reshape(2, 2), buf[25:27], buf[27:29]
 
 
 def _mp_jacobian(problem: LocusProblem, y) -> tuple[float, float, float, float, float, float]:
@@ -314,20 +312,18 @@ def solve_branch_point(problem: LocusProblem, y_init: np.ndarray) -> CriticalPoi
     return branch_point(problem, complex(y[0], y[1]), float(y[2]), 2)
 
 
-@np.errstate(invalid="raise")
-def _clip_solve(
-    problem: LocusProblem, y_guess, pin: str, pin_value: float, ws: NewtonWorkspace
-) -> list[float]:
+def _clip_solve(problem: LocusProblem, y_guess, pin: str, pin_value: float) -> list[float]:
     """2x2 Newton with one coordinate pinned (lam = lambda_max or sigma = sigma0/0),
-    on plain floats with ``dgesv`` in the workspace ``ws``, failing as
-    ``correct`` does."""
+    on plain floats.  Each update solves the two free columns of the rows
+    [[a, -b, c0], [b, a, c1]] by Cramer's rule; a zero determinant or a
+    non-finite update raises JacobianSingularError, as in ``correct``."""
     y = list(map(float, y_guess))
     # the free coordinates i, j and the pinned one
     on_lam = pin == "lam"
     i, j, k = (0, 1, 2) if on_lam else (1, 2, 0)
     y[k] = float(pin_value)
     gain = problem._gain
-    w, a, b, x = ws.w, ws.a2, ws.b2, ws.x2
+    isfinite = math.isfinite
     for _ in range(50):
         if gain and y[2] <= 0.0:
             raise NoConvergenceError("clip solve iterate left lam > 0")
@@ -337,15 +333,15 @@ def _clip_solve(
             raise NoConvergenceError(f"clip solve iterate hit a pole/zero: {exc}") from exc
         # columns i, j of the rows [[ja, -jb, c0], [jb, ja, c1]]
         if on_lam:
-            w[21], w[22], w[23], w[24] = ja, -jb, jb, ja
+            a00, a01, a10, a11 = ja, -jb, jb, ja
         else:
-            w[21], w[22], w[23], w[24] = -jb, c0, ja, c1
-        w[25], w[26] = -m, -p
-        try:
-            _dgesv(a, b, out=x)
-        except FloatingPointError as exc:
-            raise JacobianSingularError("singular clip Jacobian") from exc
-        d0, d1 = w[27], w[28]
+            a00, a01, a10, a11 = -jb, c0, ja, c1
+        det = a00 * a11 - a01 * a10
+        if det == 0.0:
+            raise JacobianSingularError("singular clip Jacobian")
+        d0, d1 = (a01 * p - a11 * m) / det, (a10 * m - a00 * p) / det
+        if not (isfinite(d0) and isfinite(d1)):
+            raise JacobianSingularError("clip solve update overflowed")
         y[i] += d0
         y[j] += d1
         y0, y1, y2 = y
@@ -485,7 +481,7 @@ def trace_trajectory(
         lmax = problem.lambda_max
         if pt.sigma < problem.sigma0:
             try:
-                y_end = _clip_solve(problem, y, "sigma", problem.sigma0, ws)
+                y_end = _clip_solve(problem, y, "sigma", problem.sigma0)
             except (NoConvergenceError, JacobianSingularError):
                 y_end = None
             if pt.lam <= lmax or (y_end is not None and y_end[2] <= lmax):
@@ -494,7 +490,7 @@ def trace_trajectory(
                 return end(Termination.LEFT_REGION)
         if pt.lam > lmax:
             try:
-                y_end = _clip_solve(problem, y, "lam", lmax, ws)
+                y_end = _clip_solve(problem, y, "lam", lmax)
                 points.append(_located_point(problem, y_end, h))
             except (NoConvergenceError, JacobianSingularError):
                 pass

@@ -128,6 +128,20 @@ def _leaf(v, kind=float):
     return v
 
 
+def _list(v) -> list:
+    """``v``, an array of ``result.json``; TypeError if not."""
+    if type(v) is not list:
+        raise TypeError(f"expected an array, got {v!r}")
+    return v
+
+
+def _direction(d) -> tuple[float, float, float]:
+    """A critical point's direction, an array of three floats."""
+    if len(_list(d)) != 3:
+        raise ValueError(f"expected a direction of three numbers, got {d!r}")
+    return _leaf(d[0]), _leaf(d[1]), _leaf(d[2])
+
+
 def _int(v) -> int:
     """The integer the float ``v`` holds; ValueError or OverflowError if none."""
     n = int(_leaf(v))
@@ -142,17 +156,18 @@ def _critical_from_dict(doc: dict) -> CriticalPoint:
         complex(_leaf(doc["sigma"]), _leaf(doc["omega"])),
         _leaf(doc["lambda"]),
         _int(doc["multiplicity"]),
-        [tuple(map(_leaf, d)) for d in doc["directions"]],
+        [_direction(d) for d in _list(doc["directions"])],
     )
 
 
 def result_from_dict(doc: dict) -> RootLocusResult:
     """The result in ``doc``, ``result.json`` parsed with every number a float
     (as ``load_result`` parses it); the integer fields are made ints here.
-    Raises TypeError or ValueError for a leaf of the wrong type."""
+    Raises TypeError or ValueError for a leaf of the wrong type, or for
+    anything but an array where ``result.json`` has one."""
     problem = parse_problem_dict(doc["problem"], where="result.problem")
     trajectories = []
-    for t in doc["trajectories"]:
+    for t in _list(doc["trajectories"]):
         # a row of five floats in one check; any other row leaf by leaf, so
         # that its error is the one ``_leaf`` or the constructor raises
         points = [
@@ -161,7 +176,7 @@ def result_from_dict(doc: dict) -> RootLocusResult:
             and type(row[0]) is type(row[1]) is type(row[2]) is type(row[3]) is type(row[4])
             is float
             else TrajectoryPoint(*map(_leaf, row))
-            for row in t["points"]
+            for row in _list(t["points"])
         ]
         trajectories.append(
             Trajectory(
@@ -173,16 +188,16 @@ def result_from_dict(doc: dict) -> RootLocusResult:
         )
     events = [
         ImagAxisEvent(_leaf(e["lambda"]), _leaf(e["omega"]), _int(e["direction"]))
-        for e in doc["imag_axis_events"]
+        for e in _list(doc["imag_axis_events"])
     ]
     return RootLocusResult(
         problem,
         trajectories,
-        [_critical_from_dict(c) for c in doc["critical_points"]],
+        [_critical_from_dict(c) for c in _list(doc["critical_points"])],
         events,
-        [(_leaf(a), _leaf(b)) for a, b in doc["stability_intervals"]],
+        [(_leaf(a), _leaf(b)) for a, b in _list(doc["stability_intervals"])],
         _int(doc["initial_unstable_count"]),
-        [_leaf(w, str) for w in doc["warnings"]],
+        [_leaf(w, str) for w in _list(doc["warnings"])],
     )
 
 

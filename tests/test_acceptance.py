@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 from rootlocus.cli import EXIT_OK, main as cli_main
-from rootlocus.continuation import NewtonWorkspace, Termination, _clip_solve
+from rootlocus.continuation import Termination, _clip_solve
 from rootlocus.critical import CriticalKind, boundary_crossings, crossing_direction
 from rootlocus.engine import compute_root_locus
 from rootlocus.errors import JacobianSingularError, NoConvergenceError, ValidationError
@@ -367,7 +367,6 @@ def _oracle_roots(problem, lam, r_cap, n_grid):
 
 def _traced_roots(problem, result, lam):
     roots = []
-    ws = NewtonWorkspace()
     for traj in result.trajectories:
         pts = traj.points
         for a, b in zip(pts[:-1], pts[1:]):
@@ -380,7 +379,7 @@ def _traced_roots(problem, result, lam):
                 frac = (lam - a.lam) / (b.lam - a.lam)
                 guess = a.as_array() + frac * (b.as_array() - a.as_array())
             try:
-                y = _clip_solve(problem, guess, "lam", lam, ws)
+                y = _clip_solve(problem, guess, "lam", lam)
             except (NoConvergenceError, JacobianSingularError):
                 continue
             if y[0] < problem.sigma0 - 1e-9:

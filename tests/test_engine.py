@@ -336,7 +336,7 @@ def test_delay_locus_from_a_double_start_root():
     for traj in trajs:
         a, b = next((a, b) for a, b in zip(traj.points, traj.points[1:]) if a.lam <= 0.3 <= b.lam)
         guess = a.as_array() + (0.3 - a.lam) / (b.lam - a.lam) * (b.as_array() - a.as_array())
-        y = continuation._clip_solve(problem, guess, "lam", 0.3, continuation.NewtonWorkspace())
+        y = continuation._clip_solve(problem, guess, "lam", 0.3)
         roots.append(complex(y[0], y[1]))
     roots.sort(key=lambda r: r.imag)
     want = [complex(-0.80960550, -0.54251225), complex(-0.80960550, 0.54251225)]

@@ -510,3 +510,37 @@ def test_load_result_checks_leaf_types(small_result, tmp_path, edit, error):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(f"{path}: malformed result ({error})")):
         load_result(str(tmp_path))
+
+
+_ARRAY_FIELDS = {
+    "trajectories": ["trajectories"],
+    "critical_points": ["critical_points"],
+    "imag_axis_events": ["imag_axis_events"],
+    "stability_intervals": ["stability_intervals"],
+    "warnings": ["warnings"],
+    "points": ["trajectories", 0, "points"],
+    "directions": ["critical_points", 0, "directions"],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param(_set(path, value), f"TypeError: expected an array, got {value!r}",
+                     id=f"{name}_{kind}")
+        for name, path in _ARRAY_FIELDS.items()
+        for kind, value in (("object", {}), ("string", "abc"))
+    ]
+    + [
+        pytest.param(
+            _set(["critical_points", 0, "directions"], [[1.0, 2.0]]),
+            "ValueError: expected a direction of three numbers, got [1.0, 2.0]",
+            id="two_number_direction",
+        )
+    ],
+)
+def test_load_result_requires_an_array_for_every_array_field(small_result, tmp_path, edit,
+                                                             error):
+    # an object or a string iterates like a list, so each array of
+    # result.json is checked to be one, and a direction to hold three numbers
+    test_load_result_checks_leaf_types(small_result, tmp_path, edit, error)

@@ -308,3 +308,60 @@ def test_result_digest_expect_passes_only_on_the_total(monkeypatch, capsys):
         out = capsys.readouterr()
         assert f"expected {given}" in out.out.splitlines()
         assert ("MISMATCH" in out.err.splitlines()) == bool(status)
+
+
+def test_result_digest_against_checks_the_last_bit_rule_on_the_reference_workload(
+        monkeypatch, capsys, tmp_path):
+    # against saved results, a reference run whose conjugate axis-event pair
+    # comes back swapped fails the rule (the golden check compares the rows
+    # in order); one whose only change is a trajectory point moved by an ulp
+    # passes, and so does a swapped pair on a random workload
+    import sys
+
+    from rootlocus.plant import LocusKind, LocusProblem
+
+    from conftest import first_order_plant
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", os.path.join(ROOT, "tools", "result_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    # one conjugate pair of axis events, at lam 2.2618 and omega -/+2.0288
+    problems = [LocusProblem(LocusKind.GAIN, -1.5, 5.0, first_order_plant())]
+    monkeypatch.setattr(digest.workloads, "build", lambda workload, seed: problems)
+    saved = tmp_path / "saved"
+    monkeypatch.setattr(sys, "argv", ["result_digest.py", "--keep", str(saved)])
+    assert digest.main() == 0
+    capsys.readouterr()
+
+    def edited(run, edit):
+        path = saved / run / "result.json"
+        original = path.read_text(encoding="utf-8")
+        doc = json.loads(original, parse_int=float)
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(sys, "argv", ["result_digest.py", "--against", str(saved)])
+        status = digest.main()
+        path.write_text(original, encoding="utf-8")
+        return status, capsys.readouterr()
+
+    def swap_pair(doc):
+        events = doc["imag_axis_events"]
+        assert len(events) == 2 and events[0]["lambda"] == events[1]["lambda"]
+        events.reverse()
+
+    def move_point(doc):
+        row = doc["trajectories"][0]["points"][1]
+        row[0] = math.nextafter(row[0], math.inf)
+
+    status, out = edited("reference_1_0", swap_pair)
+    assert status == 1
+    assert "  axis-event tie groups reordered: 1" in out.out.splitlines()
+    assert out.err.splitlines() == [
+        "LAST-BIT RULE: reference seed 1: axis-event tie groups reordered: 1 (on the "
+        "reference workload no axis event may move and no tie group may be reordered)"]
+    for run, edit in (("reference_1_0", move_point), ("random_gain_1_0", swap_pair)):
+        status, out = edited(run, edit)
+        assert status == 0 and out.err == ""
+        assert "  1 of 1 runs differ: [0]" in out.out.splitlines()

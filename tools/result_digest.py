@@ -40,7 +40,7 @@ With ``--expect <sha256>`` it also prints the expected digest beside the
 computed one and exits 1 when they differ, so a bit-for-bit claim is one
 command:
 
-    python3 tools/result_digest.py --expect fcbe20558842d177d0092823c76a50c1f409f5af40155be6be87f41f35a807a9
+    python3 tools/result_digest.py --expect 6801d7645ea42b671ea7461bc4f85ee840e41dfa527791d1a746f343ede09fc5
 
 A change meant to move only last bits is checked value by value instead.
 ``--keep DIR`` saves each run's ``result.json`` under ``DIR/<workload>_<seed>_<i>``;
@@ -53,7 +53,12 @@ and lam; residuals aside), origins, critical points, axis events and
 stability intervals.  Axis events whose lam tie within 1e-9 (a conjugate
 pair) are matched inside their tie group, and the groups listed in another
 order are counted on a line of their own.  Points one side has and the
-other lacks are counted as added or removed:
+other lacks are counted as added or removed.  On the reference workload it
+also checks README's last-bit rule, since the benchmark's golden check
+compares the axis-event rows in order: a reordered tie group, an axis event
+moved by any ulp or a changed axis-event count prints a "LAST-BIT RULE"
+line and the tool exits 1.  Trajectory points, origins, critical points and
+stability intervals may move, and the random workloads are not checked:
 
     python3 tools/result_digest.py --keep /tmp/before          # parent checkout
     python3 tools/result_digest.py --against /tmp/before       # this checkout
@@ -205,6 +210,7 @@ class Changes:
         self.ulps = dict.fromkeys(self.AREAS, 0)
         self.added = self.removed = 0
         self.reordered = 0
+        self.recounted_events = 0  # runs whose axis-event count changed
 
     def _pairs(self, area: str, old: list[tuple], new: list[tuple]) -> None:
         if len(old) == len(new):
@@ -219,6 +225,7 @@ class Changes:
         The members of a group are matched by (direction, omega); a group
         whose members are listed in another order counts as reordered."""
         if len(old) != len(new):
+            self.recounted_events += 1
             return
 
         def key(e):
@@ -271,6 +278,20 @@ class Changes:
         self._events(old.imag_axis_events, new.imag_axis_events)
         self._pairs("stability intervals", old.stability_intervals, new.stability_intervals)
 
+    def last_bit_breach(self) -> str | None:
+        """What breaks README's last-bit rule for the reference workload, or
+        None: the benchmark's golden check compares the axis-event rows in
+        order, so no tie group may be reordered and no axis event may move
+        (nor any run gain or lose one)."""
+        what = []
+        if self.reordered:
+            what.append(f"axis-event tie groups reordered: {self.reordered}")
+        if self.ulps["axis events"]:
+            what.append(f"axis events moved: up to {self.ulps['axis events']} ulp")
+        if self.recounted_events:
+            what.append(f"runs whose axis-event count changed: {self.recounted_events}")
+        return "; ".join(what) or None
+
     def report(self, total: int) -> list[str]:
         if not self.runs:
             return [f"  all {total} runs equal"]
@@ -293,7 +314,7 @@ def main() -> int:
     report: list[str] = []
     total, locus, svg = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     runs = 0
-    errors, rewrites = [], []
+    errors, rewrites, breaches = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         reused_dir = os.path.join(tmp, "rewritten")
         for seed in SEEDS:
@@ -333,6 +354,9 @@ def main() -> int:
                 if args.against is not None:
                     report += [f"{workload} seed {seed} against {args.against}:"]
                     report += changes.report(len(problems))
+                    breach = changes.last_bit_breach() if workload == "reference" else None
+                    if breach is not None:
+                        breaches.append(f"{workload} seed {seed}: {breach}")
     print(f"{runs} runs, {runs - len(errors)} read back exactly")
     print(f"{runs - len(rewrites)} rewritten in place exactly")
     print(f"locus {locus.hexdigest()}")
@@ -344,7 +368,10 @@ def main() -> int:
         print(f"ROUND TRIP: {error}", file=sys.stderr)
     for error in rewrites:
         print(f"REWRITE: {error}", file=sys.stderr)
-    status = 1 if errors or rewrites else 0
+    for breach in breaches:
+        print(f"LAST-BIT RULE: {breach} (on the reference workload no axis event may move "
+              "and no tie group may be reordered)", file=sys.stderr)
+    status = 1 if errors or rewrites or breaches else 0
     if args.expect is not None:
         print(f"expected {args.expect}")
         if total.hexdigest() != args.expect.strip().lower():
